@@ -39,6 +39,19 @@ pub fn mod_mersenne61(x: u128) -> u64 {
     r
 }
 
+/// `x mod (2^61 − 1)` for a 64-bit `x`, by one Mersenne fold. Callers that
+/// evaluate many [`PairwiseHash`] functions on one key reduce it once and use
+/// [`PairwiseHash::hash_reduced`].
+#[inline]
+pub fn reduce_mersenne61(x: u64) -> u64 {
+    let r = (x & MERSENNE61) + (x >> 61);
+    if r >= MERSENNE61 {
+        r - MERSENNE61
+    } else {
+        r
+    }
+}
+
 /// A pairwise-independent hash function `x ↦ ((a·x + b) mod p) >> shift`,
 /// producing `bits` output bits, with `p = 2^61 − 1`.
 ///
@@ -73,11 +86,30 @@ impl PairwiseHash {
     /// Hash a 64-bit value to `bits` bits.
     #[inline]
     pub fn hash(&self, x: u64) -> u64 {
-        let x = x % MERSENNE61;
+        self.hash_reduced(reduce_mersenne61(x))
+    }
+
+    /// [`PairwiseHash::hash`] of a value already reduced with
+    /// [`reduce_mersenne61`] (`x < 2^61 − 1`).
+    #[inline]
+    pub fn hash_reduced(&self, x: u64) -> u64 {
+        debug_assert!(x < MERSENNE61);
         let prod = (self.a as u128) * (x as u128) + (self.b as u128);
         let v = mod_mersenne61(prod);
         // Take the high-order bits of the 61-bit value: (v >> (61 - bits)).
         v >> (61 - self.bits)
+    }
+}
+
+/// `x % d` for a divisor that is fixed per table and often a power of two (ℓ0
+/// bucket counts, the partitions of small IBLTs): those take a mask, every other
+/// divisor the hardware divide.
+#[inline]
+pub fn rem_fixed(x: u64, d: u64) -> u64 {
+    if d.is_power_of_two() {
+        x & (d - 1)
+    } else {
+        x % d
     }
 }
 
@@ -98,36 +130,35 @@ pub fn hash64(x: u64, seed: u64) -> u64 {
 /// A simple multiply–rotate–xor scheme processing 8 bytes at a time, finished with the
 /// SplitMix64 finalizer. Not cryptographic, but well-distributed on the structured
 /// keys used here (serialized IBLTs, encoded sets, signature strings). Inline so the
-/// IBLT hot loops can specialize it for their short fixed key widths.
+/// IBLT hot loops can specialize it for their short fixed key widths: on an 8-byte
+/// array it compiles to the loop-free single-word form.
 #[inline]
 pub fn hash_bytes(bytes: &[u8], seed: u64) -> u64 {
+    hash_bytes_lanes(bytes, [seed])[0]
+}
+
+/// [`hash_bytes`] under `N` seeds in one pass over `bytes`: each word is loaded
+/// once and folded into every state. Lane `i` equals `hash_bytes(bytes,
+/// seeds[i])`; the IBLT takes a key's partition hash and check-sum this way.
+#[inline]
+pub fn hash_bytes_lanes<const N: usize>(bytes: &[u8], seeds: [u64; N]) -> [u64; N] {
     const K: u64 = 0x517C_C1B7_2722_0A95;
-    let mut h = seed ^ (bytes.len() as u64).wrapping_mul(K);
-    let mut chunks = bytes.chunks_exact(8);
-    for chunk in &mut chunks {
-        let v = u64::from_le_bytes(chunk.try_into().expect("chunk of 8"));
-        h = (h ^ v).rotate_left(29).wrapping_mul(K);
+    let mut h = seeds.map(|seed| seed ^ (bytes.len() as u64).wrapping_mul(K));
+    let mut fold = |v: u64| {
+        for lane in &mut h {
+            *lane = (*lane ^ v).rotate_left(29).wrapping_mul(K);
+        }
+    };
+    let (chunks, rem) = bytes.as_chunks::<8>();
+    for chunk in chunks {
+        fold(u64::from_le_bytes(*chunk));
     }
-    let rem = chunks.remainder();
     if !rem.is_empty() {
         let mut buf = [0u8; 8];
         buf[..rem.len()].copy_from_slice(rem);
-        let v = u64::from_le_bytes(buf);
-        h = (h ^ v).rotate_left(29).wrapping_mul(K);
+        fold(u64::from_le_bytes(buf));
     }
-    hash64(h, seed ^ 0xA5A5_A5A5_5A5A_5A5A)
-}
-
-/// [`hash_bytes`] specialized to an exactly-8-byte input, taken as the
-/// little-endian `u64` it encodes: branch-free, loop-free, and bit-identical to
-/// `hash_bytes(&v.to_le_bytes(), seed)` (pinned by a unit test). The IBLT hot
-/// paths use this for the ubiquitous 8-byte key width.
-#[inline]
-pub fn hash_bytes8(v: u64, seed: u64) -> u64 {
-    const K: u64 = 0x517C_C1B7_2722_0A95;
-    let h = seed ^ 8u64.wrapping_mul(K);
-    let h = (h ^ v).rotate_left(29).wrapping_mul(K);
-    hash64(h, seed ^ 0xA5A5_A5A5_5A5A_5A5A)
+    std::array::from_fn(|lane| hash64(h[lane], seeds[lane] ^ 0xA5A5_A5A5_5A5A_5A5A))
 }
 
 /// Order-independent hash of a set of 64-bit elements.
@@ -239,6 +270,16 @@ mod tests {
     }
 
     #[test]
+    fn mersenne_fold_agrees_with_remainder() {
+        let edges = [0, 1, MERSENNE61 - 1, MERSENNE61, MERSENNE61 + 1, 2 * MERSENNE61, u64::MAX];
+        let h = PairwiseHash::from_seed(5, 61);
+        for x in edges.into_iter().chain((0..1000).map(|i| hash64(i, 3))) {
+            assert_eq!(reduce_mersenne61(x), x % MERSENNE61, "x = {x}");
+            assert_eq!(h.hash(x), h.hash_reduced(x % MERSENNE61), "x = {x}");
+        }
+    }
+
+    #[test]
     fn pairwise_hash_range_respected() {
         let h = PairwiseHash::from_seed(1, 10);
         for x in 0..1000u64 {
@@ -276,15 +317,6 @@ mod tests {
         }
         let avg = total as f64 / samples as f64;
         assert!((20.0..44.0).contains(&avg), "avalanche average {avg}");
-    }
-
-    #[test]
-    fn hash_bytes8_matches_hash_bytes() {
-        for v in [0u64, 1, 42, u64::MAX, 0xDEAD_BEEF_CAFE_F00D] {
-            for seed in [0u64, 7, u64::MAX] {
-                assert_eq!(hash_bytes8(v, seed), hash_bytes(&v.to_le_bytes(), seed));
-            }
-        }
     }
 
     #[test]

@@ -18,7 +18,7 @@ use recon_base::wire::{read_uvarint, write_uvarint, Decode, Encode, WireError};
 use recon_base::ReconError;
 use recon_iblt::{Iblt, IbltConfig};
 use recon_protocol::{Amplification, SessionBuilder};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Alice's one-round message: the cascade of outer tables.
 #[derive(Debug, Clone, PartialEq)]
@@ -116,16 +116,20 @@ impl CascadingProtocol {
         Iblt::with_cells(self.level_child_cells(level), &self.child_config(level))
     }
 
-    /// Encode one child set at a cascade level into `out`, reusing `scratch` as
-    /// the child table (both are cleared first; no per-child allocation).
-    fn encode_child_at_level_into(&self, child: &ChildSet, scratch: &mut Iblt, out: &mut Vec<u8>) {
+    /// Encode one child set (whose [`SetOfSets::child_hash`] is `hash`) at a
+    /// cascade level into `out`, reusing `scratch` as the child table (both are
+    /// cleared first; no per-child allocation).
+    fn encode_child_at_level_into(
+        child: &ChildSet,
+        hash: u64,
+        scratch: &mut Iblt,
+        out: &mut Vec<u8>,
+    ) {
         scratch.clear();
-        for &x in child {
-            scratch.insert_u64(x);
-        }
+        scratch.insert_u64s(child.iter().copied());
         out.clear();
         scratch.encode(out);
-        out.extend_from_slice(&SetOfSets::child_hash(child, self.params.seed).to_le_bytes());
+        out.extend_from_slice(&hash.to_le_bytes());
     }
 
     fn split_encoding(encoding: &[u8]) -> Result<(Iblt, u64), ReconError> {
@@ -149,14 +153,15 @@ impl CascadingProtocol {
     pub fn digest(&self, sos: &SetOfSets, d: usize) -> CascadingDigest {
         let d = d.max(1);
         let t = self.num_levels(d);
+        let hashes = sos.child_hashes(self.params.seed);
         let mut levels = Vec::with_capacity(t);
         for level in 1..=t {
             let mut outer =
                 Iblt::with_cells(self.level_outer_cells(d, level), &self.level_outer_config(level));
             let mut scratch = self.level_scratch(level);
             let mut encoding = Vec::with_capacity(self.level_encoding_bytes(level));
-            for child in sos.children() {
-                self.encode_child_at_level_into(child, &mut scratch, &mut encoding);
+            for (child, &hash) in sos.children().iter().zip(&hashes) {
+                Self::encode_child_at_level_into(child, hash, &mut scratch, &mut encoding);
                 outer.insert(&encoding);
             }
             levels.push(outer);
@@ -193,29 +198,38 @@ impl CascadingProtocol {
             return Err(ReconError::InvalidInput("cascade with no levels".to_string()));
         }
 
+        // Bob's child hashes, computed once for every level and every look-up.
+        let local_hashes = local.child_hashes(self.params.seed);
+        // Reversed, so that on a hash collision the earlier child overwrites.
+        let local_by_hash: HashMap<u64, &ChildSet> =
+            local_hashes.iter().copied().zip(local.children()).rev().collect();
+
         // D_B: Bob's differing children, keyed by hash. Discovered at level 1.
-        let mut differing_local: BTreeMap<u64, ChildSet> = BTreeMap::new();
+        let mut differing_local: BTreeMap<u64, &ChildSet> = BTreeMap::new();
         // D_A: Alice's recovered children, keyed by their child hash.
         let mut recovered: BTreeMap<u64, ChildSet> = BTreeMap::new();
         // Alice's differing child hashes seen so far but not yet recovered.
         let mut pending: BTreeMap<u64, ()> = BTreeMap::new();
+        // A child with no counterpart on Bob's side is also tried against the
+        // empty set, so brand-new children are recoverable once a level's child
+        // IBLTs are big enough to hold them outright.
+        let empty_child = ChildSet::new();
 
         for (idx, outer) in digest.levels.iter().enumerate() {
             let level = idx + 1;
             let mut table = outer.clone();
             let mut scratch = self.level_scratch(level);
             let mut encoding = Vec::with_capacity(self.level_encoding_bytes(level));
-            for child in local.children() {
-                let hash = SetOfSets::child_hash(child, self.params.seed);
+            for (child, &hash) in local.children().iter().zip(&local_hashes) {
                 if level > 1 && differing_local.contains_key(&hash) {
                     continue; // keep D_B out of the later tables (Algorithm 2, step i>1)
                 }
-                self.encode_child_at_level_into(child, &mut scratch, &mut encoding);
+                Self::encode_child_at_level_into(child, hash, &mut scratch, &mut encoding);
                 table.delete(&encoding);
             }
             if level > 1 {
-                for child in recovered.values() {
-                    self.encode_child_at_level_into(child, &mut scratch, &mut encoding);
+                for (&hash, child) in &recovered {
+                    Self::encode_child_at_level_into(child, hash, &mut scratch, &mut encoding);
                     table.delete(&encoding);
                 }
             }
@@ -226,37 +240,35 @@ impl CascadingProtocol {
             if level == 1 {
                 for encoding in &decoded.negative {
                     let (_, hash_b) = Self::split_encoding(encoding)?;
-                    if let Some(child) = local.child_by_hash(hash_b, self.params.seed) {
-                        differing_local.insert(hash_b, child.clone());
+                    if let Some(&child) = local_by_hash.get(&hash_b) {
+                        differing_local.insert(hash_b, child);
                     }
                 }
             }
 
-            // A child with no counterpart on Bob's side is also tried against the
-            // empty set, so brand-new children are recoverable once a level's child
-            // IBLTs are big enough to hold them outright.
-            let empty_child = ChildSet::new();
-            let mut candidate_children: Vec<&ChildSet> = differing_local.values().collect();
-            candidate_children.push(&empty_child);
+            // Bob's candidates at this level's geometry, each table built once
+            // however many of Alice's encodings it is tried against.
+            let mut candidates: Vec<(&ChildSet, Iblt)> = Vec::new();
+            if !decoded.positive.is_empty() {
+                for child_b in differing_local.values().copied().chain([&empty_child]) {
+                    scratch.clear();
+                    scratch.insert_u64s(child_b.iter().copied());
+                    candidates.push((child_b, scratch.clone()));
+                }
+            }
             for encoding in &decoded.positive {
                 let (table_a, hash_a) = Self::split_encoding(encoding)?;
                 if recovered.contains_key(&hash_a) {
                     continue;
                 }
                 pending.insert(hash_a, ());
-                for child_b in candidate_children.iter().copied() {
-                    // Rebuild Bob's candidate child table directly in the scratch
-                    // table — no byte round trip needed for a locally-built table.
-                    scratch.clear();
-                    for &x in child_b {
-                        scratch.insert_u64(x);
-                    }
-                    let Ok(diff_table) = table_a.subtract(&scratch) else { continue };
+                for (child_b, table_b) in &candidates {
+                    let Ok(diff_table) = table_a.subtract(table_b) else { continue };
                     let peeled = diff_table.into_decode();
                     if !peeled.complete {
                         continue;
                     }
-                    let mut candidate = child_b.clone();
+                    let mut candidate = (*child_b).clone();
                     for x in peeled.negative_u64() {
                         candidate.remove(&x);
                     }

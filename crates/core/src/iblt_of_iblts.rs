@@ -100,9 +100,7 @@ impl IbltOfIbltsProtocol {
     /// are cleared and reused, so bulk encoders allocate nothing per child.
     fn encode_child_into(&self, child: &ChildSet, scratch: &mut Iblt, out: &mut Vec<u8>) {
         scratch.clear();
-        for &x in child {
-            scratch.insert_u64(x);
-        }
+        scratch.insert_u64s(child.iter().copied());
         out.clear();
         scratch.encode(out);
         out.extend_from_slice(&SetOfSets::child_hash(child, self.params.seed).to_le_bytes());
@@ -165,11 +163,11 @@ impl IbltOfIbltsProtocol {
         }
 
         // D_B: Bob's child sets whose encodings appeared on the negative side.
+        let local_by_hash = local.children_by_hash(self.params.seed);
         let mut differing_local: Vec<(u64, &ChildSet, Iblt)> = Vec::new();
         for encoding in &decoded.negative {
             let (table_b, hash_b) = Self::split_encoding(encoding)?;
-            let child =
-                local.child_by_hash(hash_b, self.params.seed).ok_or(ReconError::ChecksumFailure)?;
+            let child = *local_by_hash.get(&hash_b).ok_or(ReconError::ChecksumFailure)?;
             differing_local.push((hash_b, child, table_b));
         }
 

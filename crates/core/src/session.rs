@@ -110,9 +110,7 @@ pub fn naive_unknown_alice(
     Deferred::new(move |envelope: Envelope| {
         let bob_estimator: L0Estimator = envelope.decode_payload()?;
         let mut alice_estimator = L0Estimator::new(&estimator_cfg);
-        for h in sos.child_hashes(params.seed) {
-            alice_estimator.update(h, Side::A);
-        }
+        alice_estimator.update_all(sos.child_hashes(params.seed), Side::A);
         let estimate = alice_estimator.merge(&bob_estimator)?.estimate();
         let base_d_hat = (estimate * 2).max(4);
         AmplifiedSender::new(amplification.max_attempts, move |attempt| {
@@ -133,9 +131,7 @@ pub fn naive_unknown_bob(
 ) -> impl Party<Output = SetOfSets> {
     let estimator_cfg = estimator.with_seed(params.role_seed(0xAB));
     let mut bob_estimator = L0Estimator::new(&estimator_cfg);
-    for h in sos.child_hashes(params.seed) {
-        bob_estimator.update(h, Side::B);
-    }
+    bob_estimator.update_all(sos.child_hashes(params.seed), Side::B);
     let preamble =
         [Envelope::round(TAG_SOS_ESTIMATOR, "child-hash difference estimator", &bob_estimator)];
 
@@ -375,9 +371,7 @@ fn hash_iblt_config(params: &SosParams) -> IbltConfig {
 
 fn hash_table(sos: &SetOfSets, d_hat: usize, params: &SosParams) -> Iblt {
     let mut table = Iblt::with_expected_diff((2 * d_hat).max(2), &hash_iblt_config(params));
-    for h in sos.child_hashes(params.seed) {
-        table.insert_u64(h);
-    }
+    table.insert_u64s(sos.child_hashes(params.seed));
     table
 }
 
@@ -429,10 +423,10 @@ impl Party for MultiroundAlice {
 
                 let charpoly_threshold = (self.d as f64).sqrt().ceil() as usize;
                 let charpoly = CharPolyProtocol::new(self.params.role_seed(0xD4));
+                let by_hash = self.sos.children_by_hash(seed);
                 let mut patches: Vec<ChildPatch> = Vec::new();
                 for &ah in &alice_differing {
-                    let child =
-                        self.sos.child_by_hash(ah, seed).ok_or(ReconError::ChecksumFailure)?;
+                    let child = *by_hash.get(&ah).ok_or(ReconError::ChecksumFailure)?;
                     // Find the most similar of Bob's differing children by merged
                     // estimate.
                     let mut best: Option<(u64, usize)> = None;
@@ -440,9 +434,7 @@ impl Party for MultiroundAlice {
                         let cfg =
                             child_estimator_config(split_seed(self.params.role_seed(0xD2), *bh));
                         let mut alice_side = L0Estimator::new(&cfg);
-                        for &x in child {
-                            alice_side.update(x, Side::A);
-                        }
+                        alice_side.update_all(child.iter().copied(), Side::A);
                         let estimate = alice_side.merge(bob_est)?.estimate();
                         if best.is_none_or(|(_, e)| estimate < e) {
                             best = Some((*bh, estimate));
@@ -484,10 +476,10 @@ impl Party for MultiroundAlice {
             }
             TAG_MR_FAILURES => {
                 let fallback_needed: Vec<u64> = envelope.decode_payload()?;
+                let by_hash = self.sos.children_by_hash(seed);
                 let mut full: Vec<(u64, Vec<u64>)> = Vec::new();
                 for &h in &fallback_needed {
-                    let child =
-                        self.sos.child_by_hash(h, seed).ok_or(ReconError::ChecksumFailure)?;
+                    let child = *by_hash.get(&h).ok_or(ReconError::ChecksumFailure)?;
                     full.push((h, child.iter().copied().collect()));
                 }
                 self.outbox.push_back(Envelope::round(
@@ -560,24 +552,20 @@ impl Party for MultiroundBob {
                 // Mirror Alice's table size so the tables subtract cell-for-cell.
                 let cfg = hash_iblt_config(&self.params);
                 let mut bob_hash_table = Iblt::with_cells(alice_hash_table.cells(), &cfg);
-                for h in self.sos.child_hashes(seed) {
-                    bob_hash_table.insert_u64(h);
-                }
+                bob_hash_table.insert_u64s(self.sos.child_hashes(seed));
                 let hash_diff = alice_hash_table.subtract(&bob_hash_table)?.into_decode();
                 if !hash_diff.complete {
                     return Err(ReconError::PeelingFailure { remaining_cells: 0 });
                 }
                 let bob_differing: Vec<u64> = hash_diff.negative_u64();
 
+                let by_hash = self.sos.children_by_hash(seed);
                 let mut bob_estimators: Vec<(u64, L0Estimator)> = Vec::new();
                 for &h in &bob_differing {
-                    let child =
-                        self.sos.child_by_hash(h, seed).ok_or(ReconError::ChecksumFailure)?.clone();
+                    let child = (*by_hash.get(&h).ok_or(ReconError::ChecksumFailure)?).clone();
                     let cfg = child_estimator_config(split_seed(self.params.role_seed(0xD2), h));
                     let mut est = L0Estimator::new(&cfg);
-                    for &x in &child {
-                        est.update(x, Side::B);
-                    }
+                    est.update_all(child.iter().copied(), Side::B);
                     bob_estimators.push((h, est));
                     self.bob_children.insert(h, child);
                 }
@@ -677,9 +665,7 @@ pub fn multiround_unknown_alice(
     Deferred::new(move |envelope: Envelope| {
         let bob_estimator: L0Estimator = envelope.decode_payload()?;
         let mut alice_estimator = L0Estimator::new(&estimator_cfg);
-        for h in sos.child_hashes(params.seed) {
-            alice_estimator.update(h, Side::A);
-        }
+        alice_estimator.update_all(sos.child_hashes(params.seed), Side::A);
         let d_hat = (alice_estimator.merge(&bob_estimator)?.estimate() * 2).max(4);
         // With d unknown, use the generous per-child budget d = d̂ · h as the switch
         // point between the IBLT and charpoly branches; the per-child estimators of
@@ -698,9 +684,7 @@ pub fn multiround_unknown_bob(
 ) -> impl Party<Output = SetOfSets> {
     let estimator_cfg = estimator.with_seed(params.role_seed(0xD0));
     let mut bob_estimator = L0Estimator::new(&estimator_cfg);
-    for h in sos.child_hashes(params.seed) {
-        bob_estimator.update(h, Side::B);
-    }
+    bob_estimator.update_all(sos.child_hashes(params.seed), Side::B);
     let preamble =
         [Envelope::round(TAG_SOS_ESTIMATOR, "child-hash difference estimator", &bob_estimator)];
     WithPreamble::new(preamble, multiround_known_bob(sos, params))

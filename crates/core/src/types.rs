@@ -9,7 +9,7 @@
 use recon_base::hash::hash_u64_set;
 use recon_base::rng::split_seed;
 use recon_base::wire::{read_uvarint, write_uvarint, Decode, Encode, WireError};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
 /// A child set: a set of 64-bit universe elements, stored sorted so that encodings
 /// and hashes are canonical.
@@ -113,10 +113,13 @@ impl SetOfSets {
         hash_u64_set(self.child_hashes(seed), split_seed(seed, 0xFA7E))
     }
 
-    /// Find a child set by its hash (linear scan; the protocols only do this for the
-    /// `O(d̂)` differing children).
-    pub fn child_by_hash(&self, hash: u64, seed: u64) -> Option<&ChildSet> {
-        self.children.iter().find(|c| Self::child_hash(c, seed) == hash)
+    /// The child sets keyed by their [`SetOfSets::child_hash`] under `seed`: one
+    /// `O(n)` hashing pass, after which each of the `O(d̂)` differing children a
+    /// protocol asks for is a constant-time look-up. Of two children with equal
+    /// hashes the first in canonical order is kept.
+    pub fn children_by_hash(&self, seed: u64) -> HashMap<u64, &ChildSet> {
+        // Reversed, so that on a hash collision the earlier child overwrites.
+        self.child_hashes(seed).into_iter().zip(&self.children).rev().collect()
     }
 
     /// Canonical fixed-width byte encoding of a child set: element count followed by
@@ -294,11 +297,13 @@ mod tests {
     }
 
     #[test]
-    fn child_by_hash_finds_children() {
+    fn children_by_hash_finds_children() {
         let sos = SetOfSets::from_children([child(&[1, 2]), child(&[3])]);
         let h = SetOfSets::child_hash(&child(&[3]), 9);
-        assert_eq!(sos.child_by_hash(h, 9), Some(&child(&[3])));
-        assert_eq!(sos.child_by_hash(h ^ 1, 9), None);
+        let by_hash = sos.children_by_hash(9);
+        assert_eq!(by_hash.len(), 2);
+        assert_eq!(by_hash.get(&h), Some(&&child(&[3])));
+        assert_eq!(by_hash.get(&(h ^ 1)), None);
     }
 
     #[test]

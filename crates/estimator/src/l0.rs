@@ -19,7 +19,7 @@
 //! probability `1 − δ` using `O(log(1/δ) log n)` bits.
 
 use crate::Side;
-use recon_base::hash::{hash64, PairwiseHash};
+use recon_base::hash::{hash64, reduce_mersenne61, rem_fixed, PairwiseHash};
 use recon_base::rng::split_seed;
 use recon_base::wire::{read_uvarint, write_uvarint, Decode, Encode, WireError};
 use recon_base::ReconError;
@@ -67,19 +67,41 @@ impl L0Config {
     }
 }
 
+/// The hash functions of one repetition, derived from the seed once per
+/// estimator so that no update re-derives them.
+#[derive(Debug, Clone, PartialEq)]
+struct RepPlan {
+    /// Pairwise-independent level hash; an element's level is the number of
+    /// trailing one bits of its 61-bit output.
+    level: PairwiseHash,
+    bucket_seed: u64,
+}
+
 /// The ℓ0-norm set difference estimator (Theorem 3.1).
 #[derive(Debug, Clone, PartialEq)]
 pub struct L0Estimator {
     cfg: L0Config,
     /// `counters[rep][level * buckets + bucket]`, each value in 0..4 (mod-4 counter).
     counters: Vec<Vec<u8>>,
+    /// One entry per repetition, a function of `cfg` alone.
+    plan: Vec<RepPlan>,
 }
 
 impl L0Estimator {
     /// Create an empty estimator.
     pub fn new(cfg: &L0Config) -> Self {
         assert!(cfg.reps >= 1 && cfg.levels >= 1 && cfg.buckets >= 4);
-        Self { cfg: *cfg, counters: vec![vec![0u8; cfg.levels * cfg.buckets]; cfg.reps] }
+        Self::with_counters(*cfg, vec![vec![0u8; cfg.levels * cfg.buckets]; cfg.reps])
+    }
+
+    fn with_counters(cfg: L0Config, counters: Vec<Vec<u8>>) -> Self {
+        let plan = (0..cfg.reps as u64)
+            .map(|rep| RepPlan {
+                level: PairwiseHash::from_seed(split_seed(cfg.seed, 0x1000 + rep), 61),
+                bucket_seed: split_seed(cfg.seed, 0x2000 + rep),
+            })
+            .collect();
+        Self { cfg, counters, plan }
     }
 
     /// The configuration this estimator was built with.
@@ -87,27 +109,28 @@ impl L0Estimator {
         &self.cfg
     }
 
-    fn level_hash(&self, rep: usize) -> PairwiseHash {
-        PairwiseHash::from_seed(split_seed(self.cfg.seed, 0x1000 + rep as u64), 61)
-    }
-
-    fn bucket_seed(&self, rep: usize) -> u64 {
-        split_seed(self.cfg.seed, 0x2000 + rep as u64)
-    }
-
-    /// Add element `x` to side `side` (the paper's *update* operation).
+    /// Add element `x` to side `side` (the paper's *update* operation): one
+    /// mod-4 counter per repetition.
+    #[inline]
     pub fn update(&mut self, x: u64, side: Side) {
         let delta: u8 = match side {
             Side::A => 1,
             Side::B => 3, // ≡ −1 (mod 4)
         };
-        for rep in 0..self.cfg.reps {
-            let level_bits = self.level_hash(rep).hash(x);
-            let level = (level_bits.trailing_ones() as usize).min(self.cfg.levels - 1);
-            let bucket = (hash64(x, self.bucket_seed(rep)) % self.cfg.buckets as u64) as usize;
-            let slot = &mut self.counters[rep][level * self.cfg.buckets + bucket];
+        let reduced = reduce_mersenne61(x);
+        let (deepest, buckets) = (self.cfg.levels - 1, self.cfg.buckets);
+        for (rep, counters) in self.plan.iter().zip(&mut self.counters) {
+            let level = (rep.level.hash_reduced(reduced).trailing_ones() as usize).min(deepest);
+            let bucket = rem_fixed(hash64(x, rep.bucket_seed), buckets as u64) as usize;
+            let slot = &mut counters[level * buckets + bucket];
             *slot = (*slot + delta) & 3;
         }
+    }
+
+    /// [`L0Estimator::update`] for every element of `keys`, as one call.
+    #[inline]
+    pub fn update_all(&mut self, keys: impl IntoIterator<Item = u64>, side: Side) {
+        keys.into_iter().for_each(|x| self.update(x, side));
     }
 
     /// Merge with another estimator built from the same configuration (the paper's
@@ -229,7 +252,7 @@ impl Decode for L0Estimator {
             }
             counters.push(rep);
         }
-        Ok(L0Estimator { cfg, counters })
+        Ok(L0Estimator::with_counters(cfg, counters))
     }
 }
 

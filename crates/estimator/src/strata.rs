@@ -50,6 +50,8 @@ impl StrataConfig {
 pub struct StrataEstimator {
     cfg: StrataConfig,
     strata: Vec<Iblt>,
+    /// Seed of the stratum-assignment hash (split from `cfg.seed` once).
+    level_seed: u64,
 }
 
 impl StrataEstimator {
@@ -57,12 +59,13 @@ impl StrataEstimator {
     pub fn new(cfg: &StrataConfig) -> Self {
         assert!(cfg.strata >= 2 && cfg.cells_per_stratum >= 8);
         let iblt_cfg = cfg.iblt_config();
-        Self {
-            cfg: *cfg,
-            strata: (0..cfg.strata)
-                .map(|_| Iblt::with_cells(cfg.cells_per_stratum, &iblt_cfg))
-                .collect(),
-        }
+        let strata =
+            (0..cfg.strata).map(|_| Iblt::with_cells(cfg.cells_per_stratum, &iblt_cfg)).collect();
+        Self::with_strata(*cfg, strata)
+    }
+
+    fn with_strata(cfg: StrataConfig, strata: Vec<Iblt>) -> Self {
+        Self { cfg, strata, level_seed: split_seed(cfg.seed, 0x57A8) }
     }
 
     /// The configuration this estimator was built with.
@@ -70,12 +73,13 @@ impl StrataEstimator {
         &self.cfg
     }
 
+    #[inline]
     fn stratum_of(&self, x: u64) -> usize {
-        let h = hash64(x, split_seed(self.cfg.seed, 0x57A8));
-        (h.trailing_zeros() as usize).min(self.cfg.strata - 1)
+        (hash64(x, self.level_seed).trailing_zeros() as usize).min(self.cfg.strata - 1)
     }
 
     /// Add element `x` to side `side`.
+    #[inline]
     pub fn update(&mut self, x: u64, side: Side) {
         let stratum = self.stratum_of(x);
         match side {
@@ -84,11 +88,18 @@ impl StrataEstimator {
         }
     }
 
+    /// [`StrataEstimator::update`] for every element of `keys`, as one call.
+    #[inline]
+    pub fn update_all(&mut self, keys: impl IntoIterator<Item = u64>, side: Side) {
+        keys.into_iter().for_each(|x| self.update(x, side));
+    }
+
     /// Remove element `x` from side `side` — the exact inverse of
     /// [`StrataEstimator::update`], so a long-lived store can maintain the
     /// estimator incrementally under churn. Removing an element that was never
     /// added leaves the (signed) stratum encoding its absence, exactly as a
     /// fresh build over the final set would.
+    #[inline]
     pub fn remove(&mut self, x: u64, side: Side) {
         let stratum = self.stratum_of(x);
         match side {
@@ -158,7 +169,7 @@ impl Decode for StrataEstimator {
         let cfg = StrataConfig { strata, cells_per_stratum, seed };
         let tables: Result<Vec<Iblt>, WireError> =
             (0..strata).map(|_| <Iblt as Decode>::decode(buf)).collect();
-        Ok(StrataEstimator { cfg, strata: tables? })
+        Ok(StrataEstimator::with_strata(cfg, tables?))
     }
 }
 

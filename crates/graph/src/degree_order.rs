@@ -81,15 +81,90 @@ pub fn is_separated(graph: &Graph, h: usize, a: usize, b: usize) -> bool {
             return false;
         }
     }
-    for i in 0..sigs.signatures.len() {
-        for j in (i + 1)..sigs.signatures.len() {
-            let diff = sigs.signatures[i].1.symmetric_difference(&sigs.signatures[j].1).count();
-            if diff < b {
-                return false;
+    let count = sigs.signatures.len();
+    let packed = PackedSignatures::pack(sigs.signatures.iter().map(|(_, sig)| sig), h);
+    (0..count).all(|i| (i + 1..count).all(|j| packed.distance(i, &packed, j) >= b))
+}
+
+/// Signatures packed as bit sets over the anchor ranks `[0, h)`, `⌈h/64⌉` words
+/// each, so that the Hamming distance of two signatures is a `popcount(xor)` per
+/// word instead of a walk over two trees. The all-pairs comparisons of
+/// [`is_separated`] and of Bob's labelling pack every signature once.
+pub(crate) struct PackedSignatures {
+    words: usize,
+    /// `words` words per signature, back to back.
+    bits: Vec<u64>,
+    /// Per signature, how many of its elements lie outside `[0, h)`. A local
+    /// signature has none; one recovered from a peer is not trusted to.
+    outside: Vec<usize>,
+}
+
+impl PackedSignatures {
+    pub(crate) fn pack<'a>(
+        signatures: impl IntoIterator<Item = &'a BTreeSet<u64>>,
+        h: usize,
+    ) -> Self {
+        let words = h.div_ceil(64);
+        let mut packed = Self { words, bits: Vec::new(), outside: Vec::new() };
+        for signature in signatures {
+            let start = packed.bits.len();
+            packed.bits.resize(start + words, 0);
+            let mut outside = 0;
+            for &rank in signature {
+                if rank < h as u64 {
+                    packed.bits[start + (rank / 64) as usize] |= 1 << (rank % 64);
+                } else {
+                    outside += 1;
+                }
             }
+            packed.outside.push(outside);
         }
+        packed
     }
-    true
+
+    /// Size of the symmetric difference of signature `i` and signature `j` of
+    /// `other` (packed for the same `h`). Exact when at most one of the two
+    /// has elements outside `[0, h)`, which holds whenever one side is local.
+    pub(crate) fn distance(&self, i: usize, other: &Self, j: usize) -> usize {
+        debug_assert_eq!(self.words, other.words);
+        debug_assert!(self.outside[i] == 0 || other.outside[j] == 0);
+        let a = &self.bits[i * self.words..(i + 1) * self.words];
+        let b = &other.bits[j * self.words..(j + 1) * self.words];
+        let inside: u32 = a.iter().zip(b).map(|(x, y)| (x ^ y).count_ones()).sum();
+        inside as usize + self.outside[i] + other.outside[j]
+    }
+}
+
+/// For each of Bob's non-anchor signatures, the index of the one recovered
+/// signature within Hamming distance `d` of it (Definition 5.1's conforming
+/// vertex). Fails when some signature has no such partner, or more than one.
+/// `local` signatures are subsets of `[0, h)`, as [`signatures`] builds them;
+/// `recovered` ones come from a peer and may hold anything.
+pub fn match_signatures(
+    local: &[(u32, BTreeSet<u64>)],
+    recovered: &[ChildSet],
+    h: usize,
+    d: usize,
+) -> Result<Vec<usize>, ReconError> {
+    let local_packed = PackedSignatures::pack(local.iter().map(|(_, sig)| sig), h);
+    let recovered_packed = PackedSignatures::pack(recovered, h);
+    let mut partners = Vec::with_capacity(local.len());
+    for (i, (v, _)) in local.iter().enumerate() {
+        let mut matches =
+            (0..recovered.len()).filter(|&j| local_packed.distance(i, &recovered_packed, j) <= d);
+        let Some(partner) = matches.next() else {
+            return Err(ReconError::SeparationFailure(format!(
+                "vertex {v} has no signature within distance {d}"
+            )));
+        };
+        if matches.next().is_some() {
+            return Err(ReconError::SeparationFailure(format!(
+                "vertex {v} matches multiple signatures within distance {d}"
+            )));
+        }
+        partners.push(partner);
+    }
+    Ok(partners)
 }
 
 pub(crate) fn signature_set_of_sets(sigs: &DegreeOrderSignatures) -> Result<SetOfSets, ReconError> {

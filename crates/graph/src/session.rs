@@ -16,7 +16,7 @@ use recon_base::ReconError;
 use recon_protocol::{Amplification, Envelope, Nested, Party, Step};
 use recon_set::{IbltSetProtocol, Multiset};
 use recon_sos::multiset_of_multisets::{PairPacking, SetOfMultisets};
-use recon_sos::{session as sos_session, ChildSet, SetOfSets, SosParams};
+use recon_sos::{session as sos_session, SetOfSets, SosParams};
 use std::collections::{HashMap, HashSet};
 
 /// Envelope tag: Bob's uncharged acknowledgement that the embedded signature
@@ -221,30 +221,19 @@ impl Party for DegreeOrderBob {
                         "edge digest arrived before the signature reconciliation".to_string(),
                     )
                 })?;
-                let recovered_sigs: Vec<ChildSet> = recovered.children().to_vec();
-
                 // --- Conforming labeling (Definition 5.1). -----------------------
                 let mut bob_labels: HashMap<u32, u32> = HashMap::new();
                 for (rank, &v) in self.bob_sigs.order[..self.h].iter().enumerate() {
                     bob_labels.insert(v, rank as u32);
                 }
-                for (v, sig) in &self.bob_sigs.signatures {
-                    let mut matches = recovered_sigs.iter().enumerate().filter(|(_, alice_sig)| {
-                        sig.symmetric_difference(alice_sig).count() <= self.d
-                    });
-                    let Some((idx, _)) = matches.next() else {
-                        return Err(ReconError::SeparationFailure(format!(
-                            "vertex {v} has no signature within distance {}",
-                            self.d
-                        )));
-                    };
-                    if matches.next().is_some() {
-                        return Err(ReconError::SeparationFailure(format!(
-                            "vertex {v} matches multiple signatures within distance {}",
-                            self.d
-                        )));
-                    }
-                    bob_labels.insert(*v, (self.h + idx) as u32);
+                let partners = degree_order::match_signatures(
+                    &self.bob_sigs.signatures,
+                    recovered.children(),
+                    self.h,
+                    self.d,
+                )?;
+                for ((v, _), partner) in self.bob_sigs.signatures.iter().zip(partners) {
+                    bob_labels.insert(*v, (self.h + partner) as u32);
                 }
                 if bob_labels.values().collect::<HashSet<_>>().len() != self.n {
                     return Err(ReconError::SeparationFailure(

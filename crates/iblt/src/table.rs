@@ -7,17 +7,25 @@
 //! single `key_sums: Vec<u8>` buffer holding every cell's key sum at stride
 //! `key_bytes`. The bulk table combinators (subtract/add) run through the
 //! fixed-width chunked kernels in [`crate::kernels`] (runtime-dispatched AVX2 on
-//! x86_64, chunked scalar elsewhere); the per-key paths batch the `k` cell-index
-//! hashes into one stack array using hash seeds pre-split at construction, and
-//! XOR keys into the bank a 64-bit word at a time. The wire encoder/decoder
-//! stream straight from/to the flat buffers. The serialized byte format is
+//! x86_64, chunked scalar elsewhere). The wire encoder/decoder stream straight
+//! from/to the flat buffers. The serialized byte format is
 //! identical to the previous per-cell layout (count | key sum | checksum per
 //! cell, little-endian), so tables interoperate across versions.
+//!
+//! # Key path
+//!
+//! What hashing a key needs from the table alone is computed once, at
+//! construction, into a `KeyPlan`. A key is hashed once for its partition base
+//! and check-sum (8-byte keys as one word, wider keys in a single pass), its
+//! cells follow from the base, and each cell takes one update. The single-key
+//! and bulk entry points run these same two steps; the bulk ones hash a stack
+//! chunk of keys before touching the bank, so neighbouring keys' hash chains
+//! overlap.
 
 use crate::kernels;
 use crate::rescue::{self, DecodeBudget};
 use recon_base::config;
-use recon_base::hash::{hash64, hash_bytes, hash_bytes8};
+use recon_base::hash::{hash64, hash_bytes_lanes, rem_fixed};
 use recon_base::rng::split_seed;
 use recon_base::wire::{read_uvarint, write_uvarint, Decode, Encode, WireError};
 use recon_base::ReconError;
@@ -291,42 +299,86 @@ fn key_to_u64(key: &[u8]) -> u64 {
     u64::from_le_bytes(buf)
 }
 
-/// Hash seeds pre-split from the table seed at construction, so the per-key hot
-/// paths never re-derive them: the byte-hash seed for the partition base, the
-/// checksum seed, and one index seed per hash function.
-///
-/// Deterministic in `(seed, hash_count)`, so the derived `PartialEq` on [`Iblt`]
-/// stays consistent: tables with equal geometry and seed have equal plans.
-#[derive(Debug, Clone, PartialEq)]
-struct HashPlan {
-    base_seed: u64,
-    check_seed: u64,
-    stash_seed: u64,
-    index_seeds: Vec<u64>,
+/// One key as the bank sees it: the ubiquitous 8-byte width as a single
+/// little-endian word, every other width as its bytes.
+#[derive(Clone, Copy)]
+enum Key<'a> {
+    Word(u64),
+    Bytes(&'a [u8]),
 }
 
-impl HashPlan {
-    fn new(seed: u64, hash_count: usize) -> Self {
-        Self {
-            base_seed: split_seed(seed, 0xB0CC),
-            check_seed: split_seed(seed, 0xC4EC),
-            stash_seed: split_seed(seed, 0x57A5),
-            index_seeds: (0..hash_count).map(|j| split_seed(seed, j as u64 + 1)).collect(),
+impl<'a> Key<'a> {
+    #[inline]
+    fn of(bytes: &'a [u8]) -> Self {
+        match <&[u8; 8]>::try_from(bytes) {
+            Ok(word) => Key::Word(u64::from_le_bytes(*word)),
+            Err(_) => Key::Bytes(bytes),
+        }
+    }
+
+    /// The key's byte-string hash under each of `seeds`, from one pass over it
+    /// (a word hashes as its 8 little-endian bytes).
+    #[inline(always)]
+    fn hash<const N: usize>(self, seeds: [u64; N]) -> [u64; N] {
+        match self {
+            Key::Word(x) => hash_bytes_lanes(&x.to_le_bytes(), seeds),
+            Key::Bytes(bytes) => hash_bytes_lanes(bytes, seeds),
         }
     }
 }
 
-/// Hash counts up to this bound batch their cell indices into a stack array;
-/// larger (unusual) counts fall back to one heap buffer per operation.
-const MAX_HASHES_ON_STACK: usize = 16;
+/// The per-table part of hashing a key, computed once at construction so the
+/// per-key paths never re-derive it: the pre-split seeds of the partition base
+/// and check-sum hashes, and one [`CellRange`] per cell a key touches.
+///
+/// Deterministic in `(seed, hash_count, cells, stash_cells)`.
+#[derive(Debug, Clone)]
+struct KeyPlan {
+    base_seed: u64,
+    check_seed: u64,
+    /// Hash function `j`'s partition `[j·part, (j+1)·part)` with
+    /// `part = base_cells / hash_count`, for each `j`; then, when a stash is
+    /// configured, the stash cells past the partitioned region.
+    ranges: Vec<CellRange>,
+}
 
-/// Hash a key with [`hash_bytes`], taking the loop-free [`hash_bytes8`] shortcut
-/// for the ubiquitous 8-byte key width (bit-identical by construction).
-#[inline]
-fn hash_key(key: &[u8], seed: u64) -> u64 {
-    match <&[u8; 8]>::try_from(key) {
-        Ok(words) => hash_bytes8(u64::from_le_bytes(*words), seed),
-        Err(_) => hash_bytes(key, seed),
+/// A run of cells of which every key occupies one, picked by hashing the key's
+/// partition base under `seed`.
+#[derive(Debug, Clone, Copy)]
+struct CellRange {
+    seed: u64,
+    first: usize,
+    len: u64,
+}
+
+impl KeyPlan {
+    /// The plan of a table with `cells` cells in all, the last `stash_cells` of
+    /// them stash. Callers guarantee `cells - stash_cells >= hash_count`.
+    fn new(seed: u64, hash_count: usize, cells: usize, stash_cells: usize) -> Self {
+        let base_cells = cells - stash_cells;
+        let part = base_cells / hash_count;
+        let mut ranges: Vec<CellRange> = (0..hash_count)
+            .map(|j| CellRange {
+                seed: split_seed(seed, j as u64 + 1),
+                first: j * part,
+                len: part as u64,
+            })
+            .collect();
+        if stash_cells > 0 {
+            ranges.push(CellRange {
+                seed: split_seed(seed, 0x57A5),
+                first: base_cells,
+                len: stash_cells as u64,
+            });
+        }
+        Self { base_seed: split_seed(seed, 0xB0CC), check_seed: split_seed(seed, 0xC4EC), ranges }
+    }
+
+    /// The cell indices of the key with partition base `base`: one per range,
+    /// all distinct.
+    #[inline(always)]
+    fn cells(&self, base: u64) -> impl Iterator<Item = usize> + '_ {
+        self.ranges.iter().map(move |r| r.first + rem_fixed(hash64(base, r.seed), r.len) as usize)
     }
 }
 
@@ -346,6 +398,57 @@ fn xor_key(dst: &mut [u8], src: &[u8]) {
     }
 }
 
+/// The flat struct-of-arrays cell bank (see the module documentation).
+#[derive(Debug, Clone, PartialEq)]
+struct Bank {
+    key_bytes: usize,
+    /// Signed occurrence count per cell.
+    counts: Vec<i64>,
+    /// XOR of all keys per cell, `counts.len() * key_bytes` bytes at stride
+    /// `key_bytes`.
+    key_sums: Vec<u8>,
+    /// XOR of the key checksums per cell.
+    check_sums: Vec<u64>,
+}
+
+impl Bank {
+    /// The key-sum slice of cell `idx`.
+    #[inline]
+    fn key_sum(&self, idx: usize) -> &[u8] {
+        &self.key_sums[idx * self.key_bytes..(idx + 1) * self.key_bytes]
+    }
+
+    /// Add `delta` occurrences of `key` (with check-sum `checksum`) to cell `idx`.
+    #[inline(always)]
+    fn add(&mut self, idx: usize, key: Key<'_>, checksum: u64, delta: i64) {
+        self.counts[idx] = self.counts[idx].wrapping_add(delta);
+        self.check_sums[idx] ^= checksum;
+        match key {
+            Key::Word(x) => {
+                debug_assert_eq!(self.key_bytes, 8);
+                let (words, _) = self.key_sums.as_chunks_mut::<8>();
+                words[idx] = (u64::from_le_bytes(words[idx]) ^ x).to_le_bytes();
+            }
+            Key::Bytes(bytes) => {
+                let kb = self.key_bytes;
+                xor_key(&mut self.key_sums[idx * kb..(idx + 1) * kb], bytes);
+            }
+        }
+    }
+
+    /// `true` if cell `idx` holds exactly one key (count ±1 and the checksum of
+    /// its key sum, under `plan`, matches its checksum sum).
+    #[inline]
+    fn is_pure(&self, idx: usize, plan: &KeyPlan) -> bool {
+        let count = self.counts[idx];
+        (count == 1 || count == -1)
+            && Key::of(self.key_sum(idx)).hash([plan.check_seed])[0] == self.check_sums[idx]
+    }
+}
+
+/// Keys the bulk entry points hash ahead of the bank updates.
+const KEY_CHUNK: usize = 16;
+
 /// An Invertible Bloom Lookup Table over fixed-width byte keys.
 ///
 /// See the crate-level documentation for the data-structure description and the
@@ -354,18 +457,12 @@ fn xor_key(dst: &mut [u8], src: &[u8]) {
 /// which is how its communication cost is measured.
 #[derive(Debug, Clone)]
 pub struct Iblt {
-    key_bytes: usize,
     hash_count: usize,
     seed: u64,
-    /// Signed occurrence count per cell.
-    counts: Vec<i64>,
-    /// XOR of all keys per cell, `counts.len() * key_bytes` bytes at stride
-    /// `key_bytes`.
-    key_sums: Vec<u8>,
-    /// XOR of the key checksums per cell.
-    check_sums: Vec<u64>,
-    /// Pre-split hash seeds (derived from `seed` and `hash_count`).
-    plan: HashPlan,
+    bank: Bank,
+    /// The per-table key hashing plan (derived from `seed`, `hash_count`, the
+    /// cell count and `stash_cells`).
+    plan: KeyPlan,
     /// Stash (overflow) cells at the tail of the bank; `0` for the classic
     /// pure-partition layout. Affects hashing, so [`Iblt::subtract`] requires
     /// both sides to agree.
@@ -381,12 +478,7 @@ pub struct Iblt {
 /// that produced it even before [`Iblt::adopt_layout`] restores them.
 impl PartialEq for Iblt {
     fn eq(&self, other: &Self) -> bool {
-        self.key_bytes == other.key_bytes
-            && self.hash_count == other.hash_count
-            && self.seed == other.seed
-            && self.counts == other.counts
-            && self.key_sums == other.key_sums
-            && self.check_sums == other.check_sums
+        self.hash_count == other.hash_count && self.seed == other.seed && self.bank == other.bank
     }
 }
 
@@ -412,13 +504,15 @@ impl Iblt {
         let base = base_cells.max(hash_count).div_ceil(hash_count) * hash_count;
         let m = base + cfg.stash_cells;
         Self {
-            key_bytes: cfg.key_bytes,
             hash_count,
             seed: cfg.seed,
-            counts: vec![0; m],
-            key_sums: vec![0; m * cfg.key_bytes],
-            check_sums: vec![0; m],
-            plan: HashPlan::new(cfg.seed, hash_count),
+            bank: Bank {
+                key_bytes: cfg.key_bytes,
+                counts: vec![0; m],
+                key_sums: vec![0; m * cfg.key_bytes],
+                check_sums: vec![0; m],
+            },
+            plan: KeyPlan::new(cfg.seed, hash_count, m, cfg.stash_cells),
             stash_cells: cfg.stash_cells,
             rescue: cfg.rescue,
         }
@@ -426,12 +520,12 @@ impl Iblt {
 
     /// Number of cells.
     pub fn cells(&self) -> usize {
-        self.counts.len()
+        self.bank.counts.len()
     }
 
     /// Width of the keys stored in this table, in bytes.
     pub fn key_bytes(&self) -> usize {
-        self.key_bytes
+        self.bank.key_bytes
     }
 
     /// Number of hash functions.
@@ -455,13 +549,6 @@ impl Iblt {
         self.rescue
     }
 
-    /// Cell indices a key touches: `hash_count` partitioned cells plus one
-    /// stash cell when a stash is configured.
-    #[inline]
-    fn index_count(&self) -> usize {
-        self.hash_count + usize::from(self.stash_cells > 0)
-    }
-
     /// Re-bless a table parsed off the wire with the decode-side layout
     /// metadata the wire format does not carry: the stash split and the
     /// rescue budget.
@@ -471,15 +558,16 @@ impl Iblt {
     /// match `cfg`; the stash must also fit (the partitioned remainder stays a
     /// non-empty multiple of the hash count).
     pub fn adopt_layout(&mut self, cfg: &IbltConfig) -> Result<(), ReconError> {
-        let base = self.counts.len().checked_sub(cfg.stash_cells);
+        let base = self.bank.counts.len().checked_sub(cfg.stash_cells);
         let base_ok = matches!(base, Some(b) if b >= self.hash_count && b % self.hash_count == 0);
-        if cfg.key_bytes != self.key_bytes || cfg.seed != self.seed || !base_ok {
+        if cfg.key_bytes != self.bank.key_bytes || cfg.seed != self.seed || !base_ok {
             return Err(ReconError::InvalidInput(
                 "IBLT layout does not match the configuration being adopted".to_string(),
             ));
         }
         self.stash_cells = cfg.stash_cells;
         self.rescue = cfg.rescue;
+        self.plan = KeyPlan::new(self.seed, self.hash_count, self.cells(), cfg.stash_cells);
         Ok(())
     }
 
@@ -489,109 +577,126 @@ impl Iblt {
             let (chunks, rest) = bytes.as_chunks::<8>();
             chunks.iter().all(|c| u64::from_le_bytes(*c) == 0) && rest.iter().all(|&b| b == 0)
         }
-        self.counts.iter().all(|&c| c == 0)
-            && self.check_sums.iter().all(|&c| c == 0)
-            && all_zero_bytes(&self.key_sums)
+        self.bank.counts.iter().all(|&c| c == 0)
+            && self.bank.check_sums.iter().all(|&c| c == 0)
+            && all_zero_bytes(&self.bank.key_sums)
     }
 
     /// Reset every cell to zero, keeping geometry and seed. Lets hot loops reuse one
     /// table (and its allocations) across many encodings.
     pub fn clear(&mut self) {
-        self.counts.fill(0);
-        self.key_sums.fill(0);
-        self.check_sums.fill(0);
+        self.bank.counts.fill(0);
+        self.bank.key_sums.fill(0);
+        self.bank.check_sums.fill(0);
     }
 
-    /// The key-sum slice of cell `idx`.
-    #[inline]
-    fn key_sum(&self, idx: usize) -> &[u8] {
-        &self.key_sums[idx * self.key_bytes..(idx + 1) * self.key_bytes]
-    }
-
-    fn checksum(&self, key: &[u8]) -> u64 {
-        hash_key(key, self.plan.check_seed)
-    }
-
-    /// Compute the cell indices of the key with base hash `base` into `out`
-    /// (one batch, no per-index seed derivation): `hash_count` partitioned
-    /// indices over the base region, plus one stash index past it when a stash
-    /// is configured. `out.len()` must equal [`Iblt::index_count`].
-    #[inline]
-    fn fill_indices(&self, base: u64, out: &mut [usize]) {
-        let base_cells = self.counts.len() - self.stash_cells;
-        let part = base_cells / self.hash_count;
-        for (j, (slot, &index_seed)) in out.iter_mut().zip(&self.plan.index_seeds).enumerate() {
-            let h = hash64(base, index_seed);
-            *slot = j * part + (h % part as u64) as usize;
-        }
-        if self.stash_cells > 0 {
-            let h = hash64(base, self.plan.stash_seed);
-            out[self.hash_count] = base_cells + (h % self.stash_cells as u64) as usize;
+    /// Apply `delta` occurrences of `key`, already hashed to its partition
+    /// base and check-sum, to each of its cells.
+    #[inline(always)]
+    fn apply_hashed(&mut self, key: Key<'_>, base: u64, checksum: u64, delta: i64) {
+        for idx in self.plan.cells(base) {
+            self.bank.add(idx, key, checksum, delta);
         }
     }
 
-    /// Apply `delta` occurrences of `key` (checksum already computed) to the
-    /// bank: one batched index computation, then lane-at-a-time cell updates.
-    #[inline]
-    fn apply_prehashed(&mut self, key: &[u8], checksum: u64, delta: i64) {
-        let base = hash_key(key, self.plan.base_seed);
-        let index_count = self.index_count();
-        let mut stack = [0usize; MAX_HASHES_ON_STACK];
-        let mut heap: Vec<usize>;
-        let indices: &mut [usize] = if index_count <= MAX_HASHES_ON_STACK {
-            &mut stack[..index_count]
-        } else {
-            heap = vec![0; index_count];
-            &mut heap
-        };
-        self.fill_indices(base, indices);
-        let kb = self.key_bytes;
-        for &idx in indices.iter() {
-            self.counts[idx] = self.counts[idx].wrapping_add(delta);
-            xor_key(&mut self.key_sums[idx * kb..(idx + 1) * kb], key);
-            self.check_sums[idx] ^= checksum;
-        }
+    #[inline(always)]
+    fn apply(&mut self, key: Key<'_>, delta: i64) {
+        let [base, checksum] = key.hash([self.plan.base_seed, self.plan.check_seed]);
+        self.apply_hashed(key, base, checksum, delta);
     }
 
-    fn apply(&mut self, key: &[u8], delta: i64) {
+    #[inline]
+    fn apply_bytes(&mut self, key: &[u8], delta: i64) {
         assert_eq!(
             key.len(),
-            self.key_bytes,
+            self.bank.key_bytes,
             "key width {} does not match table key width {}",
             key.len(),
-            self.key_bytes
+            self.bank.key_bytes
         );
-        let checksum = self.checksum(key);
-        self.apply_prehashed(key, checksum, delta);
+        self.apply(Key::of(key), delta);
+    }
+
+    #[inline]
+    fn apply_u64(&mut self, x: u64, delta: i64) {
+        if self.bank.key_bytes == 8 {
+            self.apply(Key::Word(x), delta);
+        } else {
+            with_u64_key(x, self.bank.key_bytes, |key| self.apply(Key::Bytes(key), delta));
+        }
+    }
+
+    /// Apply `delta` occurrences of every key in `keys`. On the 8-byte width
+    /// the keys go through in stack chunks: a chunk is hashed, then applied.
+    #[inline]
+    fn apply_u64s(&mut self, keys: impl IntoIterator<Item = u64>, delta: i64) {
+        let mut keys = keys.into_iter();
+        if self.bank.key_bytes != 8 {
+            keys.for_each(|x| self.apply_u64(x, delta));
+            return;
+        }
+        let mut hashed = [(0u64, 0u64, 0u64); KEY_CHUNK];
+        loop {
+            let mut filled = 0;
+            for (slot, x) in hashed.iter_mut().zip(keys.by_ref()) {
+                let [base, checksum] =
+                    Key::Word(x).hash([self.plan.base_seed, self.plan.check_seed]);
+                *slot = (x, base, checksum);
+                filled += 1;
+            }
+            for &(x, base, checksum) in &hashed[..filled] {
+                self.apply_hashed(Key::Word(x), base, checksum, delta);
+            }
+            if filled < KEY_CHUNK {
+                return;
+            }
+        }
     }
 
     /// Insert a key (a "positive" occurrence).
+    #[inline]
     pub fn insert(&mut self, key: &[u8]) {
-        self.apply(key, 1);
+        self.apply_bytes(key, 1);
     }
 
     /// Delete a key (a "negative" occurrence; counts may go negative, which is how a
     /// single table represents both sides of a set difference).
+    #[inline]
     pub fn delete(&mut self, key: &[u8]) {
-        self.apply(key, -1);
+        self.apply_bytes(key, -1);
     }
 
     /// Insert a `u64` key (zero-padded to the table's key width, without touching
     /// the heap).
+    #[inline]
     pub fn insert_u64(&mut self, x: u64) {
-        with_u64_key(x, self.key_bytes, |key| self.apply(key, 1));
+        self.apply_u64(x, 1);
     }
 
     /// Delete a `u64` key.
+    #[inline]
     pub fn delete_u64(&mut self, x: u64) {
-        with_u64_key(x, self.key_bytes, |key| self.apply(key, -1));
+        self.apply_u64(x, -1);
+    }
+
+    /// Insert every `u64` key of `keys`: the same cells as [`Iblt::insert_u64`]
+    /// on each, for less per key (see the module's "Key path").
+    #[inline]
+    pub fn insert_u64s(&mut self, keys: impl IntoIterator<Item = u64>) {
+        self.apply_u64s(keys, 1);
+    }
+
+    /// Delete every `u64` key of `keys`.
+    #[inline]
+    pub fn delete_u64s(&mut self, keys: impl IntoIterator<Item = u64>) {
+        self.apply_u64s(keys, -1);
     }
 
     fn check_geometry(&self, other: &Iblt) -> Result<(), ReconError> {
-        if self.key_bytes != other.key_bytes
+        if self.bank.key_bytes != other.bank.key_bytes
             || self.hash_count != other.hash_count
             || self.seed != other.seed
-            || self.counts.len() != other.counts.len()
+            || self.bank.counts.len() != other.bank.counts.len()
             || self.stash_cells != other.stash_cells
         {
             return Err(ReconError::InvalidInput(
@@ -613,7 +718,7 @@ impl Iblt {
     /// In-place cell-wise subtraction `self −= other` over the flat cell bank.
     pub fn subtract_assign(&mut self, other: &Iblt) -> Result<(), ReconError> {
         self.check_geometry(other)?;
-        kernels::sub_i64(&mut self.counts, &other.counts);
+        kernels::sub_i64(&mut self.bank.counts, &other.bank.counts);
         self.xor_sums(other);
         Ok(())
     }
@@ -624,7 +729,7 @@ impl Iblt {
     /// difference table as [`Iblt::subtract`] on two positive encodings.
     pub fn add_assign(&mut self, other: &Iblt) -> Result<(), ReconError> {
         self.check_geometry(other)?;
-        kernels::add_i64(&mut self.counts, &other.counts);
+        kernels::add_i64(&mut self.bank.counts, &other.bank.counts);
         self.xor_sums(other);
         Ok(())
     }
@@ -633,15 +738,8 @@ impl Iblt {
     /// kernel pass over each contiguous buffer (geometry must already be
     /// verified).
     fn xor_sums(&mut self, other: &Iblt) {
-        kernels::xor_bytes(&mut self.key_sums, &other.key_sums);
-        kernels::xor_u64(&mut self.check_sums, &other.check_sums);
-    }
-
-    /// `true` if the cell currently holds exactly one key (count ±1 and the checksum
-    /// of its key sum matches its checksum sum).
-    fn is_pure(&self, idx: usize) -> bool {
-        let count = self.counts[idx];
-        (count == 1 || count == -1) && self.checksum(self.key_sum(idx)) == self.check_sums[idx]
+        kernels::xor_bytes(&mut self.bank.key_sums, &other.bank.key_sums);
+        kernels::xor_u64(&mut self.bank.check_sums, &other.bank.check_sums);
     }
 
     /// Decode (peel) the table, returning the recovered positive and negative keys.
@@ -700,7 +798,7 @@ impl Iblt {
                 let refs: Vec<&[u8]> = owned
                     .iter()
                     .map(|k| k.as_ref())
-                    .filter(|k| k.len() == self.key_bytes)
+                    .filter(|k| k.len() == self.bank.key_bytes)
                     .collect();
                 rescue::rescue_in_place(self, &mut result, &refs, budget);
             }
@@ -720,7 +818,7 @@ impl Iblt {
         self.peel_in_place(&mut result);
         if !self.is_empty() {
             if let Some(budget) = self.rescue_in_effect() {
-                let kb = self.key_bytes;
+                let kb = self.bank.key_bytes;
                 let keys: Vec<Vec<u8>> = negative_candidates
                     .into_iter()
                     .map(|x| {
@@ -751,52 +849,41 @@ impl Iblt {
     /// `result` (without setting `result.complete`). Public within the crate
     /// so the rescue solver can alternate algebraic removals with re-peels.
     pub(crate) fn peel_in_place(&mut self, result: &mut DecodeResult) {
-        let mut queue: VecDeque<usize> = VecDeque::with_capacity(self.counts.len() / 2);
-        for i in 0..self.counts.len() {
-            if self.is_pure(i) {
-                queue.push_back(i);
-            }
-        }
-        let index_count = self.index_count();
-        let mut stack = [0usize; MAX_HASHES_ON_STACK];
-        let mut heap =
-            vec![0usize; if index_count > MAX_HASHES_ON_STACK { index_count } else { 0 }];
+        let (bank, plan) = (&mut self.bank, &self.plan);
+        let mut queue: VecDeque<usize> = VecDeque::with_capacity(bank.counts.len() / 2);
+        queue.extend((0..bank.counts.len()).filter(|&i| bank.is_pure(i, plan)));
+        // A key's cells are all computed before the first is touched, so the
+        // index hashes and divides overlap instead of queueing behind the
+        // purity checks.
+        let mut cells = Vec::with_capacity(plan.ranges.len());
 
         while let Some(idx) = queue.pop_front() {
-            if !self.is_pure(idx) {
+            if !bank.is_pure(idx, plan) {
                 continue;
             }
-            let count = self.counts[idx];
-            let key = self.key_sum(idx).to_vec();
+            let count = bank.counts[idx];
+            let key_bytes = bank.key_sum(idx).to_vec();
+            let key = Key::of(&key_bytes);
             // A pure cell's checksum sum equals its key's checksum, so the hash
             // need not be recomputed to remove the key.
-            let checksum = self.check_sums[idx];
+            let checksum = bank.check_sums[idx];
             // Remove the key from the table: if it was a positive key, delete it; if
             // negative, add it back (as described in Section 2 of the paper). The
-            // partitioned cells of a key (and its stash cell, which lives past the
-            // partitioned region) are distinct, so each becomes final the moment it
-            // is updated and can be tested for purity right away.
+            // cells of a key are distinct, so each becomes final the moment it is
+            // updated and can be tested for purity right away.
             let delta = if count == 1 { -1 } else { 1 };
-            let kb = self.key_bytes;
-            let base = hash_key(&key, self.plan.base_seed);
-            let indices: &mut [usize] = if index_count <= MAX_HASHES_ON_STACK {
-                &mut stack[..index_count]
-            } else {
-                &mut heap
-            };
-            self.fill_indices(base, indices);
-            for &touched in indices.iter() {
-                self.counts[touched] = self.counts[touched].wrapping_add(delta);
-                xor_key(&mut self.key_sums[touched * kb..(touched + 1) * kb], &key);
-                self.check_sums[touched] ^= checksum;
-                if self.is_pure(touched) {
+            cells.clear();
+            cells.extend(plan.cells(key.hash([plan.base_seed])[0]));
+            for &touched in &cells {
+                bank.add(touched, key, checksum, delta);
+                if bank.is_pure(touched, plan) {
                     queue.push_back(touched);
                 }
             }
             if count == 1 {
-                result.positive.push(key);
+                result.positive.push(key_bytes);
             } else {
-                result.negative.push(key);
+                result.negative.push(key_bytes);
             }
         }
     }
@@ -810,53 +897,51 @@ impl Iblt {
     /// Indices of every currently non-empty cell (the rescue solver's residual
     /// system).
     pub(crate) fn nonempty_cell_indices(&self) -> Vec<usize> {
-        (0..self.counts.len()).filter(|&i| !self.cell_is_empty(i)).collect()
+        (0..self.bank.counts.len()).filter(|&i| !self.cell_is_empty(i)).collect()
     }
 
     /// `true` if cell `idx` holds nothing (all three planes zero).
     #[inline]
     pub(crate) fn cell_is_empty(&self, idx: usize) -> bool {
-        self.counts[idx] == 0
-            && self.check_sums[idx] == 0
-            && self.key_sum(idx).iter().all(|&b| b == 0)
+        self.bank.counts[idx] == 0
+            && self.bank.check_sums[idx] == 0
+            && self.bank.key_sum(idx).iter().all(|&b| b == 0)
     }
 
     /// The signed count of cell `idx`.
     #[inline]
     pub(crate) fn cell_count(&self, idx: usize) -> i64 {
-        self.counts[idx]
+        self.bank.counts[idx]
     }
 
     /// The key-sum plane of cell `idx`.
     #[inline]
     pub(crate) fn cell_key_sum(&self, idx: usize) -> &[u8] {
-        self.key_sum(idx)
+        self.bank.key_sum(idx)
     }
 
     /// The checksum plane of cell `idx`.
     #[inline]
     pub(crate) fn cell_check_sum(&self, idx: usize) -> u64 {
-        self.check_sums[idx]
+        self.bank.check_sums[idx]
     }
 
     /// The checksum of `key` under this table's checksum hash.
     pub(crate) fn key_checksum(&self, key: &[u8]) -> u64 {
-        self.checksum(key)
+        Key::of(key).hash([self.plan.check_seed])[0]
     }
 
     /// The cell indices `key` hashes to (partitioned cells plus the stash cell
     /// when configured).
     pub(crate) fn key_cells(&self, key: &[u8]) -> Vec<usize> {
-        let base = hash_key(key, self.plan.base_seed);
-        let mut indices = vec![0usize; self.index_count()];
-        self.fill_indices(base, &mut indices);
-        indices
+        self.plan.cells(Key::of(key).hash([self.plan.base_seed])[0]).collect()
     }
 
     /// Remove `sign` occurrences of a rescued `key` (checksum already known)
     /// from every cell it hashes to.
     pub(crate) fn remove_rescued(&mut self, key: &[u8], checksum: u64, sign: i64) {
-        self.apply_prehashed(key, checksum, -sign);
+        let key = Key::of(key);
+        self.apply_hashed(key, key.hash([self.plan.base_seed])[0], checksum, -sign);
     }
 
     /// The exact serialized size of this table in bytes.
@@ -873,16 +958,16 @@ impl Iblt {
     /// pass, so a snapshot loads back into the bank with three bulk copies and
     /// no per-cell parsing.
     pub fn encode_bank(&self, buf: &mut Vec<u8>) {
-        write_uvarint(buf, self.key_bytes as u64);
+        write_uvarint(buf, self.bank.key_bytes as u64);
         write_uvarint(buf, self.hash_count as u64);
-        write_uvarint(buf, self.counts.len() as u64);
+        write_uvarint(buf, self.bank.counts.len() as u64);
         buf.extend_from_slice(&self.seed.to_le_bytes());
-        buf.reserve(self.counts.len() * (16 + self.key_bytes));
-        for &c in &self.counts {
+        buf.reserve(self.bank.counts.len() * (16 + self.bank.key_bytes));
+        for &c in &self.bank.counts {
             buf.extend_from_slice(&c.to_le_bytes());
         }
-        buf.extend_from_slice(&self.key_sums);
-        for &c in &self.check_sums {
+        buf.extend_from_slice(&self.bank.key_sums);
+        for &c in &self.bank.check_sums {
             buf.extend_from_slice(&c.to_le_bytes());
         }
     }
@@ -895,20 +980,7 @@ impl Iblt {
 
     /// Load a cell bank serialized with [`Iblt::encode_bank`].
     pub fn decode_bank(buf: &mut &[u8]) -> Result<Self, WireError> {
-        let key_bytes = read_uvarint(buf)? as usize;
-        let hash_count = read_uvarint(buf)? as usize;
-        let cell_count = read_uvarint(buf)? as usize;
-        if key_bytes == 0 || hash_count == 0 {
-            return Err(WireError::Invalid("IBLT bank header"));
-        }
-        let seed = u64::decode(buf)?;
-        let need = key_bytes
-            .checked_add(16)
-            .and_then(|per_cell| cell_count.checked_mul(per_cell))
-            .ok_or(WireError::Invalid("IBLT bank header"))?;
-        if buf.len() < need {
-            return Err(WireError::UnexpectedEnd);
-        }
+        let (key_bytes, hash_count, cell_count, seed) = Self::decode_header(buf)?;
         let (count_plane, rest) = buf.split_at(cell_count * 8);
         let (key_plane, rest) = rest.split_at(cell_count * key_bytes);
         let (check_plane, rest) = rest.split_at(cell_count * 8);
@@ -921,57 +993,22 @@ impl Iblt {
             .chunks_exact(8)
             .map(|c| u64::from_le_bytes(c.try_into().expect("chunk of 8")))
             .collect();
-        let plan = HashPlan::new(seed, hash_count);
-        // The snapshot format does not carry decode-side metadata; callers
-        // with a stash or a custom budget re-bless via `adopt_layout`.
-        Ok(Iblt {
-            key_bytes,
-            hash_count,
-            seed,
-            counts,
-            key_sums: key_plane.to_vec(),
-            check_sums,
-            plan,
-            stash_cells: 0,
-            rescue: Some(DecodeBudget::default()),
-        })
-    }
-}
-
-impl Encode for Iblt {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        write_uvarint(buf, self.key_bytes as u64);
-        write_uvarint(buf, self.hash_count as u64);
-        write_uvarint(buf, self.counts.len() as u64);
-        buf.extend_from_slice(&self.seed.to_le_bytes());
-        buf.reserve(self.counts.len() * (16 + self.key_bytes));
-        for idx in 0..self.counts.len() {
-            buf.extend_from_slice(&self.counts[idx].to_le_bytes());
-            buf.extend_from_slice(self.key_sum(idx));
-            buf.extend_from_slice(&self.check_sums[idx].to_le_bytes());
-        }
+        let key_sums = key_plane.to_vec();
+        Ok(Self::from_parsed(hash_count, seed, Bank { key_bytes, counts, key_sums, check_sums }))
     }
 
-    fn encoded_len(&self) -> usize {
-        uvarint_len(self.key_bytes as u64)
-            + uvarint_len(self.hash_count as u64)
-            + uvarint_len(self.counts.len() as u64)
-            + 8
-            + self.counts.len() * (8 + self.key_bytes + 8)
-    }
-}
-
-impl Decode for Iblt {
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
+    /// Read the header the wire and snapshot formats share — key width, hash
+    /// count, cell count, seed — and check it against what is left of `buf`:
+    /// every cell needs `16 + key_bytes` bytes, so a corrupt header cannot
+    /// trigger an absurd allocation, and a table has a cell per hash function.
+    fn decode_header(buf: &mut &[u8]) -> Result<(usize, usize, usize, u64), WireError> {
         let key_bytes = read_uvarint(buf)? as usize;
         let hash_count = read_uvarint(buf)? as usize;
         let cell_count = read_uvarint(buf)? as usize;
-        if key_bytes == 0 || hash_count == 0 {
+        if key_bytes == 0 || hash_count == 0 || hash_count > cell_count {
             return Err(WireError::Invalid("IBLT header"));
         }
         let seed = u64::decode(buf)?;
-        // Exact remaining-length check up front: every cell needs 16 + key_bytes
-        // bytes, so corrupt headers cannot trigger absurd allocations below.
         let need = key_bytes
             .checked_add(16)
             .and_then(|per_cell| cell_count.checked_mul(per_cell))
@@ -979,6 +1016,45 @@ impl Decode for Iblt {
         if buf.len() < need {
             return Err(WireError::UnexpectedEnd);
         }
+        Ok((key_bytes, hash_count, cell_count, seed))
+    }
+
+    /// A table parsed off the wire or out of a snapshot. Neither format carries
+    /// decode-side metadata: parsed tables start with no stash and the default
+    /// rescue budget, and callers that use a stash or a custom budget re-bless
+    /// the table with [`Iblt::adopt_layout`] before decoding.
+    fn from_parsed(hash_count: usize, seed: u64, bank: Bank) -> Self {
+        let plan = KeyPlan::new(seed, hash_count, bank.counts.len(), 0);
+        Iblt { hash_count, seed, bank, plan, stash_cells: 0, rescue: Some(DecodeBudget::default()) }
+    }
+}
+
+impl Encode for Iblt {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        write_uvarint(buf, self.bank.key_bytes as u64);
+        write_uvarint(buf, self.hash_count as u64);
+        write_uvarint(buf, self.bank.counts.len() as u64);
+        buf.extend_from_slice(&self.seed.to_le_bytes());
+        buf.reserve(self.bank.counts.len() * (16 + self.bank.key_bytes));
+        for idx in 0..self.bank.counts.len() {
+            buf.extend_from_slice(&self.bank.counts[idx].to_le_bytes());
+            buf.extend_from_slice(self.bank.key_sum(idx));
+            buf.extend_from_slice(&self.bank.check_sums[idx].to_le_bytes());
+        }
+    }
+
+    fn encoded_len(&self) -> usize {
+        uvarint_len(self.bank.key_bytes as u64)
+            + uvarint_len(self.hash_count as u64)
+            + uvarint_len(self.bank.counts.len() as u64)
+            + 8
+            + self.bank.counts.len() * (8 + self.bank.key_bytes + 8)
+    }
+}
+
+impl Decode for Iblt {
+    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
+        let (key_bytes, hash_count, cell_count, seed) = Self::decode_header(buf)?;
         let mut counts = Vec::with_capacity(cell_count);
         let mut key_sums = vec![0u8; cell_count * key_bytes];
         let mut check_sums = Vec::with_capacity(cell_count);
@@ -989,22 +1065,7 @@ impl Decode for Iblt {
             *buf = rest;
             check_sums.push(u64::decode(buf)?);
         }
-        let plan = HashPlan::new(seed, hash_count);
-        // The wire format is unchanged (byte-identical to every prior version)
-        // and so carries no decode-side metadata: parsed tables start with no
-        // stash and the default rescue budget, and protocol layers that use a
-        // stash re-bless the table with `adopt_layout` before decoding.
-        Ok(Iblt {
-            key_bytes,
-            hash_count,
-            seed,
-            counts,
-            key_sums,
-            check_sums,
-            plan,
-            stash_cells: 0,
-            rescue: Some(DecodeBudget::default()),
-        })
+        Ok(Self::from_parsed(hash_count, seed, Bank { key_bytes, counts, key_sums, check_sums }))
     }
 }
 

@@ -10,7 +10,7 @@
 //! and corrupted serializations are exercised as well.
 
 use proptest::prelude::*;
-use recon_base::hash::{hash64, hash_bytes};
+use recon_base::hash::{hash64, hash_bytes, hash_bytes_lanes, rem_fixed};
 use recon_base::rng::{split_seed, Xoshiro256};
 use recon_base::wire::{uvarint_len, write_uvarint, Decode, Encode};
 use recon_iblt::{force_scalar_kernels, Iblt, IbltConfig};
@@ -29,31 +29,40 @@ struct RefIblt {
     key_bytes: usize,
     hash_count: usize,
     seed: u64,
+    stash_cells: usize,
     cells: Vec<RefCell>,
 }
 
 impl RefIblt {
     fn new(cells: usize, cfg: &IbltConfig) -> Self {
-        let m = cells.max(cfg.hash_count).div_ceil(cfg.hash_count) * cfg.hash_count;
+        let base = cells.max(cfg.hash_count).div_ceil(cfg.hash_count) * cfg.hash_count;
         Self {
             key_bytes: cfg.key_bytes,
             hash_count: cfg.hash_count,
             seed: cfg.seed,
-            cells: (0..m)
+            stash_cells: cfg.stash_cells,
+            cells: (0..base + cfg.stash_cells)
                 .map(|_| RefCell { count: 0, key_sum: vec![0; cfg.key_bytes], check_sum: 0 })
                 .collect(),
         }
     }
 
+    /// The partitioned indices, then the stash index when a stash is configured.
     fn indices(&self, key: &[u8]) -> Vec<usize> {
-        let part = self.cells.len() / self.hash_count;
+        let base_cells = self.cells.len() - self.stash_cells;
+        let part = base_cells / self.hash_count;
         let base = hash_bytes(key, split_seed(self.seed, 0xB0CC));
-        (0..self.hash_count)
+        let mut indices: Vec<usize> = (0..self.hash_count)
             .map(|j| {
                 let h = hash64(base, split_seed(self.seed, j as u64 + 1));
                 j * part + (h % part as u64) as usize
             })
-            .collect()
+            .collect();
+        if self.stash_cells > 0 {
+            let h = hash64(base, split_seed(self.seed, 0x57A5));
+            indices.push(base_cells + (h % self.stash_cells as u64) as usize);
+        }
+        indices
     }
 
     fn checksum(&self, key: &[u8]) -> u64 {
@@ -243,6 +252,129 @@ proptest! {
         corrupted[pos] ^= 1 << (flip % 8) as u8;
         let parsed = Iblt::from_bytes(&corrupted).unwrap();
         prop_assert_ne!(parsed, soa);
+    }
+}
+
+/// No table has fewer cells than hash functions (its partitions would be
+/// empty); a header claiming so — here with a hash count that would also cost
+/// gigabytes of seeds — fails at the parser, in both formats.
+#[test]
+fn decode_rejects_more_hash_functions_than_cells() {
+    let mut bytes = Vec::new();
+    write_uvarint(&mut bytes, 8); // key_bytes
+    write_uvarint(&mut bytes, 1 << 40); // hash_count
+    write_uvarint(&mut bytes, 2); // cell_count
+    bytes.extend_from_slice(&0u64.to_le_bytes()); // seed
+    bytes.extend_from_slice(&[0u8; 48]);
+    assert!(Iblt::from_bytes(&bytes).is_err());
+    assert!(Iblt::decode_bank(&mut bytes.as_slice()).is_err());
+}
+
+// ---------------------------------------------------------------------------
+// Batched key path vs the scalar reference
+// ---------------------------------------------------------------------------
+
+/// Partition widths around every mask/divide boundary: 1, 2, 3, `2^j`, `2^j ± 1`.
+const PARTS: [usize; 17] = [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65];
+
+/// `x` zero-padded to `key_bytes` little-endian bytes, as `insert_u64` defines it.
+fn padded(x: u64, key_bytes: usize) -> Vec<u8> {
+    let mut key = vec![0u8; key_bytes];
+    key[..8].copy_from_slice(&x.to_le_bytes());
+    key
+}
+
+/// The byte-string hash as it was written before it learned to run two seeds
+/// side by side: the reference for both entry points.
+fn hash_bytes_reference(bytes: &[u8], seed: u64) -> u64 {
+    const K: u64 = 0x517C_C1B7_2722_0A95;
+    let mut h = seed ^ (bytes.len() as u64).wrapping_mul(K);
+    for chunk in bytes.chunks(8) {
+        let mut buf = [0u8; 8];
+        buf[..chunk.len()].copy_from_slice(chunk);
+        h = (h ^ u64::from_le_bytes(buf)).rotate_left(29).wrapping_mul(K);
+    }
+    hash64(h, seed ^ 0xA5A5_A5A5_5A5A_5A5A)
+}
+
+#[test]
+fn hash_bytes_lanes_equal_separate_passes_at_every_length() {
+    let data: Vec<u8> = (0..64u8).map(|i| i.wrapping_mul(37) ^ 0x5A).collect();
+    for len in 0..=64 {
+        for (seed_a, seed_b) in [(0u64, 0u64), (1, 2), (u64::MAX, 0x1234_5678_9ABC_DEF0)] {
+            let want = [
+                hash_bytes_reference(&data[..len], seed_a),
+                hash_bytes_reference(&data[..len], seed_b),
+            ];
+            assert_eq!(hash_bytes_lanes(&data[..len], [seed_a, seed_b]), want, "len {len}");
+            assert_eq!([hash_bytes(&data[..len], seed_a), hash_bytes(&data[..len], seed_b)], want);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The bulk entry points, the single-key entry points and the scalar
+    /// reference build the same table, bit for bit: across key widths (the
+    /// word path, the stack-padded path, the heap-padded path), hash counts,
+    /// stash on and off, partition widths on both sides of every power of two,
+    /// and batch lengths that leave every possible chunk tail.
+    #[test]
+    fn batched_key_path_matches_reference_model(
+        width_sel in 0usize..3,
+        hash_sel in 0usize..2,
+        stash in 0usize..4,
+        part_sel in 0usize..PARTS.len(),
+        inserts in 0usize..41,
+        deletes in 0usize..41,
+        seed in any::<u64>(),
+    ) {
+        let key_bytes = [8usize, 16, 211][width_sel];
+        let hash_count = [3usize, 4][hash_sel];
+        let cfg = IbltConfig::for_key_bytes(key_bytes, seed)
+            .with_hash_count(hash_count)
+            .with_stash_cells(stash);
+        let cells = PARTS[part_sel] * hash_count;
+        let mut rng = Xoshiro256::new(seed ^ 0xBA7C);
+        let added: Vec<u64> = (0..inserts).map(|_| rng.next_u64()).collect();
+        // Deletions overlap the insertions, so counts pass through zero.
+        let removed: Vec<u64> = (0..deletes)
+            .map(|i| if i % 2 == 0 && i < inserts { added[i] } else { rng.next_u64() })
+            .collect();
+
+        let mut batched = Iblt::with_cells(cells, &cfg);
+        batched.insert_u64s(added.iter().copied());
+        batched.delete_u64s(removed.iter().copied());
+
+        let mut single = Iblt::with_cells(cells, &cfg);
+        let mut reference = RefIblt::new(cells, &cfg);
+        for &x in &added {
+            single.insert_u64(x);
+            reference.apply(&padded(x, key_bytes), 1);
+        }
+        for &x in &removed {
+            single.delete(&padded(x, key_bytes));
+            reference.apply(&padded(x, key_bytes), -1);
+        }
+
+        prop_assert_eq!(batched.cells(), reference.cells.len());
+        prop_assert_eq!(&batched.to_bytes(), &reference.to_bytes());
+        prop_assert_eq!(&single.to_bytes(), &reference.to_bytes());
+        prop_assert_eq!(&batched, &single);
+    }
+
+    /// `rem_fixed` is `%`, whichever of its two paths a divisor takes.
+    #[test]
+    fn rem_fixed_matches_the_remainder_operator(x in any::<u64>(), d in any::<u64>()) {
+        let d = d.max(1);
+        prop_assert_eq!(rem_fixed(x, d), x % d);
+        for edge in [1, 2, 3, 1 << 31, (1 << 31) + 1, 1 << 63, (1 << 63) + 1, u64::MAX] {
+            prop_assert_eq!(rem_fixed(x, edge), x % edge);
+            prop_assert_eq!(rem_fixed(edge, d), edge % d);
+        }
+        let power = 1u64 << (d % 64);
+        prop_assert_eq!(rem_fixed(x, power), x % power);
     }
 }
 

@@ -6,7 +6,7 @@
 //! lets Bob detect the rare undetectable checksum failures (Section 2 of the paper).
 
 use crate::diff::SetDiff;
-use recon_base::hash::hash_u64_set;
+use recon_base::hash::{hash_u64_set, SetHasher};
 use recon_base::rng::split_seed;
 use recon_base::wire::{Decode, Encode, WireError};
 use recon_base::ReconError;
@@ -117,18 +117,14 @@ impl IbltSetProtocol {
     {
         FULL_DIGEST_BUILDS.fetch_add(1, Ordering::Relaxed);
         let mut iblt = Iblt::with_expected_diff(d.max(1), &self.iblt_cfg);
-        let mut count = 0u64;
-        let mut elements = Vec::new();
-        for &x in set {
-            iblt.insert_u64(x);
-            elements.push(x);
-            count += 1;
-        }
-        SetDigest {
-            iblt,
-            set_hash: hash_u64_set(elements, self.set_hash_seed()),
-            cardinality: count,
-        }
+        // One pass: each key is folded into the whole-set hash on its way
+        // into the table.
+        let mut hasher = SetHasher::new(self.set_hash_seed());
+        iblt.insert_u64s(set.into_iter().map(|&x| {
+            hasher.insert(x);
+            x
+        }));
+        SetDigest { iblt, set_hash: hasher.finish(), cardinality: hasher.count() }
     }
 
     /// Bob's side: compute the set difference between Alice's digest and `local`.
@@ -140,9 +136,7 @@ impl IbltSetProtocol {
         // A digest parsed off the wire carries no decode-side metadata;
         // re-bless it with this protocol's stash split and rescue budget.
         table.adopt_layout(&self.iblt_cfg)?;
-        for &x in local {
-            table.delete_u64(x);
-        }
+        table.delete_u64s(local.iter().copied());
         // Decode in place: the clone above is the only copy on this path, and
         // on failure the table holds exactly the residual neither the peel nor
         // the rescue could clear. Every negative key in the difference is one

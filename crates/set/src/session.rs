@@ -113,9 +113,7 @@ pub fn unknown_alice(set: &HashSet<u64>, config: &SessionConfig) -> impl Party<O
     Deferred::new(move |envelope: Envelope| {
         let bob_estimator: L0Estimator = envelope.decode_payload()?;
         let mut alice_estimator = L0Estimator::new(&estimator_cfg);
-        for &x in &set {
-            alice_estimator.update(x, Side::A);
-        }
+        alice_estimator.update_all(set.iter().copied(), Side::A);
         let estimate = alice_estimator.merge(&bob_estimator)?.estimate();
         // Constant-factor headroom over the estimate; retries double the bound.
         let base_bound = (estimate * 2).max(8);
@@ -136,9 +134,7 @@ pub fn unknown_bob(
 ) -> impl Party<Output = HashSet<u64>> {
     let estimator_cfg = config.estimator.with_seed(split_seed(config.seed, 0xE57));
     let mut bob_estimator = L0Estimator::new(&estimator_cfg);
-    for &x in set {
-        bob_estimator.update(x, Side::B);
-    }
+    bob_estimator.update_all(set.iter().copied(), Side::B);
     let preamble = [Envelope::round(TAG_ESTIMATOR, "l0 difference estimator", &bob_estimator)];
 
     let set = set.clone();

@@ -283,9 +283,7 @@ impl StoreClient {
             Some(_) => None,
             None => {
                 let mut estimator = StrataEstimator::new(&params.strata_config());
-                for &x in local {
-                    estimator.update(x, Side::B);
-                }
+                estimator.update_all(local.iter().copied(), Side::B);
                 Some(estimator)
             }
         };

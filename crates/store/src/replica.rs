@@ -169,28 +169,53 @@ impl Replica {
     /// (and touches nothing) if the key was already present — set semantics,
     /// so the incremental state always equals a fresh build.
     pub fn insert(&mut self, key: u64) -> bool {
-        if !self.keys.insert(key) {
-            return false;
+        let fresh = self.keys.insert(key);
+        if fresh {
+            self.sketch(&[key], true);
         }
-        for bank in &mut self.banks {
-            bank.insert_u64(key);
-        }
-        self.strata.update(key, Side::A);
-        self.set_hash.insert(key);
-        true
+        fresh
     }
 
     /// Remove `key`; `false` (no-op) if it was absent.
     pub fn remove(&mut self, key: u64) -> bool {
-        if !self.keys.remove(&key) {
-            return false;
+        let present = self.keys.remove(&key);
+        if present {
+            self.sketch(&[key], false);
         }
+        present
+    }
+
+    /// [`Replica::insert`] (`insert`) or [`Replica::remove`] for every key of
+    /// `keys` — bulk load, batched mutations: each sketch takes the keys that
+    /// change the set in one pass. Returns how many did.
+    pub fn apply_all(&mut self, keys: impl IntoIterator<Item = u64>, insert: bool) -> usize {
+        let changed: Vec<u64> = keys
+            .into_iter()
+            .filter(|&key| if insert { self.keys.insert(key) } else { self.keys.remove(&key) })
+            .collect();
+        self.sketch(&changed, insert);
+        changed.len()
+    }
+
+    /// Fold `keys` — each one just added to (`insert`) or just taken out of the
+    /// key set — into every maintained sketch.
+    fn sketch(&mut self, keys: &[u64], insert: bool) {
         for bank in &mut self.banks {
-            bank.delete_u64(key);
+            if insert {
+                bank.insert_u64s(keys.iter().copied());
+            } else {
+                bank.delete_u64s(keys.iter().copied());
+            }
         }
-        self.strata.remove(key, Side::A);
-        self.set_hash.remove(key);
-        true
+        for &key in keys {
+            if insert {
+                self.strata.update(key, Side::A);
+                self.set_hash.insert(key);
+            } else {
+                self.strata.remove(key, Side::A);
+                self.set_hash.remove(key);
+            }
+        }
     }
 
     /// Apply a logged mutation (replay path). Returns whether it changed the

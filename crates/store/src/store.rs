@@ -19,7 +19,7 @@ use recon_base::rng::split_seed;
 use recon_base::ReconError;
 use recon_estimator::StrataEstimator;
 use recon_set::SetDigest;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 
 use crate::backend::StorageBackend;
 use crate::replica::{Replica, ReplicaParams};
@@ -221,12 +221,7 @@ impl<B: StorageBackend> SketchStore<B> {
         Ok(params)
     }
 
-    fn mutate(
-        &mut self,
-        name: &str,
-        keys: &[u64],
-        to_op: impl Fn(u64) -> WalOp,
-    ) -> Result<u64, ReconError> {
+    fn mutate(&mut self, name: &str, keys: &[u64], insert: bool) -> Result<u64, ReconError> {
         let slot = self
             .replicas
             .get_mut(name)
@@ -236,33 +231,26 @@ impl<B: StorageBackend> SketchStore<B> {
         // overlay tracks membership changes earlier in this same batch.
         let wal_seed = slot.replica.params().wal_seed();
         let mut log = Vec::new();
-        let mut ops = Vec::new();
-        let mut overlay: std::collections::HashMap<u64, bool> = std::collections::HashMap::new();
+        let mut changing = Vec::new();
+        let mut seen = HashSet::new();
         for &key in keys {
-            let op = to_op(key);
-            let present =
-                overlay.get(&key).copied().unwrap_or_else(|| slot.replica.keys().contains(&key));
-            let changes = match op {
-                WalOp::Insert(_) => !present,
-                WalOp::Delete(_) => present,
-            };
-            if changes {
-                overlay.insert(key, matches!(op, WalOp::Insert(_)));
+            // A key changes the set once per batch: when it is on the other
+            // side of the mutation now and no earlier entry of the batch
+            // already moved it.
+            if slot.replica.keys().contains(&key) != insert && seen.insert(key) {
+                let op = if insert { WalOp::Insert(key) } else { WalOp::Delete(key) };
                 wal::append_record(&mut log, op, wal_seed);
-                ops.push(op);
+                changing.push(key);
             }
         }
-        if ops.is_empty() {
+        if changing.is_empty() {
             return Ok(0);
         }
         self.backend.append(&wal_name(name), &log)?;
         let slot = self.replicas.get_mut(name).expect("checked above");
-        for op in &ops {
-            let changed = slot.replica.apply(*op);
-            debug_assert!(changed, "WAL-logged mutation must change the replica");
-            let _ = changed;
-            slot.wal_records += 1;
-        }
+        let changed = slot.replica.apply_all(changing.iter().copied(), insert);
+        debug_assert_eq!(changed, changing.len(), "WAL-logged mutations must change the replica");
+        slot.wal_records += changing.len() as u64;
         // Self-checkpointing: once the WAL crosses the configured budget,
         // fold it into a fresh snapshot so a long-lived daemon's log never
         // grows unboundedly. The mutations above are already durable either
@@ -271,18 +259,18 @@ impl<B: StorageBackend> SketchStore<B> {
         if self.config.wal_snapshot_records.is_some_and(|threshold| wal_records >= threshold) {
             self.snapshot(name)?;
         }
-        Ok(ops.len() as u64)
+        Ok(changing.len() as u64)
     }
 
     /// Insert `keys`, returning how many actually changed the set. Applied
     /// mutations are WAL-logged before the sketches are touched.
     pub fn insert(&mut self, name: &str, keys: &[u64]) -> Result<u64, ReconError> {
-        self.mutate(name, keys, WalOp::Insert)
+        self.mutate(name, keys, true)
     }
 
     /// Delete `keys`, returning how many actually changed the set.
     pub fn delete(&mut self, name: &str, keys: &[u64]) -> Result<u64, ReconError> {
-        self.mutate(name, keys, WalOp::Delete)
+        self.mutate(name, keys, false)
     }
 
     /// Write a fresh snapshot of `name` and reset its WAL. Returns the

@@ -1,0 +1,192 @@
+//! Golden wire bytes: a pinned hash of what each sketch family puts on the
+//! wire for fixed seeds and inputs.
+//!
+//! The per-key hot paths (seed plans, batched index computation, word-wise key
+//! XOR) are rewritten for speed from time to time; every such rewrite must be
+//! bits-preserving. These literals were captured before the first of those
+//! rewrites and fail on any change to a cell, an estimator counter or an
+//! envelope byte. A deliberate wire-format change updates them in the same
+//! commit and says so.
+
+use recon_base::rng::Xoshiro256;
+use recon_base::wire::Encode;
+use recon_estimator::{L0Config, L0Estimator, Side, StrataConfig, StrataEstimator};
+use recon_graph::degree_order::{self, DegreeOrderParams};
+use recon_graph::{session as graph_session, Graph};
+use recon_protocol::{Amplification, Party, SessionBuilder, Step};
+use recon_set::{session as set_session, IbltSetProtocol};
+use recon_sos::cascading::CascadingProtocol;
+use recon_sos::iblt_of_iblts::IbltOfIbltsProtocol;
+use recon_sos::naive::NaiveProtocol;
+use recon_sos::workload::{generate_pair, WorkloadParams};
+use recon_sos::SosParams;
+use std::collections::HashSet;
+
+/// FNV-1a, written out here so the pin shares no code with the library's own
+/// hash functions.
+fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(state, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3))
+}
+
+const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+
+fn digest_of(value: &impl Encode) -> u64 {
+    fnv1a(FNV_OFFSET, &value.to_bytes())
+}
+
+/// Drive a party pair to completion, hashing every envelope either side emits
+/// (in emission order) into one transcript hash.
+fn transcript_hash<A: Party, B: Party>(mut alice: A, mut bob: B) -> (u64, B::Output) {
+    let mut hash = FNV_OFFSET;
+    loop {
+        let mut progressed = false;
+        while let Some(envelope) = alice.poll_send() {
+            progressed = true;
+            hash = fnv1a(hash, &envelope.to_bytes());
+            if let Step::Done(output) = bob.handle(envelope).expect("bob handles") {
+                return (hash, output);
+            }
+        }
+        while let Some(envelope) = bob.poll_send() {
+            progressed = true;
+            hash = fnv1a(hash, &envelope.to_bytes());
+            alice.handle(envelope).expect("alice handles");
+        }
+        assert!(progressed, "session stalled");
+    }
+}
+
+fn set_pair(n: usize, d: usize, seed: u64) -> (HashSet<u64>, HashSet<u64>) {
+    let mut rng = Xoshiro256::new(seed);
+    let mut alice: HashSet<u64> = (0..n).map(|_| rng.next_u64() >> 3).collect();
+    let mut bob = alice.clone();
+    for _ in 0..d / 2 {
+        alice.insert(rng.next_u64() >> 3);
+    }
+    for _ in 0..d - d / 2 {
+        bob.insert(rng.next_u64() >> 3);
+    }
+    (alice, bob)
+}
+
+/// Remove `count` edges between non-anchor vertices, so both sides keep the
+/// same top-`h` degree order (the regime Theorem 5.2 assumes).
+fn remove_off_anchor(base: &Graph, h: usize, count: usize, rng: &mut Xoshiro256) -> Graph {
+    let anchors: HashSet<u32> =
+        degree_order::signatures(base, h).order[..h].iter().copied().collect();
+    let candidates: Vec<(u32, u32)> = base
+        .edges()
+        .into_iter()
+        .filter(|(u, v)| !anchors.contains(u) && !anchors.contains(v))
+        .collect();
+    let mut out = base.clone();
+    let mut removed = 0;
+    while removed < count {
+        let (u, v) = candidates[rng.next_index(candidates.len())];
+        if out.remove_edge(u, v) {
+            removed += 1;
+        }
+    }
+    out
+}
+
+/// Compare `(name, got, pinned)` triples, reporting every mismatch at once so
+/// a deliberate format change can update all its literals from one run.
+#[track_caller]
+fn assert_pinned(pins: &[(&str, u64, u64)]) {
+    let changed: Vec<String> = pins
+        .iter()
+        .filter(|(_, got, want)| got != want)
+        .map(|(name, got, want)| format!("{name}: got {got:#018X}, pinned {want:#018X}"))
+        .collect();
+    assert!(changed.is_empty(), "wire bytes changed:\n{}", changed.join("\n"));
+}
+
+#[test]
+fn set_digests_are_pinned() {
+    let (alice, _) = set_pair(3000, 40, 0xA11CE);
+    // Tuned layout (k = 3, stash) at two sizes, and the classic k = 4 layout.
+    let tuned = IbltSetProtocol::tuned(0x5E7_0001);
+    let classic = IbltSetProtocol::new(0x5E7_0002);
+    assert_pinned(&[
+        ("tuned d=50", digest_of(&tuned.digest(&alice, 50)), 0xD034_5C50_22E7_DF5F),
+        ("tuned d=700", digest_of(&tuned.digest(&alice, 700)), 0x573D_7626_1B92_1620),
+        ("classic d=50", digest_of(&classic.digest(&alice, 50)), 0x6621_D074_9D5A_FFD9),
+    ]);
+}
+
+#[test]
+fn estimators_are_pinned() {
+    let (alice, bob) = set_pair(5000, 300, 0xE57);
+    let mut l0 = L0Estimator::new(&L0Config::default().with_seed(0x10_0001));
+    let odd_shape = L0Config { reps: 5, levels: 20, buckets: 12, threshold: 8, seed: 0x10_0002 };
+    let mut odd = L0Estimator::new(&odd_shape);
+    let mut strata = StrataEstimator::new(&StrataConfig::default().with_seed(0x57_0001));
+    for &x in &alice {
+        l0.update(x, Side::A);
+        odd.update(x, Side::A);
+        strata.update(x, Side::A);
+    }
+    for &x in &bob {
+        l0.update(x, Side::B);
+        odd.update(x, Side::B);
+        strata.update(x, Side::B);
+    }
+    // Extremes of the key range take the `x mod 2^61 − 1` reduction through
+    // its wrap-around cases.
+    for x in [0, 1, (1 << 61) - 2, (1 << 61) - 1, 1 << 61, u64::MAX - 1, u64::MAX] {
+        l0.update(x, Side::A);
+        odd.update(x, Side::B);
+    }
+    assert_pinned(&[
+        ("l0 default", digest_of(&l0), 0xE2D5_CB1B_B074_DB31),
+        ("l0 with 12 buckets", digest_of(&odd), 0x88FD_4C63_C457_4870),
+        ("strata", digest_of(&strata), 0x9F7A_9776_009B_0174),
+    ]);
+}
+
+#[test]
+fn set_of_sets_digests_are_pinned() {
+    let workload = WorkloadParams::new(200, 24, 1 << 30);
+    let params = SosParams::new(0x505_0001, workload.max_child_size);
+    let (alice, _) = generate_pair(&workload, 20, 0x505);
+    // d >= h, so the cascade carries every level plus the fallback table.
+    let cascade = CascadingProtocol::new(params).digest(&alice, 32);
+    assert!(cascade.fallback.is_some());
+    let ioi = IbltOfIbltsProtocol::new(params).digest(&alice, 8, 12);
+    let naive = NaiveProtocol::new(params).digest(&alice, 12);
+    assert_pinned(&[
+        ("cascading", digest_of(&cascade), 0x47DE_B502_6A82_2740),
+        ("iblt of iblts", digest_of(&ioi), 0x72FF_1321_B751_0FB2),
+        ("naive", digest_of(&naive), 0x57FF_1549_AF01_5E94),
+    ]);
+}
+
+#[test]
+fn session_transcripts_are_pinned() {
+    // Corollary 3.2 end to end: Bob's estimator, Alice's sized digest.
+    let (alice, bob) = set_pair(4000, 60, 0xC0FFEE);
+    let builder = SessionBuilder::new(0x5E55_0001).amplification(Amplification::replicate(4));
+    let (set_hash, recovered) = transcript_hash(
+        set_session::unknown_alice(&alice, builder.config()),
+        set_session::unknown_bob(&bob, builder.config()),
+    );
+    assert_eq!(recovered, alice);
+
+    // Theorem 5.2 end to end: the nested cascading session, then the labelled
+    // edge digest.
+    let mut rng = Xoshiro256::new(0x6EA9);
+    let base = Graph::gnp(160, 0.35, &mut rng);
+    let graph_alice = remove_off_anchor(&base, 40, 2, &mut rng);
+    let graph_bob = remove_off_anchor(&base, 40, 2, &mut rng);
+    let params = DegreeOrderParams { h: 40, seed: 0x6EA9_0001 };
+    let (graph_hash, recovered) = transcript_hash(
+        graph_session::degree_order_alice(&graph_alice, 4, &params).expect("alice builds"),
+        graph_session::degree_order_bob(&graph_bob, 4, &params).expect("bob builds"),
+    );
+    assert_eq!(recovered.num_edges(), graph_alice.num_edges());
+    assert_pinned(&[
+        ("set unknown-d transcript", set_hash, 0xAED5_59EC_08CE_A6DB),
+        ("degree-order graph transcript", graph_hash, 0xA4BF_3143_8696_6F10),
+    ]);
+}
