@@ -12,13 +12,14 @@
 //! `T_*` of full fixed-width child encodings catches the stragglers. Communication
 //! drops to `O(d log min(d, h) log u + d log s)` bits, still in one round.
 
+use crate::iblt_of_iblts::IbltOfIbltsProtocol;
 use crate::session;
 use crate::types::{ChildSet, SetOfSets, SosOutcome, SosParams};
 use recon_base::wire::{read_uvarint, write_uvarint, Decode, Encode, WireError};
 use recon_base::ReconError;
 use recon_iblt::{Iblt, IbltConfig};
 use recon_protocol::{Amplification, SessionBuilder};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Alice's one-round message: the cascade of outer tables.
 #[derive(Debug, Clone, PartialEq)]
@@ -83,23 +84,38 @@ impl CascadingProtocol {
         d >= self.params.max_child_size
     }
 
+    /// Sizing of the child tables: 8/8/16/32/64… cells at levels 1, 2, 3, …
+    fn child_sizing() -> IbltConfig {
+        IbltConfig::for_u64_keys(0).with_cells_per_diff(2.0).with_min_cells(8)
+    }
+
+    fn level_child_cells(level: usize) -> usize {
+        Self::child_sizing().cells_for(1usize << level)
+    }
+
+    /// Level `level`'s child-table configuration. A level whose child table has
+    /// twice the cells of the level below shares that level's seed, so the
+    /// smaller table is the half-fold of the larger ([`Iblt::fold_half_into`])
+    /// and a *doubling chain* of levels costs one fill per child. The chain is
+    /// seeded by its lowest level, which no choice of `t` moves; consecutive
+    /// levels of equal size (1 and 2) stay independent.
     fn child_config(&self, level: usize) -> IbltConfig {
-        IbltConfig::for_u64_keys(self.params.role_seed(0xC100 + level as u64))
-            .with_cells_per_diff(2.0)
-            .with_min_cells(8)
+        let mut lowest = level;
+        while lowest > 1
+            && Self::level_child_cells(lowest) == 2 * Self::level_child_cells(lowest - 1)
+        {
+            lowest -= 1;
+        }
+        Self::child_sizing().with_seed(self.params.role_seed(0xC100 + lowest as u64))
     }
 
-    fn level_child_cells(&self, level: usize) -> usize {
-        self.child_config(level).cells_for(1usize << level)
-    }
-
-    fn level_encoding_bytes(&self, level: usize) -> usize {
-        self.child_config(level).serialized_len(self.level_child_cells(level)) + 8
+    fn level_encoding_bytes(level: usize) -> usize {
+        Self::child_sizing().serialized_len(Self::level_child_cells(level)) + 8
     }
 
     fn level_outer_config(&self, level: usize) -> IbltConfig {
         IbltConfig::for_key_bytes(
-            self.level_encoding_bytes(level),
+            Self::level_encoding_bytes(level),
             self.params.role_seed(0xC200 + level as u64),
         )
         .with_min_cells(12)
@@ -110,15 +126,17 @@ impl CascadingProtocol {
             .with_min_cells(12)
     }
 
-    /// An empty child table of level `level`'s geometry, reusable across children
-    /// via [`Iblt::clear`].
-    fn level_scratch(&self, level: usize) -> Iblt {
-        Iblt::with_cells(self.level_child_cells(level), &self.child_config(level))
+    /// The encoding of a child whose level table is `table`: the serialized
+    /// table, then the child's hash.
+    fn encode_level_into(table: &Iblt, hash: u64, out: &mut Vec<u8>) {
+        out.clear();
+        table.encode(out);
+        out.extend_from_slice(&hash.to_le_bytes());
     }
 
-    /// Encode one child set (whose [`SetOfSets::child_hash`] is `hash`) at a
-    /// cascade level into `out`, reusing `scratch` as the child table (both are
-    /// cleared first; no per-child allocation).
+    /// Encode one child set (whose [`SetOfSets::child_hash`] is `hash`) at the
+    /// cascade level whose child table is `scratch` — the `O(d)` paths' way to
+    /// the bytes [`CascadingProtocol::apply_children`] produces by folding.
     fn encode_child_at_level_into(
         child: &ChildSet,
         hash: u64,
@@ -127,62 +145,86 @@ impl CascadingProtocol {
     ) {
         scratch.clear();
         scratch.insert_u64s(child.iter().copied());
-        out.clear();
-        scratch.encode(out);
-        out.extend_from_slice(&hash.to_le_bytes());
+        Self::encode_level_into(scratch, hash, out);
     }
 
-    fn split_encoding(encoding: &[u8]) -> Result<(Iblt, u64), ReconError> {
-        if encoding.len() < 8 {
-            return Err(ReconError::ChecksumFailure);
+    /// The `O(s)` pass both sides make, child-major: each child is walked once
+    /// per doubling chain — the top walk also folds its hash — the chain's
+    /// lower levels are folded down from the table above, and `apply`
+    /// ([`Iblt::insert`] for Alice, [`Iblt::delete`] for Bob) takes each level's
+    /// encoding into that level's outer table and the full encoding into `T_*`.
+    /// Returns the child hashes and the per-level child tables, for reuse.
+    fn apply_children(
+        &self,
+        sos: &SetOfSets,
+        levels: &mut [Iblt],
+        mut fallback: Option<&mut Iblt>,
+        apply: fn(&mut Iblt, &[u8]),
+    ) -> (Vec<u64>, Vec<Iblt>) {
+        let mut scratch: Vec<Iblt> = (1..=levels.len())
+            .map(|level| {
+                Iblt::with_cells(Self::level_child_cells(level), &self.child_config(level))
+            })
+            .collect();
+        let mut encoding = Vec::with_capacity(Self::level_encoding_bytes(levels.len()));
+        let mut hashes = Vec::with_capacity(sos.num_children());
+        let h = self.params.max_child_size;
+        for child in sos.children() {
+            let (top, lower) = scratch.split_last_mut().expect("a cascade has a level");
+            let mut hasher = SetOfSets::child_hasher(self.params.seed);
+            top.clear();
+            top.insert_u64s(child.iter().map(|&x| {
+                hasher.insert(x);
+                x
+            }));
+            let mut above: &Iblt = top;
+            for table in lower.iter_mut().rev() {
+                if table.seed() == above.seed() {
+                    above.fold_half_into(table).expect("a chain's tables halve");
+                } else {
+                    table.clear();
+                    table.insert_u64s(child.iter().copied());
+                }
+                above = table;
+            }
+            let hash = hasher.finish();
+            for (table, outer) in scratch.iter().zip(levels.iter_mut()) {
+                Self::encode_level_into(table, hash, &mut encoding);
+                apply(outer, &encoding);
+            }
+            if let Some(table) = fallback.as_deref_mut() {
+                SetOfSets::encode_child_fixed_into(child, h, &mut encoding);
+                apply(table, &encoding);
+            }
+            hashes.push(hash);
         }
-        let (iblt_bytes, hash_bytes) = encoding.split_at(encoding.len() - 8);
-        let table = Iblt::from_bytes(iblt_bytes).map_err(ReconError::Wire)?;
-        let hash = u64::from_le_bytes(hash_bytes.try_into().expect("8 bytes"));
-        Ok((table, hash))
+        (hashes, scratch)
     }
 
-    /// Number of outer cells at cascade level `i` (1-based): `O(d / 2^i)`, with the
-    /// first level sized for all `≤ 2d` differing encodings.
-    fn level_outer_cells(&self, d: usize, level: usize) -> usize {
-        let expected = if level == 1 { 2 * d } else { (2 * d) >> (level - 1) };
-        self.level_outer_config(level).cells_for(expected.max(4))
+    /// The empty cascade for bound `d`: outer table `T_i` with `O(d / 2^i)` cells,
+    /// the first sized for all `≤ 2d` differing encodings, and `T_*` when `d ≥ h`.
+    fn empty_tables(&self, d: usize) -> (Vec<Iblt>, Option<Iblt>) {
+        let levels = (1..=self.num_levels(d)).map(|level| {
+            let expected = ((2 * d) >> (level - 1)).max(4);
+            Iblt::with_expected_diff(expected, &self.level_outer_config(level))
+        });
+        let expected = (2 * d / self.params.max_child_size).max(4);
+        let fallback = self
+            .needs_fallback(d)
+            .then(|| Iblt::with_expected_diff(expected, &self.fallback_config()));
+        (levels.collect(), fallback)
     }
 
     /// Alice's side: build the cascade digest for total element-difference bound `d`.
     pub fn digest(&self, sos: &SetOfSets, d: usize) -> CascadingDigest {
         let d = d.max(1);
-        let t = self.num_levels(d);
-        let hashes = sos.child_hashes(self.params.seed);
-        let mut levels = Vec::with_capacity(t);
-        for level in 1..=t {
-            let mut outer =
-                Iblt::with_cells(self.level_outer_cells(d, level), &self.level_outer_config(level));
-            let mut scratch = self.level_scratch(level);
-            let mut encoding = Vec::with_capacity(self.level_encoding_bytes(level));
-            for (child, &hash) in sos.children().iter().zip(&hashes) {
-                Self::encode_child_at_level_into(child, hash, &mut scratch, &mut encoding);
-                outer.insert(&encoding);
-            }
-            levels.push(outer);
-        }
-        let fallback = if self.needs_fallback(d) {
-            let expected = (2 * d / self.params.max_child_size).max(4);
-            let mut table = Iblt::with_expected_diff(expected, &self.fallback_config());
-            let mut key = Vec::with_capacity(2 + 8 * self.params.max_child_size);
-            for child in sos.children() {
-                SetOfSets::encode_child_fixed_into(child, self.params.max_child_size, &mut key);
-                table.insert(&key);
-            }
-            Some(table)
-        } else {
-            None
-        };
+        let (mut levels, mut fallback) = self.empty_tables(d);
+        let (hashes, _) = self.apply_children(sos, &mut levels, fallback.as_mut(), Iblt::insert);
         CascadingDigest {
             diff_bound: d,
             levels,
             fallback,
-            parent_hash: sos.parent_hash(self.params.seed),
+            parent_hash: SetOfSets::parent_hash_of(hashes, self.params.seed),
             num_children: sos.num_children() as u64,
         }
     }
@@ -193,13 +235,28 @@ impl CascadingProtocol {
         digest: &CascadingDigest,
         local: &SetOfSets,
     ) -> Result<SetOfSets, ReconError> {
-        let t = digest.levels.len();
-        if t == 0 {
-            return Err(ReconError::InvalidInput("cascade with no levels".to_string()));
+        // A peer's digest is checked against Bob's own geometry before any table
+        // is touched. Level 1 has more than `2d` cells, which bounds a peer's `d`
+        // by the frame its digest arrived in.
+        let d = digest.diff_bound;
+        if digest.levels.len() != self.num_levels(d)
+            || digest.fallback.is_some() != self.needs_fallback(d)
+            || !(1..digest.levels[0].cells()).contains(&d)
+        {
+            return Err(ReconError::InvalidInput("cascade digest of another shape".to_string()));
         }
-
-        // Bob's child hashes, computed once for every level and every look-up.
-        let local_hashes = local.child_hashes(self.params.seed);
+        // Bob's working copies start as his own empty tables: adding Alice's
+        // refuses one of any other key width, seed, hash count or cell count.
+        let (mut tables, mut fallback) = self.empty_tables(d);
+        let peer = digest.levels.iter().chain(&digest.fallback);
+        for (mine, theirs) in tables.iter_mut().chain(&mut fallback).zip(peer) {
+            mine.add_assign(theirs)?;
+        }
+        // Every local child leaves every table in the one pass. Level 1 has not
+        // named D_B yet, so D_B's children leave the later tables too and are
+        // put back below (the tables are linear: same bits as skipping them).
+        let (local_hashes, mut scratch) =
+            self.apply_children(local, &mut tables, fallback.as_mut(), Iblt::delete);
         // Reversed, so that on a hash collision the earlier child overwrites.
         let local_by_hash: HashMap<u64, &ChildSet> =
             local_hashes.iter().copied().zip(local.children()).rev().collect();
@@ -209,27 +266,22 @@ impl CascadingProtocol {
         // D_A: Alice's recovered children, keyed by their child hash.
         let mut recovered: BTreeMap<u64, ChildSet> = BTreeMap::new();
         // Alice's differing child hashes seen so far but not yet recovered.
-        let mut pending: BTreeMap<u64, ()> = BTreeMap::new();
+        let mut pending: BTreeSet<u64> = BTreeSet::new();
         // A child with no counterpart on Bob's side is also tried against the
         // empty set, so brand-new children are recoverable once a level's child
         // IBLTs are big enough to hold them outright.
         let empty_child = ChildSet::new();
+        let mut encoding = Vec::new();
 
-        for (idx, outer) in digest.levels.iter().enumerate() {
-            let level = idx + 1;
-            let mut table = outer.clone();
-            let mut scratch = self.level_scratch(level);
-            let mut encoding = Vec::with_capacity(self.level_encoding_bytes(level));
-            for (child, &hash) in local.children().iter().zip(&local_hashes) {
-                if level > 1 && differing_local.contains_key(&hash) {
-                    continue; // keep D_B out of the later tables (Algorithm 2, step i>1)
-                }
-                Self::encode_child_at_level_into(child, hash, &mut scratch, &mut encoding);
-                table.delete(&encoding);
-            }
+        for (level, (table, scratch)) in (1..).zip(tables.iter_mut().zip(&mut scratch)) {
             if level > 1 {
+                // Algorithm 2, step i>1, keeps D_B out of the later tables.
+                for (&hash, child) in &differing_local {
+                    Self::encode_child_at_level_into(child, hash, scratch, &mut encoding);
+                    table.insert(&encoding);
+                }
                 for (&hash, child) in &recovered {
-                    Self::encode_child_at_level_into(child, hash, &mut scratch, &mut encoding);
+                    Self::encode_child_at_level_into(child, hash, scratch, &mut encoding);
                     table.delete(&encoding);
                 }
             }
@@ -239,7 +291,7 @@ impl CascadingProtocol {
 
             if level == 1 {
                 for encoding in &decoded.negative {
-                    let (_, hash_b) = Self::split_encoding(encoding)?;
+                    let (_, hash_b) = IbltOfIbltsProtocol::split_encoding(encoding)?;
                     if let Some(&child) = local_by_hash.get(&hash_b) {
                         differing_local.insert(hash_b, child);
                     }
@@ -257,11 +309,11 @@ impl CascadingProtocol {
                 }
             }
             for encoding in &decoded.positive {
-                let (table_a, hash_a) = Self::split_encoding(encoding)?;
+                let (table_a, hash_a) = IbltOfIbltsProtocol::split_encoding(encoding)?;
                 if recovered.contains_key(&hash_a) {
                     continue;
                 }
-                pending.insert(hash_a, ());
+                pending.insert(hash_a);
                 for (child_b, table_b) in &candidates {
                     let Ok(diff_table) = table_a.subtract(table_b) else { continue };
                     let peeled = diff_table.into_decode();
@@ -285,16 +337,11 @@ impl CascadingProtocol {
         }
 
         // Fallback table of full encodings, when present.
-        if let Some(fallback) = &digest.fallback {
-            let mut table = fallback.clone();
-            let mut key = Vec::with_capacity(2 + 8 * self.params.max_child_size);
-            for child in local.children() {
-                SetOfSets::encode_child_fixed_into(child, self.params.max_child_size, &mut key);
-                table.delete(&key);
-            }
+        if let Some(table) = &mut fallback {
+            let h = self.params.max_child_size;
             for child in recovered.values() {
-                SetOfSets::encode_child_fixed_into(child, self.params.max_child_size, &mut key);
-                table.delete(&key);
+                SetOfSets::encode_child_fixed_into(child, h, &mut encoding);
+                table.delete(&encoding);
             }
             let decoded = table.decode_in_place();
             for key in &decoded.positive {
@@ -306,7 +353,7 @@ impl CascadingProtocol {
             }
         }
 
-        if let Some((&hash, _)) = pending.iter().next() {
+        if let Some(&hash) = pending.first() {
             return Err(ReconError::NoMatchingChild { child_hash: hash });
         }
 
@@ -315,10 +362,17 @@ impl CascadingProtocol {
             result.remove(child);
         }
         for child in recovered.values() {
-            result.insert(child.clone());
+            if !result.insert(child.clone()) {
+                return Err(ReconError::ChecksumFailure); // one child under two hashes
+            }
         }
+        // The parent hash comes from the child hashes in hand — Bob's, less D_B,
+        // plus the verified keys of `recovered` — and the child count from the set
+        // itself: should the two disagree about the result, their counts differ.
+        let kept = local_hashes.iter().filter(|hash| !differing_local.contains_key(hash));
+        let hashes = kept.chain(recovered.keys()).copied();
         if result.num_children() as u64 != digest.num_children
-            || result.parent_hash(self.params.seed) != digest.parent_hash
+            || SetOfSets::parent_hash_of(hashes, self.params.seed) != digest.parent_hash
         {
             return Err(ReconError::ChecksumFailure);
         }
@@ -383,6 +437,40 @@ mod tests {
         assert_eq!(protocol.num_levels(1 << 20), 5);
         assert!(protocol.needs_fallback(24));
         assert!(!protocol.needs_fallback(8));
+    }
+
+    /// The folded encodings are the ones a fill per level produces: the outer
+    /// tables of the child-major digest equal those built level by level through
+    /// `encode_child_at_level_into`, from `t = 1` (no chain to fold) to `t = 7`,
+    /// without `T_*` (`d < h`) and with it.
+    #[test]
+    fn child_major_digest_equals_the_per_level_build() {
+        for (t, h, d) in (1..=7).flat_map(|t| [(t, 200, 1 << t), (t, 1 << t, 256)]) {
+            let p = SosParams::new(0xF01D + t as u64, h);
+            let protocol = CascadingProtocol::new(p);
+            let w = WorkloadParams::new(12, h.min(24), 1 << 30);
+            let (alice, _) = generate_pair(&w, 0, t as u64);
+            let digest = protocol.digest(&alice, d);
+            assert_eq!((digest.levels.len(), digest.fallback.is_some()), (t, d >= h));
+            assert_eq!(digest.parent_hash, alice.parent_hash(p.seed));
+            let (mut want, _) = protocol.empty_tables(d);
+            let mut encoding = Vec::new();
+            for (level, want) in (1..).zip(&mut want) {
+                let cells = CascadingProtocol::level_child_cells(level);
+                let mut scratch = Iblt::with_cells(cells, &protocol.child_config(level));
+                for child in alice.children() {
+                    let hash = SetOfSets::child_hash(child, p.seed);
+                    CascadingProtocol::encode_child_at_level_into(
+                        child,
+                        hash,
+                        &mut scratch,
+                        &mut encoding,
+                    );
+                    want.insert(&encoding);
+                }
+            }
+            assert_eq!(digest.levels, want, "t = {t}, h = {h}");
+        }
     }
 
     #[test]

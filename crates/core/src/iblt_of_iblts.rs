@@ -106,7 +106,8 @@ impl IbltOfIbltsProtocol {
         out.extend_from_slice(&SetOfSets::child_hash(child, self.params.seed).to_le_bytes());
     }
 
-    fn split_encoding(encoding: &[u8]) -> Result<(Iblt, u64), ReconError> {
+    /// A child encoding taken apart again: the child table and the child hash.
+    pub(crate) fn split_encoding(encoding: &[u8]) -> Result<(Iblt, u64), ReconError> {
         if encoding.len() < 8 {
             return Err(ReconError::ChecksumFailure);
         }
@@ -142,6 +143,11 @@ impl IbltOfIbltsProtocol {
         local: &SetOfSets,
     ) -> Result<SetOfSets, ReconError> {
         let d = digest.child_diff_bound.max(1);
+        // An outer key holds a child table of at least `2d` cells, which bounds
+        // a peer's `d` before any size is derived from it.
+        if d > digest.outer.key_bytes() {
+            return Err(ReconError::InvalidInput("child bound exceeds the key width".to_string()));
+        }
         let mut table = digest.outer.clone();
         table.adopt_layout(&self.outer_config(d))?;
         let mut scratch = self.child_scratch(d);

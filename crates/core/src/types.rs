@@ -6,10 +6,11 @@
 //! helpers the protocols need: canonical child encodings, per-child hashes, and the
 //! parent hash used to verify end-to-end recovery.
 
-use recon_base::hash::hash_u64_set;
+use recon_base::hash::{hash_u64_set, SetHasher};
 use recon_base::rng::split_seed;
 use recon_base::wire::{read_uvarint, write_uvarint, Decode, Encode, WireError};
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// A child set: a set of 64-bit universe elements, stored sorted so that encodings
 /// and hashes are canonical.
@@ -22,9 +23,12 @@ pub type ChildSet = BTreeSet<u64>;
 /// construction). Child order carries no meaning — all hashes and encodings are
 /// order-independent — but a deterministic iteration order (sorted) is kept so runs
 /// are reproducible.
+///
+/// The children are shared copy-on-write: a clone is a reference bump, and the
+/// first mutation of a shared value pays the one deep copy.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SetOfSets {
-    children: Vec<ChildSet>,
+    children: Arc<Vec<ChildSet>>,
 }
 
 impl SetOfSets {
@@ -40,7 +44,7 @@ impl SetOfSets {
         I: IntoIterator<Item = ChildSet>,
     {
         let set: BTreeSet<ChildSet> = children.into_iter().collect();
-        Self { children: set.into_iter().collect() }
+        Self { children: Arc::new(set.into_iter().collect()) }
     }
 
     /// Add a child set (ignored if an identical child set is already present).
@@ -48,7 +52,7 @@ impl SetOfSets {
         match self.children.binary_search(&child) {
             Ok(_) => false,
             Err(pos) => {
-                self.children.insert(pos, child);
+                Arc::make_mut(&mut self.children).insert(pos, child);
                 true
             }
         }
@@ -58,7 +62,7 @@ impl SetOfSets {
     pub fn remove(&mut self, child: &ChildSet) -> bool {
         match self.children.binary_search(child) {
             Ok(pos) => {
-                self.children.remove(pos);
+                Arc::make_mut(&mut self.children).remove(pos);
                 true
             }
             Err(_) => false,
@@ -101,6 +105,12 @@ impl SetOfSets {
         hash_u64_set(child.iter().copied(), split_seed(seed, 0xC41D))
     }
 
+    /// The running form of [`SetOfSets::child_hash`], for a caller that walks a
+    /// child's elements anyway: `finish` after inserting them all is that hash.
+    pub fn child_hasher(seed: u64) -> SetHasher {
+        SetHasher::new(split_seed(seed, 0xC41D))
+    }
+
     /// Hashes of all child sets, in the same order as [`SetOfSets::children`].
     pub fn child_hashes(&self, seed: u64) -> Vec<u64> {
         self.children.iter().map(|c| Self::child_hash(c, seed)).collect()
@@ -110,7 +120,12 @@ impl SetOfSets {
     /// protocols to verify that Bob recovered Alice's set of sets exactly
     /// ("Alice can send Bob a hash of her whole set of sets", Section 3.2).
     pub fn parent_hash(&self, seed: u64) -> u64 {
-        hash_u64_set(self.child_hashes(seed), split_seed(seed, 0xFA7E))
+        Self::parent_hash_of(self.child_hashes(seed), seed)
+    }
+
+    /// [`SetOfSets::parent_hash`] from child hashes the caller already holds.
+    pub fn parent_hash_of(child_hashes: impl IntoIterator<Item = u64>, seed: u64) -> u64 {
+        hash_u64_set(child_hashes, split_seed(seed, 0xFA7E))
     }
 
     /// The child sets keyed by their [`SetOfSets::child_hash`] under `seed`: one
@@ -119,7 +134,7 @@ impl SetOfSets {
     /// hashes the first in canonical order is kept.
     pub fn children_by_hash(&self, seed: u64) -> HashMap<u64, &ChildSet> {
         // Reversed, so that on a hash collision the earlier child overwrites.
-        self.child_hashes(seed).into_iter().zip(&self.children).rev().collect()
+        self.child_hashes(seed).into_iter().zip(self.children.iter()).rev().collect()
     }
 
     /// Canonical fixed-width byte encoding of a child set: element count followed by
@@ -184,7 +199,7 @@ impl FromIterator<ChildSet> for SetOfSets {
 impl Encode for SetOfSets {
     fn encode(&self, buf: &mut Vec<u8>) {
         write_uvarint(buf, self.children.len() as u64);
-        for child in &self.children {
+        for child in self.children.iter() {
             write_uvarint(buf, child.len() as u64);
             for &x in child {
                 x.encode(buf);

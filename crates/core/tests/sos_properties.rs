@@ -74,3 +74,28 @@ proptest! {
         prop_assert_eq!(SetOfSets::from_bytes(&bytes).unwrap(), sos);
     }
 }
+
+/// Attempt-0 reliability of the cascade: one `digest`, one `reconcile`, no
+/// amplification, on shapes that concentrate many changes in few children. The
+/// levels of a doubling chain share one child seed, so their child-table
+/// failures are no longer independent; the level-major cascade with a seed per
+/// level (the parent of the child-major rewrite) succeeds on every one of these
+/// seeded trials, and so must this one. A trial may fail, never lie.
+#[test]
+fn cascade_attempt0_reliability_holds() {
+    use recon_base::rng::split_seed;
+    for (s, h, d, trials) in [(64, 32, 64, 60), (16, 256, 128, 25), (1024, 40, 32, 5)] {
+        let workload = WorkloadParams::new(s, h, 1 << 30);
+        let mut ok = 0;
+        for trial in 0..trials {
+            let (alice, bob) = generate_pair(&workload, d, split_seed(0xA77E, trial));
+            let protocol =
+                cascading::CascadingProtocol::new(SosParams::new(split_seed(0x5EED, trial), h));
+            if let Ok(recovered) = protocol.reconcile(&protocol.digest(&alice, d), &bob) {
+                assert_eq!(recovered, alice, "s = {s}, h = {h}, d = {d}, trial {trial}");
+                ok += 1;
+            }
+        }
+        assert_eq!(ok, trials, "s = {s}, h = {h}, d = {d}: successes under the parent's count");
+    }
+}

@@ -229,11 +229,13 @@ impl Decode for L0Estimator {
         let buckets = read_uvarint(buf)? as usize;
         let threshold = read_uvarint(buf)? as usize;
         let seed = u64::decode(buf)?;
-        if reps == 0 || levels == 0 || buckets == 0 || reps > 1024 || levels > 64 {
+        // `new`'s bounds, on a header a peer wrote.
+        if reps == 0 || levels == 0 || buckets < 4 || reps > 1024 || levels > 64 {
             return Err(WireError::Invalid("l0 estimator header"));
         }
         let cfg = L0Config { reps, levels, buckets, threshold, seed };
-        let per_rep = levels * buckets;
+        let per_rep =
+            levels.checked_mul(buckets).ok_or(WireError::Invalid("l0 estimator header"))?;
         let packed = per_rep.div_ceil(4);
         let mut counters = Vec::with_capacity(reps);
         for _ in 0..reps {
@@ -354,6 +356,13 @@ mod tests {
         let bytes = alice.to_bytes();
         assert!(L0Estimator::from_bytes(&bytes[..bytes.len() - 1]).is_err());
         assert!(L0Estimator::from_bytes(&[0xFF; 3]).is_err());
+        // `levels * buckets` overflows; fewer buckets than `new` accepts.
+        for (levels, buckets) in [(64, u64::MAX / 2), (48, 3)] {
+            let mut header = Vec::new();
+            [9, levels, buckets, 8].iter().for_each(|&v| write_uvarint(&mut header, v));
+            header.extend_from_slice(&[0u8; 8 + 64]);
+            assert!(L0Estimator::from_bytes(&header).is_err(), "{levels} x {buckets}");
+        }
     }
 
     #[test]

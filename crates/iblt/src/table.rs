@@ -264,16 +264,6 @@ impl DecodeResult {
     pub fn recovered(&self) -> usize {
         self.positive.len() + self.negative.len()
     }
-
-    /// Convert into a `Result`, mapping an incomplete peel to
-    /// [`ReconError::PeelingFailure`].
-    pub fn into_result(self) -> Result<Self, ReconError> {
-        if self.complete {
-            Ok(self)
-        } else {
-            Err(ReconError::PeelingFailure { remaining_cells: 0 })
-        }
-    }
 }
 
 /// Call `f` with the zero-padded little-endian `key_bytes`-wide key for `x`,
@@ -731,6 +721,46 @@ impl Iblt {
         self.check_geometry(other)?;
         kernels::add_i64(&mut self.bank.counts, &other.bank.counts);
         self.xor_sums(other);
+        Ok(())
+    }
+
+    /// Overwrite `out` with this table's *half-fold*: cell `i` of each partition
+    /// of `out` is the sum of cells `i` and `i + part/2` of the same partition
+    /// here (counts add, key sums and check sums XOR).
+    ///
+    /// A key's cell in a partition of `p` cells is `h mod p`, and
+    /// `(h mod 2p) mod p = h mod p`, so the half-fold is bit for bit the table
+    /// the same operations build at half the cells under the same seed: a
+    /// caller that needs one key set at a doubling chain of sizes hashes it
+    /// once, at the top. Both tables must be stash-less and agree on seed, hash
+    /// count and key width, and `out` must have exactly half the cells.
+    pub fn fold_half_into(&self, out: &mut Iblt) -> Result<(), ReconError> {
+        if self.stash_cells != 0
+            || out.stash_cells != 0
+            || self.bank.key_bytes != out.bank.key_bytes
+            || self.hash_count != out.hash_count
+            || self.seed != out.seed
+            || self.cells() != 2 * out.cells()
+        {
+            return Err(ReconError::InvalidInput(
+                "cannot fold an IBLT into a table that is not its half-size twin".to_string(),
+            ));
+        }
+        // Plain loops, not the bank kernels: a partition half is a few cells,
+        // less than a kernel's dispatch costs.
+        fn fold<T: Copy>(dst: &mut [T], src: &[T], half: usize, add: impl Fn(T, T) -> T) {
+            for (d, s) in dst.chunks_exact_mut(half).zip(src.chunks_exact(2 * half)) {
+                let (lo, hi) = s.split_at(half);
+                for ((d, &a), &b) in d.iter_mut().zip(lo).zip(hi) {
+                    *d = add(a, b);
+                }
+            }
+        }
+        let half = out.cells() / out.hash_count;
+        fold(&mut out.bank.counts, &self.bank.counts, half, i64::wrapping_add);
+        let wide = half * self.bank.key_bytes;
+        fold(&mut out.bank.key_sums, &self.bank.key_sums, wide, |a, b| a ^ b);
+        fold(&mut out.bank.check_sums, &self.bank.check_sums, half, |a, b| a ^ b);
         Ok(())
     }
 

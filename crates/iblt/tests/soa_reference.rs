@@ -364,6 +364,59 @@ proptest! {
         prop_assert_eq!(&batched, &single);
     }
 
+    /// The half-fold of a table filled at `2m` cells is, bit for bit, the table
+    /// the same inserts and deletes fill at `m` cells under the same seed — for
+    /// half-partitions that are powers of two and not (6 → 3 among them), on
+    /// the word path and the wide-key paths — and it overwrites what `out` held.
+    /// Any other pairing of tables is refused.
+    #[test]
+    fn half_fold_equals_the_fill_at_half_the_cells(
+        width_sel in 0usize..3,
+        hash_sel in 0usize..2,
+        part_sel in 0usize..PARTS.len(),
+        inserts in 0usize..41,
+        deletes in 0usize..41,
+        seed in any::<u64>(),
+    ) {
+        let key_bytes = [8usize, 16, 211][width_sel];
+        let hash_count = [3usize, 4][hash_sel];
+        let cfg = IbltConfig::for_key_bytes(key_bytes, seed).with_hash_count(hash_count);
+        let half = PARTS[part_sel] * hash_count;
+        let mut rng = Xoshiro256::new(seed ^ 0xF01D);
+        let added: Vec<u64> = (0..inserts).map(|_| rng.next_u64()).collect();
+        let removed: Vec<u64> = (0..deletes)
+            .map(|i| if i % 2 == 0 && i < inserts { added[i] } else { rng.next_u64() })
+            .collect();
+        let fill = |cells: usize| {
+            let mut table = Iblt::with_cells(cells, &cfg);
+            table.insert_u64s(added.iter().copied());
+            table.delete_u64s(removed.iter().copied());
+            table
+        };
+        let (full, want) = (fill(2 * half), fill(half));
+
+        let mut folded = Iblt::with_cells(half, &cfg);
+        folded.insert_u64(seed);
+        full.fold_half_into(&mut folded).unwrap();
+        prop_assert_eq!(&folded.to_bytes(), &want.to_bytes());
+        prop_assert_eq!(&folded, &want);
+
+        for wrong in [
+            cfg.with_seed(seed ^ 1),
+            cfg.with_hash_count(hash_count + 1),
+            IbltConfig { key_bytes: key_bytes + 8, ..cfg },
+        ] {
+            prop_assert!(full.fold_half_into(&mut Iblt::with_cells(half, &wrong)).is_err());
+        }
+        prop_assert!(full.fold_half_into(&mut Iblt::with_cells(half + hash_count, &cfg)).is_err());
+        prop_assert!(full.fold_half_into(&mut Iblt::with_cells(2 * half, &cfg)).is_err());
+        // Twice the cells, stash included, but a stash does not fold.
+        let stashed = Iblt::with_cells(2 * half, &cfg.with_stash_cells(2));
+        let mut out = Iblt::with_cells(half, &cfg.with_stash_cells(1));
+        prop_assert_eq!(stashed.cells(), 2 * out.cells());
+        prop_assert!(stashed.fold_half_into(&mut out).is_err());
+    }
+
     /// `rem_fixed` is `%`, whichever of its two paths a divisor takes.
     #[test]
     fn rem_fixed_matches_the_remainder_operator(x in any::<u64>(), d in any::<u64>()) {

@@ -156,7 +156,9 @@ fn set_of_sets_digests_are_pinned() {
     let ioi = IbltOfIbltsProtocol::new(params).digest(&alice, 8, 12);
     let naive = NaiveProtocol::new(params).digest(&alice, 12);
     assert_pinned(&[
-        ("cascading", digest_of(&cascade), 0x47DE_B502_6A82_2740),
+        // PR 19 (child-major cascade): levels 2..t share one child seed, so the
+        // child tables' bits moved; every table size — every byte count — did not.
+        ("cascading", digest_of(&cascade), 0xE4E9_C1FF_7FC7_7832),
         ("iblt of iblts", digest_of(&ioi), 0x72FF_1321_B751_0FB2),
         ("naive", digest_of(&naive), 0x57FF_1549_AF01_5E94),
     ]);
@@ -187,6 +189,7 @@ fn session_transcripts_are_pinned() {
     assert_eq!(recovered.num_edges(), graph_alice.num_edges());
     assert_pinned(&[
         ("set unknown-d transcript", set_hash, 0xAED5_59EC_08CE_A6DB),
-        ("degree-order graph transcript", graph_hash, 0xA4BF_3143_8696_6F10),
+        // PR 19: the nested cascading session's child seeds, as above.
+        ("degree-order graph transcript", graph_hash, 0x5C2E_2068_52F8_384A),
     ]);
 }
