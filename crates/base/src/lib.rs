@@ -23,9 +23,7 @@
 //!   the transport-level failures a lossy network adds, with
 //!   [`error::ReconError::is_retryable`] classifying which are worth a fresh attempt,
 //! * [`retry`] — the [`retry::RetryPolicy`] recovery driver re-running whole
-//!   sessions after retryable transport failures,
-//! * [`config`] — the typed, process-wide [`config::Options`] (kernel/poller/I/O
-//!   path pins) with the legacy `RECON_*` environment variables as a compat shim.
+//!   sessions after retryable transport failures.
 //!
 //! All higher-level crates (`recon-iblt`, `recon-set`, `recon-sos`, `recon-graph`,
 //! `recon-apps`) build on these primitives and never use ambient randomness: given the
@@ -35,7 +33,6 @@
 #![warn(missing_docs)]
 
 pub mod comm;
-pub mod config;
 pub mod error;
 pub mod hash;
 pub mod retry;
@@ -43,7 +40,6 @@ pub mod rng;
 pub mod wire;
 
 pub use comm::{CommStats, Direction, MessageStat, Transcript};
-pub use config::Options;
 pub use error::ReconError;
 pub use hash::{hash64, hash_bytes, PairwiseHash};
 pub use retry::{run_with_retry, RetryPolicy};

@@ -47,7 +47,7 @@ fn bench_subtract_decode(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_subtract_into_decode(c: &mut Criterion) {
+fn bench_subtract_decode_in_place(c: &mut Criterion) {
     // The production path since the flat cell bank: subtract yields an owned
     // table which is peeled in place, so no copy of the bank survives.
     let mut group = c.benchmark_group("iblt_subtract_and_decode_in_place");
@@ -61,8 +61,8 @@ fn bench_subtract_into_decode(c: &mut Criterion) {
                 bob.insert_u64(x + d as u64);
             }
             b.iter(|| {
-                let diff = alice.subtract(&bob).unwrap();
-                black_box(diff.into_decode())
+                let mut diff = alice.subtract(&bob).unwrap();
+                black_box(diff.decode_in_place())
             });
         });
     }
@@ -74,5 +74,5 @@ fn bench_subtract_into_decode(c: &mut Criterion) {
 // factors with and without the decode rescue and reports success rates and
 // retry counts instead of wall-clock.
 
-criterion_group!(benches, bench_insert, bench_subtract_decode, bench_subtract_into_decode);
+criterion_group!(benches, bench_insert, bench_subtract_decode, bench_subtract_decode_in_place);
 criterion_main!(benches);

@@ -315,8 +315,8 @@ impl CascadingProtocol {
                 }
                 pending.insert(hash_a);
                 for (child_b, table_b) in &candidates {
-                    let Ok(diff_table) = table_a.subtract(table_b) else { continue };
-                    let peeled = diff_table.into_decode();
+                    let Ok(mut diff_table) = table_a.subtract(table_b) else { continue };
+                    let peeled = diff_table.decode_in_place();
                     if !peeled.complete {
                         continue;
                     }

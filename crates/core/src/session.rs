@@ -415,7 +415,7 @@ impl Party for MultiroundAlice {
             TAG_MR_ESTIMATORS => {
                 let (bob_hash_table, bob_estimators): (Iblt, Vec<(u64, L0Estimator)>) =
                     envelope.decode_payload()?;
-                let hash_diff = self.alice_hash_table.subtract(&bob_hash_table)?.into_decode();
+                let hash_diff = self.alice_hash_table.subtract(&bob_hash_table)?.decode_in_place();
                 if !hash_diff.complete {
                     return Err(ReconError::PeelingFailure { remaining_cells: 0 });
                 }
@@ -553,7 +553,7 @@ impl Party for MultiroundBob {
                 let cfg = hash_iblt_config(&self.params);
                 let mut bob_hash_table = Iblt::with_cells(alice_hash_table.cells(), &cfg);
                 bob_hash_table.insert_u64s(self.sos.child_hashes(seed));
-                let hash_diff = alice_hash_table.subtract(&bob_hash_table)?.into_decode();
+                let hash_diff = alice_hash_table.subtract(&bob_hash_table)?.decode_in_place();
                 if !hash_diff.complete {
                     return Err(ReconError::PeelingFailure { remaining_cells: 0 });
                 }

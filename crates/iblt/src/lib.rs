@@ -59,15 +59,12 @@
 //! assert_eq!(decoded.negative_u64(), vec![100]);
 //! ```
 
-// Unsafe code is denied crate-wide and re-allowed only inside `kernels`, whose
-// `std::arch` intrinsic calls are each gated on runtime CPU-feature detection.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod kernels;
+mod kernels;
 pub mod rescue;
 mod table;
 
-pub use kernels::{active_kernel, force_scalar_kernels};
 pub use rescue::{decode_rescues, rescue_failures, DecodeBudget};
 pub use table::{DecodeResult, Iblt, IbltConfig};

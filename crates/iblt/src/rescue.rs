@@ -26,10 +26,10 @@
 //!    progress.
 //!
 //! Everything is bounded by the [`DecodeBudget`] threaded through
-//! [`IbltConfig`](crate::IbltConfig), and `RECON_IBLT_FORCE_PEEL_ONLY`
-//! ([`recon_base::config`]) disables the whole pipeline for fallback-pinning
-//! CI legs. The [`decode_rescues`]/[`rescue_failures`] process counters let
-//! tests and daemons observe how often the solver saves a session.
+//! [`IbltConfig`](crate::IbltConfig); `IbltConfig::with_rescue(None)` turns the
+//! whole pipeline off for a table. The [`decode_rescues`]/[`rescue_failures`]
+//! process counters let tests and daemons observe how often the solver saves a
+//! session.
 
 use crate::table::{DecodeResult, Iblt};
 use recon_field::{BitVec, SubsetSolution, SubsetXorSolver};
@@ -358,9 +358,6 @@ mod tests {
         // seeds stall, then check the rescue finishes them with the decoder's
         // own keys as candidates — and that what it recovers is exactly the
         // ground-truth difference, every time.
-        if recon_base::config::peel_only_forced() {
-            return; // the forced-peel-only CI leg disables the path under test
-        }
         let mut stalled = 0u32;
         let mut saved = 0u32;
         for seed in 0..80u64 {
@@ -395,9 +392,6 @@ mod tests {
     fn hopeless_rescue_increments_failure_counter() {
         // Way more differences than cells, and no candidates: the rescue must
         // give up, report incomplete, and count the failure.
-        if recon_base::config::peel_only_forced() {
-            return; // the forced-peel-only CI leg disables the path under test
-        }
         let cfg = IbltConfig::for_u64_keys(3).with_hash_count(3);
         let (mut table, _, _, _) = diff_scenario(50, 40, 0, 9, &cfg, 17);
         let failures_before = rescue_failures();
@@ -409,8 +403,7 @@ mod tests {
     #[test]
     fn disabling_rescue_in_config_restores_pure_peeling() {
         // With `rescue: None` the candidates are never even materialized and a
-        // stalled peel stays stalled (the per-table analogue of the
-        // RECON_IBLT_FORCE_PEEL_ONLY process flag).
+        // stalled peel stays stalled.
         let mut found_stall = false;
         for seed in 0..80u64 {
             let cfg = IbltConfig::for_u64_keys(seed ^ 0xD15C).with_hash_count(3).with_rescue(None);

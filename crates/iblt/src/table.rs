@@ -6,9 +6,8 @@
 //! one contiguous `counts: Vec<i64>`, one contiguous `check_sums: Vec<u64>`, and a
 //! single `key_sums: Vec<u8>` buffer holding every cell's key sum at stride
 //! `key_bytes`. The bulk table combinators (subtract/add) run through the
-//! fixed-width chunked kernels in [`crate::kernels`] (runtime-dispatched AVX2 on
-//! x86_64, chunked scalar elsewhere). The wire encoder/decoder stream straight
-//! from/to the flat buffers. The serialized byte format is
+//! fixed-width chunked kernels in `crate::kernels`. The wire encoder/decoder stream
+//! straight from/to the flat buffers. The serialized byte format is
 //! identical to the previous per-cell layout (count | key sum | checksum per
 //! cell, little-endian), so tables interoperate across versions.
 //!
@@ -24,7 +23,6 @@
 
 use crate::kernels;
 use crate::rescue::{self, DecodeBudget};
-use recon_base::config;
 use recon_base::hash::{hash64, hash_bytes_lanes, rem_fixed};
 use recon_base::rng::split_seed;
 use recon_base::wire::{read_uvarint, write_uvarint, Decode, Encode, WireError};
@@ -60,8 +58,7 @@ pub struct IbltConfig {
     pub stash_cells: usize,
     /// Budget for the GF(2) decode-rescue pipeline ([`crate::rescue`]); `None`
     /// makes a stalled peel a hard failure, exactly as before the rescue path
-    /// existed. The effective value is also gated by
-    /// [`recon_base::config::peel_only_forced`].
+    /// existed.
     pub rescue: Option<DecodeBudget>,
     /// Use the retightened per-difference layout table (hash count and
     /// cells-per-difference chosen by expected difference) instead of the flat
@@ -533,8 +530,7 @@ impl Iblt {
         self.stash_cells
     }
 
-    /// The decode-rescue budget this table will use (before the
-    /// [`recon_base::config::peel_only_forced`] gate).
+    /// The decode-rescue budget this table will use.
     pub fn rescue_budget(&self) -> Option<DecodeBudget> {
         self.rescue
     }
@@ -747,7 +743,7 @@ impl Iblt {
             ));
         }
         // Plain loops, not the bank kernels: a partition half is a few cells,
-        // less than a kernel's dispatch costs.
+        // less than a kernel call costs.
         fn fold<T: Copy>(dst: &mut [T], src: &[T], half: usize, add: impl Fn(T, T) -> T) {
             for (d, s) in dst.chunks_exact_mut(half).zip(src.chunks_exact(2 * half)) {
                 let (lo, hi) = s.split_at(half);
@@ -777,14 +773,9 @@ impl Iblt {
     /// This peels a clone of the cell bank; the table itself is left untouched so
     /// the caller can retry with different strategies or report diagnostics. Hot
     /// paths that own (or may mutate) their table should prefer
-    /// [`Iblt::into_decode`] / [`Iblt::decode_in_place`], which skip the copy.
+    /// [`Iblt::decode_in_place`], which skips the copy.
     pub fn decode(&self) -> DecodeResult {
-        self.clone().into_decode()
-    }
-
-    /// Decode (peel) the table, consuming it.
-    pub fn into_decode(mut self) -> DecodeResult {
-        self.decode_in_place()
+        self.clone().decode_in_place()
     }
 
     /// Decode the table in place, without copying the cell bank: peel first,
@@ -865,10 +856,10 @@ impl Iblt {
         result
     }
 
-    /// The rescue budget actually in effect for this decode: the table's
-    /// configured budget, unless peel-only decoding is forced process-wide.
+    /// The rescue budget in effect for this decode: the table's configured
+    /// budget, or none when the peel already drained the table.
     fn rescue_in_effect(&self) -> Option<DecodeBudget> {
-        if self.is_empty() || config::peel_only_forced() {
+        if self.is_empty() {
             None
         } else {
             self.rescue

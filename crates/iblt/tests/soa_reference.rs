@@ -13,8 +13,7 @@ use proptest::prelude::*;
 use recon_base::hash::{hash64, hash_bytes, hash_bytes_lanes, rem_fixed};
 use recon_base::rng::{split_seed, Xoshiro256};
 use recon_base::wire::{uvarint_len, write_uvarint, Decode, Encode};
-use recon_iblt::{force_scalar_kernels, Iblt, IbltConfig};
-use std::sync::Mutex;
+use recon_iblt::{Iblt, IbltConfig};
 
 /// One reference cell: the layout the production table used before the flat bank.
 #[derive(Clone)]
@@ -191,8 +190,8 @@ proptest! {
     }
 
     /// Peeling the flat bank recovers exactly the keys the scalar reference
-    /// recovers, with the same completeness verdict, via all three decode entry
-    /// points (borrowing, consuming, and in-place).
+    /// recovers, with the same completeness verdict, via both decode entry points
+    /// (borrowing and in-place).
     #[test]
     fn decode_matches_reference_model(
         width_sel in 0usize..4,
@@ -207,8 +206,6 @@ proptest! {
         ref_neg.sort();
 
         let borrowed = soa.decode();
-        let consumed = soa.clone().into_decode();
-        prop_assert_eq!(&borrowed, &consumed);
         let in_place = soa.decode_in_place();
         prop_assert_eq!(&borrowed, &in_place);
 
@@ -550,139 +547,5 @@ proptest! {
         let got_neg = decoded.negative_u64();
         prop_assert!(got_pos.iter().all(|x| want_pos.binary_search(x).is_ok()));
         prop_assert!(got_neg.iter().all(|x| want_neg.binary_search(x).is_ok()));
-    }
-}
-
-// ---------------------------------------------------------------------------
-// SIMD vs scalar kernel dispatch
-// ---------------------------------------------------------------------------
-
-/// Serializes the tests that flip the process-global kernel override, so the
-/// "dispatched" phase of one case cannot observe another case's forced-scalar
-/// phase.
-static KERNEL_MODE_LOCK: Mutex<()> = Mutex::new(());
-
-/// Restores auto dispatch even when a failing assertion unwinds mid-case.
-struct ScalarModeGuard;
-
-impl ScalarModeGuard {
-    fn engage() -> Self {
-        force_scalar_kernels(true);
-        ScalarModeGuard
-    }
-}
-
-impl Drop for ScalarModeGuard {
-    fn drop(&mut self) {
-        force_scalar_kernels(false);
-    }
-}
-
-/// Two tables of identical geometry filled with disjoint-ish random workloads
-/// (inserts and deletes), plus the config they share.
-fn simd_pair(
-    width_sel: usize,
-    hash_sel: usize,
-    num_keys: usize,
-    cells: usize,
-    seed: u64,
-) -> (Iblt, Iblt) {
-    let key_bytes = KEY_WIDTHS[width_sel % KEY_WIDTHS.len()];
-    let hash_count = HASH_COUNTS[hash_sel % HASH_COUNTS.len()];
-    let cfg = IbltConfig::for_key_bytes(key_bytes, seed).with_hash_count(hash_count);
-    let mut alice = Iblt::with_cells(cells, &cfg);
-    let mut bob = Iblt::with_cells(cells, &cfg);
-    let mut rng = Xoshiro256::new(seed ^ 0x51D);
-    for i in 0..num_keys {
-        let key: Vec<u8> = (0..key_bytes).map(|_| rng.next_u64() as u8).collect();
-        let table = if i % 2 == 0 { &mut alice } else { &mut bob };
-        if i % 5 == 4 {
-            table.delete(&key);
-        } else {
-            table.insert(&key);
-        }
-    }
-    (alice, bob)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// The runtime-dispatched bulk kernels (AVX2 where the CPU has it) and the
-    /// forced scalar fallback produce bit-identical banks — same equality, same
-    /// wire bytes — and identical peeling results, across key widths and hash
-    /// counts, for subtract, add, and the full subtract→decode pipeline.
-    #[test]
-    fn dispatched_kernels_match_forced_scalar(
-        width_sel in 0usize..4,
-        hash_sel in 0usize..3,
-        num_keys in 0usize..60,
-        cells in 6usize..96,
-        seed in any::<u64>(),
-    ) {
-        // A poisoned lock is fine: the guarded flag is a plain atomic with no
-        // invariant, and swallowing the poison keeps proptest's shrink re-runs
-        // of a genuine failure alive instead of cascading lock panics.
-        let _serialize = KERNEL_MODE_LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-        let (alice, bob) = simd_pair(width_sel, hash_sel, num_keys, cells, seed);
-
-        // Dispatched path (whatever the CPU supports).
-        let dispatched_sub = alice.subtract(&bob).expect("same geometry");
-        let mut dispatched_add = alice.clone();
-        dispatched_add.add_assign(&bob).expect("same geometry");
-        let dispatched_decode = dispatched_sub.decode();
-
-        // Forced scalar fallback.
-        let (scalar_sub, scalar_add, scalar_decode) = {
-            let _scalar = ScalarModeGuard::engage();
-            let scalar_sub = alice.subtract(&bob).expect("same geometry");
-            let mut scalar_add = alice.clone();
-            scalar_add.add_assign(&bob).expect("same geometry");
-            let scalar_decode = scalar_sub.decode();
-            (scalar_sub, scalar_add, scalar_decode)
-        };
-
-        prop_assert_eq!(&dispatched_sub, &scalar_sub);
-        prop_assert_eq!(dispatched_sub.to_bytes(), scalar_sub.to_bytes());
-        prop_assert_eq!(&dispatched_add, &scalar_add);
-        prop_assert_eq!(dispatched_add.to_bytes(), scalar_add.to_bytes());
-        prop_assert_eq!(dispatched_decode, scalar_decode);
-    }
-
-    /// Chains of in-place bulk operations stay bit-identical across kernel
-    /// paths (accumulating adds and subtracts over one running bank, the way
-    /// the estimator's strata and the sharded mergers drive it).
-    #[test]
-    fn accumulated_bulk_operations_match_forced_scalar(
-        width_sel in 0usize..4,
-        hash_sel in 0usize..3,
-        num_keys in 1usize..40,
-        seed in any::<u64>(),
-        operations in proptest::collection::vec(any::<bool>(), 1..8),
-    ) {
-        // A poisoned lock is fine: the guarded flag is a plain atomic with no
-        // invariant, and swallowing the poison keeps proptest's shrink re-runs
-        // of a genuine failure alive instead of cascading lock panics.
-        let _serialize = KERNEL_MODE_LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-        let (alice, bob) = simd_pair(width_sel, hash_sel, num_keys, 24, seed);
-
-        let run = |ops: &[bool]| {
-            let mut acc = alice.clone();
-            for &add in ops {
-                if add {
-                    acc.add_assign(&bob).expect("same geometry");
-                } else {
-                    acc.subtract_assign(&bob).expect("same geometry");
-                }
-            }
-            acc
-        };
-        let dispatched = run(&operations);
-        let scalar = {
-            let _scalar = ScalarModeGuard::engage();
-            run(&operations)
-        };
-        prop_assert_eq!(&dispatched, &scalar);
-        prop_assert_eq!(dispatched.to_bytes(), scalar.to_bytes());
     }
 }

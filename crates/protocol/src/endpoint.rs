@@ -190,7 +190,7 @@ impl<T: Transport> Endpoint<T> {
     /// finish and treat a no-progress iteration as "waiting on the peer".
     pub fn poll(&mut self) -> Result<bool, ReconError> {
         let mut progressed = self.pump_sends()?;
-        while let Some(frame) = self.transport.fill_vectored()? {
+        while let Some(frame) = self.transport.recv()? {
             progressed = true;
             self.dispatch(frame)?;
         }
@@ -213,10 +213,10 @@ impl<T: Transport> Endpoint<T> {
     pub fn poll_ready(&mut self, readable: bool, writable: bool) -> Result<bool, ReconError> {
         let mut progressed = false;
         if writable {
-            self.transport.drain_vectored()?;
+            self.transport.flush()?;
         }
         if readable {
-            while let Some(frame) = self.transport.fill_vectored()? {
+            while let Some(frame) = self.transport.recv()? {
                 progressed = true;
                 self.dispatch(frame)?;
             }
@@ -251,7 +251,7 @@ impl<T: Transport> Endpoint<T> {
                 self.transport.send(&Frame::fin(id))?;
             }
         }
-        self.transport.drain_vectored()?;
+        self.transport.flush()?;
         Ok(progressed)
     }
 

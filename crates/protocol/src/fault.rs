@@ -269,16 +269,6 @@ impl<T: Transport> Transport for FaultyTransport<T> {
         self.inner.flush()
     }
 
-    fn fill_vectored(&mut self) -> Result<Option<Frame>, ReconError> {
-        self.inner.fill_vectored()
-    }
-
-    fn drain_vectored(&mut self) -> Result<(), ReconError> {
-        self.tick += 1;
-        self.release(true)?;
-        self.inner.drain_vectored()
-    }
-
     fn is_closed(&self) -> bool {
         self.inner.is_closed()
     }

@@ -69,7 +69,4 @@ pub use pool::{buffer_pool_stats, BufferPool, BufferPoolStats, ConnBuffers};
 pub use session::{Amplification, Outcome, Session, SessionBuilder, SessionConfig, SessionCore};
 #[cfg(unix)]
 pub use transport::Pollable;
-pub use transport::{
-    active_io_path, force_sequential_io, sequential_io_forced, MemoryTransport, PipeTransport,
-    StreamTransport, Transport,
-};
+pub use transport::{MemoryTransport, StreamTransport, Transport};

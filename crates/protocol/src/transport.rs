@@ -5,7 +5,7 @@
 //! accounting, a [`Transport`] actually *moves* [`Frame`]s — session-tagged,
 //! length-delimited envelopes — between two endpoints, and never blocks the
 //! event loop: `recv` returns `Ok(None)` when no complete frame has arrived
-//! yet. Three implementations cover the deployment spectrum:
+//! yet. Two implementations cover the deployment spectrum:
 //!
 //! * [`MemoryTransport`] — a connected in-process pair backed by shared byte
 //!   queues. Every frame still round-trips through its full wire encoding, so
@@ -14,9 +14,6 @@
 //!   `std::net::TcpStream` with `set_nonblocking(true)`. Writes are buffered
 //!   and flushed opportunistically so a full socket buffer never wedges the
 //!   endpoint.
-//! * [`PipeTransport`] — wraps a *blocking* reader (an OS pipe, a child
-//!   process's stdout, a blocking socket) by draining it on a background
-//!   thread into a channel, preserving the non-blocking `recv` contract.
 
 use crate::frame::{Frame, FrameDecoder};
 use crate::pool::ConnBuffers;
@@ -24,39 +21,13 @@ use recon_base::wire::Encode;
 use recon_base::ReconError;
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::io::{ErrorKind, IoSlice, IoSliceMut, Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::rc::Rc;
-use std::sync::mpsc;
 
 /// Worst-case length of a frame's uvarint length prefix (a full `u64`). Once a
 /// decoder buffers more than `max_frame` plus this, `next_frame` cannot ask
 /// for more bytes: it either yields a complete frame or rejects the prefix.
 const MAX_PREFIX_BYTES: usize = 10;
-
-/// Force every [`StreamTransport`] onto the sequential (one buffer per
-/// syscall) I/O path, process-wide. A thin alias for
-/// [`recon_base::config::set_force_sequential_io`]; the
-/// `RECON_PROTOCOL_FORCE_SEQ_IO` environment variable does the same without
-/// code changes, so CI can exercise the fallback.
-pub fn force_sequential_io(force: bool) {
-    recon_base::config::set_force_sequential_io(force);
-}
-
-/// `true` when vectored I/O is disabled via [`force_sequential_io`] /
-/// [`recon_base::config`] or the `RECON_PROTOCOL_FORCE_SEQ_IO` environment
-/// variable.
-pub fn sequential_io_forced() -> bool {
-    recon_base::config::sequential_io_forced()
-}
-
-/// Which stream I/O path new transports take: `"vectored"` or `"sequential"`.
-pub fn active_io_path() -> &'static str {
-    if sequential_io_forced() {
-        "sequential"
-    } else {
-        "vectored"
-    }
-}
 
 /// A bidirectional, non-blocking carrier of [`Frame`]s.
 pub trait Transport {
@@ -71,22 +42,6 @@ pub trait Transport {
     /// unbuffered sends may keep the default no-op.
     fn flush(&mut self) -> Result<(), ReconError> {
         Ok(())
-    }
-
-    /// Like [`Transport::recv`], but implementations backed by an OS stream may
-    /// gather into multiple buffers per syscall (`readv`). Byte-identical to
-    /// `recv` in every observable way — frames, stats, errors — so drivers can
-    /// call either; the default simply delegates.
-    fn fill_vectored(&mut self) -> Result<Option<Frame>, ReconError> {
-        self.recv()
-    }
-
-    /// Like [`Transport::flush`], but implementations backed by an OS stream
-    /// may scatter the staged output in one syscall (`writev`) instead of one
-    /// `write` per contiguous run. Byte-identical to `flush`; the default
-    /// delegates.
-    fn drain_vectored(&mut self) -> Result<(), ReconError> {
-        self.flush()
     }
 
     /// `true` once the peer can no longer deliver frames (stream closed). A
@@ -282,7 +237,6 @@ pub struct StreamTransport<R, W> {
     decoder: FrameDecoder,
     out_buf: VecDeque<u8>,
     scratch: Vec<u8>,
-    sequential_io: bool,
     checked_key: Option<u64>,
     max_buffered_out: Option<usize>,
     closed: bool,
@@ -310,7 +264,6 @@ impl<R: Read, W: Write> StreamTransport<R, W> {
             decoder: FrameDecoder::from_buffer(decoder),
             out_buf: out,
             scratch,
-            sequential_io: false,
             checked_key: None,
             max_buffered_out: None,
             closed: false,
@@ -329,13 +282,6 @@ impl<R: Read, W: Write> StreamTransport<R, W> {
         }
     }
 
-    /// Pin *this* transport to the sequential I/O path regardless of the
-    /// process-wide [`force_sequential_io`] setting (used by the differential
-    /// tests to run one side vectored and the other sequential).
-    pub fn set_sequential_io(&mut self, sequential: bool) {
-        self.sequential_io = sequential;
-    }
-
     /// Number of staged outgoing bytes the stream has not yet accepted — the
     /// buffered-output state a readiness poller re-arms write interest on.
     pub fn pending_out(&self) -> usize {
@@ -348,10 +294,6 @@ impl<R: Read, W: Write> StreamTransport<R, W> {
     /// requests data but never reads its socket.
     pub fn set_max_buffered_out(&mut self, cap: usize) {
         self.max_buffered_out = Some(cap);
-    }
-
-    fn use_sequential(&self) -> bool {
-        self.sequential_io || sequential_io_forced()
     }
 
     fn reserve_out(&self, additional: usize) -> Result<(), ReconError> {
@@ -446,66 +388,6 @@ impl<R: Read, W: Write> Transport for StreamTransport<R, W> {
         self.decoder.next_frame()
     }
 
-    /// Gather reads: both 8 KiB scratch segments are offered to one
-    /// `read_vectored` call, which is a true `readv` for `TcpStream` and the
-    /// runtime's raw-fd wrappers (plain `Read` impls fall back to their
-    /// `read`, degrading gracefully to the sequential behaviour).
-    fn fill_vectored(&mut self) -> Result<Option<Frame>, ReconError> {
-        if self.use_sequential() {
-            return self.recv();
-        }
-        let mut a = [0u8; 8192];
-        let mut b = [0u8; 8192];
-        while !self.closed {
-            let mut bufs = [IoSliceMut::new(&mut a), IoSliceMut::new(&mut b)];
-            match self.reader.read_vectored(&mut bufs) {
-                Ok(0) => self.closed = true,
-                Ok(n) => {
-                    self.bytes_in += n as u64;
-                    let first = n.min(a.len());
-                    self.decoder.extend(&a[..first]);
-                    self.decoder.extend(&b[..n - first]);
-                    // See `recv`: bound decoder growth against a peer that
-                    // outpaces WouldBlock, so the frame cap gets a say.
-                    if self.decoder.buffered() > self.decoder.max_frame() + MAX_PREFIX_BYTES {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) => return Err(io_error("stream read", e)),
-            }
-        }
-        self.decoder.next_frame()
-    }
-
-    /// Scatter writes: the output queue's two contiguous runs (a `VecDeque`
-    /// wraps) go down in one `write_vectored` call instead of one `write` per
-    /// run.
-    fn drain_vectored(&mut self) -> Result<(), ReconError> {
-        if self.use_sequential() {
-            return self.flush();
-        }
-        while !self.out_buf.is_empty() {
-            let (front, back) = self.out_buf.as_slices();
-            let bufs = [IoSlice::new(front), IoSlice::new(back)];
-            match self.writer.write_vectored(&bufs) {
-                Ok(0) => return Err(ReconError::Transport("stream closed while writing".into())),
-                Ok(n) => {
-                    self.out_buf.drain(..n);
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) => return Err(io_error("stream write", e)),
-            }
-        }
-        match self.writer.flush() {
-            Ok(()) => Ok(()),
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => Ok(()),
-            Err(e) => Err(io_error("stream flush", e)),
-        }
-    }
-
     fn is_closed(&self) -> bool {
         self.closed
     }
@@ -539,126 +421,6 @@ impl<R: Read, W: Write> Transport for StreamTransport<R, W> {
         self.bytes_out += bytes.len() as u64;
         self.out_buf.extend(bytes);
         Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// PipeTransport
-// ---------------------------------------------------------------------------
-
-/// A transport over a *blocking* reader (OS pipe, child-process stdout, a
-/// blocking socket): a background thread performs the blocking reads and ships
-/// chunks through a channel, so [`Transport::recv`] stays non-blocking.
-#[derive(Debug)]
-pub struct PipeTransport<W> {
-    chunks: mpsc::Receiver<std::io::Result<Vec<u8>>>,
-    writer: W,
-    decoder: FrameDecoder,
-    checked_key: Option<u64>,
-    closed: bool,
-    bytes_out: u64,
-    bytes_in: u64,
-}
-
-impl<W: Write> PipeTransport<W> {
-    /// Spawn the reader thread over `reader` and write outgoing frames to
-    /// `writer`. The thread exits when the stream closes or errors; after the
-    /// transport is dropped it lingers blocked in `read` until the peer's next
-    /// write or close, then notices the dropped channel and exits — so tear
-    /// the underlying stream down (e.g. kill the child process) to reclaim the
-    /// thread promptly.
-    pub fn spawn<R: Read + Send + 'static>(reader: R, writer: W) -> Self {
-        let (tx, rx) = mpsc::channel();
-        std::thread::spawn(move || {
-            let mut reader = reader;
-            let mut scratch = [0u8; 8192];
-            loop {
-                match reader.read(&mut scratch) {
-                    Ok(0) => break,
-                    Ok(n) => {
-                        if tx.send(Ok(scratch[..n].to_vec())).is_err() {
-                            break; // transport dropped
-                        }
-                    }
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(e) => {
-                        let _ = tx.send(Err(e));
-                        break;
-                    }
-                }
-            }
-        });
-        Self {
-            chunks: rx,
-            writer,
-            decoder: FrameDecoder::new(),
-            checked_key: None,
-            closed: false,
-            bytes_out: 0,
-            bytes_in: 0,
-        }
-    }
-}
-
-impl<W: Write> Transport for PipeTransport<W> {
-    fn send(&mut self, frame: &Frame) -> Result<(), ReconError> {
-        let wire = match self.checked_key {
-            Some(key) => frame.to_wire_checked(key),
-            None => frame.to_wire(),
-        };
-        self.bytes_out += wire.len() as u64;
-        self.writer.write_all(&wire).map_err(|e| io_error("pipe write", e))
-    }
-
-    fn flush(&mut self) -> Result<(), ReconError> {
-        self.writer.flush().map_err(|e| io_error("pipe flush", e))
-    }
-
-    fn recv(&mut self) -> Result<Option<Frame>, ReconError> {
-        loop {
-            match self.chunks.try_recv() {
-                Ok(Ok(chunk)) => {
-                    self.bytes_in += chunk.len() as u64;
-                    self.decoder.extend(&chunk);
-                }
-                Ok(Err(e)) => return Err(io_error("pipe read", e)),
-                Err(mpsc::TryRecvError::Empty) => break,
-                Err(mpsc::TryRecvError::Disconnected) => {
-                    self.closed = true;
-                    break;
-                }
-            }
-        }
-        self.decoder.next_frame()
-    }
-
-    fn is_closed(&self) -> bool {
-        self.closed
-    }
-
-    fn bytes_framed_out(&self) -> u64 {
-        self.bytes_out
-    }
-
-    fn bytes_framed_in(&self) -> u64 {
-        self.bytes_in
-    }
-
-    fn set_integrity_key(&mut self, key: Option<u64>) {
-        self.decoder.set_integrity_key(key);
-    }
-
-    fn set_checked_out(&mut self, key: Option<u64>) {
-        self.checked_key = key;
-    }
-
-    fn set_max_frame(&mut self, max: usize) {
-        self.decoder.set_max_frame(max);
-    }
-
-    fn send_wire(&mut self, bytes: &[u8]) -> Result<(), ReconError> {
-        self.bytes_out += bytes.len() as u64;
-        self.writer.write_all(bytes).map_err(|e| io_error("pipe write", e))
     }
 }
 
@@ -747,28 +509,5 @@ mod tests {
         transport.send(&Frame::fin(1)).unwrap();
         transport.flush().unwrap();
         transport.send(&Frame::fin(2)).unwrap();
-    }
-
-    #[test]
-    fn pipe_transport_reads_from_a_background_thread() {
-        let (read_half, mut write_half) = std::io::pipe().expect("os pipe");
-        let frame = Frame::envelope(5, Envelope::round(2, "m", &0xBEEFu64));
-        write_half.write_all(&frame.to_wire()).unwrap();
-        drop(write_half);
-
-        let mut transport = PipeTransport::spawn(read_half, Vec::new());
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        loop {
-            match transport.recv().unwrap() {
-                Some(received) => {
-                    assert_eq!(received, frame);
-                    break;
-                }
-                None => {
-                    assert!(std::time::Instant::now() < deadline, "pipe read timed out");
-                    std::thread::yield_now();
-                }
-            }
-        }
     }
 }

@@ -108,24 +108,6 @@ fn recv_all<T: Transport>(transport: &mut T, expected: usize, budget: usize) -> 
     frames
 }
 
-/// Like [`recv_all`] but pulling through the vectored fill path.
-fn recv_all_vectored<T: Transport>(
-    transport: &mut T,
-    expected: usize,
-    budget: usize,
-) -> Vec<Frame> {
-    let mut frames = Vec::new();
-    for _ in 0..budget {
-        if frames.len() == expected {
-            break;
-        }
-        while let Some(frame) = transport.fill_vectored().expect("torture fill_vectored") {
-            frames.push(frame);
-        }
-    }
-    frames
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -166,50 +148,6 @@ proptest! {
             torture_rx.bytes_framed_in(), memory_rx.bytes_framed_in(),
             "framed byte counters must agree"
         );
-    }
-
-    /// The vectored read/write path (`fill_vectored`/`drain_vectored`) is
-    /// byte-identical to the sequential path even when every vectored call
-    /// makes one byte of progress and then hits `WouldBlock`: same decoded
-    /// frames, same wire bytes, same byte counters.
-    #[test]
-    fn vectored_io_is_byte_identical_to_sequential_under_trickle(
-        payloads in proptest::collection::vec(
-            proptest::collection::vec(any::<u8>(), 0..40), 1..8),
-        fin_every in 2usize..5,
-    ) {
-        let (mut seq_tx, mut seq_rx) = torture_pair();
-        seq_tx.set_sequential_io(true);
-        seq_rx.set_sequential_io(true);
-        let (mut vec_tx, mut vec_rx) = torture_pair();
-        vec_tx.set_sequential_io(false);
-        vec_rx.set_sequential_io(false);
-
-        let mut sent = Vec::new();
-        for (i, payload) in payloads.iter().enumerate() {
-            let frame = if i % fin_every == fin_every - 1 {
-                Frame::fin(i as SessionId)
-            } else {
-                Frame::envelope(i as SessionId, Envelope::round(1, "torture", payload))
-            };
-            seq_tx.send(&frame).unwrap();
-            vec_tx.send(&frame).unwrap();
-            sent.push(frame);
-        }
-        // Both writers accept at most one byte per drain attempt.
-        let wire_bytes: usize = sent.iter().map(|f| f.to_wire().len()).sum();
-        for _ in 0..2 * wire_bytes + 4 {
-            seq_tx.drain_vectored().unwrap(); // routes to flush(): forced sequential
-            vec_tx.drain_vectored().unwrap();
-        }
-
-        let budget = 2 * wire_bytes + 8;
-        let through_sequential = recv_all(&mut seq_rx, sent.len(), budget);
-        let through_vectored = recv_all_vectored(&mut vec_rx, sent.len(), budget);
-        prop_assert_eq!(&through_sequential, &sent);
-        prop_assert_eq!(&through_vectored, &sent);
-        prop_assert_eq!(vec_tx.bytes_framed_out(), seq_tx.bytes_framed_out());
-        prop_assert_eq!(vec_rx.bytes_framed_in(), seq_rx.bytes_framed_in());
     }
 }
 
@@ -275,43 +213,6 @@ fn session_stats_are_identical_to_memory_transport() {
         assert_eq!(torture_bob, memory_bob, "session {id}: Bob-side CommStats");
         assert_eq!(torture_alice, memory_alice, "session {id}: Alice-side CommStats");
         assert!(memory_bob.bytes_alice_to_bob >= 1600, "payloads must actually be bulky");
-    }
-}
-
-/// Whole sessions driven over the vectored I/O path produce the same outcomes
-/// and per-session `CommStats` as the forced-sequential path — the endpoint
-/// machinery cannot observe which syscall shape moved the bytes.
-#[test]
-fn session_stats_are_identical_across_io_paths() {
-    fn run(sequential: bool) -> Vec<(Vec<u64>, CommStats, CommStats)> {
-        let (mut torture_a, mut torture_b) = torture_pair();
-        torture_a.set_sequential_io(sequential);
-        torture_b.set_sequential_io(sequential);
-        let mut alice_end = Endpoint::new(torture_a);
-        let mut bob_end = Endpoint::new(torture_b);
-        for id in 0..3u64 {
-            let (alice, bob) = bulky_pair(id + 2, id % 3);
-            alice_end.register(id, Role::Alice, alice).expect("register");
-            bob_end.register(id, Role::Bob, bob).expect("register");
-        }
-        drive_pair(&mut alice_end, &mut bob_end).expect("drive");
-        (0..3u64)
-            .map(|id| {
-                let outcome = bob_end.take_outcome::<Vec<u64>>(id).expect("finished").expect("ok");
-                let alice_stats = alice_end.close(id).expect("registered");
-                (outcome.recovered, outcome.stats, alice_stats)
-            })
-            .collect()
-    }
-
-    let sequential = run(true);
-    let vectored = run(false);
-    for (id, ((seq_out, seq_bob, seq_alice), (vec_out, vec_bob, vec_alice))) in
-        sequential.into_iter().zip(vectored).enumerate()
-    {
-        assert_eq!(vec_out, seq_out, "session {id}: recovered payload");
-        assert_eq!(vec_bob, seq_bob, "session {id}: Bob-side CommStats");
-        assert_eq!(vec_alice, seq_alice, "session {id}: Alice-side CommStats");
     }
 }
 

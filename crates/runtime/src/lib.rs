@@ -5,19 +5,18 @@
 //! principle into served traffic. Built entirely on raw OS readiness APIs —
 //! this workspace compiles with no external crates — it provides, bottom up:
 //!
-//! * [`sys`] — `extern "C"` bindings for `epoll`, `poll(2)`, `O_NONBLOCK`,
-//!   `readv`/`writev` and `SO_REUSEPORT` listeners; the crate's only `unsafe`
-//!   module, mirroring `crates/iblt/src/kernels.rs`.
+//! * [`sys`] — `extern "C"` bindings for `epoll`, `poll(2)`, `O_NONBLOCK`
+//!   and `SO_REUSEPORT` listeners; the crate's only `unsafe` module.
 //! * [`Poller`] — one blocking wait over many descriptors, with an epoll
 //!   backend on Linux (level- or edge-triggered via [`Trigger`]) and a
-//!   portable `poll(2)` fallback selected at runtime
-//!   (`RECON_RUNTIME_FORCE_POLL`, or [`Poller::with_backend`] in code).
+//!   portable `poll(2)` backend everywhere else ([`Poller::with_backend`]
+//!   pins either in code).
 //! * [`TimerWheel`] — hashed-wheel deadlines for sessions that stall.
 //! * [`Reactor`] — many multiplexed [`Endpoint`]s over [`Pollable`] stream
 //!   transports, pumped only on readiness ([`Endpoint::poll_ready`]), with
 //!   precise write-interest re-arming ([`Endpoint::is_write_blocked`]),
-//!   per-session deadlines, and graceful `Fin` draining. Edge-triggered by
-//!   default: the transports drain to `WouldBlock` on every event anyway, so
+//!   per-session deadlines, and graceful `Fin` draining. Edge-triggered on
+//!   epoll: the transports drain to `WouldBlock` on every event anyway, so
 //!   the kernel skips re-scanning still-ready descriptors. [`drive_endpoint`]
 //!   is the single-connection client-side loop on the same machinery.
 //! * [`Server`] — N worker reactors serving TCP, accepting either on

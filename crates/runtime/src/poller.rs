@@ -9,11 +9,9 @@
 //!   re-submitted on every wait — O(registered), but available on any Unix and
 //!   the reference semantics the epoll backend is tested against.
 //!
-//! The backend is chosen once per [`Poller`]: epoll on Linux unless the
-//! `RECON_RUNTIME_FORCE_POLL` environment variable is set (any value except
-//! `""`/`"0"`/`"false"`, mirroring `RECON_IBLT_FORCE_SCALAR`), `poll(2)`
-//! everywhere else. [`Poller::with_backend`] pins a backend explicitly so
-//! differential tests can run both without touching the environment.
+//! The backend is chosen once per [`Poller`]: epoll on Linux, `poll(2)`
+//! everywhere else. [`Poller::with_backend`] pins a backend explicitly, which
+//! is how the differential tests run both on one host.
 //!
 //! Delivery is governed by [`Trigger`]. **Level-triggered** (the `poll(2)`
 //! semantics, and epoll's default): an event repeats on every wait until the
@@ -89,11 +87,11 @@ pub enum Trigger {
 }
 
 fn default_backend() -> Backend {
-    #[cfg(target_os = "linux")]
-    if !recon_base::config::poll_backend_forced() {
-        return Backend::Epoll;
+    if cfg!(target_os = "linux") {
+        Backend::Epoll
+    } else {
+        Backend::Poll
     }
-    Backend::Poll
 }
 
 fn timeout_ms(timeout: Option<Duration>) -> i32 {
@@ -121,8 +119,7 @@ enum Imp {
 }
 
 impl Poller {
-    /// A poller on the default backend: epoll on Linux (unless
-    /// `RECON_RUNTIME_FORCE_POLL` is set), `poll(2)` otherwise.
+    /// A poller on the default backend: epoll on Linux, `poll(2)` otherwise.
     /// Level-triggered; use [`Poller::with_config`] for edge-triggered epoll.
     pub fn new() -> io::Result<Self> {
         Self::with_config(None, Trigger::Level)

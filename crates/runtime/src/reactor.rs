@@ -51,14 +51,8 @@ pub struct ReactorConfig {
     /// connection with [`ReconError::Timeout`]. `None` disables deadlines.
     pub session_deadline: Option<Duration>,
     /// Pin the poller backend; `None` uses [`Poller::new`]'s default
-    /// (epoll on Linux unless `RECON_RUNTIME_FORCE_POLL` is set).
+    /// (epoll on Linux, `poll(2)` elsewhere).
     pub backend: Option<Backend>,
-    /// Readiness delivery mode. Defaults to [`Trigger::Edge`]: the transports
-    /// drain to `WouldBlock` on every event (the `poll_ready` contract), which
-    /// is exactly what edge-triggered epoll requires, and ET skips the
-    /// kernel's per-wait rescan of still-ready descriptors. Ignored (stays
-    /// level-triggered) on the `poll(2)` backend.
-    pub trigger: Trigger,
     /// First [`ConnId`] this reactor hands out. A multi-reactor server gives
     /// each worker a disjoint base so connection ids are process-unique.
     pub first_conn_id: ConnId,
@@ -76,7 +70,6 @@ impl Default for ReactorConfig {
         Self {
             session_deadline: Some(Duration::from_secs(30)),
             backend: None,
-            trigger: Trigger::Edge,
             first_conn_id: 0,
             retry: RetryPolicy::none(),
         }
@@ -84,6 +77,15 @@ impl Default for ReactorConfig {
 }
 
 impl ReactorConfig {
+    /// The poller every driver built on this config waits on. Always asks for
+    /// edge delivery: the transports drain to `WouldBlock` on every event (the
+    /// `poll_ready` contract), which is what edge-triggered epoll requires, and
+    /// ET skips the kernel's per-wait rescan of still-ready descriptors. The
+    /// `poll(2)` backend stays level-triggered behind the same call.
+    fn poller(&self) -> Result<Poller, ReconError> {
+        Poller::with_config(self.backend, Trigger::Edge).map_err(|e| io_err("create poller", e))
+    }
+
     /// The per-attempt deadline in force: the retry policy's
     /// [`attempt_deadline`](RetryPolicy::attempt_deadline) when set, else
     /// [`session_deadline`](ReactorConfig::session_deadline).
@@ -156,8 +158,7 @@ fn io_err(context: &str, e: std::io::Error) -> ReconError {
 impl<T: Transport + Pollable> Reactor<T> {
     /// A reactor with no connections yet.
     pub fn new(config: ReactorConfig) -> Result<Self, ReconError> {
-        let mut poller = Poller::with_config(config.backend, config.trigger)
-            .map_err(|e| io_err("create poller", e))?;
+        let mut poller = config.poller()?;
         let (waker_rx, waker_tx) = std::io::pipe().map_err(|e| io_err("create waker pipe", e))?;
         sys::set_nonblocking(waker_rx.as_raw_fd()).map_err(|e| io_err("waker nonblock", e))?;
         sys::set_nonblocking(waker_tx.as_raw_fd()).map_err(|e| io_err("waker nonblock", e))?;
@@ -183,11 +184,6 @@ impl<T: Transport + Pollable> Reactor<T> {
     /// The backend the underlying poller runs on.
     pub fn backend(&self) -> Backend {
         self.poller.backend()
-    }
-
-    /// The effective delivery mode ([`Trigger::Edge`] only on epoll).
-    pub fn trigger(&self) -> Trigger {
-        self.poller.trigger()
     }
 
     /// Watch one auxiliary readable descriptor (a worker's own listener)
@@ -451,8 +447,7 @@ pub fn drive_endpoint<T: Transport + Pollable>(
     config: &ReactorConfig,
     mut until: impl FnMut(&mut Endpoint<T>) -> Result<bool, ReconError>,
 ) -> Result<(), ReconError> {
-    let mut poller = Poller::with_config(config.backend, config.trigger)
-        .map_err(|e| io_err("create poller", e))?;
+    let mut poller = config.poller()?;
     let started = Instant::now();
     let read_fd = endpoint.transport().read_fd();
     let write_fd = endpoint.transport().write_fd();
@@ -581,12 +576,6 @@ mod tests {
     }
 
     fn run_with_backend(backend: Backend) {
-        for trigger in [Trigger::Level, Trigger::Edge] {
-            run_with_trigger(backend, trigger);
-        }
-    }
-
-    fn run_with_trigger(backend: Backend, trigger: Trigger) {
         let (mut server_end, mut client_end) = tcp_endpoint_pair();
         let (alice, bob) = chatty_pair(40, 2);
         server_end.register(0, Role::Alice, alice).unwrap();
@@ -595,16 +584,10 @@ mod tests {
         let config = ReactorConfig {
             session_deadline: Some(Duration::from_secs(10)),
             backend: Some(backend),
-            trigger,
             ..ReactorConfig::default()
         };
         let mut reactor = Reactor::new(config.clone()).unwrap();
         assert_eq!(reactor.backend(), backend);
-        if backend == Backend::Epoll {
-            assert_eq!(reactor.trigger(), trigger);
-        } else {
-            assert_eq!(reactor.trigger(), Trigger::Level);
-        }
         let conn = reactor.insert(server_end).unwrap();
         assert_eq!(reactor.len(), 1);
 

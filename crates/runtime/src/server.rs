@@ -28,7 +28,7 @@
 //! allocates nothing per session. Sessions never cross threads after
 //! registration, which is what lets the endpoint layer stay `!Send`.
 
-use crate::poller::{Backend, Interest, Poller, Trigger};
+use crate::poller::{Backend, Interest, Poller};
 use crate::reactor::{ConnId, Reactor, ReactorConfig};
 use crate::sys;
 use recon_base::rng::Xoshiro256;
@@ -118,9 +118,6 @@ pub struct ServerConfig {
     pub session_deadline: Option<Duration>,
     /// Pin the poller backend for the acceptor and all workers.
     pub backend: Option<Backend>,
-    /// Readiness delivery mode for the worker reactors (edge-triggered by
-    /// default; see [`ReactorConfig::trigger`]).
-    pub trigger: Trigger,
     /// Accept topology; defaults to sharded on Linux, balanced elsewhere.
     pub accept_mode: AcceptMode,
     /// Seed for the balancer's two random worker choices (balanced mode).
@@ -149,7 +146,6 @@ impl Default for ServerConfig {
             workers: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(4),
             session_deadline: Some(Duration::from_secs(30)),
             backend: None,
-            trigger: Trigger::Edge,
             accept_mode: AcceptMode::default(),
             accept_seed: 0x2C01CE5,
             max_frame_bytes: 16 << 20,
@@ -181,12 +177,6 @@ impl ServerConfig {
     /// Pin the poller backend.
     pub fn backend(mut self, backend: Backend) -> Self {
         self.backend = Some(backend);
-        self
-    }
-
-    /// Set the readiness delivery mode.
-    pub fn trigger(mut self, trigger: Trigger) -> Self {
-        self.trigger = trigger;
         self
     }
 
@@ -392,7 +382,6 @@ impl Server {
             let reactor_config = ReactorConfig {
                 session_deadline: config.session_deadline,
                 backend: config.backend,
-                trigger: config.trigger,
                 // Disjoint id ranges so connection ids are process-unique.
                 first_conn_id: (worker as ConnId) << 48,
                 retry: config.retry,

@@ -3,10 +3,10 @@
 //!
 //! The workspace builds with no external crates, so the bindings are declared
 //! here directly against the C library every Rust std program already links.
-//! Like `crates/iblt/src/kernels.rs`, this is the one module in its crate where
-//! `unsafe` is allowed: every call either passes buffers whose lengths are
-//! taken from live Rust slices or manipulates descriptors this module owns,
-//! and everything above it speaks safe Rust.
+//! This is the one module in its crate where `unsafe` is allowed: every call
+//! either passes buffers whose lengths are taken from live Rust slices or
+//! manipulates descriptors this module owns, and everything above it speaks
+//! safe Rust.
 
 // The only unsafe code in this crate: FFI calls into the C library, each
 // operating strictly on caller-provided slices or owned descriptors.
@@ -91,22 +91,12 @@ const O_NONBLOCK: c_int = 0o4000;
 #[cfg(not(target_os = "linux"))]
 const O_NONBLOCK: c_int = 0x0004;
 
-/// `struct iovec` from `<sys/uio.h>`: one scatter/gather segment.
-#[repr(C)]
-#[derive(Debug, Clone, Copy)]
-struct IoVec {
-    base: *mut c_void,
-    len: usize,
-}
-
 extern "C" {
     fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
     fn close(fd: c_int) -> c_int;
     fn fcntl(fd: c_int, cmd: c_int, ...) -> c_int;
     fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
     fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
-    fn readv(fd: c_int, iov: *const IoVec, iovcnt: c_int) -> isize;
-    fn writev(fd: c_int, iov: *const IoVec, iovcnt: c_int) -> isize;
 
     #[cfg(target_os = "linux")]
     fn epoll_create1(flags: c_int) -> c_int;
@@ -216,46 +206,6 @@ pub fn poll_fds(fds: &mut [PollFd], timeout_ms: c_int) -> io::Result<usize> {
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(e),
         }
-    }
-}
-
-/// How many scatter/gather segments [`readv_fd`] / [`writev_fd`] pass to the
-/// kernel per call. The runtime's transports coalesce into at most two
-/// segments (a ring buffer's two slices); anything beyond the cap is simply
-/// not submitted this call, which the `Read`/`Write` contracts already allow.
-const IOV_STACK: usize = 8;
-
-/// Scatter-read into `bufs` with one `readv` syscall. Returns the total bytes
-/// read across segments (0 is EOF); `WouldBlock` surfaces like `read`.
-pub fn readv_fd(fd: RawFd, bufs: &mut [io::IoSliceMut<'_>]) -> io::Result<usize> {
-    let n = bufs.len().min(IOV_STACK);
-    let mut iov = [IoVec { base: std::ptr::null_mut(), len: 0 }; IOV_STACK];
-    for (slot, buf) in iov.iter_mut().zip(bufs[..n].iter_mut()) {
-        slot.base = buf.as_mut_ptr().cast::<c_void>();
-        slot.len = buf.len();
-    }
-    let res = unsafe { readv(fd, iov.as_ptr(), n as c_int) };
-    if res < 0 {
-        Err(io::Error::last_os_error())
-    } else {
-        Ok(res as usize)
-    }
-}
-
-/// Gather-write from `bufs` with one `writev` syscall. Returns the total bytes
-/// the kernel accepted across segments; `WouldBlock` surfaces like `write`.
-pub fn writev_fd(fd: RawFd, bufs: &[io::IoSlice<'_>]) -> io::Result<usize> {
-    let n = bufs.len().min(IOV_STACK);
-    let mut iov = [IoVec { base: std::ptr::null_mut(), len: 0 }; IOV_STACK];
-    for (slot, buf) in iov.iter_mut().zip(&bufs[..n]) {
-        slot.base = buf.as_ptr() as *mut c_void;
-        slot.len = buf.len();
-    }
-    let res = unsafe { writev(fd, iov.as_ptr(), n as c_int) };
-    if res < 0 {
-        Err(io::Error::last_os_error())
-    } else {
-        Ok(res as usize)
     }
 }
 
@@ -401,12 +351,6 @@ impl io::Read for RawFdIo {
             Ok(n as usize)
         }
     }
-
-    // std's default would read into only the first buffer; go through readv so
-    // the transport's vectored fill stays one syscall on raw descriptors too.
-    fn read_vectored(&mut self, bufs: &mut [io::IoSliceMut<'_>]) -> io::Result<usize> {
-        readv_fd(self.0, bufs)
-    }
 }
 
 impl io::Write for RawFdIo {
@@ -417,12 +361,6 @@ impl io::Write for RawFdIo {
         } else {
             Ok(n as usize)
         }
-    }
-
-    // std's default would write only the first non-empty buffer; writev sends
-    // every queued segment in one syscall.
-    fn write_vectored(&mut self, bufs: &[io::IoSlice<'_>]) -> io::Result<usize> {
-        writev_fd(self.0, bufs)
     }
 
     fn flush(&mut self) -> io::Result<()> {
@@ -490,42 +428,6 @@ mod tests {
 
         epoll_remove(&ep, reader.as_raw_fd()).unwrap();
         assert_eq!(epoll_wait_events(&ep, &mut events, 0).unwrap(), 0);
-    }
-
-    #[test]
-    fn vectored_pipe_roundtrip_crosses_segment_boundaries() {
-        let (reader, writer) = std::io::pipe().expect("os pipe");
-        let mut w = RawFdIo::new(writer.as_raw_fd());
-        let segs = [
-            io::IoSlice::new(b"alpha"),
-            io::IoSlice::new(b""),
-            io::IoSlice::new(b"beta"),
-            io::IoSlice::new(b"gamma!"),
-        ];
-        assert_eq!(w.write_vectored(&segs).unwrap(), 15);
-
-        let mut r = RawFdIo::new(reader.as_raw_fd());
-        let (mut a, mut b, mut c) = ([0u8; 7], [0u8; 0], [0u8; 12]);
-        let mut out =
-            [io::IoSliceMut::new(&mut a), io::IoSliceMut::new(&mut b), io::IoSliceMut::new(&mut c)];
-        assert_eq!(r.read_vectored(&mut out).unwrap(), 15);
-        assert_eq!(&a, b"alphabe");
-        assert_eq!(&c[..8], b"tagamma!");
-    }
-
-    #[test]
-    fn vectored_with_more_than_stack_segments_still_makes_progress() {
-        let (reader, writer) = std::io::pipe().expect("os pipe");
-        let mut w = RawFdIo::new(writer.as_raw_fd());
-        let payload: Vec<[u8; 1]> = (0u8..12).map(|i| [i]).collect();
-        let segs: Vec<io::IoSlice<'_>> = payload.iter().map(|s| io::IoSlice::new(s)).collect();
-        // Only the first IOV_STACK segments go down in one call; callers loop.
-        let n = w.write_vectored(&segs).unwrap();
-        assert_eq!(n, IOV_STACK);
-        let mut r = RawFdIo::new(reader.as_raw_fd());
-        let mut buf = [0u8; 16];
-        assert_eq!(r.read(&mut buf).unwrap(), IOV_STACK);
-        assert_eq!(&buf[..IOV_STACK], &[0, 1, 2, 3, 4, 5, 6, 7]);
     }
 
     #[cfg(target_os = "linux")]

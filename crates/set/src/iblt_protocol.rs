@@ -268,6 +268,24 @@ mod tests {
         }
     }
 
+    /// The tuned layout without the decode rescue (`with_rescue(None)`): a
+    /// stalled peel is a detected failure that replication absorbs (7 of these
+    /// 200 pairs need a second attempt), and what comes back is never a wrong
+    /// set.
+    #[test]
+    fn peel_only_tuned_layout_reconciles_within_three_attempts() {
+        let cfg = IbltConfig::tuned_for_u64_keys(0).with_rescue(None);
+        for pair in 0..200u64 {
+            let (alice, bob) = random_sets(2000, 40, 0x9EE1 + pair);
+            let recovered = (0..3u64).find_map(|attempt| {
+                let protocol = IbltSetProtocol::with_config(split_seed(pair, attempt), cfg);
+                assert_eq!(protocol.iblt_config().rescue, None);
+                protocol.reconcile(&protocol.digest(&alice, 40), &bob).ok()
+            });
+            assert_eq!(recovered, Some(alice), "pair {pair}");
+        }
+    }
+
     #[test]
     fn reconciles_across_a_range_of_difference_sizes() {
         for d in [1usize, 2, 5, 17, 63, 128] {

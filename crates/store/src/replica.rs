@@ -294,7 +294,16 @@ impl Replica {
             return Err(ReconError::InvalidInput(format!("unknown snapshot version {version}")));
         }
         let params = ReplicaParams::decode(&mut buf).map_err(ReconError::Wire)?;
-        let n = read_uvarint(&mut buf).map_err(ReconError::Wire)? as usize;
+        let n = read_uvarint(&mut buf).map_err(ReconError::Wire)?;
+        // The count comes straight from disk: bound it by what the remaining
+        // bytes can hold before allocating for it.
+        if n > (buf.len() / 8) as u64 {
+            return Err(ReconError::InvalidInput(format!(
+                "snapshot claims {n} keys but only {} bytes follow",
+                buf.len()
+            )));
+        }
+        let n = n as usize;
         let mut keys = HashSet::with_capacity(n);
         for _ in 0..n {
             keys.insert(u64::decode(&mut buf).map_err(ReconError::Wire)?);
@@ -435,6 +444,29 @@ mod tests {
         bytes.push(0);
         assert!(Replica::decode_snapshot(&bytes).is_err());
         assert!(Replica::decode_snapshot(&[9, 9, 9]).is_err());
+    }
+
+    #[test]
+    fn snapshot_rejects_a_key_count_the_bytes_cannot_hold() {
+        let replica = churned_replica(20, 13);
+        let bytes = replica.encode_snapshot();
+        let mut header = vec![SNAPSHOT_VERSION];
+        replica.params.encode(&mut header);
+        assert!(bytes.starts_with(&header));
+        let mut count = Vec::new();
+        write_uvarint(&mut count, replica.keys.len() as u64);
+        let keys_at = header.len() + count.len();
+
+        // An otherwise valid snapshot claiming 2^60 keys: an error, not an
+        // attempt to allocate for them.
+        let mut huge = header.clone();
+        write_uvarint(&mut huge, 1 << 60);
+        huge.extend_from_slice(&bytes[keys_at..]);
+        assert!(matches!(Replica::decode_snapshot(&huge), Err(ReconError::InvalidInput(_))));
+
+        // The file ends in the middle of the key list.
+        let cut = keys_at + 8 * (replica.keys.len() / 2) + 3;
+        assert!(Replica::decode_snapshot(&bytes[..cut]).is_err());
     }
 
     #[test]

@@ -3,6 +3,7 @@
 //! recovered set, `CommStats`, wire bytes — to a cold one-shot session over
 //! the same data, without ever rebuilding a digest from scratch.
 
+use recon_runtime::{Backend, ServerConfig};
 use recon_set::full_digest_builds;
 use recon_set::session::{iblt_known_alice, iblt_known_bob};
 use recon_store::{MemoryBackend, SketchStore, StoreClient, StoreConfig, StoreDaemon};
@@ -87,7 +88,19 @@ fn daemon_serves_byte_identical_sessions_without_rebuilds() {
 #[test]
 fn daemon_survives_bad_requests_and_serves_many_clients() {
     let store = SketchStore::open(MemoryBackend::new(), daemon_config()).unwrap();
-    let daemon = StoreDaemon::bind("127.0.0.1:0", store, 2).unwrap();
+    bad_requests_then_many_clients(StoreDaemon::bind("127.0.0.1:0", store, 2).unwrap());
+}
+
+/// The same traffic with every worker reactor (and, off Linux, the acceptor)
+/// on the portable `poll(2)` backend.
+#[test]
+fn daemon_serves_many_clients_on_the_poll_backend() {
+    let store = SketchStore::open(MemoryBackend::new(), daemon_config()).unwrap();
+    let config = ServerConfig::new().workers(2).session_deadline(None).backend(Backend::Poll);
+    bad_requests_then_many_clients(StoreDaemon::bind_with("127.0.0.1:0", store, config).unwrap());
+}
+
+fn bad_requests_then_many_clients(daemon: StoreDaemon<MemoryBackend>) {
     let addr = daemon.local_addr();
 
     // Seed one replica through a setup client.

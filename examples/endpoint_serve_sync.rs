@@ -27,8 +27,7 @@
 //! [`Reactor`]s (least-loaded-of-two-choices), each driving its endpoints
 //! purely off epoll/`poll(2)` readiness — idle connections cost nothing, and
 //! the process serves any number of concurrent clients. Clients run the same
-//! machinery single-connection via [`drive_endpoint`]. Set
-//! `RECON_RUNTIME_FORCE_POLL=1` to exercise the portable `poll(2)` backend.
+//! machinery single-connection via [`drive_endpoint`].
 //!
 //! The pre-reactor blocking path is kept for comparison as `--serve-blocking`
 //! / `--sync-blocking` (single connection, sleep-backoff polling).

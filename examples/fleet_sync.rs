@@ -6,8 +6,7 @@
 //!
 //! Run with: `cargo run -p recon-examples --release --example fleet_sync`
 //! (optionally `-- star`, `-- gossip`, or `-- gossip-tcp` to run one
-//! topology; `RECON_RUNTIME_FORCE_POLL=1` exercises the `poll(2)` backend
-//! for the TCP paths).
+//! topology).
 //!
 //! [`CommStats`]: recon_base::CommStats
 

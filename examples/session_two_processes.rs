@@ -14,15 +14,11 @@
 //! identical to running the protocols alone.
 //!
 //! Both processes block in [`drive_endpoint`] — the reactor runtime's
-//! epoll/`poll(2)` wait (`RECON_RUNTIME_FORCE_POLL=1` selects the portable
-//! backend) — and are woken only when the pipe actually has bytes or buffer
-//! space: no `std::thread::sleep`, no reader thread. The pre-reactor
-//! implementation (a [`PipeTransport`] reader thread plus sleep-backoff
-//! polling) is kept for comparison as `--blocking`.
+//! epoll/`poll(2)` wait — and are woken only when the pipe actually has bytes
+//! or buffer space: no `std::thread::sleep`, no reader thread.
 //!
 //! [`Endpoint`]: recon_protocol::Endpoint
 //! [`StreamTransport`]: recon_protocol::StreamTransport
-//! [`PipeTransport`]: recon_protocol::PipeTransport
 //! [`drive_endpoint`]: recon_runtime::drive_endpoint
 
 use recon_base::CommStats;
@@ -171,10 +167,6 @@ fn reactor_config() -> ReactorConfig {
     ReactorConfig { session_deadline: Some(Duration::from_secs(60)), ..ReactorConfig::default() }
 }
 
-// ---------------------------------------------------------------------------
-// Reactor path: readiness-driven, no sleeps, no reader threads
-// ---------------------------------------------------------------------------
-
 /// The child process: Bob's endpoint directly over the stdin/stdout pipe
 /// descriptors in non-blocking mode, driven by the reactor runtime.
 fn run_bob() {
@@ -240,89 +232,11 @@ fn run_alice() {
     );
 }
 
-// ---------------------------------------------------------------------------
-// Blocking comparison path (the pre-reactor PR-2 implementation)
-// ---------------------------------------------------------------------------
-
-/// The child process, blocking flavor: a `PipeTransport` reader thread plus
-/// sleep-backoff polling.
-fn run_bob_blocking() {
-    let transport = recon_protocol::PipeTransport::spawn(std::io::stdin(), std::io::stdout());
-    let mut endpoint = Endpoint::new(transport);
-    register_bob(&mut endpoint);
-
-    let mut remaining: Vec<SessionId> = ALL_SESSIONS.to_vec();
-    while !remaining.is_empty() {
-        let progressed = endpoint.poll().expect("bob poll");
-        remaining.retain(|&id| !take_bob_outcome(&mut endpoint, id));
-        if !remaining.is_empty() && !progressed {
-            assert!(!endpoint.transport().is_closed(), "pipe closed before Bob finished");
-            std::thread::sleep(Duration::from_micros(200));
-        }
-    }
-    // The Fins for the collected sessions are already written; push them out.
-    endpoint.transport_mut().flush().expect("final flush");
-    eprintln!("[bob]   all {} sessions done over one pipe (blocking)", ALL_SESSIONS.len());
-}
-
-/// The parent process, blocking flavor.
-fn run_alice_blocking() {
-    let exe = std::env::current_exe().expect("own path");
-    let mut child = Command::new(exe)
-        .arg("--bob-blocking")
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::inherit())
-        .spawn()
-        .expect("spawn Bob process");
-    let to_bob = child.stdin.take().expect("child stdin");
-    let from_bob = child.stdout.take().expect("child stdout");
-    let transport = recon_protocol::PipeTransport::spawn(from_bob, to_bob);
-    let mut endpoint = Endpoint::new(transport);
-    register_alice(&mut endpoint);
-
-    let mut stats = Vec::new();
-    while endpoint.registered_sessions() > 0 {
-        let progressed = match endpoint.poll() {
-            Ok(progressed) => progressed,
-            // Bob exits the moment his outcomes are collected; writing our Fin
-            // replies into his closed stdin is then expected shutdown skew.
-            Err(e) => {
-                let all_finished =
-                    ALL_SESSIONS.iter().all(|&id| endpoint.is_finished(id) != Some(false));
-                assert!(all_finished, "transport failed mid-protocol: {e}");
-                true
-            }
-        };
-        for id in ALL_SESSIONS {
-            if endpoint.is_finished(id) == Some(true) {
-                let session_stats = endpoint.close(id).expect("registered");
-                eprintln!("[alice] session {id} finished: {session_stats}");
-                stats.push(session_stats);
-            }
-        }
-        if endpoint.registered_sessions() > 0 && !progressed {
-            std::thread::sleep(Duration::from_micros(200));
-        }
-    }
-
-    let status = child.wait().expect("wait for Bob");
-    assert!(status.success(), "Bob must exit cleanly");
-    let framed = endpoint.transport().bytes_framed_out() + endpoint.transport().bytes_framed_in();
-    println!(
-        "blocking path: 3 mixed-family sessions, {} metered protocol bytes inside \
-         {framed} framed bytes on one pipe",
-        stats.iter().map(|s| s.total_bytes()).sum::<usize>()
-    );
-}
-
 fn main() {
     let mut args = std::env::args();
     let _ = args.next();
     match args.next().as_deref() {
         Some("--bob") => run_bob(),
-        Some("--bob-blocking") => run_bob_blocking(),
-        Some("--blocking") => run_alice_blocking(),
         _ => run_alice(),
     }
 }

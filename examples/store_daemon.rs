@@ -3,7 +3,6 @@
 //! over the reactor runtime, with durable snapshots + WAL underneath.
 //!
 //! Run with: `cargo run -p recon-examples --release --example store_daemon`
-//! (set `RECON_RUNTIME_FORCE_POLL=1` to exercise the `poll(2)` backend).
 //!
 //! The walk-through:
 //!

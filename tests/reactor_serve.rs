@@ -5,19 +5,15 @@
 //! per-session [`CommStats`] asserted byte-identical to the blocking
 //! `SessionBuilder` driver running the very same party pairs.
 //!
-//! The suite runs three ways: on the default backend in its default
-//! edge-triggered mode (epoll-ET on Linux), on epoll pinned back to
-//! level-triggered delivery, and on the portable `poll(2)` fallback — every
-//! recovery and every counter must be identical across all three, because
-//! readiness delivery is an implementation detail the protocol cannot see. CI
-//! additionally repeats the whole test binary under
-//! `RECON_RUNTIME_FORCE_POLL=1` (and under `RECON_PROTOCOL_FORCE_SEQ_IO=1`),
-//! which exercises the environment-variable selection paths end to end.
+//! The suite runs twice: on the default backend (edge-triggered epoll on
+//! Linux) and pinned to the portable, level-triggered `poll(2)` backend —
+//! every recovery and every counter must be identical across both, because
+//! readiness delivery is an implementation detail the protocol cannot see.
 
 use recon_base::ReconError;
 use recon_protocol::{Amplification, Outcome, Party, Role, SessionBuilder, SessionId};
 use recon_runtime::{
-    drive_endpoint, Backend, ReactorConfig, Server, ServerConfig, TcpEndpoint, TcpService, Trigger,
+    drive_endpoint, Backend, ReactorConfig, Server, ServerConfig, TcpEndpoint, TcpService,
 };
 use recon_set::session as set_session;
 use recon_sos::workload::{generate_pair, WorkloadParams};
@@ -123,12 +119,7 @@ struct ClientRecoveries {
 
 /// One reactor client: dial, run all three sessions readiness-driven, return
 /// the outcomes.
-fn run_client(
-    addr: SocketAddr,
-    client: u64,
-    backend: Option<Backend>,
-    trigger: Trigger,
-) -> ClientRecoveries {
+fn run_client(addr: SocketAddr, client: u64, backend: Option<Backend>) -> ClientRecoveries {
     let mut endpoint = recon_runtime::connect_endpoint(addr).expect("connect");
     endpoint.register(UNKNOWN_SET, Role::Bob, bob_unknown(client)).expect("register");
     endpoint.register(KNOWN_SET, Role::Bob, bob_known(client)).expect("register");
@@ -137,7 +128,6 @@ fn run_client(
     let config = ReactorConfig {
         session_deadline: Some(Duration::from_secs(60)),
         backend,
-        trigger,
         ..ReactorConfig::default()
     };
     let (mut unknown, mut known, mut sos) = (None, None, None);
@@ -159,19 +149,15 @@ fn run_client(
 
 /// Serve `CLIENTS` concurrent mixed-family connections on `WORKERS` worker
 /// reactors and check every outcome against the blocking driver.
-fn serve_and_verify(backend: Option<Backend>, trigger: Trigger) {
-    let mut config = ServerConfig::new()
-        .workers(WORKERS)
-        .session_deadline(Some(Duration::from_secs(60)))
-        .trigger(trigger);
+fn serve_and_verify(backend: Option<Backend>) {
+    let mut config =
+        ServerConfig::new().workers(WORKERS).session_deadline(Some(Duration::from_secs(60)));
     config.backend = backend;
     let server = Server::bind("127.0.0.1:0", config, |_| MixedFamilies).expect("bind");
     let addr = server.local_addr();
 
     let handles: Vec<_> = (0..CLIENTS as u64)
-        .map(|client| {
-            std::thread::spawn(move || (client, run_client(addr, client, backend, trigger)))
-        })
+        .map(|client| std::thread::spawn(move || (client, run_client(addr, client, backend))))
         .collect();
     for handle in handles {
         let (client, got) = handle.join().expect("client thread");
@@ -199,21 +185,11 @@ fn serve_and_verify(backend: Option<Backend>, trigger: Trigger) {
 
 #[test]
 fn reactor_serves_eight_mixed_family_connections() {
-    // Default backend and trigger: edge-triggered epoll on Linux (unless
-    // RECON_RUNTIME_FORCE_POLL is set, as in CI's forced-poll leg, where this
-    // whole test runs on poll(2)).
-    serve_and_verify(None, Trigger::Edge);
-}
-
-#[test]
-fn reactor_serves_eight_mixed_family_connections_level_triggered() {
-    // Same default backend pinned to level-triggered delivery: on Linux this
-    // is classic epoll-LT; under the poll fallback it is a no-op distinction
-    // (poll(2) is always level-triggered).
-    serve_and_verify(None, Trigger::Level);
+    // Default backend: edge-triggered epoll on Linux, poll(2) elsewhere.
+    serve_and_verify(None);
 }
 
 #[test]
 fn reactor_serves_eight_mixed_family_connections_on_poll_fallback() {
-    serve_and_verify(Some(Backend::Poll), Trigger::Level);
+    serve_and_verify(Some(Backend::Poll));
 }

@@ -773,30 +773,6 @@ fn one_endpoint_drives_nine_concurrent_mixed_family_sessions() {
     assert_eq!(per_session.len(), 9);
 }
 
-/// Forcing the IBLT bulk kernels onto the scalar fallback path (the code every
-/// non-AVX2 machine runs) must be invisible end to end: the full mixed-family
-/// suite recovers the same data with byte-identical `CommStats` under both the
-/// runtime-dispatched kernels and the forced fallback. `RECON_IBLT_FORCE_SCALAR=1`
-/// gives the same coverage for an entire test-suite run without recompiling.
-#[test]
-fn forced_scalar_kernels_match_dispatched_nine_session_suite() {
-    /// Restores auto dispatch even if the suite panics mid-run.
-    struct ScalarModeGuard;
-    impl Drop for ScalarModeGuard {
-        fn drop(&mut self) {
-            recon_iblt::force_scalar_kernels(false);
-        }
-    }
-
-    let dispatched = run_nine_session_suite();
-    let scalar = {
-        recon_iblt::force_scalar_kernels(true);
-        let _guard = ScalarModeGuard;
-        run_nine_session_suite()
-    };
-    assert_eq!(dispatched, scalar, "kernel dispatch must not change any session's stats");
-}
-
 // ---------------------------------------------------------------------------
 // Sharded runner: merged stats are a deterministic sum of solo sessions
 // ---------------------------------------------------------------------------
