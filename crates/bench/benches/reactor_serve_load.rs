@@ -3,24 +3,20 @@
 //! known-`d` set-reconciliation session each) against one [`Server`], and
 //! reports throughput *and* tail latency.
 //!
-//! Unlike `reactor_serve` (8 threads in the bench process, mean only), this
-//! bench re-executes itself as `--load-child` worker processes, each running a
-//! client-side [`Reactor`] that multiplexes hundreds of concurrent endpoints —
-//! so the server faces a genuinely external, kernel-scheduled load. Each child
-//! measures every session's insert-to-retire latency and streams the raw
-//! nanosecond values to the parent, which records:
-//!
-//! * `mean_ns` — wall-clock per served session (`1e9 / mean_ns` = sessions/sec
-//!   at this concurrency), and
-//! * `p50_ns` / `p99_ns` — the session-latency distribution, carried through
-//!   the `--json` report into the `bench-check` gate, which fails on a p99
-//!   blow-up even when the mean stays flat.
+//! `recon-benchmark` pins one CPU and drives one connection at a time, so it
+//! cannot see this; here the bench re-executes itself as `--load-child` worker
+//! processes, each running a client-side [`Reactor`] that multiplexes hundreds
+//! of concurrent endpoints — so the server faces a genuinely external,
+//! kernel-scheduled load. Each child measures every session's insert-to-retire
+//! latency and streams the raw nanosecond values to the parent, which prints
+//! the wall-clock per served session (sessions/sec at this concurrency) and
+//! the p50 / p99 of the session-latency distribution. Nothing gates on the
+//! numbers; the asserts (every connection served, none failed) are the check.
 //!
 //! Full mode runs 4 children × 256 connections (1024 concurrent); `--smoke`
-//! runs 2 × 32 so CI can execute the whole pipeline in seconds. Both ids are
-//! committed to the baseline so the smoke leg actually gates.
+//! runs 2 × 32 so CI can execute the whole pipeline in seconds.
 
-use criterion::{black_box, record_measurement, smoke_mode, write_json_report};
+use criterion::{black_box, smoke_mode};
 use recon_bench::set_pair;
 use recon_protocol::{Amplification, Role, SessionConfig};
 use recon_runtime::{
@@ -35,7 +31,7 @@ use std::time::{Duration, Instant};
 const WORKERS: usize = 2;
 // Light enough that a single core can push >1k concurrent sessions through in
 // seconds — this bench is about the serving path (accept, readiness, framing,
-// buffer recycling), not IBLT compute, which `reactor_serve` already covers.
+// buffer recycling), not IBLT compute.
 const N: usize = 1_000;
 const D: usize = 8;
 const BOUND: usize = D + 4;
@@ -111,8 +107,8 @@ fn load_child(addr: SocketAddr, conns: usize) {
 }
 
 /// Parent body: serve, fan out child processes, gather every session latency.
-/// Returns `(mean_ns_per_session, p50_ns, p99_ns, sessions)`.
-fn run_load(children: usize, conns_per_child: usize) -> (f64, f64, f64, u64) {
+/// Returns `(wall_per_session, p50, p99)`.
+fn run_load(children: usize, conns_per_child: usize) -> (Duration, Duration, Duration) {
     let (alice_set, _) = dataset();
     let server_config = ServerConfig::new().workers(WORKERS).session_deadline(Some(DEADLINE));
     let server = Server::bind("127.0.0.1:0", server_config, move |_| OneSession {
@@ -151,8 +147,10 @@ fn run_load(children: usize, conns_per_child: usize) -> (f64, f64, f64, u64) {
     assert_eq!(stats.failed, 0, "no connection may fail under load: {stats:?}");
 
     latencies.sort_unstable();
-    let percentile = |q: f64| latencies[((latencies.len() - 1) as f64 * q).round() as usize] as f64;
-    (wall.as_nanos() as f64 / sessions as f64, percentile(0.50), percentile(0.99), sessions)
+    let percentile = |q: f64| {
+        Duration::from_nanos(latencies[((latencies.len() - 1) as f64 * q).round() as usize])
+    };
+    (wall / sessions as u32, percentile(0.50), percentile(0.99))
 }
 
 fn main() {
@@ -167,18 +165,11 @@ fn main() {
     }
 
     let (children, conns_per_child) = if smoke_mode() { (2, 32) } else { (4, 256) };
-    let (mean_ns, p50_ns, p99_ns, sessions) = run_load(children, conns_per_child);
-    record_measurement(
-        &format!("reactor_serve_load/conns/{}", children * conns_per_child),
-        mean_ns,
-        sessions,
-        Some(p50_ns),
-        Some(p99_ns),
-    );
+    let conns = children * conns_per_child;
+    let (per_session, p50, p99) = run_load(children, conns_per_child);
     println!(
-        "sessions/sec at {} concurrent: {:.0}",
-        children * conns_per_child,
-        1e9 / mean_ns.max(1.0)
+        "reactor_serve_load/conns/{conns}: {per_session:.2?} / session \
+         ({:.0} sessions/sec), latency p50 {p50:.2?} p99 {p99:.2?}",
+        1.0 / per_session.as_secs_f64().max(1e-9),
     );
-    write_json_report();
 }

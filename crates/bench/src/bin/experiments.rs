@@ -19,49 +19,38 @@
 
 use recon_apps::database::SosProtocolKind;
 use recon_base::rng::Xoshiro256;
+use recon_base::ReconError;
 use recon_bench::{database_pair, set_pair};
 use recon_estimator::{L0Config, L0Estimator, Side, StrataConfig, StrataEstimator};
 use recon_graph::degree_neighborhood::{self, DegreeNeighborhoodParams};
 use recon_graph::degree_order::{self, DegreeOrderParams};
 use recon_graph::forest::Forest;
 use recon_graph::{forest, general, Graph};
+use recon_protocol::Outcome;
 use recon_set::{reconcile_known, reconcile_known_charpoly};
 use recon_sos::workload::{generate_pair, WorkloadParams};
-use recon_sos::{cascading, iblt_of_iblts, multiround, naive, SosParams};
+use recon_sos::{cascading, iblt_of_iblts, multiround, naive, SetOfSets, SosParams};
 use std::time::Instant;
+
+const EXPERIMENTS: &[(&str, fn())] = &[
+    ("table1", table1),
+    ("figure1", figure1),
+    ("set", set_scaling),
+    ("charpoly", charpoly_scaling),
+    ("estimator", estimator_accuracy),
+    ("sos", sos_sweep),
+    ("separation", separation_probability),
+    ("graph", graph_reconciliation),
+    ("general", general_graphs),
+    ("forest", forest_scaling),
+];
 
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
-    let all = which == "all";
-    if all || which == "table1" {
-        table1();
-    }
-    if all || which == "figure1" {
-        figure1();
-    }
-    if all || which == "set" {
-        set_scaling();
-    }
-    if all || which == "charpoly" {
-        charpoly_scaling();
-    }
-    if all || which == "estimator" {
-        estimator_accuracy();
-    }
-    if all || which == "sos" {
-        sos_sweep();
-    }
-    if all || which == "separation" {
-        separation_probability();
-    }
-    if all || which == "graph" {
-        graph_reconciliation();
-    }
-    if all || which == "general" {
-        general_graphs();
-    }
-    if all || which == "forest" {
-        forest_scaling();
+    for (name, run) in EXPERIMENTS {
+        if which == "all" || which == *name {
+            run();
+        }
     }
 }
 
@@ -92,16 +81,11 @@ fn table1() {
                 let result = bob.reconcile_from(&alice, d, kind, 7);
                 let elapsed = start.elapsed().as_secs_f64() * 1e3;
                 match result {
-                    Ok(recon_protocol::Outcome { recovered, stats }) => {
+                    Ok(Outcome { recovered, stats }) => {
                         assert_eq!(recovered, alice, "protocol returned a wrong table");
+                        let (bytes, rounds) = (stats.total_bytes(), stats.rounds);
                         println!(
-                            "{:<10} {:>6} {:>28} {:>12} {:>10.2} {:>8}",
-                            s,
-                            d,
-                            name,
-                            stats.total_bytes(),
-                            elapsed,
-                            stats.rounds
+                            "{s:<10} {d:>6} {name:>28} {bytes:>12} {elapsed:>10.2} {rounds:>8}"
                         );
                     }
                     Err(e) => println!("{s:<10} {d:>6} {name:>28}  FAILED: {e}"),
@@ -150,13 +134,8 @@ fn charpoly_scaling() {
         let ms = start.elapsed().as_secs_f64() * 1e3;
         let iblt = reconcile_known(&alice, &bob, d.max(1), 3).expect("iblt");
         assert_eq!(poly.recovered, alice);
-        println!(
-            "{:>8} {:>12} {:>12.2} {:>14}",
-            d,
-            poly.stats.total_bytes(),
-            ms,
-            iblt.stats.total_bytes()
-        );
+        let (poly_bytes, iblt_bytes) = (poly.stats.total_bytes(), iblt.stats.total_bytes());
+        println!("{d:>8} {poly_bytes:>12} {ms:>12.2} {iblt_bytes:>14}");
     }
 }
 
@@ -175,24 +154,15 @@ fn estimator_accuracy() {
         let mut b_l0 = L0Estimator::new(&l0_cfg);
         let mut a_st = StrataEstimator::new(&strata_cfg);
         let mut b_st = StrataEstimator::new(&strata_cfg);
-        for &x in &alice {
-            a_l0.update(x, Side::A);
-            a_st.update(x, Side::A);
-        }
-        for &x in &bob {
-            b_l0.update(x, Side::B);
-            b_st.update(x, Side::B);
-        }
+        a_l0.update_all(alice.iter().copied(), Side::A);
+        a_st.update_all(alice.iter().copied(), Side::A);
+        b_l0.update_all(bob.iter().copied(), Side::B);
+        b_st.update_all(bob.iter().copied(), Side::B);
         let l0 = a_l0.merge(&b_l0).unwrap();
         let st = a_st.merge(&b_st).unwrap();
-        println!(
-            "{:>8} {:>14} {:>14} {:>12} {:>12}",
-            d,
-            l0.estimate(),
-            st.estimate(),
-            l0.serialized_len(),
-            st.serialized_len()
-        );
+        let (l0_est, l0_len) = (l0.estimate(), l0.serialized_len());
+        let (st_est, st_len) = (st.estimate(), st.serialized_len());
+        println!("{d:>8} {l0_est:>14} {st_est:>14} {l0_len:>12} {st_len:>12}");
     }
 }
 
@@ -208,21 +178,19 @@ fn sos_sweep() {
         let params = SosParams::new(5, h);
         for &d in &[1usize, 4, 16, 64] {
             let (alice, bob) = generate_pair(&workload, d, (h * 1000 + d) as u64);
-            let naive_b = naive::run_known(&alice, &bob, d, &params).map(|o| o.stats.total_bytes());
-            let flat_b = iblt_of_iblts::run_known(&alice, &bob, d, d, &params)
-                .map(|o| o.stats.total_bytes());
-            let casc_b =
-                cascading::run_known(&alice, &bob, d, &params).map(|o| o.stats.total_bytes());
-            let multi_b =
-                multiround::run_known(&alice, &bob, d, d, &params).map(|o| o.stats.total_bytes());
+            // Bytes of a run, or the error it ended with.
+            let cell = |run: Result<Outcome<SetOfSets>, ReconError>| match run {
+                Ok(outcome) => outcome.stats.total_bytes().to_string(),
+                Err(e) => e.to_string(),
+            };
             println!(
                 "{:>6} {:>6} {:>14} {:>18} {:>14} {:>16}",
                 h,
                 d,
-                naive_b.map(|b| b.to_string()).unwrap_or_else(|e| format!("{e}")),
-                flat_b.map(|b| b.to_string()).unwrap_or_else(|e| format!("{e}")),
-                casc_b.map(|b| b.to_string()).unwrap_or_else(|e| format!("{e}")),
-                multi_b.map(|b| b.to_string()).unwrap_or_else(|e| format!("{e}")),
+                cell(naive::run_known(&alice, &bob, d, &params)),
+                cell(iblt_of_iblts::run_known(&alice, &bob, d, d, &params)),
+                cell(cascading::run_known(&alice, &bob, d, &params)),
+                cell(multiround::run_known(&alice, &bob, d, d, &params)),
             );
         }
     }
@@ -253,10 +221,7 @@ fn separation_probability() {
                 disjoint += 1;
             }
         }
-        println!(
-            "{:>8} {:>8.2} {:>6} {:>20}/{} {:>20}/{}",
-            n, p, h, separated, trials, disjoint, trials
-        );
+        println!("{n:>8} {p:>8.2} {h:>6} {separated:>20}/{trials} {disjoint:>20}/{trials}");
     }
     println!("\npaper's claim: both separations hold with high probability only for much");
     println!("larger n (Thm 5.3 needs p >= C d log n (d^2/(delta^2 n))^(1/7)); at laptop scale");
@@ -270,69 +235,49 @@ fn graph_reconciliation() {
         "{:>22} {:>6} {:>8} {:>6} {:>10} {:>14}",
         "scheme", "n", "p", "d", "success", "median bytes"
     );
-    let trials = 5u64;
     for &(n, p, d) in &[(192usize, 0.35f64, 2usize), (256, 0.35, 4)] {
-        let mut ok = 0;
-        let mut bytes = Vec::new();
-        for t in 0..trials {
-            let mut rng = Xoshiro256::new(n as u64 * 97 + t);
-            let base = Graph::gnp(n, p, &mut rng);
-            let alice = base.perturb(d / 2, &mut rng);
-            let bob = base.perturb(d - d / 2, &mut rng);
+        graph_row("degree-order (5.2)", n, p, d, 97, |alice, bob, t| {
             let params = DegreeOrderParams { h: 48.min(n / 4), seed: t };
-            if let Ok(recon_protocol::Outcome { recovered: rec, stats }) =
-                degree_order::reconcile(&alice, &bob, d, &params)
-            {
-                if rec.num_edges() == alice.num_edges() {
-                    ok += 1;
-                    bytes.push(stats.total_bytes());
-                }
-            }
-        }
-        bytes.sort_unstable();
-        println!(
-            "{:>22} {:>6} {:>8.2} {:>6} {:>8}/{} {:>14}",
-            "degree-order (5.2)",
-            n,
-            p,
-            d,
-            ok,
-            trials,
-            bytes.get(bytes.len() / 2).copied().unwrap_or(0)
-        );
+            degree_order::reconcile(alice, bob, d, &params)
+        });
     }
     for &(n, p, d) in &[(256usize, 0.2f64, 2usize), (320, 0.15, 2)] {
-        let mut ok = 0;
-        let mut bytes = Vec::new();
-        for t in 0..trials {
-            let mut rng = Xoshiro256::new(n as u64 * 131 + t);
-            let base = Graph::gnp(n, p, &mut rng);
-            let alice = base.perturb(d / 2, &mut rng);
-            let bob = base.perturb(d - d / 2, &mut rng);
+        graph_row("degree-nbhd (5.6)", n, p, d, 131, |alice, bob, t| {
             let params = DegreeNeighborhoodParams::for_gnp(n, p, t);
-            if let Ok(recon_protocol::Outcome { recovered: rec, stats }) =
-                degree_neighborhood::reconcile(&alice, &bob, d, &params)
-            {
-                if rec.num_edges() == alice.num_edges() {
-                    ok += 1;
-                    bytes.push(stats.total_bytes());
-                }
-            }
-        }
-        bytes.sort_unstable();
-        println!(
-            "{:>22} {:>6} {:>8.2} {:>6} {:>8}/{} {:>14}",
-            "degree-nbhd (5.6)",
-            n,
-            p,
-            d,
-            ok,
-            trials,
-            bytes.get(bytes.len() / 2).copied().unwrap_or(0)
-        );
+            degree_neighborhood::reconcile(alice, bob, d, &params)
+        });
     }
     println!("\npaper's claim: the degree-neighborhood scheme works for much sparser graphs but");
     println!("pays roughly a pn factor more communication than the degree-ordering scheme.");
+}
+
+/// One row of the graph table: five seeded `G(n, p)` instances perturbed by `d`
+/// edges, reconciled by `reconcile(alice, bob, trial)`.
+fn graph_row(
+    scheme: &str,
+    n: usize,
+    p: f64,
+    d: usize,
+    seed_stride: u64,
+    reconcile: impl Fn(&Graph, &Graph, u64) -> Result<Outcome<Graph>, ReconError>,
+) {
+    let trials = 5u64;
+    let mut bytes = Vec::new();
+    for t in 0..trials {
+        let mut rng = Xoshiro256::new(n as u64 * seed_stride + t);
+        let base = Graph::gnp(n, p, &mut rng);
+        let alice = base.perturb(d / 2, &mut rng);
+        let bob = base.perturb(d - d / 2, &mut rng);
+        match reconcile(&alice, &bob, t) {
+            Ok(outcome) if outcome.recovered.num_edges() == alice.num_edges() => {
+                bytes.push(outcome.stats.total_bytes())
+            }
+            _ => {}
+        }
+    }
+    bytes.sort_unstable();
+    let (ok, median) = (bytes.len(), bytes.get(bytes.len() / 2).copied().unwrap_or(0));
+    println!("{scheme:>22} {n:>6} {p:>8.2} {d:>6} {ok:>8}/{trials} {median:>14}");
 }
 
 /// E-4.1 / E-4.3: general graphs.
@@ -350,12 +295,8 @@ fn general_graphs() {
         let (result, stats) = general::reconcile_exhaustive(&alice, &base, d, 5);
         let ms = start.elapsed().as_secs_f64() * 1e3;
         let ok = result.map(|g| g.is_isomorphic_bruteforce(&alice)).unwrap_or(false);
-        println!(
-            "{:>4} {:>14} {:>12.2}   recovered isomorphic copy: {ok}",
-            d,
-            stats.total_bytes(),
-            ms
-        );
+        let bytes = stats.total_bytes();
+        println!("{d:>4} {bytes:>14} {ms:>12.2}   recovered isomorphic copy: {ok}");
     }
     println!(
         "\npaper's claim: O(d log n) bits but exponential time — the reason Section 5 exists."
@@ -375,16 +316,10 @@ fn forest_scaling() {
             let bound_sigma = alice.max_depth().max(bob.max_depth()).max(1);
             let start = Instant::now();
             match forest::reconcile(&alice, &bob, d, bound_sigma, 7) {
-                Ok(recon_protocol::Outcome { recovered, stats }) => {
+                Ok(Outcome { recovered, stats }) => {
                     let ms = start.elapsed().as_secs_f64() * 1e3;
-                    println!(
-                        "{:>6} {:>8} {:>12} {:>10.2} {:>12}",
-                        d,
-                        bound_sigma,
-                        stats.total_bytes(),
-                        ms,
-                        recovered.is_isomorphic(&alice, 7)
-                    );
+                    let (bytes, iso) = (stats.total_bytes(), recovered.is_isomorphic(&alice, 7));
+                    println!("{d:>6} {bound_sigma:>8} {bytes:>12} {ms:>10.2} {iso:>12}");
                 }
                 Err(e) => println!("{d:>6} {bound_sigma:>8}   FAILED: {e}"),
             }

@@ -7,8 +7,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod perf;
-
 use recon_apps::database::BinaryTable;
 use recon_base::rng::Xoshiro256;
 use std::collections::HashSet;

@@ -8,21 +8,15 @@
 //! warm-up followed by a fixed measurement window and prints the mean iteration
 //! time.
 //!
-//! Passing `--smoke` after `--` (`cargo bench -p recon-bench --bench iblt --
+//! Passing `--smoke` after `--` (`cargo bench -p recon-bench --bench charpoly --
 //! --smoke`) shrinks the measurement window to a few milliseconds and caps the
 //! iteration count, so CI can execute every benchmark body end to end as a
 //! regression smoke test without paying full measurement time.
-//!
-//! Passing `--json <path>` additionally writes a machine-readable report of
-//! every measurement (benchmark id, mean nanoseconds per iteration, iteration
-//! count, and whether smoke mode was active) when the run finishes — the input
-//! of the workspace's `bench-check` perf-regression gate. The file is written
-//! by the `criterion_main!`-generated `main` after all groups have run.
 
 #![forbid(unsafe_code)]
 
 use std::fmt::Display;
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 pub use std::hint::black_box;
@@ -32,130 +26,6 @@ pub use std::hint::black_box;
 pub fn smoke_mode() -> bool {
     static SMOKE: OnceLock<bool> = OnceLock::new();
     *SMOKE.get_or_init(|| std::env::args().any(|arg| arg == "--smoke"))
-}
-
-/// The path given after `--json`, if any.
-fn json_path() -> Option<&'static str> {
-    static PATH: OnceLock<Option<String>> = OnceLock::new();
-    PATH.get_or_init(|| {
-        let mut args = std::env::args();
-        while let Some(arg) = args.next() {
-            if arg == "--json" {
-                return args.next();
-            }
-        }
-        None
-    })
-    .as_deref()
-}
-
-/// One finished measurement, queued for the JSON report.
-struct JsonRecord {
-    id: String,
-    mean_ns: f64,
-    iterations: u64,
-    /// Median latency, for benches that measure a distribution (load
-    /// generators) rather than a homogeneous `iter` loop.
-    p50_ns: Option<f64>,
-    /// 99th-percentile latency, same provenance as `p50_ns`.
-    p99_ns: Option<f64>,
-}
-
-fn json_records() -> &'static Mutex<Vec<JsonRecord>> {
-    static RECORDS: OnceLock<Mutex<Vec<JsonRecord>>> = OnceLock::new();
-    RECORDS.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Serialize the queued measurements to the canonical report format.
-fn render_json(records: &[JsonRecord], smoke: bool) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": 1,\n");
-    out.push_str(&format!("  \"mode\": \"{}\",\n", if smoke { "smoke" } else { "full" }));
-    out.push_str("  \"benches\": [\n");
-    for (i, record) in records.iter().enumerate() {
-        let mut fields = format!(
-            "\"id\": \"{}\", \"mean_ns\": {:.3}, \"iters\": {}",
-            escape_json(&record.id),
-            record.mean_ns,
-            record.iterations,
-        );
-        if let Some(p50) = record.p50_ns {
-            fields.push_str(&format!(", \"p50_ns\": {p50:.3}"));
-        }
-        if let Some(p99) = record.p99_ns {
-            fields.push_str(&format!(", \"p99_ns\": {p99:.3}"));
-        }
-        out.push_str(&format!(
-            "    {{{fields}}}{}\n",
-            if i + 1 == records.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Write the JSON report if `--json <path>` was given. Called by the
-/// `criterion_main!`-generated `main` once every group has run; harmless to
-/// call when no path was requested.
-#[doc(hidden)]
-pub fn write_json_report() {
-    let Some(path) = json_path() else { return };
-    let records = json_records().lock().expect("bench report lock");
-    let body = render_json(&records, smoke_mode());
-    if let Err(error) = std::fs::write(path, body) {
-        eprintln!("failed to write bench JSON to {path}: {error}");
-        std::process::exit(2);
-    }
-    println!("wrote {} bench measurements to {path}", records.len());
-}
-
-/// Record an externally measured result into the report, alongside the
-/// `iter`-driven measurements.
-///
-/// Benchmarks that drive their own measurement loop — a load generator timing
-/// thousands of concurrent sessions, say — compute a latency *distribution*
-/// that a mean alone misrepresents. They call this with the mean plus optional
-/// p50/p99 nanosecond latencies; the percentiles flow into the `--json` report
-/// as optional fields and through the `bench-check` baseline comparison.
-pub fn record_measurement(
-    id: &str,
-    mean_ns: f64,
-    iterations: u64,
-    p50_ns: Option<f64>,
-    p99_ns: Option<f64>,
-) {
-    let tail = match (p50_ns, p99_ns) {
-        (Some(p50), Some(p99)) => format!("  p50 {:.2?} p99 {:.2?}", ns(p50), ns(p99)),
-        (Some(p50), None) => format!("  p50 {:.2?}", ns(p50)),
-        (None, Some(p99)) => format!("  p99 {:.2?}", ns(p99)),
-        (None, None) => String::new(),
-    };
-    println!("{id:<60} {:>12.2?} / iter  ({iterations} iters){tail}", ns(mean_ns));
-    json_records().lock().expect("bench report lock").push(JsonRecord {
-        id: id.to_string(),
-        mean_ns,
-        iterations,
-        p50_ns,
-        p99_ns,
-    });
-}
-
-fn ns(nanos: f64) -> Duration {
-    Duration::from_nanos(nanos.max(0.0) as u64)
 }
 
 /// Identifier of one benchmark within a group.
@@ -225,14 +95,7 @@ fn run_one(label: &str, f: &mut dyn FnMut(&mut Bencher)) {
     f(&mut bencher);
     match bencher.mean {
         Some(mean) => {
-            println!("{label:<60} {mean:>12.2?} / iter  ({} iters)", bencher.iterations);
-            json_records().lock().expect("bench report lock").push(JsonRecord {
-                id: label.to_string(),
-                mean_ns: mean.as_secs_f64() * 1e9,
-                iterations: bencher.iterations,
-                p50_ns: None,
-                p99_ns: None,
-            });
+            println!("{label:<60} {mean:>12.2?} / iter  ({} iters)", bencher.iterations)
         }
         None => println!("{label:<60} (no measurement: closure never called iter)"),
     }
@@ -297,14 +160,12 @@ macro_rules! criterion_group {
     };
 }
 
-/// Produce a `main` that runs the given groups (and writes the `--json` report
-/// once they finish, when one was requested).
+/// Produce a `main` that runs the given groups.
 #[macro_export]
 macro_rules! criterion_main {
     ($($group:path),+ $(,)?) => {
         fn main() {
             $( $group(); )+
-            $crate::write_json_report();
         }
     };
 }
@@ -334,37 +195,5 @@ mod tests {
     fn ids_format() {
         assert_eq!(BenchmarkId::new("a", 3).to_string(), "a/3");
         assert_eq!(BenchmarkId::from_parameter(7).to_string(), "7");
-    }
-
-    #[test]
-    fn json_report_shape_is_stable() {
-        let records = vec![
-            JsonRecord {
-                id: "group/8".into(),
-                mean_ns: 1234.5678,
-                iterations: 42,
-                p50_ns: None,
-                p99_ns: None,
-            },
-            JsonRecord {
-                id: "quo\"te".into(),
-                mean_ns: 0.25,
-                iterations: 1,
-                p50_ns: Some(0.2),
-                p99_ns: Some(1.75),
-            },
-        ];
-        let body = render_json(&records, true);
-        assert!(body.contains("\"schema\": 1"));
-        assert!(body.contains("\"mode\": \"smoke\""));
-        assert!(body.contains("{\"id\": \"group/8\", \"mean_ns\": 1234.568, \"iters\": 42},"));
-        assert!(body.contains(
-            "{\"id\": \"quo\\\"te\", \"mean_ns\": 0.250, \"iters\": 1, \
-             \"p50_ns\": 0.200, \"p99_ns\": 1.750}"
-        ));
-        assert!(body.ends_with("  ]\n}\n"));
-        let empty = render_json(&[], false);
-        assert!(empty.contains("\"mode\": \"full\""));
-        assert!(empty.contains("\"benches\": [\n  ]"));
     }
 }

@@ -120,7 +120,7 @@ impl StrataEstimator {
             // "Merging" the A-side of one estimator with the B-side of the other is
             // cellwise addition; since Side::B updates are deletions, adding the
             // signed tables leaves exactly the difference encoding.
-            mine.add_assign(theirs).expect("same geometry");
+            mine.add_assign(theirs)?;
         }
         Ok(out)
     }
@@ -167,9 +167,24 @@ impl Decode for StrataEstimator {
             return Err(WireError::Invalid("strata estimator header"));
         }
         let cfg = StrataConfig { strata, cells_per_stratum, seed };
-        let tables: Result<Vec<Iblt>, WireError> =
-            (0..strata).map(|_| <Iblt as Decode>::decode(buf)).collect();
-        Ok(StrataEstimator::with_strata(cfg, tables?))
+        // A header that matches the receiver's public configuration must not
+        // vouch for the tables under it: each stratum has to be the table
+        // `new` builds for this header, or `merge` would meet a foreign bank.
+        let iblt_cfg = cfg.iblt_config();
+        let cells = cells_per_stratum.checked_next_multiple_of(iblt_cfg.hash_count);
+        let mut tables = Vec::with_capacity(strata);
+        for _ in 0..strata {
+            let table = <Iblt as Decode>::decode(buf)?;
+            if table.key_bytes() != iblt_cfg.key_bytes
+                || table.hash_count() != iblt_cfg.hash_count
+                || table.seed() != iblt_cfg.seed
+                || Some(table.cells()) != cells
+            {
+                return Err(WireError::Invalid("strata estimator stratum geometry"));
+            }
+            tables.push(table);
+        }
+        Ok(StrataEstimator::with_strata(cfg, tables))
     }
 }
 
@@ -274,5 +289,28 @@ mod tests {
     #[test]
     fn decode_rejects_garbage() {
         assert!(StrataEstimator::from_bytes(&[1, 2, 3]).is_err());
+    }
+
+    #[test]
+    fn decode_rejects_strata_that_do_not_match_the_header() {
+        // An honest header over foreign tables: each variant used to parse and
+        // then unwind `merge` on the receiving replica.
+        let cfg = StrataConfig::default().with_seed(9);
+        let honest = StrataEstimator::new(&cfg);
+        let good = cfg.iblt_config();
+        // 42 cells: also a multiple of 2, so each variant differs in one field.
+        let cells = honest.strata[0].cells();
+        let hostile = [
+            ("cell count", Iblt::with_cells(2 * cells, &good)),
+            ("key width", Iblt::with_cells(cells, &IbltConfig { key_bytes: 4, ..good })),
+            ("seed", Iblt::with_cells(cells, &good.with_seed(good.seed ^ 1))),
+            ("hash count", Iblt::with_cells(cells, &good.with_hash_count(2))),
+        ];
+        for (what, table) in hostile {
+            let forged = StrataEstimator::with_strata(cfg, vec![table; cfg.strata]);
+            let parsed = StrataEstimator::from_bytes(&forged.to_bytes());
+            assert!(parsed.is_err(), "a stratum with the wrong {what} parsed");
+        }
+        assert_eq!(StrataEstimator::from_bytes(&honest.to_bytes()).unwrap(), honest);
     }
 }

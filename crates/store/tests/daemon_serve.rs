@@ -3,11 +3,17 @@
 //! recovered set, `CommStats`, wire bytes — to a cold one-shot session over
 //! the same data, without ever rebuilding a digest from scratch.
 
-use recon_runtime::{Backend, ServerConfig};
+use recon_base::wire::Encode;
+use recon_base::ReconError;
+use recon_estimator::{Side, StrataConfig, StrataEstimator};
+use recon_protocol::{ControlFrame, Envelope, Party, Role, Step, CONTROL_SESSION};
+use recon_runtime::{connect_endpoint, drive_endpoint, Backend, ReactorConfig, ServerConfig};
 use recon_set::full_digest_builds;
 use recon_set::session::{iblt_known_alice, iblt_known_bob};
+use recon_store::control::{ReconcileReq, ReconcileResp, OP_CLOSE, OP_ERROR, OP_RECONCILE};
 use recon_store::{MemoryBackend, SketchStore, StoreClient, StoreConfig, StoreDaemon};
-use std::collections::HashSet;
+use std::collections::{HashSet, VecDeque};
+use std::sync::{Arc, Mutex};
 
 fn daemon_config() -> StoreConfig {
     StoreConfig::default().with_seed(0xDAE0).with_ladder(vec![16, 64, 256])
@@ -151,6 +157,100 @@ fn bad_requests_then_many_clients(daemon: StoreDaemon<MemoryBackend>) {
 
     let (stats, _) = daemon.shutdown();
     assert_eq!(stats.served(), 5, "{stats:?}");
+    assert_eq!(stats.failed, 0, "{stats:?}");
+}
+
+/// Client half of the control session with the request bytes in the test's
+/// hands — what [`StoreClient`] keeps private.
+#[derive(Default)]
+struct RawControl {
+    outbox: VecDeque<Envelope>,
+    inbox: Vec<ControlFrame>,
+}
+
+struct RawControlParty(Arc<Mutex<RawControl>>);
+
+impl Party for RawControlParty {
+    type Output = ();
+
+    fn poll_send(&mut self) -> Option<Envelope> {
+        self.0.lock().unwrap().outbox.pop_front()
+    }
+
+    fn handle(&mut self, envelope: Envelope) -> Result<Step<()>, ReconError> {
+        let frame = ControlFrame::from_envelope(&envelope)?;
+        let closing = frame.op == OP_CLOSE;
+        self.0.lock().unwrap().inbox.push(frame);
+        Ok(if closing { Step::Done(()) } else { Step::Continue })
+    }
+}
+
+#[test]
+fn hostile_strata_estimator_is_refused_and_the_connection_lives_on() {
+    // One worker: if the hostile request unwound it, nothing below is served.
+    let store = SketchStore::open(MemoryBackend::new(), daemon_config()).unwrap();
+    let daemon = StoreDaemon::bind("127.0.0.1:0", store, 1).unwrap();
+    let mut setup = StoreClient::connect(daemon.local_addr()).unwrap();
+    let params = setup.open("shared").unwrap();
+    let keys: HashSet<u64> = (0..800u64).collect();
+    setup.insert("shared", &keys.iter().copied().collect::<Vec<_>>()).unwrap();
+    let local: HashSet<u64> = keys.iter().copied().skip(5).collect();
+
+    // The replica's public strata header over tables of twice the cells: the
+    // header is 10 bytes (two one-byte varints and the seed) in both configs.
+    let cfg = params.strata_config();
+    let wide = StrataConfig { cells_per_stratum: 2 * cfg.cells_per_stratum, ..cfg };
+    let mut honest = StrataEstimator::new(&cfg);
+    honest.update_all(local.iter().copied(), Side::B);
+    let request = |session, estimator| ReconcileReq {
+        name: "shared".to_string(),
+        session,
+        d_bound: None,
+        estimator: Some(estimator),
+    };
+    let mut hostile = request(1, honest.clone()).to_bytes();
+    hostile.truncate(hostile.len() - honest.serialized_len() + 10);
+    hostile.extend_from_slice(&StrataEstimator::new(&wide).to_bytes()[10..]);
+
+    let control = Arc::new(Mutex::new(RawControl::default()));
+    let mut endpoint = connect_endpoint(daemon.local_addr()).unwrap();
+    endpoint.register(CONTROL_SESSION, Role::Bob, RawControlParty(Arc::clone(&control))).unwrap();
+    let send = |frame: ControlFrame| {
+        control.lock().unwrap().outbox.push_back(frame.request_envelope("control request"))
+    };
+    let config = ReactorConfig::default();
+
+    send(ControlFrame { request_id: 1, op: OP_RECONCILE, payload: hostile });
+    drive_endpoint(&mut endpoint, &config, |_| Ok(!control.lock().unwrap().inbox.is_empty()))
+        .unwrap();
+    let refused = control.lock().unwrap().inbox.remove(0);
+    assert_eq!((refused.request_id, refused.op), (1, OP_ERROR), "{refused:?}");
+
+    // The same connection, the same opcode, an honest estimator.
+    endpoint.register(2, Role::Bob, iblt_known_bob(&local, &params.session_config())).unwrap();
+    send(ControlFrame::new(2, OP_RECONCILE, &request(2, honest)));
+    let mut outcome = None;
+    drive_endpoint(&mut endpoint, &config, |endpoint| {
+        outcome = outcome.take().or_else(|| endpoint.take_outcome::<HashSet<u64>>(2));
+        Ok(outcome.is_some() && !control.lock().unwrap().inbox.is_empty())
+    })
+    .unwrap();
+    assert_eq!(outcome.unwrap().unwrap().recovered, keys);
+    let served = control.lock().unwrap().inbox.remove(0);
+    assert_eq!(served.op, OP_RECONCILE, "{served:?}");
+    assert_eq!(served.decode_payload::<ReconcileResp>().unwrap().session, 2);
+
+    send(ControlFrame::new(3, OP_CLOSE, &()));
+    drive_endpoint(&mut endpoint, &config, |endpoint| {
+        Ok(endpoint.take_outcome::<()>(CONTROL_SESSION).is_some())
+    })
+    .unwrap();
+    drop(endpoint);
+
+    assert_eq!(setup.stat("shared").unwrap().cardinality, 800);
+    setup.close().unwrap();
+    let (stats, _) = daemon.shutdown();
+    assert_eq!(stats.served(), 2, "{stats:?}");
     assert_eq!(stats.failed, 0, "{stats:?}");
 }
 

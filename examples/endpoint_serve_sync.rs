@@ -29,9 +29,6 @@
 //! the process serves any number of concurrent clients. Clients run the same
 //! machinery single-connection via [`drive_endpoint`].
 //!
-//! The pre-reactor blocking path is kept for comparison as `--serve-blocking`
-//! / `--sync-blocking` (single connection, sleep-backoff polling).
-//!
 //! [`Server`]: recon_runtime::Server
 //! [`Reactor`]: recon_runtime::Reactor
 //! [`drive_endpoint`]: recon_runtime::drive_endpoint
@@ -40,12 +37,10 @@ use recon_apps::BinaryTable;
 use recon_base::rng::Xoshiro256;
 use recon_base::{CommStats, ReconError};
 use recon_protocol::{
-    Amplification, Endpoint, Outcome, Role, SessionBuilder, SessionId, ShardedRunner,
-    StreamTransport, Transport,
+    Amplification, Outcome, Role, SessionBuilder, SessionId, ShardedRunner, Transport,
 };
 use recon_runtime::{drive_endpoint, ConnId, ReactorConfig, Server, ServerConfig, TcpService};
 use recon_sos::{session as sos_session, sharded, SetOfSets, SosParams};
-use std::net::{TcpListener, TcpStream};
 use std::sync::mpsc;
 use std::time::Duration;
 
@@ -110,19 +105,9 @@ fn bob_party(
     sos_session::naive_known_bob(&shards[shard], &params[shard], Amplification::replicate(4))
 }
 
-fn nonblocking_transport(stream: TcpStream) -> StreamTransport<TcpStream, TcpStream> {
-    stream.set_nonblocking(true).expect("set_nonblocking");
-    let reader = stream.try_clone().expect("clone stream");
-    StreamTransport::new(reader, stream)
-}
-
 fn reactor_config() -> ReactorConfig {
     ReactorConfig { session_deadline: Some(Duration::from_secs(60)), ..ReactorConfig::default() }
 }
-
-// ---------------------------------------------------------------------------
-// Reactor path
-// ---------------------------------------------------------------------------
 
 /// The server side of every connection: `SHARDS` Alice sessions built from the
 /// authoritative table. One instance per worker reactor.
@@ -294,105 +279,6 @@ fn self_drive() {
     );
 }
 
-// ---------------------------------------------------------------------------
-// Blocking comparison path (the pre-reactor PR-2 implementation)
-// ---------------------------------------------------------------------------
-
-/// Both sides of the blocking path derive the demo tables from the shared
-/// seed, exactly as before the reactor port.
-fn blocking_tables() -> (BinaryTable, BinaryTable) {
-    let mut rng = Xoshiro256::new(SHARED_SEED);
-    let server = BinaryTable::random(ROWS, COLUMNS, 0.5, &mut rng);
-    let client = server.flip_bits(D, &mut rng);
-    (server, client)
-}
-
-/// The blocking server: accept one client and hand-pump every shard session
-/// with sleep backoff until the client has retired them all.
-fn serve_blocking(listener: TcpListener) {
-    let (server_table, _) = blocking_tables();
-    let (stream, peer) = listener.accept().expect("accept client");
-    eprintln!("[serve-blocking] client connected from {peer}");
-    let mut endpoint = Endpoint::new(nonblocking_transport(stream));
-
-    let (shards, params) = shard_setup(&server_table);
-    for shard in 0..SHARDS {
-        endpoint
-            .register(shard as SessionId, Role::Alice, alice_party(&shards, &params, shard))
-            .expect("register");
-    }
-
-    while endpoint.registered_sessions() > 0 {
-        let progressed = match endpoint.poll() {
-            Ok(progressed) => progressed,
-            // The client disconnects as soon as its recoveries are complete;
-            // anything after that is expected shutdown skew.
-            Err(e) => {
-                let all_finished =
-                    (0..SHARDS as SessionId).all(|id| endpoint.is_finished(id) != Some(false));
-                assert!(all_finished, "client failed mid-sync: {e}");
-                true
-            }
-        };
-        for id in 0..SHARDS as SessionId {
-            if endpoint.is_finished(id) == Some(true) {
-                let stats = endpoint.close(id).expect("registered");
-                eprintln!("[serve-blocking] shard {id} served: {stats}");
-            }
-        }
-        if endpoint.registered_sessions() > 0 && !progressed {
-            std::thread::sleep(Duration::from_micros(300));
-        }
-    }
-    eprintln!("[serve-blocking] all {SHARDS} shard sessions served over one connection");
-}
-
-/// The blocking client: sleep-backoff polling, single connection.
-fn sync_blocking(address: &str) {
-    let stream = TcpStream::connect(address).expect("connect (is --serve-blocking running?)");
-    let (server_table, client_table) = blocking_tables();
-    let mut endpoint = Endpoint::new(nonblocking_transport(stream));
-
-    let (shards, params) = shard_setup(&client_table);
-    for shard in 0..SHARDS {
-        endpoint
-            .register(shard as SessionId, Role::Bob, bob_party(&shards, &params, shard))
-            .expect("register");
-    }
-
-    let mut recovered_shards: Vec<Option<Outcome<SetOfSets>>> = (0..SHARDS).map(|_| None).collect();
-    while recovered_shards.iter().any(Option::is_none) {
-        let progressed = endpoint.poll().expect("sync poll");
-        for (shard, slot) in recovered_shards.iter_mut().enumerate() {
-            if slot.is_none() {
-                if let Some(outcome) = endpoint.take_outcome::<SetOfSets>(shard as SessionId) {
-                    *slot = Some(outcome.expect("shard session"));
-                }
-            }
-        }
-        if recovered_shards.iter().any(Option::is_none) && !progressed {
-            assert!(!endpoint.transport().is_closed(), "server closed mid-sync");
-            std::thread::sleep(Duration::from_micros(300));
-        }
-    }
-    let _ = endpoint.transport_mut().flush();
-
-    let outcomes: Vec<_> = recovered_shards.into_iter().map(Option::unwrap).collect();
-    let per_shard: Vec<_> = outcomes.iter().map(|o| o.stats).collect();
-    let merged = ShardedRunner::merge_stats(&per_shard);
-    let children =
-        outcomes.into_iter().flat_map(|o| o.recovered.children().to_vec()).collect::<Vec<_>>();
-    let recovered =
-        BinaryTable::from_set_of_sets(COLUMNS, SetOfSets::from_children(children)).expect("table");
-    assert_eq!(recovered, server_table, "client must recover the server's table exactly");
-
-    let framed = endpoint.transport().bytes_framed_out() + endpoint.transport().bytes_framed_in();
-    println!(
-        "blocking path: synced {ROWS}x{COLUMNS} table ({D} flipped bits) in {SHARDS} shard \
-         sessions; merged {merged}; {framed} framed bytes on the wire"
-    );
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     match args.get(1).map(String::as_str) {
@@ -406,14 +292,6 @@ fn main() {
             let client = args.get(3).and_then(|n| n.parse().ok()).unwrap_or(0);
             let per_shard = sync_reactor(address, client);
             println!("client {client}: {}", ShardedRunner::merge_stats(&per_shard));
-        }
-        Some("--serve-blocking") => {
-            let address = args.get(2).map(String::as_str).unwrap_or("127.0.0.1:7171");
-            serve_blocking(TcpListener::bind(address).expect("bind"));
-        }
-        Some("--sync-blocking") => {
-            let address = args.get(2).map(String::as_str).unwrap_or("127.0.0.1:7171");
-            sync_blocking(address);
         }
         _ => self_drive(),
     }
