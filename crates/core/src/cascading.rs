@@ -8,9 +8,38 @@
 //! child IBLTs with `O(2^i)` cells but an outer table with only `O(d / 2^i)` cells.
 //! Children with small differences are recovered at the cheap early levels and
 //! *deleted* from the later tables, so each level only has to carry the children
-//! whose differences are too large for the previous levels. If `d ≥ h` a final table
-//! `T_*` of full fixed-width child encodings catches the stragglers. Communication
+//! whose differences are too large for the previous levels. A final table `T_*` of
+//! full fixed-width child encodings catches the stragglers. Communication
 //! drops to `O(d log min(d, h) log u + d log s)` bits, still in one round.
+//!
+//! # Which levels are sent
+//!
+//! The digest carries a *cut* `first ..= last` of the paper's levels `1 … t`, the
+//! ones that pay for themselves, and `T_*` for what the cut leaves out.
+//!
+//! * A level-`ℓ` child table has `c_ℓ = max(8, 2·2^ℓ)` cells, so levels 1 and 2
+//!   are the same 8-cell sketch: the cascade **starts** at `first = 2`, the
+//!   deepest level still at that floor. Its outer table is sized for all `≤ 2d`
+//!   differing encodings and is where Bob learns his own differing children
+//!   `D_B`; a level `ℓ` above it is sized for `2d >> (ℓ − 1)`, as in the paper.
+//! * A level-`ℓ` child encoding is `19 + 24·c_ℓ` bytes (11 header, 24 per cell,
+//!   the 8-byte child hash) against `2 + 8h` for the child written out in
+//!   `T_*`. A level pays for itself only while
+//!   `19 + 24·c_ℓ < 2 + 8h`; the cascade **ends** at the deepest `last ≤ t` for
+//!   which that holds (never below `first`, so one level always remains).
+//! * `T_*` is present whenever `d ≥ h` or the cut dropped a level above `last`,
+//!   sized for the `2d >> last` encodings the first dropped level would have
+//!   been sized for. It is load-bearing: a child with more changes than the
+//!   last level's table holds, or whose child table did not peel, is recovered
+//!   from `T_*` alone.
+//!
+//! At `h = 32` (`T_*` key 258 B) level 3 would ship 403-byte keys, so `d = 64`
+//! sends level 2 (284 cells × 227 B) and `T_*` (72 cells × 274 B). At `h = 128`
+//! (1026 B) levels 2–4 pay (211, 403, 787 B), level 5 (1555 B) does not:
+//! `d = 128` sends levels 2–4 and `T_*`. At `h = 200` (1602 B), `d = 256` sends
+//! levels 2–5 and `T_*`. Every level sent doubles the one below, so all child
+//! tables share one seed and each is the half-fold of the next
+//! ([`Iblt::fold_half_into`]): both sides walk each child once.
 
 use crate::iblt_of_iblts::IbltOfIbltsProtocol;
 use crate::session;
@@ -20,16 +49,19 @@ use recon_base::ReconError;
 use recon_iblt::{Iblt, IbltConfig};
 use recon_protocol::{Amplification, SessionBuilder};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::ops::RangeInclusive;
 
 /// Alice's one-round message: the cascade of outer tables.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CascadingDigest {
     /// The total element-difference bound `d` the cascade was sized for.
     pub diff_bound: usize,
-    /// Outer tables `T_1, …, T_t`; level `i` (1-based) carries child IBLTs with
-    /// `O(2^i)` cells.
+    /// The outer tables of the levels sent (see the module's "Which levels are
+    /// sent"), lowest first; each level's child IBLTs have twice the cells of
+    /// the one before.
     pub levels: Vec<Iblt>,
-    /// The fallback table `T_*` of full child encodings, present when `d ≥ h`.
+    /// The table `T_*` of full child encodings, present when `d ≥ h` or the cut
+    /// dropped a level.
     pub fallback: Option<Iblt>,
     /// Hash of Alice's whole parent set, for end-to-end verification.
     pub parent_hash: u64,
@@ -71,15 +103,15 @@ impl CascadingProtocol {
         Self { params }
     }
 
-    /// Number of cascade levels for a difference bound `d`:
+    /// The paper's level count for a difference bound `d`:
     /// `t = max(1, ceil(log₂ min(d, h)))`.
     pub fn num_levels(&self, d: usize) -> usize {
         let cap = d.min(self.params.max_child_size).max(2);
         (usize::BITS - (cap - 1).leading_zeros()) as usize
     }
 
-    /// `true` if the cascade needs the fallback table `T_*` (the levels stop at `h`
-    /// because `d ≥ h`).
+    /// `true` if the paper's cascade needs the fallback table `T_*` (its levels
+    /// stop at `h` because `d ≥ h`).
     pub fn needs_fallback(&self, d: usize) -> bool {
         d >= self.params.max_child_size
     }
@@ -93,20 +125,33 @@ impl CascadingProtocol {
         Self::child_sizing().cells_for(1usize << level)
     }
 
-    /// Level `level`'s child-table configuration. A level whose child table has
-    /// twice the cells of the level below shares that level's seed, so the
-    /// smaller table is the half-fold of the larger ([`Iblt::fold_half_into`])
-    /// and a *doubling chain* of levels costs one fill per child. The chain is
-    /// seeded by its lowest level, which no choice of `t` moves; consecutive
-    /// levels of equal size (1 and 2) stay independent.
-    fn child_config(&self, level: usize) -> IbltConfig {
-        let mut lowest = level;
-        while lowest > 1
-            && Self::level_child_cells(lowest) == 2 * Self::level_child_cells(lowest - 1)
-        {
-            lowest -= 1;
+    /// The first level sent: the deepest whose child table is still at the
+    /// floor of [`Self::child_sizing`], so every level from here doubles.
+    fn first_level() -> usize {
+        let floor = Self::level_child_cells(1);
+        (1..).take_while(|&level| Self::level_child_cells(level) == floor).count()
+    }
+
+    /// What is sent for bound `d` (the module's "Which levels are sent"): the
+    /// levels, and whether `T_*` goes with them.
+    fn cut(&self, d: usize) -> (RangeInclusive<usize>, bool) {
+        let (first, t) = (Self::first_level(), self.num_levels(d));
+        let full_encoding = self.fallback_config().key_bytes;
+        let mut last = first;
+        while last < t && Self::level_encoding_bytes(last + 1) < full_encoding {
+            last += 1;
         }
-        Self::child_sizing().with_seed(self.params.role_seed(0xC100 + lowest as u64))
+        (first..=last, self.needs_fallback(d) || last < t)
+    }
+
+    /// Empty child tables for the first `levels` levels sent, lowest first, all
+    /// under one seed: the table at `m` cells is the half-fold of the one at `2m`.
+    fn child_tables(&self, levels: usize) -> Vec<Iblt> {
+        let cfg = Self::child_sizing().with_seed(self.params.role_seed(0xC100));
+        (Self::first_level()..)
+            .take(levels)
+            .map(|level| Iblt::with_cells(Self::level_child_cells(level), &cfg))
+            .collect()
     }
 
     fn level_encoding_bytes(level: usize) -> usize {
@@ -148,9 +193,9 @@ impl CascadingProtocol {
         Self::encode_level_into(scratch, hash, out);
     }
 
-    /// The `O(s)` pass both sides make, child-major: each child is walked once
-    /// per doubling chain — the top walk also folds its hash — the chain's
-    /// lower levels are folded down from the table above, and `apply`
+    /// The `O(s)` pass both sides make, child-major: each child is walked once,
+    /// into the top level's child table — the walk also folds its hash — every
+    /// lower level is the half-fold of the table above, and `apply`
     /// ([`Iblt::insert`] for Alice, [`Iblt::delete`] for Bob) takes each level's
     /// encoding into that level's outer table and the full encoding into `T_*`.
     /// Returns the child hashes and the per-level child tables, for reuse.
@@ -161,12 +206,8 @@ impl CascadingProtocol {
         mut fallback: Option<&mut Iblt>,
         apply: fn(&mut Iblt, &[u8]),
     ) -> (Vec<u64>, Vec<Iblt>) {
-        let mut scratch: Vec<Iblt> = (1..=levels.len())
-            .map(|level| {
-                Iblt::with_cells(Self::level_child_cells(level), &self.child_config(level))
-            })
-            .collect();
-        let mut encoding = Vec::with_capacity(Self::level_encoding_bytes(levels.len()));
+        let mut scratch = self.child_tables(levels.len());
+        let mut encoding = Vec::new();
         let mut hashes = Vec::with_capacity(sos.num_children());
         let h = self.params.max_child_size;
         for child in sos.children() {
@@ -179,12 +220,7 @@ impl CascadingProtocol {
             }));
             let mut above: &Iblt = top;
             for table in lower.iter_mut().rev() {
-                if table.seed() == above.seed() {
-                    above.fold_half_into(table).expect("a chain's tables halve");
-                } else {
-                    table.clear();
-                    table.insert_u64s(child.iter().copied());
-                }
+                above.fold_half_into(table).expect("each level's child table halves the next");
                 above = table;
             }
             let hash = hasher.finish();
@@ -201,18 +237,19 @@ impl CascadingProtocol {
         (hashes, scratch)
     }
 
-    /// The empty cascade for bound `d`: outer table `T_i` with `O(d / 2^i)` cells,
-    /// the first sized for all `≤ 2d` differing encodings, and `T_*` when `d ≥ h`.
+    /// The empty cascade for bound `d`: the first level's outer table sized for
+    /// all `≤ 2d` differing encodings, level `ℓ` above it for `2d >> (ℓ − 1)`,
+    /// and `T_*` for the `2d >> last` the first level not sent would have held.
     fn empty_tables(&self, d: usize) -> (Vec<Iblt>, Option<Iblt>) {
-        let levels = (1..=self.num_levels(d)).map(|level| {
-            let expected = ((2 * d) >> (level - 1)).max(4);
-            Iblt::with_expected_diff(expected, &self.level_outer_config(level))
+        let (levels, fallback) = self.cut(d);
+        let (first, last) = (*levels.start(), *levels.end());
+        let tables = levels.map(|level| {
+            let shift = if level == first { 0 } else { level - 1 };
+            Iblt::with_expected_diff(((2 * d) >> shift).max(4), &self.level_outer_config(level))
         });
-        let expected = (2 * d / self.params.max_child_size).max(4);
-        let fallback = self
-            .needs_fallback(d)
-            .then(|| Iblt::with_expected_diff(expected, &self.fallback_config()));
-        (levels.collect(), fallback)
+        let fallback = fallback
+            .then(|| Iblt::with_expected_diff(((2 * d) >> last).max(4), &self.fallback_config()));
+        (tables.collect(), fallback)
     }
 
     /// Alice's side: build the cascade digest for total element-difference bound `d`.
@@ -236,11 +273,12 @@ impl CascadingProtocol {
         local: &SetOfSets,
     ) -> Result<SetOfSets, ReconError> {
         // A peer's digest is checked against Bob's own geometry before any table
-        // is touched. Level 1 has more than `2d` cells, which bounds a peer's `d`
-        // by the frame its digest arrived in.
+        // is touched. The first level has more than `2d` cells, which bounds a
+        // peer's `d` by the frame its digest arrived in.
         let d = digest.diff_bound;
-        if digest.levels.len() != self.num_levels(d)
-            || digest.fallback.is_some() != self.needs_fallback(d)
+        let (levels, with_fallback) = self.cut(d);
+        if digest.levels.len() != levels.count()
+            || digest.fallback.is_some() != with_fallback
             || !(1..digest.levels[0].cells()).contains(&d)
         {
             return Err(ReconError::InvalidInput("cascade digest of another shape".to_string()));
@@ -252,16 +290,17 @@ impl CascadingProtocol {
         for (mine, theirs) in tables.iter_mut().chain(&mut fallback).zip(peer) {
             mine.add_assign(theirs)?;
         }
-        // Every local child leaves every table in the one pass. Level 1 has not
-        // named D_B yet, so D_B's children leave the later tables too and are
-        // put back below (the tables are linear: same bits as skipping them).
+        // Every local child leaves every table in the one pass. The first level
+        // has not named D_B yet, so D_B's children leave the later tables too
+        // and are put back below (the tables are linear: same bits as skipping
+        // them).
         let (local_hashes, mut scratch) =
             self.apply_children(local, &mut tables, fallback.as_mut(), Iblt::delete);
         // Reversed, so that on a hash collision the earlier child overwrites.
         let local_by_hash: HashMap<u64, &ChildSet> =
             local_hashes.iter().copied().zip(local.children()).rev().collect();
 
-        // D_B: Bob's differing children, keyed by hash. Discovered at level 1.
+        // D_B: Bob's differing children, keyed by hash. Discovered at the first level.
         let mut differing_local: BTreeMap<u64, &ChildSet> = BTreeMap::new();
         // D_A: Alice's recovered children, keyed by their child hash.
         let mut recovered: BTreeMap<u64, ChildSet> = BTreeMap::new();
@@ -271,10 +310,12 @@ impl CascadingProtocol {
         // empty set, so brand-new children are recoverable once a level's child
         // IBLTs are big enough to hold them outright.
         let empty_child = ChildSet::new();
+        let h = self.params.max_child_size;
         let mut encoding = Vec::new();
+        let mut nearest: Vec<(u64, usize)> = Vec::new();
 
-        for (level, (table, scratch)) in (1..).zip(tables.iter_mut().zip(&mut scratch)) {
-            if level > 1 {
+        for (index, (table, scratch)) in tables.iter_mut().zip(&mut scratch).enumerate() {
+            if index > 0 {
                 // Algorithm 2, step i>1, keeps D_B out of the later tables.
                 for (&hash, child) in &differing_local {
                     Self::encode_child_at_level_into(child, hash, scratch, &mut encoding);
@@ -289,7 +330,7 @@ impl CascadingProtocol {
             // Partial decodes are fine mid-cascade: later levels and the fallback
             // table will catch what this level missed.
 
-            if level == 1 {
+            if index == 0 {
                 for encoding in &decoded.negative {
                     let (_, hash_b) = IbltOfIbltsProtocol::split_encoding(encoding)?;
                     if let Some(&child) = local_by_hash.get(&hash_b) {
@@ -314,9 +355,26 @@ impl CascadingProtocol {
                     continue;
                 }
                 pending.insert(hash_a);
-                for (child_b, table_b) in &candidates {
-                    let Ok(mut diff_table) = table_a.subtract(table_b) else { continue };
-                    let peeled = diff_table.decode_in_place();
+                // Nearest candidate first, and none a table of this size cannot
+                // peel against: a peel recovers at most one key per cell.
+                let cells = scratch.cells() as u64;
+                nearest.clear();
+                nearest.extend(candidates.iter().enumerate().filter_map(|(at, (_, table_b))| {
+                    let bound = count_distance(&table_a, table_b);
+                    (bound <= cells).then_some((bound, at))
+                }));
+                nearest.sort_unstable();
+                for &(_, at) in &nearest {
+                    let (child_b, table_b) = &candidates[at];
+                    // `scratch` is free again: the difference is peeled in it.
+                    scratch.clear();
+                    let difference = scratch
+                        .add_assign(&table_a)
+                        .and_then(|()| scratch.subtract_assign(table_b));
+                    if difference.is_err() {
+                        break; // not a child table of this level's geometry
+                    }
+                    let peeled = scratch.decode_in_place();
                     if !peeled.complete {
                         continue;
                     }
@@ -327,7 +385,11 @@ impl CascadingProtocol {
                     for x in peeled.positive_u64() {
                         candidate.insert(x);
                     }
-                    if SetOfSets::child_hash(&candidate, self.params.seed) == hash_a {
+                    // More than `h` elements is no child of these parameters
+                    // (and has no fixed encoding to take out of `T_*`).
+                    if candidate.len() <= h
+                        && SetOfSets::child_hash(&candidate, self.params.seed) == hash_a
+                    {
                         recovered.insert(hash_a, candidate);
                         pending.remove(&hash_a);
                         break;
@@ -336,9 +398,14 @@ impl CascadingProtocol {
             }
         }
 
-        // Fallback table of full encodings, when present.
+        // `T_*`: the pass left it holding Alice's differing children less
+        // Bob's. With D_B put back and the recovered children taken out it
+        // holds only those of Alice's that no level could give.
         if let Some(table) = &mut fallback {
-            let h = self.params.max_child_size;
+            for child in differing_local.values() {
+                SetOfSets::encode_child_fixed_into(child, h, &mut encoding);
+                table.insert(&encoding);
+            }
             for child in recovered.values() {
                 SetOfSets::encode_child_fixed_into(child, h, &mut encoding);
                 table.delete(&encoding);
@@ -380,8 +447,19 @@ impl CascadingProtocol {
     }
 }
 
+/// A lower bound on the number of keys two child tables differ by, read from
+/// their count planes alone: a key of the difference moves one count of every
+/// partition by one, so no partition's `Σ |count_a − count_b|` exceeds it.
+fn count_distance(a: &Iblt, b: &Iblt) -> u64 {
+    let partition = b.cells() / b.hash_count();
+    let distance = |(of_a, of_b): (&[i64], &[i64])| {
+        of_a.iter().zip(of_b).fold(0u64, |sum, (x, y)| sum.saturating_add(x.abs_diff(*y)))
+    };
+    a.counts().chunks(partition).zip(b.counts().chunks(partition)).map(distance).max().unwrap_or(0)
+}
+
 /// Theorem 3.7 driver: one-round SSRK with known total difference bound `d`, with up
-/// to three replicated attempts (the paper's success probability is a constant 2/3,
+/// to four replicated attempts (the paper's success probability is a constant 2/3,
 /// amplified by replication against the whole-set hash). Delegates to the sans-I/O
 /// parties of [`crate::session`] driven over an in-memory link.
 pub fn run_known(
@@ -441,23 +519,23 @@ mod tests {
 
     /// The folded encodings are the ones a fill per level produces: the outer
     /// tables of the child-major digest equal those built level by level through
-    /// `encode_child_at_level_into`, from `t = 1` (no chain to fold) to `t = 7`,
-    /// without `T_*` (`d < h`) and with it.
+    /// `encode_child_at_level_into`, from one level (nothing to fold) to six,
+    /// without `T_*` and with it.
     #[test]
     fn child_major_digest_equals_the_per_level_build() {
-        for (t, h, d) in (1..=7).flat_map(|t| [(t, 200, 1 << t), (t, 1 << t, 256)]) {
-            let p = SosParams::new(0xF01D + t as u64, h);
+        let shapes =
+            [(24, 4, 1), (32, 64, 1), (128, 8, 2), (128, 17, 3), (200, 256, 4), (1000, 2000, 6)];
+        for (h, d, levels) in shapes {
+            let p = SosParams::new(0xF01D + h as u64, h);
             let protocol = CascadingProtocol::new(p);
             let w = WorkloadParams::new(12, h.min(24), 1 << 30);
-            let (alice, _) = generate_pair(&w, 0, t as u64);
+            let (alice, _) = generate_pair(&w, 0, d as u64);
             let digest = protocol.digest(&alice, d);
-            assert_eq!((digest.levels.len(), digest.fallback.is_some()), (t, d >= h));
+            assert_eq!(digest.levels.len(), levels, "h = {h}, d = {d}");
             assert_eq!(digest.parent_hash, alice.parent_hash(p.seed));
             let (mut want, _) = protocol.empty_tables(d);
             let mut encoding = Vec::new();
-            for (level, want) in (1..).zip(&mut want) {
-                let cells = CascadingProtocol::level_child_cells(level);
-                let mut scratch = Iblt::with_cells(cells, &protocol.child_config(level));
+            for (want, mut scratch) in want.iter_mut().zip(protocol.child_tables(levels)) {
                 for child in alice.children() {
                     let hash = SetOfSets::child_hash(child, p.seed);
                     CascadingProtocol::encode_child_at_level_into(
@@ -469,7 +547,7 @@ mod tests {
                     want.insert(&encoding);
                 }
             }
-            assert_eq!(digest.levels, want, "t = {t}, h = {h}");
+            assert_eq!(digest.levels, want, "h = {h}, d = {d}");
         }
     }
 

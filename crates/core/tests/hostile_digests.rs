@@ -41,11 +41,13 @@ fn assert_refused<T: std::fmt::Debug>(result: Result<T, ReconError>, what: &str)
 
 #[test]
 fn cascade_refuses_tables_of_another_geometry() {
-    let (alice, bob, params) = instance();
-    let protocol = CascadingProtocol::new(params);
-    // d = 64 >= h: five levels and T_*.
-    let honest = protocol.digest(&alice, 64);
-    assert_eq!((honest.levels.len(), honest.fallback.is_some()), (5, true));
+    // h = 128, d = 17: levels 2-4 pay for themselves, level 5 does not, so the
+    // digest carries three levels and T_*.
+    let h = 128;
+    let (alice, bob) = generate_pair(&WorkloadParams::new(48, h, 1 << 30), 6, 3);
+    let protocol = CascadingProtocol::new(SosParams::new(0xBAD, h));
+    let honest = protocol.digest(&alice, 17);
+    assert_eq!((honest.levels.len(), honest.fallback.is_some()), (3, true));
     let roundtrip = CascadingDigest::from_bytes(&honest.to_bytes()).unwrap();
     assert_eq!(protocol.reconcile(&roundtrip, &bob).unwrap(), alice);
 
@@ -74,9 +76,11 @@ fn cascade_refuses_tables_of_another_geometry() {
 fn cascade_refuses_a_level_count_or_bound_that_is_not_its_own() {
     let (alice, bob, params) = instance();
     let protocol = CascadingProtocol::new(params);
+    // h = 24: one level, with T_* once d >= 5 asks for a level that would not pay.
     let with_fallback = protocol.digest(&alice, 64);
-    let without = protocol.digest(&alice, 8);
-    assert!(without.fallback.is_none());
+    let without = protocol.digest(&alice, 4);
+    assert_eq!((with_fallback.levels.len(), with_fallback.fallback.is_some()), (1, true));
+    assert_eq!((without.levels.len(), without.fallback.is_some()), (1, false));
 
     // 45 one-cell levels: the level count must never size a `1 << level` table.
     let one_cell = Iblt::with_cells(1, &IbltConfig::for_u64_keys(0).with_hash_count(1));

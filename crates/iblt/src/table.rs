@@ -510,6 +510,12 @@ impl Iblt {
         self.bank.counts.len()
     }
 
+    /// The count plane: every cell's signed count, partition after partition
+    /// (`cells / hash_count` each), stash cells last.
+    pub fn counts(&self) -> &[i64] {
+        &self.bank.counts
+    }
+
     /// Width of the keys stored in this table, in bytes.
     pub fn key_bytes(&self) -> usize {
         self.bank.key_bytes

@@ -150,15 +150,14 @@ fn set_of_sets_digests_are_pinned() {
     let workload = WorkloadParams::new(200, 24, 1 << 30);
     let params = SosParams::new(0x505_0001, workload.max_child_size);
     let (alice, _) = generate_pair(&workload, 20, 0x505);
-    // d >= h, so the cascade carries every level plus the fallback table.
     let cascade = CascadingProtocol::new(params).digest(&alice, 32);
     assert!(cascade.fallback.is_some());
     let ioi = IbltOfIbltsProtocol::new(params).digest(&alice, 8, 12);
     let naive = NaiveProtocol::new(params).digest(&alice, 12);
     assert_pinned(&[
-        // PR 19 (child-major cascade): levels 2..t share one child seed, so the
-        // child tables' bits moved; every table size — every byte count — did not.
-        ("cascading", digest_of(&cascade), 0xE4E9_C1FF_7FC7_7832),
+        // PR 23: the cascade sends only the levels that pay for themselves (at
+        // h = 24 the one 8-cell level) plus `T_*`, all child tables under one seed.
+        ("cascading", digest_of(&cascade), 0xA576_7EFA_450B_EE6D),
         ("iblt of iblts", digest_of(&ioi), 0x72FF_1321_B751_0FB2),
         ("naive", digest_of(&naive), 0x57FF_1549_AF01_5E94),
     ]);
@@ -189,7 +188,7 @@ fn session_transcripts_are_pinned() {
     assert_eq!(recovered.num_edges(), graph_alice.num_edges());
     assert_pinned(&[
         ("set unknown-d transcript", set_hash, 0xAED5_59EC_08CE_A6DB),
-        // PR 19: the nested cascading session's child seeds, as above.
-        ("degree-order graph transcript", graph_hash, 0x5C2E_2068_52F8_384A),
+        // PR 23: the nested cascading session's cut, as above.
+        ("degree-order graph transcript", graph_hash, 0x01D4_2040_C34A_AA87),
     ]);
 }
