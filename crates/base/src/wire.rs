@@ -82,7 +82,7 @@ pub fn write_uvarint(buf: &mut Vec<u8>, mut value: u64) {
     }
 }
 
-/// Read an unsigned LEB128 varint.
+/// Read an unsigned LEB128 varint (an overflow past ten bytes or 64 bits).
 pub fn read_uvarint(buf: &mut &[u8]) -> Result<u64, WireError> {
     let mut value: u64 = 0;
     let mut shift = 0u32;
@@ -93,6 +93,9 @@ pub fn read_uvarint(buf: &mut &[u8]) -> Result<u64, WireError> {
         let Some((&byte, rest)) = buf.split_first() else {
             return Err(WireError::UnexpectedEnd);
         };
+        if i == 9 && byte > 1 {
+            return Err(WireError::VarintOverflow);
+        }
         *buf = rest;
         value |= u64::from(byte & 0x7F) << shift;
         if byte & 0x80 == 0 {
@@ -144,7 +147,6 @@ impl_fixed_int!(u8, 1);
 impl_fixed_int!(u16, 2);
 impl_fixed_int!(u32, 4);
 impl_fixed_int!(u64, 8);
-impl_fixed_int!(i64, 8);
 
 impl Encode for bool {
     fn encode(&self, buf: &mut Vec<u8>) {
@@ -335,7 +337,6 @@ mod tests {
         roundtrip(1234u16);
         roundtrip(0xDEAD_BEEFu32);
         roundtrip(u64::MAX);
-        roundtrip(-42i64);
     }
 
     #[test]
@@ -363,6 +364,9 @@ mod tests {
         let buf = [0x80u8; 11];
         let mut slice = &buf[..];
         assert_eq!(read_uvarint(&mut slice), Err(WireError::VarintOverflow));
+        // Ten bytes, but the tenth holds a 65th bit.
+        let buf = [0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02];
+        assert_eq!(read_uvarint(&mut &buf[..]), Err(WireError::VarintOverflow));
     }
 
     #[test]

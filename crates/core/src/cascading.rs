@@ -22,22 +22,28 @@
 //!   deepest level still at that floor. Its outer table is sized for all `≤ 2d`
 //!   differing encodings and is where Bob learns his own differing children
 //!   `D_B`; a level `ℓ` above it is sized for `2d >> (ℓ − 1)`, as in the paper.
-//! * A level-`ℓ` child encoding is `19 + 24·c_ℓ` bytes (11 header, 24 per cell,
-//!   the 8-byte child hash) against `2 + 8h` for the child written out in
-//!   `T_*`. A level pays for itself only while
-//!   `19 + 24·c_ℓ < 2 + 8h`; the cascade **ends** at the deepest `last ≤ t` for
-//!   which that holds (never below `first`, so one level always remains).
-//! * `T_*` is present whenever `d ≥ h` or the cut dropped a level above `last`,
-//!   sized for the `2d >> last` encodings the first dropped level would have
-//!   been sized for. It is load-bearing: a child with more changes than the
-//!   last level's table holds, or whose child table did not peel, is recovered
-//!   from `T_*` alone.
+//! * A level-`ℓ` child encoding is the child table's headerless
+//!   [key form](Iblt::write_key_form) and the 8-byte child hash: `13·c_ℓ + 8`
+//!   bytes while a count up to `h` fits a byte. The child written out in `T_*`
+//!   is `2 + 8h`. An outer cell is its key, a count byte and an 8-byte check-sum.
+//! * A level costs its outer table and buys a halving of `T_*`, which is sized
+//!   for the `2d >> last` encodings the first level not sent would have held.
+//!   The cascade **ends** at the `last ≤ t` for which the digest's tables, each
+//!   at the cell count its configuration gives it, are the fewest bytes (the
+//!   shortest cut among equals): a level whose key is narrower than the child
+//!   is still not sent when `T_*` is at its 12-cell floor already, or when half
+//!   of `T_*` is less than the level.
+//! * `T_*` is present whenever `d ≥ h` or the cut dropped a level above `last`.
+//!   It is load-bearing: a child with more changes than the last level's table
+//!   holds, or whose child table did not peel, is recovered from `T_*` alone.
 //!
-//! At `h = 32` (`T_*` key 258 B) level 3 would ship 403-byte keys, so `d = 64`
-//! sends level 2 (284 cells × 227 B) and `T_*` (72 cells × 274 B). At `h = 128`
-//! (1026 B) levels 2–4 pay (211, 403, 787 B), level 5 (1555 B) does not:
-//! `d = 128` sends levels 2–4 and `T_*`. At `h = 200` (1602 B), `d = 256` sends
-//! levels 2–5 and `T_*`. Every level sent doubles the one below, so all child
+//! At `h = 32`, `d = 64` sends level 2 (284 cells × 121 B) and `T_*` (72 cells ×
+//! 267 B): level 3 would be 72 cells × 225 B to take 36 × 267 B off `T_*`. At
+//! `h = 128`, `d = 128` sends levels 2–4 (keys of 112, 216 and 424 B) and a
+//! 36-cell `T_*`: level 5's 840-byte key is narrower than the 1026-byte child,
+//! but its 36 cells × 849 B would save 16 × 1035 B. At `h = 200`, `d = 256`
+//! sends the same levels and a 72-cell `T_*`; level 5 would be 72 × 849 B
+//! against 36 × 1611 B. Every level sent doubles the one below, so all child
 //! tables share one seed and each is the half-fold of the next
 //! ([`Iblt::fold_half_into`]): both sides walk each child once.
 
@@ -49,7 +55,6 @@ use recon_base::ReconError;
 use recon_iblt::{Iblt, IbltConfig};
 use recon_protocol::{Amplification, SessionBuilder};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::ops::RangeInclusive;
 
 /// Alice's one-round message: the cascade of outer tables.
 #[derive(Debug, Clone, PartialEq)]
@@ -90,6 +95,9 @@ impl Decode for CascadingDigest {
         })
     }
 }
+
+/// An outer table to be: its configuration and the differing encodings it is sized for.
+type Sizing = (IbltConfig, usize);
 
 /// The cascading IBLTs-of-IBLTs protocol (Algorithm 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -132,16 +140,19 @@ impl CascadingProtocol {
         (1..).take_while(|&level| Self::level_child_cells(level) == floor).count()
     }
 
-    /// What is sent for bound `d` (the module's "Which levels are sent"): the
-    /// levels, and whether `T_*` goes with them.
-    fn cut(&self, d: usize) -> (RangeInclusive<usize>, bool) {
-        let (first, t) = (Self::first_level(), self.num_levels(d));
-        let full_encoding = self.fallback_config().key_bytes;
-        let mut last = first;
-        while last < t && Self::level_encoding_bytes(last + 1) < full_encoding {
-            last += 1;
-        }
-        (first..=last, self.needs_fallback(d) || last < t)
+    /// The outer tables of a cascade for bound `d` that ends at level `last`,
+    /// each as its configuration and the number of differing encodings it is
+    /// sized for: the levels, lowest first — all `≤ 2d` at the first,
+    /// `2d >> (ℓ − 1)` above it — and `T_*`, if it goes with them.
+    fn sizing(&self, d: usize, last: usize) -> (Vec<Sizing>, Option<Sizing>) {
+        let first = Self::first_level();
+        let level = |level: usize| {
+            let shift = if level == first { 0 } else { level - 1 };
+            (self.level_outer_config(level), ((2 * d) >> shift).max(4))
+        };
+        let fallback = (self.needs_fallback(d) || last < self.num_levels(d))
+            .then(|| (self.fallback_config(), ((2 * d) >> last).max(4)));
+        ((first..=last).map(level).collect(), fallback)
     }
 
     /// Empty child tables for the first `levels` levels sent, lowest first, all
@@ -154,13 +165,14 @@ impl CascadingProtocol {
             .collect()
     }
 
-    fn level_encoding_bytes(level: usize) -> usize {
-        Self::child_sizing().serialized_len(Self::level_child_cells(level)) + 8
+    fn level_encoding_bytes(&self, level: usize) -> usize {
+        let (cells, h) = (Self::level_child_cells(level), self.params.max_child_size);
+        Self::child_sizing().key_form_len(cells, h) + 8
     }
 
     fn level_outer_config(&self, level: usize) -> IbltConfig {
         IbltConfig::for_key_bytes(
-            Self::level_encoding_bytes(level),
+            self.level_encoding_bytes(level),
             self.params.role_seed(0xC200 + level as u64),
         )
         .with_min_cells(12)
@@ -171,18 +183,11 @@ impl CascadingProtocol {
             .with_min_cells(12)
     }
 
-    /// The encoding of a child whose level table is `table`: the serialized
-    /// table, then the child's hash.
-    fn encode_level_into(table: &Iblt, hash: u64, out: &mut Vec<u8>) {
-        out.clear();
-        table.encode(out);
-        out.extend_from_slice(&hash.to_le_bytes());
-    }
-
     /// Encode one child set (whose [`SetOfSets::child_hash`] is `hash`) at the
     /// cascade level whose child table is `scratch` — the `O(d)` paths' way to
     /// the bytes [`CascadingProtocol::apply_children`] produces by folding.
     fn encode_child_at_level_into(
+        &self,
         child: &ChildSet,
         hash: u64,
         scratch: &mut Iblt,
@@ -190,7 +195,7 @@ impl CascadingProtocol {
     ) {
         scratch.clear();
         scratch.insert_u64s(child.iter().copied());
-        Self::encode_level_into(scratch, hash, out);
+        IbltOfIbltsProtocol::join_encoding(scratch, hash, self.params.max_child_size, out);
     }
 
     /// The `O(s)` pass both sides make, child-major: each child is walked once,
@@ -225,7 +230,7 @@ impl CascadingProtocol {
             }
             let hash = hasher.finish();
             for (table, outer) in scratch.iter().zip(levels.iter_mut()) {
-                Self::encode_level_into(table, hash, &mut encoding);
+                IbltOfIbltsProtocol::join_encoding(table, hash, h, &mut encoding);
                 apply(outer, &encoding);
             }
             if let Some(table) = fallback.as_deref_mut() {
@@ -237,19 +242,20 @@ impl CascadingProtocol {
         (hashes, scratch)
     }
 
-    /// The empty cascade for bound `d`: the first level's outer table sized for
-    /// all `≤ 2d` differing encodings, level `ℓ` above it for `2d >> (ℓ − 1)`,
-    /// and `T_*` for the `2d >> last` the first level not sent would have held.
+    /// The empty cascade for bound `d` (the module's "Which levels are sent"):
+    /// of the cuts `first ..= last` with `last ≤ t`, the one whose tables are
+    /// the fewest bytes — the shortest, among equals.
     fn empty_tables(&self, d: usize) -> (Vec<Iblt>, Option<Iblt>) {
-        let (levels, fallback) = self.cut(d);
-        let (first, last) = (*levels.start(), *levels.end());
-        let tables = levels.map(|level| {
-            let shift = if level == first { 0 } else { level - 1 };
-            Iblt::with_expected_diff(((2 * d) >> shift).max(4), &self.level_outer_config(level))
-        });
-        let fallback = fallback
-            .then(|| Iblt::with_expected_diff(((2 * d) >> last).max(4), &self.fallback_config()));
-        (tables.collect(), fallback)
+        let bytes = |&last: &usize| -> usize {
+            let (levels, fallback) = self.sizing(d, last);
+            let tables = levels.iter().chain(&fallback);
+            tables.map(|(cfg, diff)| cfg.serialized_len(cfg.cells_for(*diff))).sum()
+        };
+        let first = Self::first_level();
+        let last = (first..=self.num_levels(d).max(first)).min_by_key(bytes);
+        let (levels, fallback) = self.sizing(d, last.expect("the range holds `first`"));
+        let empty = |(cfg, diff): &Sizing| Iblt::with_expected_diff(*diff, cfg);
+        (levels.iter().map(empty).collect(), fallback.as_ref().map(empty))
     }
 
     /// Alice's side: build the cascade digest for total element-difference bound `d`.
@@ -274,18 +280,19 @@ impl CascadingProtocol {
     ) -> Result<SetOfSets, ReconError> {
         // A peer's digest is checked against Bob's own geometry before any table
         // is touched. The first level has more than `2d` cells, which bounds a
-        // peer's `d` by the frame its digest arrived in.
+        // peer's `d` by the frame its digest arrived in before Bob sizes his own.
         let d = digest.diff_bound;
-        let (levels, with_fallback) = self.cut(d);
-        if digest.levels.len() != levels.count()
-            || digest.fallback.is_some() != with_fallback
-            || !(1..digest.levels[0].cells()).contains(&d)
-        {
-            return Err(ReconError::InvalidInput("cascade digest of another shape".to_string()));
+        let another_shape =
+            || ReconError::InvalidInput("cascade digest of another shape".to_string());
+        if !digest.levels.first().is_some_and(|first| (1..first.cells()).contains(&d)) {
+            return Err(another_shape());
+        }
+        let (mut tables, mut fallback) = self.empty_tables(d);
+        if digest.levels.len() != tables.len() || digest.fallback.is_some() != fallback.is_some() {
+            return Err(another_shape());
         }
         // Bob's working copies start as his own empty tables: adding Alice's
         // refuses one of any other key width, seed, hash count or cell count.
-        let (mut tables, mut fallback) = self.empty_tables(d);
         let peer = digest.levels.iter().chain(&digest.fallback);
         for (mine, theirs) in tables.iter_mut().chain(&mut fallback).zip(peer) {
             mine.add_assign(theirs)?;
@@ -318,11 +325,11 @@ impl CascadingProtocol {
             if index > 0 {
                 // Algorithm 2, step i>1, keeps D_B out of the later tables.
                 for (&hash, child) in &differing_local {
-                    Self::encode_child_at_level_into(child, hash, scratch, &mut encoding);
+                    self.encode_child_at_level_into(child, hash, scratch, &mut encoding);
                     table.insert(&encoding);
                 }
                 for (&hash, child) in &recovered {
-                    Self::encode_child_at_level_into(child, hash, scratch, &mut encoding);
+                    self.encode_child_at_level_into(child, hash, scratch, &mut encoding);
                     table.delete(&encoding);
                 }
             }
@@ -332,7 +339,7 @@ impl CascadingProtocol {
 
             if index == 0 {
                 for encoding in &decoded.negative {
-                    let (_, hash_b) = IbltOfIbltsProtocol::split_encoding(encoding)?;
+                    let (_, hash_b) = IbltOfIbltsProtocol::split_encoding(scratch, h, encoding)?;
                     if let Some(&child) = local_by_hash.get(&hash_b) {
                         differing_local.insert(hash_b, child);
                     }
@@ -350,7 +357,7 @@ impl CascadingProtocol {
                 }
             }
             for encoding in &decoded.positive {
-                let (table_a, hash_a) = IbltOfIbltsProtocol::split_encoding(encoding)?;
+                let (table_a, hash_a) = IbltOfIbltsProtocol::split_encoding(scratch, h, encoding)?;
                 if recovered.contains_key(&hash_a) {
                     continue;
                 }
@@ -368,12 +375,10 @@ impl CascadingProtocol {
                     let (child_b, table_b) = &candidates[at];
                     // `scratch` is free again: the difference is peeled in it.
                     scratch.clear();
-                    let difference = scratch
+                    scratch
                         .add_assign(&table_a)
-                        .and_then(|()| scratch.subtract_assign(table_b));
-                    if difference.is_err() {
-                        break; // not a child table of this level's geometry
-                    }
+                        .and_then(|()| scratch.subtract_assign(table_b))
+                        .expect("both were made from this level's child table");
                     let peeled = scratch.decode_in_place();
                     if !peeled.complete {
                         continue;
@@ -524,7 +529,7 @@ mod tests {
     #[test]
     fn child_major_digest_equals_the_per_level_build() {
         let shapes =
-            [(24, 4, 1), (32, 64, 1), (128, 8, 2), (128, 17, 3), (200, 256, 4), (1000, 2000, 6)];
+            [(24, 4, 1), (32, 64, 1), (128, 17, 2), (200, 256, 3), (256, 128, 4), (1000, 2000, 6)];
         for (h, d, levels) in shapes {
             let p = SosParams::new(0xF01D + h as u64, h);
             let protocol = CascadingProtocol::new(p);
@@ -538,12 +543,7 @@ mod tests {
             for (want, mut scratch) in want.iter_mut().zip(protocol.child_tables(levels)) {
                 for child in alice.children() {
                     let hash = SetOfSets::child_hash(child, p.seed);
-                    CascadingProtocol::encode_child_at_level_into(
-                        child,
-                        hash,
-                        &mut scratch,
-                        &mut encoding,
-                    );
+                    protocol.encode_child_at_level_into(child, hash, &mut scratch, &mut encoding);
                     want.insert(&encoding);
                 }
             }

@@ -1,8 +1,9 @@
 //! The IBLT-of-IBLTs protocol — Algorithm 1, Theorem 3.5 (known `d`) and
 //! Corollary 3.6 (unknown `d` via repeated doubling).
 //!
-//! Each child set is encoded as a *child IBLT* with `O(d)` cells plus a short hash of
-//! the child set; these fixed-width encodings are then themselves inserted as keys
+//! Each child set is encoded as a *child IBLT* with `O(d)` cells, in its headerless
+//! [key form](Iblt::write_key_form), plus a short hash of the child set; these
+//! fixed-width encodings are then themselves inserted as keys
 //! into an *outer IBLT* sized for `d̂` differing children. Bob subtracts his own
 //! encodings, peels the outer table to learn which child encodings differ, and then
 //! decodes each of Alice's differing child IBLTs against each of his own differing
@@ -19,7 +20,7 @@ use recon_protocol::{Amplification, SessionBuilder};
 /// Alice's one-round message: the outer IBLT over child encodings.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IbltOfIbltsDigest {
-    /// Outer IBLT; each key is `serialize(child IBLT) || child hash`.
+    /// Outer IBLT; each key is `key form(child IBLT) || child hash`.
     pub outer: Iblt,
     /// The per-child difference bound `d` the child IBLTs were sized for.
     pub child_diff_bound: usize,
@@ -77,9 +78,9 @@ impl IbltOfIbltsProtocol {
         self.child_config().cells_for(d.max(1))
     }
 
-    /// Width in bytes of a child encoding (serialized child IBLT plus 8-byte hash).
+    /// Width in bytes of a child encoding (the child IBLT's key form plus 8-byte hash).
     pub fn encoding_bytes(&self, d: usize) -> usize {
-        self.child_config().serialized_len(self.child_cells(d)) + 8
+        self.child_config().key_form_len(self.child_cells(d), self.params.max_child_size) + 8
     }
 
     fn outer_config(&self, d: usize) -> IbltConfig {
@@ -101,20 +102,29 @@ impl IbltOfIbltsProtocol {
     fn encode_child_into(&self, child: &ChildSet, scratch: &mut Iblt, out: &mut Vec<u8>) {
         scratch.clear();
         scratch.insert_u64s(child.iter().copied());
-        out.clear();
-        scratch.encode(out);
-        out.extend_from_slice(&SetOfSets::child_hash(child, self.params.seed).to_le_bytes());
+        let hash = SetOfSets::child_hash(child, self.params.seed);
+        Self::join_encoding(scratch, hash, self.params.max_child_size, out);
     }
 
-    /// A child encoding taken apart again: the child table and the child hash.
-    pub(crate) fn split_encoding(encoding: &[u8]) -> Result<(Iblt, u64), ReconError> {
-        if encoding.len() < 8 {
-            return Err(ReconError::ChecksumFailure);
-        }
-        let (iblt_bytes, hash_bytes) = encoding.split_at(encoding.len() - 8);
-        let table = Iblt::from_bytes(iblt_bytes).map_err(ReconError::Wire)?;
-        let hash = u64::from_le_bytes(hash_bytes.try_into().expect("8 bytes"));
-        Ok((table, hash))
+    /// The encoding of a child of at most `h` elements whose table is `table`
+    /// and whose hash is `hash`, overwriting `out`.
+    pub(crate) fn join_encoding(table: &Iblt, hash: u64, h: usize, out: &mut Vec<u8>) {
+        out.clear();
+        table.write_key_form(h, out);
+        out.extend_from_slice(&hash.to_le_bytes());
+    }
+
+    /// A child encoding taken apart again: the child table, at the geometry of
+    /// this side's own child table `like`, and the child hash.
+    pub(crate) fn split_encoding(
+        like: &Iblt,
+        h: usize,
+        encoding: &[u8],
+    ) -> Result<(Iblt, u64), ReconError> {
+        let (form, hash) = encoding.split_last_chunk::<8>().ok_or(ReconError::ChecksumFailure)?;
+        let mut table = like.clone();
+        table.read_key_form(h, form).map_err(ReconError::Wire)?;
+        Ok((table, u64::from_le_bytes(*hash)))
     }
 
     /// Alice's side: build the digest for per-child bound `d` and differing-children
@@ -142,7 +152,7 @@ impl IbltOfIbltsProtocol {
         digest: &IbltOfIbltsDigest,
         local: &SetOfSets,
     ) -> Result<SetOfSets, ReconError> {
-        let d = digest.child_diff_bound.max(1);
+        let (d, h) = (digest.child_diff_bound.max(1), self.params.max_child_size);
         // An outer key holds a child table of at least `2d` cells, which bounds
         // a peer's `d` before any size is derived from it.
         if d > digest.outer.key_bytes() {
@@ -172,7 +182,7 @@ impl IbltOfIbltsProtocol {
         let local_by_hash = local.children_by_hash(self.params.seed);
         let mut differing_local: Vec<(u64, &ChildSet, Iblt)> = Vec::new();
         for encoding in &decoded.negative {
-            let (table_b, hash_b) = Self::split_encoding(encoding)?;
+            let (table_b, hash_b) = Self::split_encoding(&scratch, h, encoding)?;
             let child = *local_by_hash.get(&hash_b).ok_or(ReconError::ChecksumFailure)?;
             differing_local.push((hash_b, child, table_b));
         }
@@ -190,7 +200,7 @@ impl IbltOfIbltsProtocol {
         candidates.push((&empty_child, &empty_table));
         let mut recovered_children: Vec<ChildSet> = Vec::new();
         for encoding in &decoded.positive {
-            let (table_a, hash_a) = Self::split_encoding(encoding)?;
+            let (table_a, hash_a) = Self::split_encoding(&scratch, h, encoding)?;
             let mut matched = false;
             for (child_b, table_b) in &candidates {
                 let Ok(mut diff_table) = table_a.subtract(table_b) else { continue };

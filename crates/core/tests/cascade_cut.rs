@@ -20,12 +20,14 @@ fn the_cut_has_the_documented_shape_and_sizing() {
         (24, 2, 1, false),
         (24, 3, 1, false),
         (24, 4, 1, false),
-        (24, 5, 1, true), // level 3 (403 B) is wider than the 194-byte child
-        (32, 64, 1, true),
+        (24, 5, 1, true), // level 3 costs 12 × 225 B and leaves T_* at its 12-cell floor
+        (32, 64, 1, true), // level 3: 72 × 225 B to take 36 × 267 B off T_*
         (128, 8, 2, false),
-        (128, 16, 3, false),
-        (128, 17, 3, true), // level 5 (1555 B) against 1026
-        (200, 256, 4, true),
+        (128, 16, 3, false), // d < h: the levels reach t and T_* goes
+        (128, 17, 2, true),  // T_* is at the floor from level 3 on
+        (128, 128, 3, true), // level 5's key is narrower than the child, 840 B < 1026, and does not pay
+        (200, 256, 3, true),
+        (256, 128, 4, true),
         (4, 64, 1, true), // d >= h with nothing dropped
     ];
     let sos = SetOfSets::from_children([ChildSet::from([1, 2, 3]), ChildSet::from([4])]);
@@ -44,13 +46,13 @@ fn the_cut_has_the_documented_shape_and_sizing() {
     }
 }
 
-/// The benchmark's `sos_cascading` shape: one level and `T_*`, under 90 KB.
+/// The benchmark's `sos_cascading` shape: one level and `T_*`, under 56 KB.
 #[test]
-fn the_table_1_digest_is_under_90_kb() {
+fn the_table_1_digest_is_under_56_kb() {
     let workload = WorkloadParams::new(4096, 32, 1 << 30);
     let (alice, _) = generate_pair(&workload, 0, 1);
     let digest = CascadingProtocol::new(SosParams::new(1, 32)).digest(&alice, 64);
-    assert!(digest.encoded_len() <= 90_000, "{} bytes", digest.encoded_len());
+    assert!(digest.encoded_len() <= 56_000, "{} bytes", digest.encoded_len());
 }
 
 /// Bob's copy of `alice`: the first child with `big` changes (half removals,

@@ -3,7 +3,7 @@
 //! table is touched: no panic (a key of another width used to trip the
 //! `Iblt::delete` width assertion), and nothing sized from the peer's numbers.
 
-use recon_base::wire::{Decode, Encode};
+use recon_base::wire::{uvarint_len, Decode, Encode, WireError};
 use recon_base::ReconError;
 use recon_iblt::{Iblt, IbltConfig};
 use recon_sos::cascading::{CascadingDigest, CascadingProtocol};
@@ -41,12 +41,12 @@ fn assert_refused<T: std::fmt::Debug>(result: Result<T, ReconError>, what: &str)
 
 #[test]
 fn cascade_refuses_tables_of_another_geometry() {
-    // h = 128, d = 17: levels 2-4 pay for themselves, level 5 does not, so the
+    // h = 128, d = 128: levels 2-4 pay for themselves, level 5 does not, so the
     // digest carries three levels and T_*.
     let h = 128;
     let (alice, bob) = generate_pair(&WorkloadParams::new(48, h, 1 << 30), 6, 3);
     let protocol = CascadingProtocol::new(SosParams::new(0xBAD, h));
-    let honest = protocol.digest(&alice, 17);
+    let honest = protocol.digest(&alice, 128);
     assert_eq!((honest.levels.len(), honest.fallback.is_some()), (3, true));
     let roundtrip = CascadingDigest::from_bytes(&honest.to_bytes()).unwrap();
     assert_eq!(protocol.reconcile(&roundtrip, &bob).unwrap(), alice);
@@ -137,5 +137,73 @@ fn naive_refuses_tables_of_another_geometry() {
         let mut digest = honest.clone();
         digest.outer = outer;
         assert_refused(protocol.reconcile(&digest, &bob), "outer table");
+    }
+}
+
+/// A child sketch travels as a headerless key whose length both sides derive
+/// from `h`: a peer with another `h` sends keys of another length, and a key of
+/// the right length whose first cell counts `h + 1` elements is no child's
+/// sketch. Both are errors, from either protocol.
+#[test]
+fn child_key_forms_are_checked_against_this_sides_h() {
+    let (alice, bob, params) = instance();
+    let cascade = CascadingProtocol::new(params);
+    let flat = IbltOfIbltsProtocol::new(params);
+
+    // `h = 300` needs two count bytes a cell where `h = 24` needs one.
+    let wide = SosParams::new(params.seed, 300);
+    let digest = CascadingProtocol::new(wide).digest(&alice, 4);
+    assert_refused(cascade.reconcile(&digest, &bob), "cascade keys of another length");
+    let digest = IbltOfIbltsProtocol::new(wide).digest(&alice, 6, 6);
+    assert_refused(flat.reconcile(&digest, &bob), "flat keys of another length");
+
+    let forged = |key_bytes: usize, count: usize| {
+        let mut key = vec![0u8; key_bytes];
+        key[0] = count as u8;
+        key
+    };
+    for (count, refused) in [(H, false), (H + 1, true)] {
+        let mut digest = cascade.digest(&alice, 4);
+        let key = forged(digest.levels[0].key_bytes(), count);
+        digest.levels[0].insert(&key);
+        let result = cascade.reconcile(&digest, &bob);
+        assert_eq!(matches!(result, Err(ReconError::Wire(_))), refused, "cascade: {result:?}");
+        assert!(result.is_err());
+
+        let mut digest = flat.digest(&alice, 6, 6);
+        let key = forged(digest.outer.key_bytes(), count);
+        digest.outer.insert(&key);
+        let result = flat.reconcile(&digest, &bob);
+        assert_eq!(matches!(result, Err(ReconError::Wire(_))), refused, "flat: {result:?}");
+        assert!(result.is_err());
+    }
+}
+
+/// The digest's bytes are the peer's too: a count that is no `i64` (eleven
+/// varint bytes; ten with a 65th bit) and a digest cut short anywhere — in a
+/// count plane, a key plane, a check plane — are parse errors.
+#[test]
+fn a_hostile_count_or_a_short_plane_does_not_parse() {
+    let (alice, _, params) = instance();
+    let digest = CascadingProtocol::new(params).digest(&alice, 64);
+    let bytes = digest.to_bytes();
+    assert_eq!(CascadingDigest::from_bytes(&bytes).unwrap(), digest);
+    for cut in 0..bytes.len() {
+        assert!(CascadingDigest::from_bytes(&bytes[..cut]).is_err(), "cut at {cut}");
+    }
+    // The bound, the level count, the first table's header, then its counts.
+    let table = &digest.levels[0];
+    let first_count = uvarint_len(digest.diff_bound as u64)
+        + uvarint_len(digest.levels.len() as u64)
+        + [table.key_bytes(), table.hash_count(), table.cells()]
+            .map(|v| uvarint_len(v as u64))
+            .iter()
+            .sum::<usize>()
+        + 8;
+    for count in [&[0x80u8; 11][..], &[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 2]] {
+        let mut hostile = bytes[..first_count].to_vec();
+        hostile.extend_from_slice(count);
+        hostile.extend_from_slice(&bytes[first_count + 1..]);
+        assert_eq!(CascadingDigest::from_bytes(&hostile), Err(WireError::VarintOverflow));
     }
 }

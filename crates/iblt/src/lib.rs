@@ -11,8 +11,8 @@
 //! and XORs the key and its checksum in; deleting does the reverse (counts may go
 //! negative, so the table can represent a *difference* of two sets). Subtracting
 //! Bob's table from Alice's leaves only the symmetric difference, which is recovered
-//! by **peeling**: any cell whose count is ±1 and whose checksum matches its key sum
-//! holds exactly one key, which can be reported and removed, possibly exposing more
+//! by **peeling**: a cell whose count is ±1, whose checksum matches its key sum and
+//! whose key sum hashes back to it holds one key, to report and remove, possibly exposing more
 //! such cells (Theorem 2.1 of the paper: `m = O(d)` cells suffice to list `d` keys
 //! with probability `1 − O(1/poly(m))`).
 //!
@@ -29,8 +29,8 @@
 //! * All hash functions are derived from a single seed (public coins), so Alice and
 //!   Bob build structurally identical tables without communication.
 //! * Failure modes are explicit: [`DecodeResult::complete`] distinguishes a clean
-//!   decode from a peeling failure, and checksum verification rejects cells that
-//!   *look* pure but are not.
+//!   decode from a peeling failure, and the checksum and the bucket re-hash
+//!   reject cells that *look* pure but are not.
 //! * Peeling failures are not final: the [`rescue`] module collects the
 //!   residual cells of a stalled peel into a sparse GF(2) system and finishes
 //!   the decode algebraically, verifying every recovered key against its

@@ -15,11 +15,11 @@
 //!    checksum segment matches the checksum of its key segment is a key the
 //!    2-core *forces*, and joins the pool with unknown sign.
 //! 2. **Per-cell subset solve.** For each residual cell, the candidates
-//!    hashed to it form a subset-XOR system over `8·key_bytes + 64` bits.
-//!    A *unique* solution whose signs are forced by the cell's count
-//!    (`Σ sign = count`) is accepted: over-determination by the 64-bit
-//!    checksum plane makes a false acceptance as unlikely as an undetected
-//!    checksum failure in the peel itself.
+//!    hashed to it form a subset-XOR system over `8·key_bytes + 64` bits
+//!    (the top 32 are zero for keys of at most 8 bytes). A *unique* solution
+//!    whose signs are forced by the cell's count (`Σ sign = count`) is
+//!    accepted: over-determination by the checksum plane makes a false
+//!    acceptance as unlikely as a checksum collision in the peel itself.
 //! 3. **Alternate with peeling.** Accepted keys are removed from the whole
 //!    table, which typically re-opens ordinary peeling; the loop alternates
 //!    solve and peel rounds until the table drains or a round makes no
@@ -412,8 +412,8 @@ mod tests {
     fn tuned_digest_at_d_64_is_a_quarter_smaller_than_classic() {
         let classic = IbltConfig::for_u64_keys(0);
         let tuned = IbltConfig::tuned_for_u64_keys(0);
-        assert_eq!(classic.serialized_len(classic.total_cells_for(64)), 3468);
-        assert_eq!(tuned.serialized_len(tuned.total_cells_for(64)), 2603);
+        assert_eq!(classic.serialized_len(classic.total_cells_for(64)), 1884);
+        assert_eq!(tuned.serialized_len(tuned.total_cells_for(64)), 1415);
     }
 
     #[test]

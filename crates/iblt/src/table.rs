@@ -6,10 +6,17 @@
 //! one contiguous `counts: Vec<i64>`, one contiguous `check_sums: Vec<u64>`, and a
 //! single `key_sums: Vec<u8>` buffer holding every cell's key sum at stride
 //! `key_bytes`. The bulk table combinators (subtract/add) run through the
-//! fixed-width chunked kernels in `crate::kernels`. The wire encoder/decoder stream
-//! straight from/to the flat buffers. The serialized byte format is
-//! identical to the previous per-cell layout (count | key sum | checksum per
-//! cell, little-endian), so tables interoperate across versions.
+//! fixed-width chunked kernels in `crate::kernels`.
+//!
+//! # Wire format
+//!
+//! [`Encode`] writes the header (key width, hash count and cell count as
+//! varints, the seed), then three planes: the counts as zig-zag varints, the key
+//! sums as they lie in memory, the check-sums at 4 bytes for keys of at most 8
+//! and at 8 otherwise — a peeled key must also hash back to the cell it came
+//! from, which is what lets a narrow key carry the narrow check-sum. A child
+//! table that is the *key* of an outer table travels in its headerless
+//! [key form](Iblt::write_key_form); stores keep [`Iblt::encode_bank`]'s planes.
 //!
 //! # Key path
 //!
@@ -25,7 +32,7 @@ use crate::kernels;
 use crate::rescue::{self, DecodeBudget};
 use recon_base::hash::{hash64, hash_bytes_lanes, rem_fixed};
 use recon_base::rng::split_seed;
-use recon_base::wire::{read_uvarint, write_uvarint, Decode, Encode, WireError};
+use recon_base::wire::{read_uvarint, uvarint_len, write_uvarint, Decode, Encode, WireError};
 use recon_base::ReconError;
 use std::collections::VecDeque;
 
@@ -197,22 +204,43 @@ impl IbltConfig {
         base + self.stash_cells
     }
 
-    /// Serialized size in bytes of a table with `cells` cells under this
-    /// configuration (count varint is bounded by 9 bytes, but small tables use 1–2;
-    /// this returns the exact size of an empty table, which equals the size of any
-    /// table because counts are encoded as fixed-width `i64`).
+    /// Serialized size in bytes of an *empty* table with `cells` cells: the
+    /// header, then a count byte, the key sum and the check-sum per cell. A count
+    /// past ±63 adds a byte, past ±8191 another ([`Encode::encoded_len`] is exact).
     pub fn serialized_len(&self, cells: usize) -> usize {
-        // header: key_bytes, hash_count, cell count (varints) + seed (8 bytes)
-        let header = uvarint_len(self.key_bytes as u64)
-            + uvarint_len(self.hash_count as u64)
-            + uvarint_len(cells as u64)
-            + 8;
-        header + cells * (8 + self.key_bytes + 8)
+        header_len(self.key_bytes, self.hash_count, cells)
+            + cells * (1 + self.key_bytes + check_bytes(self.key_bytes))
+    }
+
+    /// Size in bytes of the [key form](Iblt::write_key_form) of a table with
+    /// `cells` cells whose counts lie in `0..=max_count`.
+    pub fn key_form_len(&self, cells: usize, max_count: usize) -> usize {
+        cells * (count_bytes(max_count) + self.key_bytes + check_bytes(self.key_bytes))
     }
 }
 
-fn uvarint_len(v: u64) -> usize {
-    recon_base::wire::uvarint_len(v)
+/// Size of the wire and snapshot header: three varints, then the 8-byte seed.
+fn header_len(key_bytes: usize, hash_count: usize, cells: usize) -> usize {
+    uvarint_len(key_bytes as u64) + uvarint_len(hash_count as u64) + uvarint_len(cells as u64) + 8
+}
+
+/// Bytes of the check hash a cell keeps and ships: 4 for keys of at most 8, else 8.
+fn check_bytes(key_bytes: usize) -> usize {
+    if key_bytes <= 8 {
+        4
+    } else {
+        8
+    }
+}
+
+/// Bytes per count in the key form of a table whose counts lie in `0..=max_count`.
+fn count_bytes(max_count: usize) -> usize {
+    ((usize::BITS - max_count.leading_zeros()) as usize).div_ceil(8).max(1)
+}
+
+/// A count as the value whose varint the wire carries: 0, −1, 1, −2, … as 0, 1, 2, 3, …
+fn zigzag(count: i64) -> u64 {
+    ((count << 1) ^ (count >> 63)) as u64
 }
 
 /// The retightened per-difference layout: `(max_diff, hash_count,
@@ -316,13 +344,16 @@ impl<'a> Key<'a> {
 
 /// The per-table part of hashing a key, computed once at construction so the
 /// per-key paths never re-derive it: the pre-split seeds of the partition base
-/// and check-sum hashes, and one [`CellRange`] per cell a key touches.
+/// and check-sum hashes, the part of the check hash kept, and one [`CellRange`]
+/// per cell a key touches.
 ///
-/// Deterministic in `(seed, hash_count, cells, stash_cells)`.
+/// Deterministic in `(seed, key_bytes, hash_count, cells, stash_cells)`.
 #[derive(Debug, Clone)]
 struct KeyPlan {
     base_seed: u64,
     check_seed: u64,
+    /// The low [`check_bytes`] bytes: a check-sum is cut where it is computed.
+    check_mask: u64,
     /// Hash function `j`'s partition `[j·part, (j+1)·part)` with
     /// `part = base_cells / hash_count`, for each `j`; then, when a stash is
     /// configured, the stash cells past the partitioned region.
@@ -341,7 +372,13 @@ struct CellRange {
 impl KeyPlan {
     /// The plan of a table with `cells` cells in all, the last `stash_cells` of
     /// them stash. Callers guarantee `cells - stash_cells >= hash_count`.
-    fn new(seed: u64, hash_count: usize, cells: usize, stash_cells: usize) -> Self {
+    fn new(
+        seed: u64,
+        key_bytes: usize,
+        hash_count: usize,
+        cells: usize,
+        stash_cells: usize,
+    ) -> Self {
         let base_cells = cells - stash_cells;
         let part = base_cells / hash_count;
         let mut ranges: Vec<CellRange> = (0..hash_count)
@@ -358,7 +395,24 @@ impl KeyPlan {
                 len: stash_cells as u64,
             });
         }
-        Self { base_seed: split_seed(seed, 0xB0CC), check_seed: split_seed(seed, 0xC4EC), ranges }
+        Self {
+            base_seed: split_seed(seed, 0xB0CC),
+            check_seed: split_seed(seed, 0xC4EC),
+            check_mask: u64::MAX >> (64 - 8 * check_bytes(key_bytes)),
+            ranges,
+        }
+    }
+
+    /// `key`'s partition base and check-sum, from one pass over it.
+    #[inline(always)]
+    fn hash(&self, key: Key<'_>) -> [u64; 2] {
+        let [base, check] = key.hash([self.base_seed, self.check_seed]);
+        [base, check & self.check_mask]
+    }
+
+    #[inline(always)]
+    fn check(&self, key: Key<'_>) -> u64 {
+        key.hash([self.check_seed])[0] & self.check_mask
     }
 
     /// The cell indices of the key with partition base `base`: one per range,
@@ -423,13 +477,13 @@ impl Bank {
         }
     }
 
-    /// `true` if cell `idx` holds exactly one key (count ±1 and the checksum of
-    /// its key sum, under `plan`, matches its checksum sum).
+    /// `true` if cell `idx` may hold exactly one key (count ±1 and the checksum
+    /// of its key sum matches); a cell the peel pops must also be that key's.
     #[inline]
     fn is_pure(&self, idx: usize, plan: &KeyPlan) -> bool {
         let count = self.counts[idx];
         (count == 1 || count == -1)
-            && Key::of(self.key_sum(idx)).hash([plan.check_seed])[0] == self.check_sums[idx]
+            && plan.check(Key::of(self.key_sum(idx))) == self.check_sums[idx]
     }
 }
 
@@ -499,7 +553,7 @@ impl Iblt {
                 key_sums: vec![0; m * cfg.key_bytes],
                 check_sums: vec![0; m],
             },
-            plan: KeyPlan::new(cfg.seed, hash_count, m, cfg.stash_cells),
+            plan: KeyPlan::new(cfg.seed, cfg.key_bytes, hash_count, m, cfg.stash_cells),
             stash_cells: cfg.stash_cells,
             rescue: cfg.rescue,
         }
@@ -559,7 +613,8 @@ impl Iblt {
         }
         self.stash_cells = cfg.stash_cells;
         self.rescue = cfg.rescue;
-        self.plan = KeyPlan::new(self.seed, self.hash_count, self.cells(), cfg.stash_cells);
+        self.plan =
+            KeyPlan::new(self.seed, cfg.key_bytes, self.hash_count, self.cells(), cfg.stash_cells);
         Ok(())
     }
 
@@ -593,7 +648,7 @@ impl Iblt {
 
     #[inline(always)]
     fn apply(&mut self, key: Key<'_>, delta: i64) {
-        let [base, checksum] = key.hash([self.plan.base_seed, self.plan.check_seed]);
+        let [base, checksum] = self.plan.hash(key);
         self.apply_hashed(key, base, checksum, delta);
     }
 
@@ -631,8 +686,7 @@ impl Iblt {
         loop {
             let mut filled = 0;
             for (slot, x) in hashed.iter_mut().zip(keys.by_ref()) {
-                let [base, checksum] =
-                    Key::Word(x).hash([self.plan.base_seed, self.plan.check_seed]);
+                let [base, checksum] = self.plan.hash(Key::Word(x));
                 *slot = (x, base, checksum);
                 filled += 1;
             }
@@ -881,28 +935,28 @@ impl Iblt {
         queue.extend((0..bank.counts.len()).filter(|&i| bank.is_pure(i, plan)));
         // A key's cells are all computed before the first is touched, so the
         // index hashes and divides overlap instead of queueing behind the
-        // purity checks.
+        // purity checks of the cells it touches.
         let mut cells = Vec::with_capacity(plan.ranges.len());
 
         while let Some(idx) = queue.pop_front() {
-            if !bank.is_pure(idx, plan) {
+            let count = bank.counts[idx];
+            let [base, checksum] = plan.hash(Key::of(bank.key_sum(idx)));
+            cells.clear();
+            cells.extend(plan.cells(base));
+            // One key alone re-hashes to the cell it lies in: the check bits
+            // that let a narrow key carry a narrow check-sum.
+            let pure = count.unsigned_abs() == 1 && checksum == bank.check_sums[idx];
+            if !pure || !cells.contains(&idx) {
                 continue;
             }
-            let count = bank.counts[idx];
             let key_bytes = bank.key_sum(idx).to_vec();
             let key = Key::of(&key_bytes);
-            // A pure cell's checksum sum equals its key's checksum, so the hash
-            // need not be recomputed to remove the key.
-            let checksum = bank.check_sums[idx];
             // Remove the key from the table: if it was a positive key, delete it; if
             // negative, add it back (as described in Section 2 of the paper). The
             // cells of a key are distinct, so each becomes final the moment it is
             // updated and can be tested for purity right away.
-            let delta = if count == 1 { -1 } else { 1 };
-            cells.clear();
-            cells.extend(plan.cells(key.hash([plan.base_seed])[0]));
             for &touched in &cells {
-                bank.add(touched, key, checksum, delta);
+                bank.add(touched, key, checksum, -count);
                 if bank.is_pure(touched, plan) {
                     queue.push_back(touched);
                 }
@@ -955,7 +1009,7 @@ impl Iblt {
 
     /// The checksum of `key` under this table's checksum hash.
     pub(crate) fn key_checksum(&self, key: &[u8]) -> u64 {
-        Key::of(key).hash([self.plan.check_seed])[0]
+        self.plan.check(Key::of(key))
     }
 
     /// The cell indices `key` hashes to (partitioned cells plus the stash cell
@@ -971,24 +1025,78 @@ impl Iblt {
         self.apply_hashed(key, key.hash([self.plan.base_seed])[0], checksum, -sign);
     }
 
-    /// The exact serialized size of this table in bytes.
-    pub fn serialized_len(&self) -> usize {
-        Encode::encoded_len(self)
+    /// Append the *key form* of a child table — at most `max_count` inserted
+    /// keys — on its way into an outer table as a key: no header, the counts at
+    /// the fewest bytes that hold `max_count`, the sums as on the wire;
+    /// [`IbltConfig::key_form_len`] bytes. The geometry is that of the table
+    /// the receiver [reads it into](Iblt::read_key_form), so a foreign one cannot
+    /// be expressed; a count out of range is cut to the width, and refused there.
+    pub fn write_key_form(&self, max_count: usize, out: &mut Vec<u8>) {
+        let width = count_bytes(max_count);
+        for &count in &self.bank.counts {
+            out.extend_from_slice(&count.to_le_bytes()[..width]);
+        }
+        self.write_sums(out);
     }
 
-    /// Serialize the cell bank as three contiguous planes (counts, key sums,
-    /// checksums) after a small header — the snapshot format used by durable
-    /// stores.
-    ///
-    /// Unlike the wire [`Encode`] (which interleaves count | key sum | checksum
-    /// per cell for streaming decode), this dumps each flat SoA buffer in one
-    /// pass, so a snapshot loads back into the bank with three bulk copies and
-    /// no per-cell parsing.
-    pub fn encode_bank(&self, buf: &mut Vec<u8>) {
+    /// Overwrite every cell from `bytes`, the [key form](Iblt::write_key_form)
+    /// of a table of this geometry. Bytes of another length, or a count above
+    /// `max_count`, are no such table.
+    pub fn read_key_form(&mut self, max_count: usize, bytes: &[u8]) -> Result<(), WireError> {
+        let (cells, width) = (self.cells(), count_bytes(max_count));
+        let key_bytes = self.bank.key_bytes;
+        if bytes.len() != cells * (width + key_bytes + check_bytes(key_bytes)) {
+            return Err(WireError::Invalid("IBLT key form length"));
+        }
+        let (count_plane, mut sums) = bytes.split_at(cells * width);
+        for (count, bytes) in self.bank.counts.iter_mut().zip(count_plane.chunks_exact(width)) {
+            *count = le_word(bytes) as i64;
+            if !(0..=max_count as i64).contains(count) {
+                return Err(WireError::Invalid("IBLT key form count"));
+            }
+        }
+        self.read_sums(&mut sums)
+    }
+
+    /// The key sums as they lie in memory, then the check-sums at their wire width.
+    fn write_sums(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(&self.bank.key_sums);
+        let width = check_bytes(self.bank.key_bytes);
+        for &sum in &self.bank.check_sums {
+            buf.extend_from_slice(&sum.to_le_bytes()[..width]);
+        }
+    }
+
+    /// Fill both sum planes from the front of `buf` ([`Iblt::write_sums`]).
+    fn read_sums(&mut self, buf: &mut &[u8]) -> Result<(), WireError> {
+        let bank = &mut self.bank;
+        let width = check_bytes(bank.key_bytes);
+        if buf.len() < bank.key_sums.len() + bank.check_sums.len() * width {
+            return Err(WireError::UnexpectedEnd);
+        }
+        let (key_plane, rest) = buf.split_at(bank.key_sums.len());
+        let (check_plane, rest) = rest.split_at(bank.check_sums.len() * width);
+        bank.key_sums.copy_from_slice(key_plane);
+        for (sum, bytes) in bank.check_sums.iter_mut().zip(check_plane.chunks_exact(width)) {
+            *sum = le_word(bytes);
+        }
+        *buf = rest;
+        Ok(())
+    }
+
+    fn write_header(&self, buf: &mut Vec<u8>) {
         write_uvarint(buf, self.bank.key_bytes as u64);
         write_uvarint(buf, self.hash_count as u64);
         write_uvarint(buf, self.bank.counts.len() as u64);
         buf.extend_from_slice(&self.seed.to_le_bytes());
+    }
+
+    /// Serialize the cell bank as three contiguous fixed-width planes (8-byte
+    /// counts, key sums, 8-byte checksums) after the header — the snapshot
+    /// format used by durable stores: it loads back into the bank with three
+    /// bulk copies and no per-cell parsing, at 16 bytes a cell plus the key.
+    pub fn encode_bank(&self, buf: &mut Vec<u8>) {
+        self.write_header(buf);
         buf.reserve(self.bank.counts.len() * (16 + self.bank.key_bytes));
         for &c in &self.bank.counts {
             buf.extend_from_slice(&c.to_le_bytes());
@@ -999,36 +1107,28 @@ impl Iblt {
         }
     }
 
-    /// The exact size of [`Iblt::encode_bank`]'s output in bytes (equal to the
-    /// wire size: same header, same cell payload, different ordering).
-    pub fn bank_len(&self) -> usize {
-        Encode::encoded_len(self)
-    }
-
     /// Load a cell bank serialized with [`Iblt::encode_bank`].
     pub fn decode_bank(buf: &mut &[u8]) -> Result<Self, WireError> {
-        let (key_bytes, hash_count, cell_count, seed) = Self::decode_header(buf)?;
+        let (key_bytes, hash_count, cell_count, seed) = Self::decode_header(buf, |_| 16)?;
         let (count_plane, rest) = buf.split_at(cell_count * 8);
         let (key_plane, rest) = rest.split_at(cell_count * key_bytes);
         let (check_plane, rest) = rest.split_at(cell_count * 8);
         *buf = rest;
-        let counts = count_plane
-            .chunks_exact(8)
-            .map(|c| i64::from_le_bytes(c.try_into().expect("chunk of 8")))
-            .collect();
-        let check_sums = check_plane
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("chunk of 8")))
-            .collect();
+        let counts = count_plane.chunks_exact(8).map(|c| le_word(c) as i64).collect();
+        let check_sums = check_plane.chunks_exact(8).map(le_word).collect();
         let key_sums = key_plane.to_vec();
         Ok(Self::from_parsed(hash_count, seed, Bank { key_bytes, counts, key_sums, check_sums }))
     }
 
     /// Read the header the wire and snapshot formats share — key width, hash
-    /// count, cell count, seed — and check it against what is left of `buf`:
-    /// every cell needs `16 + key_bytes` bytes, so a corrupt header cannot
-    /// trigger an absurd allocation, and a table has a cell per hash function.
-    fn decode_header(buf: &mut &[u8]) -> Result<(usize, usize, usize, u64), WireError> {
+    /// count, cell count, seed — and check it against what is left of `buf`
+    /// before anything is allocated: every cell needs its key and
+    /// `fixed(key_bytes)` bytes beside it (16 in a snapshot; a count byte and
+    /// the check-sum on the wire), and a table has a cell per hash function.
+    fn decode_header(
+        buf: &mut &[u8],
+        fixed: impl Fn(usize) -> usize,
+    ) -> Result<(usize, usize, usize, u64), WireError> {
         let key_bytes = read_uvarint(buf)? as usize;
         let hash_count = read_uvarint(buf)? as usize;
         let cell_count = read_uvarint(buf)? as usize;
@@ -1037,7 +1137,7 @@ impl Iblt {
         }
         let seed = u64::decode(buf)?;
         let need = key_bytes
-            .checked_add(16)
+            .checked_add(fixed(key_bytes))
             .and_then(|per_cell| cell_count.checked_mul(per_cell))
             .ok_or(WireError::Invalid("IBLT header"))?;
         if buf.len() < need {
@@ -1051,48 +1151,48 @@ impl Iblt {
     /// rescue budget, and callers that use a stash or a custom budget re-bless
     /// the table with [`Iblt::adopt_layout`] before decoding.
     fn from_parsed(hash_count: usize, seed: u64, bank: Bank) -> Self {
-        let plan = KeyPlan::new(seed, hash_count, bank.counts.len(), 0);
+        let plan = KeyPlan::new(seed, bank.key_bytes, hash_count, bank.counts.len(), 0);
         Iblt { hash_count, seed, bank, plan, stash_cells: 0, rescue: Some(DecodeBudget::default()) }
     }
 }
 
+/// Up to 8 little-endian bytes as a word.
+fn le_word(bytes: &[u8]) -> u64 {
+    let mut word = [0u8; 8];
+    word[..bytes.len()].copy_from_slice(bytes);
+    u64::from_le_bytes(word)
+}
+
 impl Encode for Iblt {
     fn encode(&self, buf: &mut Vec<u8>) {
-        write_uvarint(buf, self.bank.key_bytes as u64);
-        write_uvarint(buf, self.hash_count as u64);
-        write_uvarint(buf, self.bank.counts.len() as u64);
-        buf.extend_from_slice(&self.seed.to_le_bytes());
-        buf.reserve(self.bank.counts.len() * (16 + self.bank.key_bytes));
-        for idx in 0..self.bank.counts.len() {
-            buf.extend_from_slice(&self.bank.counts[idx].to_le_bytes());
-            buf.extend_from_slice(self.bank.key_sum(idx));
-            buf.extend_from_slice(&self.bank.check_sums[idx].to_le_bytes());
+        self.write_header(buf);
+        buf.reserve(self.bank.counts.len() * (2 + self.bank.key_bytes + 8));
+        for &count in &self.bank.counts {
+            write_uvarint(buf, zigzag(count));
         }
+        self.write_sums(buf);
     }
 
     fn encoded_len(&self) -> usize {
-        uvarint_len(self.bank.key_bytes as u64)
-            + uvarint_len(self.hash_count as u64)
-            + uvarint_len(self.bank.counts.len() as u64)
-            + 8
-            + self.bank.counts.len() * (8 + self.bank.key_bytes + 8)
+        let (cells, key_bytes) = (self.bank.counts.len(), self.bank.key_bytes);
+        header_len(key_bytes, self.hash_count, cells)
+            + self.bank.counts.iter().map(|&count| uvarint_len(zigzag(count))).sum::<usize>()
+            + cells * (key_bytes + check_bytes(key_bytes))
     }
 }
 
 impl Decode for Iblt {
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        let (key_bytes, hash_count, cell_count, seed) = Self::decode_header(buf)?;
-        let mut counts = Vec::with_capacity(cell_count);
-        let mut key_sums = vec![0u8; cell_count * key_bytes];
-        let mut check_sums = Vec::with_capacity(cell_count);
-        for idx in 0..cell_count {
-            counts.push(i64::decode(buf)?);
-            let (key_sum, rest) = buf.split_at(key_bytes);
-            key_sums[idx * key_bytes..(idx + 1) * key_bytes].copy_from_slice(key_sum);
-            *buf = rest;
-            check_sums.push(u64::decode(buf)?);
-        }
-        Ok(Self::from_parsed(hash_count, seed, Bank { key_bytes, counts, key_sums, check_sums }))
+        let (key_bytes, hash_count, cell_count, seed) =
+            Self::decode_header(buf, |key_bytes| 1 + check_bytes(key_bytes))?;
+        let counts = (0..cell_count)
+            .map(|_| read_uvarint(buf).map(|zigzag| (zigzag >> 1) as i64 ^ -((zigzag & 1) as i64)))
+            .collect::<Result<Vec<i64>, WireError>>()?;
+        let (key_sums, check_sums) = (vec![0; cell_count * key_bytes], vec![0; cell_count]);
+        let bank = Bank { key_bytes, counts, key_sums, check_sums };
+        let mut table = Self::from_parsed(hash_count, seed, bank);
+        table.read_sums(buf)?;
+        Ok(table)
     }
 }
 
@@ -1317,7 +1417,6 @@ mod tests {
         t.delete_u64(99);
         let mut bank = Vec::new();
         t.encode_bank(&mut bank);
-        assert_eq!(bank.len(), t.bank_len());
         let mut cursor = &bank[..];
         let restored = Iblt::decode_bank(&mut cursor).unwrap();
         assert!(cursor.is_empty());

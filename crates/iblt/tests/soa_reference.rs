@@ -3,16 +3,17 @@
 //!
 //! The reference model is a deliberately naive array-of-structs IBLT built from
 //! the same documented primitives (`hash_bytes`/`hash64`/`split_seed`, the
-//! partitioned index scheme, the per-cell wire layout). The production table's
-//! serialized bytes and peeling results must match it exactly across key widths,
-//! hash counts, and mixed insert/delete workloads — so the SoA refactor can
-//! never silently change the wire format or the recovered difference. Truncated
-//! and corrupted serializations are exercised as well.
+//! partitioned index scheme, the three-plane wire layout with its own varint
+//! writer). The production table's serialized bytes and peeling results must
+//! match it exactly across key widths, hash counts, loads and mixed
+//! insert/delete workloads — so a rewrite of the bank or the codec can never
+//! silently change the wire format or the recovered difference. Truncated,
+//! corrupted and hostile serializations are exercised as well.
 
 use proptest::prelude::*;
 use recon_base::hash::{hash64, hash_bytes, hash_bytes_lanes, rem_fixed};
 use recon_base::rng::{split_seed, Xoshiro256};
-use recon_base::wire::{uvarint_len, write_uvarint, Decode, Encode};
+use recon_base::wire::{uvarint_len, write_uvarint, Decode, Encode, WireError};
 use recon_iblt::{Iblt, IbltConfig};
 
 /// One reference cell: the layout the production table used before the flat bank.
@@ -64,8 +65,18 @@ impl RefIblt {
         indices
     }
 
+    /// Bytes of check-sum a cell carries: 4 for keys of up to 8 bytes, else 8.
+    fn check_width(&self) -> usize {
+        [8, 4][usize::from(self.key_bytes <= 8)]
+    }
+
+    /// The check hash, cut to the width the wire carries.
     fn checksum(&self, key: &[u8]) -> u64 {
-        hash_bytes(key, split_seed(self.seed, 0xC4EC))
+        let full = hash_bytes(key, split_seed(self.seed, 0xC4EC));
+        match self.check_width() {
+            4 => u64::from(full as u32),
+            _ => full,
+        }
     }
 
     fn apply(&mut self, key: &[u8], delta: i64) {
@@ -81,9 +92,15 @@ impl RefIblt {
         }
     }
 
+    /// What a cell must pass to be queued.
     fn is_pure(&self, idx: usize) -> bool {
         let cell = &self.cells[idx];
         (cell.count == 1 || cell.count == -1) && self.checksum(&cell.key_sum) == cell.check_sum
+    }
+
+    /// What a popped cell must pass to be peeled: its key hashes back to it.
+    fn holds_its_own_key(&self, idx: usize) -> bool {
+        self.is_pure(idx) && self.indices(&self.cells[idx].key_sum).contains(&idx)
     }
 
     /// Queue-based peel, returning (positive, negative, complete).
@@ -93,7 +110,7 @@ impl RefIblt {
         let mut queue: std::collections::VecDeque<usize> =
             (0..self.cells.len()).filter(|&i| self.is_pure(i)).collect();
         while let Some(idx) = queue.pop_front() {
-            if !self.is_pure(idx) {
+            if !self.holds_its_own_key(idx) {
                 continue;
             }
             let count = self.cells[idx].count;
@@ -118,8 +135,10 @@ impl RefIblt {
         (positive, negative, complete)
     }
 
-    /// The documented wire layout: three header varints, the seed, then
-    /// `count | key sum | checksum` per cell.
+    /// The documented wire layout: three header varints, the seed, then every
+    /// count as a zig-zag varint (0, −1, 1, −2, … ↦ 0, 1, 2, 3, …; seven bits a
+    /// byte, low first, top bit set on all but the last), every key sum, every
+    /// check-sum at its width.
     fn to_bytes(&self) -> Vec<u8> {
         let mut buf = Vec::new();
         write_uvarint(&mut buf, self.key_bytes as u64);
@@ -127,18 +146,42 @@ impl RefIblt {
         write_uvarint(&mut buf, self.cells.len() as u64);
         buf.extend_from_slice(&self.seed.to_le_bytes());
         for cell in &self.cells {
-            buf.extend_from_slice(&cell.count.to_le_bytes());
+            let magnitude = cell.count.unsigned_abs();
+            let doubled = magnitude.wrapping_mul(2);
+            let mut rest = if cell.count < 0 { doubled.wrapping_sub(1) } else { doubled };
+            while rest >= 128 {
+                buf.push(128 + (rest % 128) as u8);
+                rest /= 128;
+            }
+            buf.push(rest as u8);
+        }
+        for cell in &self.cells {
             buf.extend_from_slice(&cell.key_sum);
-            buf.extend_from_slice(&cell.check_sum.to_le_bytes());
+        }
+        for cell in &self.cells {
+            buf.extend_from_slice(&cell.check_sum.to_le_bytes()[..self.check_width()]);
         }
         buf
+    }
+
+    /// The documented key form: no header, counts at `count_width` bytes, key
+    /// sums, check-sums at their width.
+    fn key_form(&self, count_width: usize) -> Vec<u8> {
+        let counts = self.cells.iter().flat_map(|c| c.count.to_le_bytes()[..count_width].to_vec());
+        let key_sums = self.cells.iter().flat_map(|c| c.key_sum.clone());
+        let check_sums = self
+            .cells
+            .iter()
+            .flat_map(|c| c.check_sum.to_le_bytes()[..self.check_width()].to_vec());
+        counts.chain(key_sums).chain(check_sums).collect()
     }
 }
 
 const KEY_WIDTHS: [usize; 4] = [8, 16, 40, 130];
 const HASH_COUNTS: [usize; 3] = [3, 4, 5];
 
-/// Build the same random workload into both implementations.
+/// Build the same random workload into both implementations: two inserts to
+/// every delete, so at a few thousand keys the counts need two varint bytes.
 fn build_pair(
     width_sel: usize,
     hash_sel: usize,
@@ -169,22 +212,28 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The flat bank serializes byte-for-byte like the scalar reference across
-    /// key widths and hash counts, and `encoded_len`/`serialized_len` agree.
+    /// key widths, hash counts and loads (counts of one, two and three varint
+    /// bytes), `encoded_len` is exact, and `IbltConfig::serialized_len` is the
+    /// size of the table while it is empty.
     #[test]
     fn wire_bytes_match_reference_model(
         width_sel in 0usize..4,
         hash_sel in 0usize..3,
         num_keys in 0usize..60,
+        load in 0usize..3,
         cells in 6usize..64,
         seed in any::<u64>(),
     ) {
+        let num_keys = num_keys * [1, 40, 1500][load];
         let (soa, reference) = build_pair(width_sel, hash_sel, num_keys, cells, seed);
         let soa_bytes = soa.to_bytes();
         prop_assert_eq!(&soa_bytes, &reference.to_bytes());
         prop_assert_eq!(soa_bytes.len(), soa.encoded_len());
         let cfg = IbltConfig::for_key_bytes(soa.key_bytes(), seed)
             .with_hash_count(soa.hash_count());
-        prop_assert_eq!(soa_bytes.len(), cfg.serialized_len(soa.cells()));
+        let empty = cfg.serialized_len(soa.cells());
+        prop_assert_eq!(Iblt::with_cells(cells, &cfg).to_bytes().len(), empty);
+        prop_assert!((empty..=empty + 2 * soa.cells()).contains(&soa_bytes.len()));
         // And the bytes parse back into an identical table.
         prop_assert_eq!(Iblt::from_bytes(&soa_bytes).unwrap(), soa);
     }
@@ -221,9 +270,11 @@ proptest! {
         prop_assert_eq!(soa.is_empty(), ref_complete);
     }
 
-    /// Every truncation of a serialized table is rejected, and corrupting a byte
-    /// of the cell bank yields a parseable but different table (the header and
-    /// geometry survive; the contents must not be silently equal).
+    /// Every truncation of a serialized table is rejected — each plane cut
+    /// short, at any byte — and a flipped bit of the cell bank yields a table
+    /// that either no longer parses (a count's continuation bit moves every
+    /// plane after it) or parses to a different one: never silently the same.
+    /// A count that is no `i64` is an error, not a wrapped value.
     #[test]
     fn truncation_rejected_and_corruption_detected(
         width_sel in 0usize..4,
@@ -238,17 +289,84 @@ proptest! {
         let cut = (cut as usize) % bytes.len();
         prop_assert!(Iblt::from_bytes(&bytes[..cut]).is_err());
 
-        // Flip one bit strictly inside the cell bank (past the header), so the
-        // table still parses but cannot compare equal.
-        let header = uvarint_len(soa.key_bytes() as u64)
-            + uvarint_len(soa.hash_count() as u64)
-            + uvarint_len(soa.cells() as u64)
-            + 8;
+        // Flip one bit strictly inside the cell bank (past the header).
+        let header = header_len(&soa);
         let mut corrupted = bytes.clone();
         let pos = header + (flip as usize) % (bytes.len() - header);
         corrupted[pos] ^= 1 << (flip % 8) as u8;
-        let parsed = Iblt::from_bytes(&corrupted).unwrap();
-        prop_assert_ne!(parsed, soa);
+        if let Ok(parsed) = Iblt::from_bytes(&corrupted) {
+            prop_assert_ne!(parsed, soa);
+        }
+
+        // The first count as eleven varint bytes, and as ten whose last holds a
+        // 65th bit; the planes behind it are whole.
+        for overlong in [&[0x80u8; 11][..], &[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 2]] {
+            let first_count = uvarint_len(bytes[header] as u64);
+            let mut hostile = bytes[..header].to_vec();
+            hostile.extend_from_slice(overlong);
+            hostile.extend_from_slice(&bytes[header + first_count..]);
+            prop_assert_eq!(Iblt::from_bytes(&hostile), Err(WireError::VarintOverflow));
+        }
+    }
+}
+
+/// The third purity test: a cell whose count and check-sum say "one key" is
+/// peeled only if that key hashes to it. A lone key sitting in the wrong cell
+/// of its partition — which no honest table holds — is left where it is, by
+/// the peel and by the rescue behind it.
+#[test]
+fn a_key_in_a_cell_it_does_not_hash_to_is_not_peeled() {
+    for key_bytes in [8, 16] {
+        let cfg = IbltConfig::for_key_bytes(key_bytes, 0x1DE7).with_hash_count(3);
+        let key = padded(77, key_bytes);
+        let mut reference = RefIblt::new(12, &cfg);
+        reference.apply(&key, 1);
+        let home = reference.indices(&key)[0];
+        let elsewhere = (home + 1) % 4;
+        reference.cells.swap(home, elsewhere);
+        for cell in &mut reference.cells[4..] {
+            *cell = RefCell { count: 0, key_sum: vec![0; key_bytes], check_sum: 0 };
+        }
+        let mut table = Iblt::from_bytes(&reference.to_bytes()).unwrap();
+        let decoded = table.decode_in_place();
+        assert_eq!((decoded.recovered(), decoded.complete), (0, false), "{key_bytes}-byte key");
+        assert_eq!(table.nonempty_cells(), 1);
+        let (positive, negative, complete) = reference.decode();
+        assert!(positive.is_empty() && negative.is_empty() && !complete);
+    }
+}
+
+/// Bytes of the wire header of `table`: three varints and the seed.
+fn header_len(table: &Iblt) -> usize {
+    uvarint_len(table.key_bytes() as u64)
+        + uvarint_len(table.hash_count() as u64)
+        + uvarint_len(table.cells() as u64)
+        + 8
+}
+
+/// A header that claims more cells than the bytes behind it could hold at the
+/// least a cell takes on the wire (a count byte, the key, the check-sum) is
+/// refused before anything is sized from it; one byte short of that least is
+/// refused as well, one table's worth is a table.
+#[test]
+fn decode_bounds_the_cell_count_by_the_bytes_present() {
+    for (key_bytes, least) in [(8usize, 13usize), (16, 25)] {
+        let header = |cells: u64| {
+            let mut bytes = Vec::new();
+            write_uvarint(&mut bytes, key_bytes as u64);
+            write_uvarint(&mut bytes, 3);
+            write_uvarint(&mut bytes, cells);
+            bytes.extend_from_slice(&7u64.to_le_bytes());
+            bytes
+        };
+        let mut huge = header(1 << 40);
+        huge.extend_from_slice(&[0u8; 4096]);
+        assert_eq!(Iblt::from_bytes(&huge), Err(WireError::UnexpectedEnd));
+        let mut exact = header(6);
+        exact.extend_from_slice(&vec![0u8; 6 * least]);
+        assert_eq!(Iblt::from_bytes(&exact[..exact.len() - 1]), Err(WireError::UnexpectedEnd));
+        let cfg = IbltConfig::for_key_bytes(key_bytes, 7).with_hash_count(3);
+        assert_eq!(Iblt::from_bytes(&exact), Ok(Iblt::with_cells(6, &cfg)));
     }
 }
 
@@ -414,6 +532,56 @@ proptest! {
         prop_assert!(stashed.fold_half_into(&mut out).is_err());
     }
 
+    /// The key form of a child table — inserts only, at most `max_count` of
+    /// them — is the reference's, has the length the configuration promises,
+    /// and reads back into a table of the same geometry as the same table. Bytes
+    /// of any other length, and a count above `max_count`, are refused.
+    #[test]
+    fn key_form_matches_reference_and_refuses_what_is_no_table(
+        width_sel in 0usize..2,
+        hash_sel in 0usize..2,
+        part_sel in 0usize..PARTS.len(),
+        max_sel in 0usize..3,
+        inserts in 0usize..41,
+        seed in any::<u64>(),
+    ) {
+        let (max_count, count_width) = [(40usize, 1usize), (255, 1), (256, 2)][max_sel];
+        let key_bytes = [8usize, 16][width_sel];
+        let hash_count = [3usize, 4][hash_sel];
+        let cfg = IbltConfig::for_key_bytes(key_bytes, seed).with_hash_count(hash_count);
+        let cells = PARTS[part_sel] * hash_count;
+        let mut rng = Xoshiro256::new(seed ^ 0x4F0);
+        let mut table = Iblt::with_cells(cells, &cfg);
+        let mut reference = RefIblt::new(cells, &cfg);
+        for _ in 0..inserts {
+            let x = rng.next_u64();
+            table.insert_u64(x);
+            reference.apply(&padded(x, key_bytes), 1);
+        }
+
+        let mut form = vec![0xEE];
+        table.write_key_form(max_count, &mut form);
+        prop_assert_eq!(&form[1..], &reference.key_form(count_width)[..]);
+        let form = form.split_off(1);
+        prop_assert_eq!(form.len(), cfg.key_form_len(cells, max_count));
+        prop_assert_eq!(form.len(), cells * (count_width + key_bytes + [8, 4][usize::from(key_bytes == 8)]));
+
+        let mut back = Iblt::with_cells(cells, &cfg);
+        back.insert_u64(seed);
+        back.read_key_form(max_count, &form).unwrap();
+        prop_assert_eq!(&back, &table);
+
+        prop_assert!(back.read_key_form(max_count, &form[1..]).is_err());
+        prop_assert!(back.read_key_form(max_count, &[&form[..], &[0]].concat()).is_err());
+        prop_assert!(Iblt::with_cells(cells + hash_count, &cfg).read_key_form(max_count, &form).is_err());
+        let mut forged = form.clone();
+        forged[..count_width].copy_from_slice(&max_count.to_le_bytes()[..count_width]);
+        prop_assert!(back.read_key_form(max_count, &forged).is_ok());
+        // 256 in the one byte of `max_count = 255` is a 0.
+        forged[..count_width].copy_from_slice(&(max_count + 1).to_le_bytes()[..count_width]);
+        prop_assert_eq!(max_count == 255, back.read_key_form(max_count, &forged).is_ok());
+    }
+
     /// `rem_fixed` is `%`, whichever of its two paths a divisor takes.
     #[test]
     fn rem_fixed_matches_the_remainder_operator(x in any::<u64>(), d in any::<u64>()) {
@@ -531,15 +699,13 @@ proptest! {
         let (table, bob, want_pos, want_neg) =
             rescue_instance(&cfg, num_shared, d_pos, d_neg, 140, seed);
         let bytes = table.to_bytes();
-        let header = uvarint_len(table.key_bytes() as u64)
-            + uvarint_len(table.hash_count() as u64)
-            + uvarint_len(table.cells() as u64)
-            + 8;
+        let header = header_len(&table);
         let mut corrupted = bytes.clone();
         let pos = header + (flip as usize) % (bytes.len() - header);
         corrupted[pos] ^= 1 << (flip % 8) as u8;
 
-        let mut reparsed = Iblt::from_bytes(&corrupted).unwrap();
+        // A flipped continuation bit in the count plane is caught by the parser.
+        let Ok(mut reparsed) = Iblt::from_bytes(&corrupted) else { return Ok(()) };
         reparsed.adopt_layout(&cfg).unwrap();
         let decoded = reparsed.decode_in_place_with_candidates_u64(bob.iter().copied());
         prop_assert!(!decoded.complete, "a flipped bit can never drain to zero");

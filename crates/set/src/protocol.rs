@@ -148,6 +148,8 @@ mod tests {
         let (alice_large, bob_large) = random_sets(50_000, 8, 8);
         let small = reconcile_known(&alice_small, &bob_small, 8, 1).unwrap();
         let large = reconcile_known(&alice_large, &bob_large, 8, 1).unwrap();
-        assert_eq!(small.stats.total_bytes(), large.stats.total_bytes());
+        // A hundred times the keys is one more count byte in a cell of at least 13.
+        let (small, large) = (small.stats.total_bytes(), large.stats.total_bytes());
+        assert!((small..=small + small / 13).contains(&large), "{small} B against {large} B");
     }
 }

@@ -6,7 +6,10 @@
 //! bits-preserving. These literals were captured before the first of those
 //! rewrites and fail on any change to a cell, an estimator counter or an
 //! envelope byte. A deliberate wire-format change updates them in the same
-//! commit and says so.
+//! commit and says so: wire format v2, step (a) — varint counts, 4-byte
+//! check-sums for keys of at most 8 bytes, key-form child encodings, the
+//! by-bytes cascade cut — re-captured every literal that holds an IBLT (the two
+//! ℓ0 estimator literals are the ones that did not move).
 
 use recon_base::rng::Xoshiro256;
 use recon_base::wire::Encode;
@@ -109,9 +112,9 @@ fn set_digests_are_pinned() {
     let tuned = IbltSetProtocol::tuned(0x5E7_0001);
     let classic = IbltSetProtocol::new(0x5E7_0002);
     assert_pinned(&[
-        ("tuned d=50", digest_of(&tuned.digest(&alice, 50)), 0xD034_5C50_22E7_DF5F),
-        ("tuned d=700", digest_of(&tuned.digest(&alice, 700)), 0x573D_7626_1B92_1620),
-        ("classic d=50", digest_of(&classic.digest(&alice, 50)), 0x6621_D074_9D5A_FFD9),
+        ("tuned d=50", digest_of(&tuned.digest(&alice, 50)), 0xC0A5_ED4B_CAEF_FAEC),
+        ("tuned d=700", digest_of(&tuned.digest(&alice, 700)), 0x5036_2A53_5946_280E),
+        ("classic d=50", digest_of(&classic.digest(&alice, 50)), 0x8D31_B877_0335_DEB7),
     ]);
 }
 
@@ -141,7 +144,7 @@ fn estimators_are_pinned() {
     assert_pinned(&[
         ("l0 default", digest_of(&l0), 0xE2D5_CB1B_B074_DB31),
         ("l0 with 12 buckets", digest_of(&odd), 0x88FD_4C63_C457_4870),
-        ("strata", digest_of(&strata), 0x9F7A_9776_009B_0174),
+        ("strata", digest_of(&strata), 0x9D60_DF69_5DF4_5847),
     ]);
 }
 
@@ -157,9 +160,9 @@ fn set_of_sets_digests_are_pinned() {
     assert_pinned(&[
         // PR 23: the cascade sends only the levels that pay for themselves (at
         // h = 24 the one 8-cell level) plus `T_*`, all child tables under one seed.
-        ("cascading", digest_of(&cascade), 0xA576_7EFA_450B_EE6D),
-        ("iblt of iblts", digest_of(&ioi), 0x72FF_1321_B751_0FB2),
-        ("naive", digest_of(&naive), 0x57FF_1549_AF01_5E94),
+        ("cascading", digest_of(&cascade), 0x8106_CDA5_ECF1_1A6F),
+        ("iblt of iblts", digest_of(&ioi), 0xA238_E0AD_E09A_79CF),
+        ("naive", digest_of(&naive), 0xBD14_C8B2_5ABE_93FA),
     ]);
 }
 
@@ -187,8 +190,8 @@ fn session_transcripts_are_pinned() {
     );
     assert_eq!(recovered.num_edges(), graph_alice.num_edges());
     assert_pinned(&[
-        ("set unknown-d transcript", set_hash, 0xAED5_59EC_08CE_A6DB),
+        ("set unknown-d transcript", set_hash, 0x3C8A_895A_AF82_2520),
         // PR 23: the nested cascading session's cut, as above.
-        ("degree-order graph transcript", graph_hash, 0x01D4_2040_C34A_AA87),
+        ("degree-order graph transcript", graph_hash, 0xBF49_ABA6_6A63_39FA),
     ]);
 }
