@@ -13,11 +13,8 @@
 
 use recon_base::rng::Xoshiro256;
 use recon_base::ReconError;
-use recon_protocol::{Amplification, Outcome, ShardedOutcome, ShardedRunner};
-use recon_sos::{
-    cascading, iblt_of_iblts, multiround, naive, sharded, L0Config, SetOfSets, ShardedSosFamily,
-    SosOutcome, SosParams,
-};
+use recon_protocol::{Amplification, Outcome, SessionBuilder, ShardedOutcome, ShardedRunner};
+use recon_sos::{session, sharded, L0Config, SetOfSets, ShardedSosFamily, SosParams};
 use std::collections::BTreeSet;
 
 /// A relational table of binary data: `num_columns` labeled columns, unlabeled rows.
@@ -162,17 +159,26 @@ impl BinaryTable {
         }
         let params = SosParams::new(seed, self.num_columns as usize);
         let d_hat = d.min(alice.num_rows().max(self.num_rows())).max(1);
-        let outcome: SosOutcome = match protocol {
-            SosProtocolKind::Naive => naive::run_known(&alice.rows, &self.rows, d_hat, &params)?,
-            SosProtocolKind::IbltOfIblts => {
-                iblt_of_iblts::run_known(&alice.rows, &self.rows, d, d_hat, &params)?
-            }
-            SosProtocolKind::Cascading => {
-                cascading::run_known(&alice.rows, &self.rows, d, &params)?
-            }
-            SosProtocolKind::MultiRound => {
-                multiround::run_known(&alice.rows, &self.rows, d, d_hat, &params)?
-            }
+        let (a, b, p, run) = (&alice.rows, &self.rows, &params, SessionBuilder::new(seed));
+        // Theorem 3.7 is amplified four times, the other one-round families three.
+        let (three, four) = (Amplification::replicate(3), Amplification::replicate(4));
+        let outcome = match protocol {
+            SosProtocolKind::Naive => run.run(
+                session::naive_known_alice(a, d_hat, p, three)?,
+                session::naive_known_bob(b, p, three),
+            )?,
+            SosProtocolKind::IbltOfIblts => run.run(
+                session::ioi_known_alice(a, d, d_hat, p, three)?,
+                session::ioi_known_bob(b, p, three),
+            )?,
+            SosProtocolKind::Cascading => run.run(
+                session::cascading_known_alice(a, d, p, four)?,
+                session::cascading_known_bob(b, p, four),
+            )?,
+            SosProtocolKind::MultiRound => run.run(
+                session::multiround_known_alice(a, d, d_hat, p),
+                session::multiround_known_bob(b, p),
+            )?,
         };
         let table = BinaryTable::from_set_of_sets(self.num_columns, outcome.recovered)?;
         Ok(Outcome { recovered: table, stats: outcome.stats })

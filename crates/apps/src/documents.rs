@@ -11,8 +11,8 @@
 
 use recon_base::hash::hash_bytes;
 use recon_base::ReconError;
-use recon_protocol::{Amplification, Outcome, ShardedOutcome, ShardedRunner};
-use recon_sos::{cascading, sharded, ChildSet, SetOfSets, ShardedSosFamily, SosParams};
+use recon_protocol::{Amplification, Outcome, SessionBuilder, ShardedOutcome, ShardedRunner};
+use recon_sos::{session, sharded, ChildSet, SetOfSets, ShardedSosFamily, SosParams};
 use std::collections::BTreeSet;
 
 /// Compute the `k`-word shingle set of a document: every window of `k` consecutive
@@ -115,8 +115,11 @@ pub fn reconcile_collections(
     let remote_sos = remote.as_set_of_sets();
     let local_sos = local.as_set_of_sets();
     let max_child = remote_sos.max_child_size().max(local_sos.max_child_size()).max(1);
-    let params = SosParams::new(seed, max_child);
-    let outcome = cascading::run_known(&remote_sos, &local_sos, d.max(1), &params)?;
+    let (params, amp) = (SosParams::new(seed, max_child), Amplification::replicate(4));
+    let outcome = SessionBuilder::new(seed).run(
+        session::cascading_known_alice(&remote_sos, d.max(1), &params, amp)?,
+        session::cascading_known_bob(&local_sos, &params, amp),
+    )?;
     let report = classify(&outcome.recovered, &local_sos, near_threshold);
     Ok(Outcome { recovered: report, stats: outcome.stats })
 }

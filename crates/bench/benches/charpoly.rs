@@ -3,8 +3,28 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use recon_bench::set_pair;
-use recon_set::{reconcile_known, reconcile_known_charpoly};
+use recon_protocol::{Amplification, Outcome, SessionBuilder};
+use recon_set::session::{
+    charpoly_known_alice, charpoly_known_bob, iblt_known_alice, iblt_known_bob,
+};
+use std::collections::HashSet;
 use std::hint::black_box;
+
+type Set = HashSet<u64>;
+
+/// Theorem 2.3's exact party pair, run in memory.
+fn charpoly(alice: &Set, bob: &Set, d: usize, seed: u64) -> Outcome<Set> {
+    let builder = SessionBuilder::new(seed).amplification(Amplification::single());
+    let alice = charpoly_known_alice(alice, d, builder.config()).unwrap();
+    builder.run(alice, charpoly_known_bob(bob, builder.config())).unwrap()
+}
+
+/// Corollary 2.2's party pair under three replicated attempts, run in memory.
+fn iblt(alice: &Set, bob: &Set, d: usize, seed: u64) -> Outcome<Set> {
+    let builder = SessionBuilder::new(seed).amplification(Amplification::replicate(3));
+    let alice = iblt_known_alice(alice, d, builder.config()).unwrap();
+    builder.run(alice, iblt_known_bob(bob, builder.config())).unwrap()
+}
 
 fn bench_charpoly_vs_d(c: &mut Criterion) {
     let mut group = c.benchmark_group("charpoly_reconciliation_vs_d");
@@ -12,7 +32,7 @@ fn bench_charpoly_vs_d(c: &mut Criterion) {
     for d in [4usize, 16, 64, 128] {
         let (alice, bob) = set_pair(5_000, d, 100 + d as u64);
         group.bench_with_input(BenchmarkId::from_parameter(d), &d, |b, &d| {
-            b.iter(|| black_box(reconcile_known_charpoly(&alice, &bob, d, 3).unwrap()));
+            b.iter(|| black_box(charpoly(&alice, &bob, d, 3)));
         });
     }
     group.finish();
@@ -25,10 +45,10 @@ fn bench_charpoly_vs_iblt(c: &mut Criterion) {
     let d = 64;
     let (alice, bob) = set_pair(20_000, d, 5);
     group.bench_function("charpoly", |b| {
-        b.iter(|| black_box(reconcile_known_charpoly(&alice, &bob, d, 3).unwrap()));
+        b.iter(|| black_box(charpoly(&alice, &bob, d, 3)));
     });
     group.bench_function("iblt", |b| {
-        b.iter(|| black_box(reconcile_known(&alice, &bob, d, 3).unwrap()));
+        b.iter(|| black_box(iblt(&alice, &bob, d, 3)));
     });
     group.finish();
 }

@@ -1,8 +1,8 @@
 //! Endpoint multiplexing: N concurrent sessions over ONE framed link vs one
-//! link (and its framing) per session vs the raw unframed `MemoryLink` path.
+//! link (and its framing) per session vs the unframed `SessionBuilder::run` path.
 //!
 //! The wall-time comparison shows what the multiplexed `Endpoint` costs over
-//! the blocking driver; the printed byte accounting records the baseline the
+//! the in-memory driver; the printed byte accounting records the baseline the
 //! ROADMAP's connection-reuse item is about — how many framed bytes per
 //! session a shared link saves versus a link per session.
 
@@ -87,8 +87,8 @@ fn run_one_link_per_session(pairs: &[(HashSet<u64>, HashSet<u64>)]) -> u64 {
     framed
 }
 
-/// The raw blocking path: no framing at all, one `MemoryLink` per session.
-fn run_memory_link(pairs: &[(HashSet<u64>, HashSet<u64>)]) -> usize {
+/// The unframed path: `SessionBuilder::run`, one transcript per session.
+fn run_unframed(pairs: &[(HashSet<u64>, HashSet<u64>)]) -> usize {
     let mut metered = 0;
     for (i, (alice, bob)) in pairs.iter().enumerate() {
         let cfg = config(i);
@@ -109,7 +109,7 @@ fn bench_multiplexing(c: &mut Criterion) {
     let pairs = workloads();
 
     // Record the byte baselines once, outside the timing loops.
-    let metered = run_memory_link(&pairs);
+    let metered = run_unframed(&pairs);
     let per_link = run_one_link_per_session(&pairs);
     let multiplexed = run_multiplexed(&pairs);
     println!(
@@ -122,8 +122,8 @@ fn bench_multiplexing(c: &mut Criterion) {
     );
 
     let mut group = c.benchmark_group("endpoint_multiplex");
-    group.bench_function(BenchmarkId::new("memory_link_sequential", SESSIONS), |b| {
-        b.iter(|| black_box(run_memory_link(&pairs)));
+    group.bench_function(BenchmarkId::new("unframed_sequential", SESSIONS), |b| {
+        b.iter(|| black_box(run_unframed(&pairs)));
     });
     group.bench_function(BenchmarkId::new("one_framed_link_per_session", SESSIONS), |b| {
         b.iter(|| black_box(run_one_link_per_session(&pairs)));

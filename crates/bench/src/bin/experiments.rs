@@ -25,11 +25,12 @@ use recon_estimator::{L0Config, L0Estimator, Side, StrataConfig, StrataEstimator
 use recon_graph::degree_neighborhood::{self, DegreeNeighborhoodParams};
 use recon_graph::degree_order::{self, DegreeOrderParams};
 use recon_graph::forest::Forest;
-use recon_graph::{forest, general, Graph};
-use recon_protocol::Outcome;
-use recon_set::{reconcile_known, reconcile_known_charpoly};
+use recon_graph::{forest, general, session as graph_session, Graph};
+use recon_protocol::{Amplification, Outcome, SessionBuilder};
+use recon_set::session as set_session;
 use recon_sos::workload::{generate_pair, WorkloadParams};
-use recon_sos::{cascading, iblt_of_iblts, multiround, naive, SetOfSets, SosParams};
+use recon_sos::{session as sos_session, SetOfSets, SosParams};
+use std::collections::HashSet;
 use std::time::Instant;
 
 const EXPERIMENTS: &[(&str, fn())] = &[
@@ -116,11 +117,18 @@ fn set_scaling() {
     for &d in &[1usize, 4, 16, 64, 256, 1024] {
         let (alice, bob) = set_pair(100_000, d, d as u64 + 1);
         let start = Instant::now();
-        let outcome = reconcile_known(&alice, &bob, d.max(1), 7).expect("reconcile");
+        let outcome = iblt_set(&alice, &bob, d.max(1), 7);
         let ms = start.elapsed().as_secs_f64() * 1e3;
         assert_eq!(outcome.recovered, alice);
         println!("{:>8} {:>12} {:>10.2}", d, outcome.stats.total_bytes(), ms);
     }
+}
+
+/// Corollary 2.2 under three replicated attempts and `seed`, run in memory.
+fn iblt_set(a: &HashSet<u64>, b: &HashSet<u64>, d: usize, seed: u64) -> Outcome<HashSet<u64>> {
+    let builder = SessionBuilder::new(seed).amplification(Amplification::replicate(3));
+    let alice = set_session::iblt_known_alice(a, d, builder.config()).expect("digest");
+    builder.run(alice, set_session::iblt_known_bob(b, builder.config())).expect("iblt")
 }
 
 /// E-2.3: characteristic-polynomial scaling.
@@ -130,9 +138,12 @@ fn charpoly_scaling() {
     for &d in &[1usize, 4, 16, 64, 128] {
         let (alice, bob) = set_pair(5_000, d, 40 + d as u64);
         let start = Instant::now();
-        let poly = reconcile_known_charpoly(&alice, &bob, d.max(1), 3).expect("charpoly");
+        let builder = SessionBuilder::new(3).amplification(Amplification::single());
+        let poly = set_session::charpoly_known_alice(&alice, d.max(1), builder.config())
+            .and_then(|a| builder.run(a, set_session::charpoly_known_bob(&bob, builder.config())))
+            .expect("charpoly");
         let ms = start.elapsed().as_secs_f64() * 1e3;
-        let iblt = reconcile_known(&alice, &bob, d.max(1), 3).expect("iblt");
+        let iblt = iblt_set(&alice, &bob, d.max(1), 3);
         assert_eq!(poly.recovered, alice);
         let (poly_bytes, iblt_bytes) = (poly.stats.total_bytes(), iblt.stats.total_bytes());
         println!("{d:>8} {poly_bytes:>12} {ms:>12.2} {iblt_bytes:>14}");
@@ -175,9 +186,11 @@ fn sos_sweep() {
     );
     for &h in &[16usize, 64] {
         let workload = WorkloadParams::new(512, h, 1 << 40);
-        let params = SosParams::new(5, h);
+        let (p, run) = (&SosParams::new(5, h), SessionBuilder::new(5));
+        // Theorem 3.7 is amplified four times, the other one-round families three.
+        let (three, four) = (Amplification::replicate(3), Amplification::replicate(4));
         for &d in &[1usize, 4, 16, 64] {
-            let (alice, bob) = generate_pair(&workload, d, (h * 1000 + d) as u64);
+            let (a, b) = &generate_pair(&workload, d, (h * 1000 + d) as u64);
             // Bytes of a run, or the error it ended with.
             let cell = |run: Result<Outcome<SetOfSets>, ReconError>| match run {
                 Ok(outcome) => outcome.stats.total_bytes().to_string(),
@@ -187,10 +200,22 @@ fn sos_sweep() {
                 "{:>6} {:>6} {:>14} {:>18} {:>14} {:>16}",
                 h,
                 d,
-                cell(naive::run_known(&alice, &bob, d, &params)),
-                cell(iblt_of_iblts::run_known(&alice, &bob, d, d, &params)),
-                cell(cascading::run_known(&alice, &bob, d, &params)),
-                cell(multiround::run_known(&alice, &bob, d, d, &params)),
+                cell(
+                    sos_session::naive_known_alice(a, d, p, three)
+                        .and_then(|x| run.run(x, sos_session::naive_known_bob(b, p, three)))
+                ),
+                cell(
+                    sos_session::ioi_known_alice(a, d, d, p, three)
+                        .and_then(|x| run.run(x, sos_session::ioi_known_bob(b, p, three)))
+                ),
+                cell(
+                    sos_session::cascading_known_alice(a, d, p, four)
+                        .and_then(|x| run.run(x, sos_session::cascading_known_bob(b, p, four)))
+                ),
+                cell(run.run(
+                    sos_session::multiround_known_alice(a, d, d, p),
+                    sos_session::multiround_known_bob(b, p)
+                )),
             );
         }
     }
@@ -238,13 +263,17 @@ fn graph_reconciliation() {
     for &(n, p, d) in &[(192usize, 0.35f64, 2usize), (256, 0.35, 4)] {
         graph_row("degree-order (5.2)", n, p, d, 97, |alice, bob, t| {
             let params = DegreeOrderParams { h: 48.min(n / 4), seed: t };
-            degree_order::reconcile(alice, bob, d, &params)
+            let alice = graph_session::degree_order_alice(alice, d, &params)?;
+            SessionBuilder::new(t).run(alice, graph_session::degree_order_bob(bob, d, &params)?)
         });
     }
     for &(n, p, d) in &[(256usize, 0.2f64, 2usize), (320, 0.15, 2)] {
         graph_row("degree-nbhd (5.6)", n, p, d, 131, |alice, bob, t| {
             let params = DegreeNeighborhoodParams::for_gnp(n, p, t);
-            degree_neighborhood::reconcile(alice, bob, d, &params)
+            let agreed = degree_neighborhood::agreed_params(alice, bob, &params)?;
+            let alice = graph_session::degree_neighborhood_alice(alice, d, &params, &agreed)?;
+            let bob = graph_session::degree_neighborhood_bob(bob, d, &params, &agreed)?;
+            SessionBuilder::new(t).run(alice, bob)
         });
     }
     println!("\npaper's claim: the degree-neighborhood scheme works for much sparser graphs but");
@@ -315,7 +344,11 @@ fn forest_scaling() {
             let bob = base.perturb(d - d / 2, &mut rng);
             let bound_sigma = alice.max_depth().max(bob.max_depth()).max(1);
             let start = Instant::now();
-            match forest::reconcile(&alice, &bob, d, bound_sigma, 7) {
+            let run = forest::agreed_params(&alice, &bob, 7).and_then(|agreed| {
+                let alice = graph_session::forest_alice(&alice, d, bound_sigma, 7, &agreed)?;
+                SessionBuilder::new(7).run(alice, graph_session::forest_bob(&bob, 7, &agreed)?)
+            });
+            match run {
                 Ok(Outcome { recovered, stats }) => {
                     let ms = start.elapsed().as_secs_f64() * 1e3;
                     let (bytes, iso) = (stats.total_bytes(), recovered.is_isomorphic(&alice, 7));

@@ -48,12 +48,10 @@
 //! ([`Iblt::fold_half_into`]): both sides walk each child once.
 
 use crate::iblt_of_iblts::IbltOfIbltsProtocol;
-use crate::session;
-use crate::types::{ChildSet, SetOfSets, SosOutcome, SosParams};
+use crate::types::{ChildSet, SetOfSets, SosParams};
 use recon_base::wire::{read_uvarint, write_uvarint, Decode, Encode, WireError};
 use recon_base::ReconError;
 use recon_iblt::{Iblt, IbltConfig};
-use recon_protocol::{Amplification, SessionBuilder};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Alice's one-round message: the cascade of outer tables.
@@ -463,49 +461,23 @@ fn count_distance(a: &Iblt, b: &Iblt) -> u64 {
     a.counts().chunks(partition).zip(b.counts().chunks(partition)).map(distance).max().unwrap_or(0)
 }
 
-/// Theorem 3.7 driver: one-round SSRK with known total difference bound `d`, with up
-/// to four replicated attempts (the paper's success probability is a constant 2/3,
-/// amplified by replication against the whole-set hash). Delegates to the sans-I/O
-/// parties of [`crate::session`] driven over an in-memory link.
-pub fn run_known(
-    alice: &SetOfSets,
-    bob: &SetOfSets,
-    d: usize,
-    params: &SosParams,
-) -> Result<SosOutcome, ReconError> {
-    let builder = SessionBuilder::new(params.seed).amplification(Amplification::replicate(4));
-    let amplification = builder.config().amplification;
-    builder.run(
-        session::cascading_known_alice(alice, d, params, amplification)?,
-        session::cascading_known_bob(bob, params, amplification),
-    )
-}
-
-/// Corollary 3.8 driver: SSRU by repeated doubling of `d`, `O(log d)` rounds.
-pub fn run_unknown(
-    alice: &SetOfSets,
-    bob: &SetOfSets,
-    params: &SosParams,
-) -> Result<SosOutcome, ReconError> {
-    let max_possible = alice.total_elements() + bob.total_elements() + 2;
-    let builder = SessionBuilder::new(params.seed)
-        .amplification(Amplification::doubling(2, 2 * max_possible));
-    let amplification = builder.config().amplification;
-    builder.run(
-        session::cascading_unknown_alice(alice, params, amplification)?,
-        session::cascading_unknown_bob(bob, params, amplification),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::iblt_of_iblts;
+    use crate::session;
     use crate::workload::{generate_pair, WorkloadParams};
+    use recon_protocol::{Amplification, Outcome, SessionBuilder};
 
     fn params() -> (WorkloadParams, SosParams) {
         let w = WorkloadParams::new(96, 24, 1 << 30);
         (w, SosParams::new(0xCAFE, w.max_child_size))
+    }
+
+    /// Theorem 3.7's party pair under four replicated attempts, run in memory.
+    fn cascade(a: &SetOfSets, b: &SetOfSets, d: usize, p: &SosParams) -> Outcome<SetOfSets> {
+        let amp = Amplification::replicate(4);
+        let alice = session::cascading_known_alice(a, d, p, amp).unwrap();
+        SessionBuilder::new(p.seed).run(alice, session::cascading_known_bob(b, p, amp)).unwrap()
     }
 
     #[test]
@@ -565,10 +537,10 @@ mod tests {
         let (w, p) = params();
         for d in [1usize, 4, 12, 32] {
             let (alice, bob) = generate_pair(&w, d, 500 + d as u64);
-            let outcome = run_known(&alice, &bob, d, &p).unwrap();
+            let outcome = cascade(&alice, &bob, d, &p);
             assert_eq!(outcome.recovered, alice, "d = {d}");
-            // Theorem 3.7 succeeds with constant probability per attempt; the driver
-            // replicates (each replica is another one-round transmission), so a small
+            // Theorem 3.7 succeeds with constant probability per attempt; the parties
+            // replicate (each replica is another one-round transmission), so a small
             // number of rounds is acceptable but most instances should need one.
             assert!(outcome.stats.rounds <= 3, "d = {d}: {} rounds", outcome.stats.rounds);
         }
@@ -581,7 +553,7 @@ mod tests {
         let (alice, bob) = generate_pair(&w, 60, 9);
         let digest = protocol.digest(&alice, 60);
         assert!(digest.fallback.is_some());
-        let outcome = run_known(&alice, &bob, 60, &p).unwrap();
+        let outcome = cascade(&alice, &bob, 60, &p);
         assert_eq!(outcome.recovered, alice);
     }
 
@@ -589,7 +561,14 @@ mod tests {
     fn unknown_difference_reconciles() {
         let (w, p) = params();
         let (alice, bob) = generate_pair(&w, 7, 44);
-        let outcome = run_unknown(&alice, &bob, &p).unwrap();
+        let doubling =
+            Amplification::doubling(2, 2 * (alice.total_elements() + bob.total_elements() + 2));
+        let outcome = SessionBuilder::new(p.seed)
+            .run(
+                session::cascading_unknown_alice(&alice, &p, doubling).unwrap(),
+                session::cascading_unknown_bob(&bob, &p, doubling),
+            )
+            .unwrap();
         assert_eq!(outcome.recovered, alice);
     }
 
@@ -601,8 +580,14 @@ mod tests {
         let p = SosParams::new(7, w.max_child_size);
         let d = 24;
         let (alice, bob) = generate_pair(&w, d, 3);
-        let cascade = run_known(&alice, &bob, d, &p).unwrap();
-        let flat = iblt_of_iblts::run_known(&alice, &bob, d, d, &p).unwrap();
+        let cascade = cascade(&alice, &bob, d, &p);
+        let amp = Amplification::replicate(3);
+        let flat = SessionBuilder::new(p.seed)
+            .run(
+                session::ioi_known_alice(&alice, d, d, &p, amp).unwrap(),
+                session::ioi_known_bob(&bob, &p, amp),
+            )
+            .unwrap();
         assert_eq!(cascade.recovered, alice);
         assert_eq!(flat.recovered, alice);
         assert!(

@@ -10,12 +10,10 @@
 //! child IBLTs (at most `d̂²` pairs, each `O(d)` work) to recover Alice's child sets.
 //! Communication: `O(d̂ d log u + d̂ log s)` bits in one round.
 
-use crate::session;
-use crate::types::{ChildSet, SetOfSets, SosOutcome, SosParams};
+use crate::types::{ChildSet, SetOfSets, SosParams};
 use recon_base::wire::{read_uvarint, write_uvarint, Decode, Encode, WireError};
 use recon_base::ReconError;
 use recon_iblt::{Iblt, IbltConfig};
-use recon_protocol::{Amplification, SessionBuilder};
 
 /// Alice's one-round message: the outer IBLT over child encodings.
 #[derive(Debug, Clone, PartialEq)]
@@ -245,54 +243,29 @@ impl IbltOfIbltsProtocol {
     }
 }
 
-/// Theorem 3.5 driver: one-round SSRK with known bounds `d` (total element changes)
-/// and `d_hat` (differing child sets), with up to two replicated attempts counted
-/// against the communication budget. Delegates to the sans-I/O parties of
-/// [`crate::session`] driven over an in-memory link.
-pub fn run_known(
-    alice: &SetOfSets,
-    bob: &SetOfSets,
-    d: usize,
-    d_hat: usize,
-    params: &SosParams,
-) -> Result<SosOutcome, ReconError> {
-    let builder = SessionBuilder::new(params.seed).amplification(Amplification::replicate(3));
-    let amplification = builder.config().amplification;
-    builder.run(
-        session::ioi_known_alice(alice, d, d_hat, params, amplification)?,
-        session::ioi_known_bob(bob, params, amplification),
-    )
-}
-
-/// Corollary 3.6 driver: SSRU by repeated doubling of the difference bound
-/// (`d = 1, 2, 4, …`), using `O(log d)` rounds. Bob acknowledges each failed attempt
-/// with a one-byte NACK so the doubling is an explicit round of communication, as in
-/// the paper's accounting.
-pub fn run_unknown(
-    alice: &SetOfSets,
-    bob: &SetOfSets,
-    params: &SosParams,
-) -> Result<SosOutcome, ReconError> {
-    let max_possible = alice.total_elements() + bob.total_elements() + 2;
-    let children_cap = alice.num_children().max(bob.num_children()).max(1);
-    let builder = SessionBuilder::new(params.seed)
-        .amplification(Amplification::doubling(1, 2 * max_possible));
-    let amplification = builder.config().amplification;
-    builder.run(
-        session::ioi_unknown_alice(alice, params, children_cap, amplification)?,
-        session::ioi_unknown_bob(bob, params, amplification),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::naive;
+    use crate::session;
     use crate::workload::{generate_pair, WorkloadParams};
+    use recon_protocol::{Amplification, Outcome, SessionBuilder};
 
     fn params() -> (WorkloadParams, SosParams) {
         let w = WorkloadParams::new(64, 16, 1 << 30);
         (w, SosParams::new(0xD0D0, w.max_child_size))
+    }
+
+    /// Theorem 3.5's party pair under three replicated attempts, run in memory.
+    fn flat(
+        a: &SetOfSets,
+        b: &SetOfSets,
+        d: usize,
+        d_hat: usize,
+        p: &SosParams,
+    ) -> Outcome<SetOfSets> {
+        let amp = Amplification::replicate(3);
+        let alice = session::ioi_known_alice(a, d, d_hat, p, amp).unwrap();
+        SessionBuilder::new(p.seed).run(alice, session::ioi_known_bob(b, p, amp)).unwrap()
     }
 
     #[test]
@@ -309,7 +282,7 @@ mod tests {
         let (w, p) = params();
         for d in [1usize, 3, 8, 16] {
             let (alice, bob) = generate_pair(&w, d, 50 + d as u64);
-            let outcome = run_known(&alice, &bob, d, d, &p).unwrap();
+            let outcome = flat(&alice, &bob, d, d, &p);
             assert_eq!(outcome.recovered, alice, "d = {d}");
             assert_eq!(outcome.stats.rounds, 1);
         }
@@ -319,7 +292,15 @@ mod tests {
     fn unknown_difference_doubles_until_success() {
         let (w, p) = params();
         let (alice, bob) = generate_pair(&w, 9, 77);
-        let outcome = run_unknown(&alice, &bob, &p).unwrap();
+        let doubling =
+            Amplification::doubling(1, 2 * (alice.total_elements() + bob.total_elements() + 2));
+        let cap = alice.num_children().max(bob.num_children());
+        let outcome = SessionBuilder::new(p.seed)
+            .run(
+                session::ioi_unknown_alice(&alice, &p, cap, doubling).unwrap(),
+                session::ioi_unknown_bob(&bob, &p, doubling),
+            )
+            .unwrap();
         assert_eq!(outcome.recovered, alice);
         assert!(outcome.stats.rounds >= 1);
     }
@@ -331,8 +312,14 @@ mod tests {
         let w = WorkloadParams::new(48, 64, 1 << 30);
         let p = SosParams::new(3, w.max_child_size);
         let (alice, bob) = generate_pair(&w, 4, 5);
-        let smart = run_known(&alice, &bob, 4, 4, &p).unwrap();
-        let naive_run = naive::run_known(&alice, &bob, 4, &p).unwrap();
+        let smart = flat(&alice, &bob, 4, 4, &p);
+        let amp = Amplification::replicate(3);
+        let naive_run = SessionBuilder::new(p.seed)
+            .run(
+                session::naive_known_alice(&alice, 4, &p, amp).unwrap(),
+                session::naive_known_bob(&bob, &p, amp),
+            )
+            .unwrap();
         assert_eq!(smart.recovered, alice);
         assert_eq!(naive_run.recovered, alice);
         assert!(
@@ -375,7 +362,7 @@ mod tests {
         let replacement: ChildSet = (1_000_000u64..1_000_000 + removed.len() as u64).collect();
         bob.insert(replacement.clone());
         let d = removed.len() + replacement.len();
-        let outcome = run_known(&alice, &bob, d, 2, &p).unwrap();
+        let outcome = flat(&alice, &bob, d, 2, &p);
         assert_eq!(outcome.recovered, alice);
     }
 }

@@ -16,7 +16,9 @@
 //! | [`cascading`] | Thm 3.7 / Cor 3.8 (Algorithm 2) | 1 / `O(log d)` | `O(d log min(d,h) log u + d log s)` |
 //! | [`multiround`] | Thm 3.9 / 3.10 | 3 / 4 | `O(d log u + d̂ log s + d̂ log h)` (up to log(1/δ) factors) |
 //!
-//! plus:
+//! Each family is a pair of parties in [`session`]: Alice and Bob each build
+//! theirs from their own data, and `recon_protocol::SessionBuilder::run` drives
+//! the pair in memory (an `Endpoint` drives it over a framed transport). Plus:
 //!
 //! * [`types`] — the [`SetOfSets`] data model, child hashes and parent hashes,
 //! * [`matching`] — the exact (minimum-cost matching) and relaxed difference metrics
@@ -26,15 +28,22 @@
 //!   multisets, used by the graph and forest protocols of `recon-graph`.
 //!
 //! ```
-//! use recon_sos::{cascading, SosParams};
+//! use recon_protocol::{Amplification, SessionBuilder};
 //! use recon_sos::workload::{generate_pair, WorkloadParams};
+//! use recon_sos::{session, SosParams};
 //!
 //! // A database-like workload: 64 child sets of up to 16 elements, 6 changed cells.
 //! let workload = WorkloadParams::new(64, 16, 1 << 30);
 //! let (alice, bob) = generate_pair(&workload, 6, 42);
 //!
-//! let params = SosParams::new(7, workload.max_child_size);
-//! let outcome = cascading::run_known(&alice, &bob, 6, &params).unwrap();
+//! // Theorem 3.7 with up to four replicated attempts.
+//! let (params, amp) = (SosParams::new(7, workload.max_child_size), Amplification::replicate(4));
+//! let outcome = SessionBuilder::new(params.seed)
+//!     .run(
+//!         session::cascading_known_alice(&alice, 6, &params, amp).unwrap(),
+//!         session::cascading_known_bob(&bob, &params, amp),
+//!     )
+//!     .unwrap();
 //! assert_eq!(outcome.recovered, alice);
 //! println!("reconciled with {}", outcome.stats);
 //! ```
@@ -57,4 +66,4 @@ pub use matching::{child_difference, differing_children, matching_difference, re
 pub use multiset_of_multisets::{PairPacking, SetOfMultisets};
 pub use recon_estimator::L0Config;
 pub use sharded::{shard_set_of_sets, ShardedSosFamily};
-pub use types::{ChildSet, SetOfSets, SosOutcome, SosParams};
+pub use types::{ChildSet, SetOfSets, SosParams};

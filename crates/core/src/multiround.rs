@@ -17,17 +17,13 @@
 //!    (Theorem 2.3 is exact, so tiny patches never need retries). Bob applies each
 //!    patch to his matched child and swaps the results into his parent set.
 //!
-//! The driver adds a safety fallback the paper handles by replication: if a per-child
-//! patch fails to verify (the estimator under-estimated), the child set is re-sent
-//! verbatim. This keeps the driver always-correct; the extra bytes are charged to the
-//! transcript so the measured communication honestly reflects the retry.
+//! The parties ([`crate::session::multiround_known_alice`] and its Bob) add a safety
+//! fallback the paper handles by replication: if a per-child patch fails to verify
+//! (the estimator under-estimated), the child set is re-sent verbatim. This keeps the
+//! protocol always-correct; the extra bytes are charged to the transcript so the
+//! measured communication honestly reflects the retry.
 
-use crate::session;
-use crate::types::{SetOfSets, SosOutcome, SosParams};
 use recon_base::wire::{Decode, Encode, WireError};
-use recon_base::ReconError;
-use recon_estimator::L0Config;
-use recon_protocol::SessionBuilder;
 use recon_set::{CharPolyDigest, SetDigest};
 
 /// A per-child patch sent by Alice in the final round.
@@ -109,41 +105,14 @@ impl Decode for ChildPatch {
     }
 }
 
-/// Run the known-`d` multi-round protocol (Theorem 3.9): 3 rounds. Delegates to
-/// the sans-I/O party pair of [`crate::session`] driven over an in-memory link.
-pub fn run_known(
-    alice: &SetOfSets,
-    bob: &SetOfSets,
-    d: usize,
-    d_hat: usize,
-    params: &SosParams,
-) -> Result<SosOutcome, ReconError> {
-    SessionBuilder::new(params.seed).run(
-        session::multiround_known_alice(alice, d, d_hat, params),
-        session::multiround_known_bob(bob, params),
-    )
-}
-
-/// Run the unknown-`d` multi-round protocol (Theorem 3.10): 4 rounds, the first of
-/// which estimates the number of differing child sets.
-pub fn run_unknown(
-    alice: &SetOfSets,
-    bob: &SetOfSets,
-    params: &SosParams,
-) -> Result<SosOutcome, ReconError> {
-    let builder = SessionBuilder::new(params.seed).estimator(L0Config::default());
-    let estimator = builder.config().estimator;
-    builder.run(
-        session::multiround_unknown_alice(alice, params, estimator),
-        session::multiround_unknown_bob(bob, params, estimator),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::ChildSet;
+    use crate::session;
+    use crate::types::{ChildSet, SetOfSets, SosParams};
     use crate::workload::{generate_pair, WorkloadParams};
+    use recon_estimator::L0Config;
+    use recon_protocol::{Amplification, Outcome, SessionBuilder};
     use recon_set::{CharPolyProtocol, IbltSetProtocol};
 
     fn params() -> (WorkloadParams, SosParams) {
@@ -151,11 +120,23 @@ mod tests {
         (w, SosParams::new(0xABCD, w.max_child_size))
     }
 
+    /// Theorem 3.9's party pair, run in memory.
+    fn multi(
+        a: &SetOfSets,
+        b: &SetOfSets,
+        d: usize,
+        d_hat: usize,
+        p: &SosParams,
+    ) -> Outcome<SetOfSets> {
+        let alice = session::multiround_known_alice(a, d, d_hat, p);
+        SessionBuilder::new(p.seed).run(alice, session::multiround_known_bob(b, p)).unwrap()
+    }
+
     #[test]
     fn identical_parent_sets_reconcile_in_one_round_of_hashes() {
         let (w, p) = params();
         let (alice, _) = generate_pair(&w, 0, 1);
-        let outcome = run_known(&alice, &alice, 4, 4, &p).unwrap();
+        let outcome = multi(&alice, &alice, 4, 4, &p);
         assert_eq!(outcome.recovered, alice);
     }
 
@@ -164,7 +145,7 @@ mod tests {
         let (w, p) = params();
         for d in [1usize, 4, 10, 24] {
             let (alice, bob) = generate_pair(&w, d, 60 + d as u64);
-            let outcome = run_known(&alice, &bob, d, d, &p).unwrap();
+            let outcome = multi(&alice, &bob, d, d, &p);
             assert_eq!(outcome.recovered, alice, "d = {d}");
             assert!(outcome.stats.rounds >= 3, "d = {d}: {}", outcome.stats.rounds);
         }
@@ -174,7 +155,13 @@ mod tests {
     fn unknown_d_adds_an_estimation_round() {
         let (w, p) = params();
         let (alice, bob) = generate_pair(&w, 8, 5);
-        let outcome = run_unknown(&alice, &bob, &p).unwrap();
+        let est = L0Config::default();
+        let outcome = SessionBuilder::new(p.seed)
+            .run(
+                session::multiround_unknown_alice(&alice, &p, est),
+                session::multiround_unknown_bob(&bob, &p, est),
+            )
+            .unwrap();
         assert_eq!(outcome.recovered, alice);
         assert!(outcome.stats.rounds >= 4);
     }
@@ -207,9 +194,15 @@ mod tests {
         // total should be well under what the naive protocol would pay (s·h words).
         let (w, p) = params();
         let (alice, bob) = generate_pair(&w, 4, 17);
-        let outcome = run_known(&alice, &bob, 4, 4, &p).unwrap();
+        let outcome = multi(&alice, &bob, 4, 4, &p);
         assert_eq!(outcome.recovered, alice);
-        let naive = crate::naive::run_known(&alice, &bob, 4, &p).unwrap();
+        let amp = Amplification::replicate(3);
+        let naive = SessionBuilder::new(p.seed)
+            .run(
+                session::naive_known_alice(&alice, 4, &p, amp).unwrap(),
+                session::naive_known_bob(&bob, &p, amp),
+            )
+            .unwrap();
         assert!(outcome.stats.total_bytes() < naive.stats.total_bytes());
     }
 
@@ -222,7 +215,7 @@ mod tests {
         let replacement: ChildSet = (900_000_000u64..900_000_000 + 16).collect();
         bob.insert(replacement);
         let d = 40;
-        let outcome = run_known(&alice, &bob, d, 4, &p).unwrap();
+        let outcome = multi(&alice, &bob, d, 4, &p);
         assert_eq!(outcome.recovered, alice);
     }
 }

@@ -15,7 +15,6 @@
 
 use crate::types::{ChildSet, SetOfSets, SosParams};
 use recon_base::ReconError;
-use recon_protocol::{Amplification, SessionBuilder};
 use recon_set::Multiset;
 
 /// A parent collection of child multisets (possibly itself with repeated children).
@@ -118,6 +117,8 @@ impl SetOfMultisets {
         }
         let mut children = Vec::with_capacity(groups.len());
         for (pairs, occurrences) in groups {
+            // An occurrence count has the bound a pair's multiplicity has.
+            packing.pack(0, occurrences)?;
             let mut set = ChildSet::new();
             for (x, c) in pairs {
                 set.insert(packing.pack(x, c)?);
@@ -130,7 +131,9 @@ impl SetOfMultisets {
         Ok(SetOfSets::from_children(children))
     }
 
-    /// Inverse of [`SetOfMultisets::to_set_of_sets`].
+    /// Inverse of [`SetOfMultisets::to_set_of_sets`]. An occurrence marker of 0
+    /// or above [`PairPacking::max_count`] — which only a peer could have put
+    /// there — is refused before the child is cloned for it.
     pub fn from_set_of_sets(sos: &SetOfSets, packing: &PairPacking) -> Result<Self, ReconError> {
         let mut children = Vec::new();
         for child in sos.children() {
@@ -139,6 +142,7 @@ impl SetOfMultisets {
             for &packed in child {
                 if packed >> 63 == 1 {
                     occurrences = packed & !(1u64 << 63);
+                    packing.pack(0, occurrences).map_err(|_| ReconError::ChecksumFailure)?;
                     continue;
                 }
                 let (x, c) = packing.unpack(packed);
@@ -173,8 +177,9 @@ impl SetOfMultisets {
 
 /// The shared parameters the two parties of a Section 3.4 session must agree on:
 /// the cascading protocol's `SosParams` with a `max_child_size` covering both
-/// parties' *packed* children. The legacy driver derives it from both inputs;
-/// separated parties agree on it out of band like any other universe bound.
+/// parties' *packed* children. A caller holding both inputs derives it here (the
+/// graph schemes' `agreed_params` do); separated parties agree on it out of band
+/// like any other universe bound.
 pub fn resolved_params(
     alice: &SetOfMultisets,
     bob: &SetOfMultisets,
@@ -188,32 +193,24 @@ pub fn resolved_params(
     Ok(SosParams::new(params.seed, max_child))
 }
 
-/// Reconcile two collections of multisets with a known bound `d` on the number of
-/// element-level changes, by packing into a set of sets and running the cascading
-/// protocol (Theorem 3.7 with the Section 3.4 transformation). Delegates to the
-/// sans-I/O parties of [`crate::session`] driven over an in-memory link.
-///
-/// Returns Bob's recovered copy of Alice's collection and the measured communication.
-pub fn reconcile_known(
-    alice: &SetOfMultisets,
-    bob: &SetOfMultisets,
-    d: usize,
-    params: &SosParams,
-    packing: &PairPacking,
-) -> Result<(SetOfMultisets, recon_base::CommStats), ReconError> {
-    let sos_params = resolved_params(alice, bob, params, packing)?;
-    let builder = SessionBuilder::new(sos_params.seed).amplification(Amplification::replicate(4));
-    let amplification = builder.config().amplification;
-    let outcome = builder.run(
-        crate::session::mom_known_alice(alice, d, &sos_params, packing, amplification)?,
-        crate::session::mom_known_bob(bob, &sos_params, packing, amplification)?,
-    )?;
-    Ok((outcome.recovered, outcome.stats))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use recon_protocol::{Amplification, Outcome, SessionBuilder};
+
+    /// The Section 3.4 party pair under four replicated attempts, run in memory.
+    fn run_session(
+        a: &SetOfMultisets,
+        b: &SetOfMultisets,
+        d: usize,
+        seed: u64,
+    ) -> Outcome<SetOfMultisets> {
+        let (packing, amp) = (PairPacking::default(), Amplification::replicate(4));
+        let p = resolved_params(a, b, &SosParams::new(seed, 8), &packing).unwrap();
+        let alice = crate::session::mom_known_alice(a, d, &p, &packing, amp).unwrap();
+        let bob = crate::session::mom_known_bob(b, &p, &packing, amp).unwrap();
+        SessionBuilder::new(p.seed).run(alice, bob).unwrap()
+    }
 
     fn ms(pairs: &[(u64, u64)]) -> Multiset {
         let mut m = Multiset::new();
@@ -252,19 +249,15 @@ mod tests {
 
     #[test]
     fn identical_collections_reconcile() {
-        let packing = PairPacking::default();
         let collection =
             SetOfMultisets::from_children((0..40u64).map(|i| ms(&[(i, 1 + i % 3), (i + 100, 2)])));
-        let params = SosParams::new(5, 8);
-        let (recovered, stats) =
-            reconcile_known(&collection, &collection, 2, &params, &packing).unwrap();
+        let Outcome { recovered, stats } = run_session(&collection, &collection, 2, 5);
         assert_eq!(recovered.canonicalized(), collection.canonicalized());
         assert!(stats.total_bytes() > 0);
     }
 
     #[test]
     fn multiplicity_and_element_changes_reconcile() {
-        let packing = PairPacking::default();
         let alice = SetOfMultisets::from_children(
             (0..60u64).map(|i| ms(&[(i, 1 + i % 4), (i * 7 + 1000, 2), (i + 5000, 1)])),
         );
@@ -275,21 +268,18 @@ mod tests {
         bob_children[10].insert(999_999);
         bob_children[20].remove(20 * 7 + 1000);
         let bob = SetOfMultisets::from_children(bob_children);
-        let params = SosParams::new(11, 8);
-        let (recovered, _) = reconcile_known(&alice, &bob, 6, &params, &packing).unwrap();
+        let recovered = run_session(&alice, &bob, 6, 11).recovered;
         assert_eq!(recovered.canonicalized(), alice.canonicalized());
     }
 
     #[test]
     fn duplicate_children_with_different_counts_reconcile() {
-        let packing = PairPacking::default();
         let shared: Vec<Multiset> = (0..30u64).map(|i| ms(&[(i, 2)])).collect();
         let mut alice_children = shared.clone();
         alice_children.push(ms(&[(7, 2)])); // now two copies of the child {7:2}
         let alice = SetOfMultisets::from_children(alice_children);
         let bob = SetOfMultisets::from_children(shared);
-        let params = SosParams::new(21, 8);
-        let (recovered, _) = reconcile_known(&alice, &bob, 3, &params, &packing).unwrap();
+        let recovered = run_session(&alice, &bob, 3, 21).recovered;
         assert_eq!(recovered.canonicalized(), alice.canonicalized());
     }
 }

@@ -7,13 +7,10 @@
 //! reconciliation (Corollary 2.2 / 3.2). Communication is `O(d̂ · h log u)` bits —
 //! the baseline every smarter protocol in this crate is compared against in Table 1.
 
-use crate::session;
-use crate::types::{SetOfSets, SosOutcome, SosParams};
+use crate::types::{SetOfSets, SosParams};
 use recon_base::wire::{Decode, Encode, WireError};
 use recon_base::ReconError;
-use recon_estimator::L0Config;
 use recon_iblt::{Iblt, IbltConfig};
-use recon_protocol::{Amplification, SessionBuilder};
 
 /// Alice's one-round message for the naive protocol.
 #[derive(Debug, Clone, PartialEq)]
@@ -67,7 +64,7 @@ impl NaiveProtocol {
     fn outer_config(&self) -> IbltConfig {
         // Retightened sizing backed by the decode-rescue pipeline: Bob feeds
         // his own child encodings to the solver in `reconcile`, and the
-        // session drivers amplify residual failures. At O(h log u) bits per
+        // session parties amplify residual failures. At O(h log u) bits per
         // outer cell the tighter layout is where the savings are largest.
         IbltConfig::tuned_for_key_bytes(self.key_bytes(), self.params.role_seed(0xA1))
     }
@@ -137,47 +134,13 @@ impl NaiveProtocol {
     }
 }
 
-/// Theorem 3.3 driver: one-round SSRK (known bound `d_hat` on differing child sets),
-/// with up to two replicated attempts (Section 3.2's amplification) counted against
-/// the communication budget. Delegates to the sans-I/O parties of
-/// [`crate::session`] driven over an in-memory link.
-pub fn run_known(
-    alice: &SetOfSets,
-    bob: &SetOfSets,
-    d_hat: usize,
-    params: &SosParams,
-) -> Result<SosOutcome, ReconError> {
-    let builder = SessionBuilder::new(params.seed).amplification(Amplification::replicate(3));
-    let amplification = builder.config().amplification;
-    builder.run(
-        session::naive_known_alice(alice, d_hat, params, amplification)?,
-        session::naive_known_bob(bob, params, amplification),
-    )
-}
-
-/// Theorem 3.4 driver: two-round SSRU (unknown difference). Bob first sends an ℓ0
-/// estimator over his child-set hashes so Alice can bound the number of differing
-/// children, then the known-`d̂` protocol runs (doubling the bound on retries).
-pub fn run_unknown(
-    alice: &SetOfSets,
-    bob: &SetOfSets,
-    params: &SosParams,
-) -> Result<SosOutcome, ReconError> {
-    let builder = SessionBuilder::new(params.seed)
-        .amplification(Amplification::replicate(5))
-        .estimator(L0Config::default());
-    let amplification = builder.config().amplification;
-    let estimator = builder.config().estimator;
-    builder.run(
-        session::naive_unknown_alice(alice, params, amplification, estimator),
-        session::naive_unknown_bob(bob, params, amplification, estimator),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session;
     use crate::workload::{generate_pair, WorkloadParams};
+    use recon_estimator::L0Config;
+    use recon_protocol::{Amplification, SessionBuilder};
 
     fn params() -> (WorkloadParams, SosParams) {
         let w = WorkloadParams::new(64, 12, 1 << 20);
@@ -196,9 +159,15 @@ mod tests {
     #[test]
     fn small_perturbations_reconcile() {
         let (w, p) = params();
+        let amp = Amplification::replicate(3);
         for d in [1usize, 2, 5, 10] {
             let (alice, bob) = generate_pair(&w, d, 10 + d as u64);
-            let outcome = run_known(&alice, &bob, d, &p).unwrap();
+            let outcome = SessionBuilder::new(p.seed)
+                .run(
+                    session::naive_known_alice(&alice, d, &p, amp).unwrap(),
+                    session::naive_known_bob(&bob, &p, amp),
+                )
+                .unwrap();
             assert_eq!(outcome.recovered, alice, "d = {d}");
             assert_eq!(outcome.stats.rounds, 1);
         }
@@ -208,7 +177,13 @@ mod tests {
     fn unknown_difference_reconciles_in_two_or_more_rounds() {
         let (w, p) = params();
         let (alice, bob) = generate_pair(&w, 6, 3);
-        let outcome = run_unknown(&alice, &bob, &p).unwrap();
+        let (amp, est) = (Amplification::replicate(5), L0Config::default());
+        let outcome = SessionBuilder::new(p.seed)
+            .run(
+                session::naive_unknown_alice(&alice, &p, amp, est),
+                session::naive_unknown_bob(&bob, &p, amp, est),
+            )
+            .unwrap();
         assert_eq!(outcome.recovered, alice);
         assert!(outcome.stats.rounds >= 2);
         assert!(outcome.stats.bytes_bob_to_alice > 0);

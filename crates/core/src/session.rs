@@ -3,10 +3,9 @@
 //! Every protocol family of Section 3 is expressed as a pair of party state
 //! machines: the one-round families (naive, IBLT-of-IBLTs, cascading) through the
 //! generic amplification combinators of `recon-protocol`, the multi-round family
-//! (Theorems 3.9/3.10) as bespoke machines. The pairs reproduce, message for
-//! message, the transcripts of the legacy `run_known`/`run_unknown` drivers —
-//! which now delegate here — and are what the graph schemes embed via
-//! [`recon_protocol::Nested`].
+//! (Theorems 3.9/3.10) as bespoke machines. `SessionBuilder::run` drives a pair
+//! in memory, an `Endpoint` over a framed transport, and the graph schemes embed
+//! them via [`recon_protocol::Nested`].
 
 use crate::cascading::CascadingProtocol;
 use crate::iblt_of_iblts::IbltOfIbltsProtocol;
@@ -193,8 +192,7 @@ pub fn ioi_known_bob(
 
 /// Alice's side of Corollary 3.6 (SSRU by repeated doubling `d = 1, 2, 4, …`).
 /// `children_cap` bounds `d_hat` by the larger parent-set size — a universe
-/// parameter both parties agree on out of band (the legacy driver computes it
-/// from both inputs).
+/// parameter both parties agree on out of band.
 pub fn ioi_unknown_alice(
     sos: &SetOfSets,
     params: &SosParams,
@@ -315,9 +313,8 @@ pub fn cascading_unknown_bob(
 
 /// Alice's side of the Section 3.4 adapter: pack the collection into a plain set
 /// of sets and run the cascading protocol on it. `resolved_params` must carry the
-/// agreed-on `max_child_size` covering both parties' *packed* children (the
-/// legacy driver computes it from both inputs; see
-/// [`crate::multiset_of_multisets::reconcile_known`]).
+/// agreed-on `max_child_size` covering both parties' *packed* children (see
+/// [`crate::multiset_of_multisets::resolved_params`]).
 pub fn mom_known_alice(
     collection: &SetOfMultisets,
     d: usize,

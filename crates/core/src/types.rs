@@ -252,10 +252,6 @@ impl SosParams {
     }
 }
 
-/// The result of a locally-driven set-of-sets reconciliation: Bob's recovered copy
-/// of Alice's parent set plus the measured communication.
-pub type SosOutcome = recon_protocol::Outcome<SetOfSets>;
-
 #[cfg(test)]
 mod tests {
     use super::*;

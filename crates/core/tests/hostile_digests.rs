@@ -10,7 +10,7 @@ use recon_sos::cascading::{CascadingDigest, CascadingProtocol};
 use recon_sos::iblt_of_iblts::IbltOfIbltsProtocol;
 use recon_sos::naive::NaiveProtocol;
 use recon_sos::workload::{generate_pair, WorkloadParams};
-use recon_sos::{SetOfSets, SosParams};
+use recon_sos::{ChildSet, PairPacking, SetOfMultisets, SetOfSets, SosParams};
 
 const H: usize = 24;
 
@@ -205,5 +205,22 @@ fn a_hostile_count_or_a_short_plane_does_not_parse() {
         hostile.extend_from_slice(count);
         hostile.extend_from_slice(&bytes[first_count + 1..]);
         assert_eq!(CascadingDigest::from_bytes(&hostile), Err(WireError::VarintOverflow));
+    }
+}
+
+/// A recovered child's occurrence marker says how many copies of it the unpacked
+/// collection holds, so it is the peer's number too: one of 2^40 used to clone
+/// the child 2^40 times, one of 0 to drop it without a word. A marker of 0 or
+/// past the bound a pair's multiplicity has is refused before any clone.
+#[test]
+fn an_occurrence_marker_past_the_multiplicity_bound_is_refused() {
+    let packing = PairPacking::default();
+    let unpack = |marker: u64| {
+        let child: ChildSet = [packing.pack(7, 2).unwrap(), (1 << 63) | marker].into();
+        SetOfMultisets::from_set_of_sets(&SetOfSets::from_children([child]), &packing)
+    };
+    assert_eq!(unpack(3).unwrap().num_children(), 3);
+    for marker in [1 << 40, 0, packing.max_count() + 1] {
+        assert!(matches!(unpack(marker), Err(ReconError::ChecksumFailure)), "marker {marker}");
     }
 }

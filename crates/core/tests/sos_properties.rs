@@ -3,10 +3,12 @@
 
 use proptest::prelude::*;
 use recon_base::rng::Xoshiro256;
+use recon_protocol::{Amplification, SessionBuilder};
+use recon_sos::session::{cascading_known_alice, cascading_known_bob};
+use recon_sos::session::{naive_known_alice, naive_known_bob};
 use recon_sos::workload::{generate_pair, perturb, random_set_of_sets, WorkloadParams};
 use recon_sos::{
-    cascading, differing_children, matching_difference, naive, relaxed_difference, SetOfSets,
-    SosParams,
+    cascading, differing_children, matching_difference, relaxed_difference, SetOfSets, SosParams,
 };
 
 proptest! {
@@ -54,11 +56,17 @@ proptest! {
     ) {
         let workload = WorkloadParams::new(32, 10, 1 << 24);
         let (alice, bob) = generate_pair(&workload, d_true, seed);
-        let params = SosParams::new(seed ^ 0x5051, workload.max_child_size);
-        if let Ok(outcome) = cascading::run_known(&alice, &bob, d_declared, &params) {
+        let (p, d) = (&SosParams::new(seed ^ 0x5051, workload.max_child_size), d_declared);
+        let (run, three, four) =
+            (SessionBuilder::new(p.seed), Amplification::replicate(3), Amplification::replicate(4));
+        let cascade = cascading_known_alice(&alice, d, p, four)
+            .and_then(|a| run.run(a, cascading_known_bob(&bob, p, four)));
+        if let Ok(outcome) = cascade {
             prop_assert_eq!(outcome.recovered, alice.clone());
         }
-        if let Ok(outcome) = naive::run_known(&alice, &bob, d_declared, &params) {
+        let naive = naive_known_alice(&alice, d, p, three)
+            .and_then(|a| run.run(a, naive_known_bob(&bob, p, three)));
+        if let Ok(outcome) = naive {
             prop_assert_eq!(outcome.recovered, alice.clone());
         }
     }

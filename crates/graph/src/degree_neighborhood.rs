@@ -10,12 +10,12 @@
 //! non-conforming vertices are at distance `≥ 2d+1` ("(pn, 4d+1)-disjoint"). Bob
 //! therefore recovers Alice's signatures with *set-of-multisets* reconciliation
 //! (Section 3.4 + Theorem 3.7), matches each of his vertices to the closest
-//! signature, and finishes with labeled-edge set reconciliation.
+//! signature, and finishes with labeled-edge set reconciliation. The two parties
+//! are [`crate::session::degree_neighborhood_alice`] and
+//! [`crate::session::degree_neighborhood_bob`], both built with [`agreed_params`].
 
 use crate::graph::Graph;
-use crate::session;
 use recon_base::ReconError;
-use recon_protocol::{Outcome, SessionBuilder};
 use recon_set::Multiset;
 use recon_sos::multiset_of_multisets::{self, PairPacking, SetOfMultisets};
 use recon_sos::SosParams;
@@ -79,44 +79,42 @@ pub(crate) fn canonical_key(sig: &Multiset) -> Vec<(u64, u64)> {
     pairs
 }
 
-/// One-round random-graph reconciliation with the degree-neighborhood scheme
-/// (Theorem 5.6). `d` is the total number of edge changes between `G_A` and `G_B`.
-///
-/// Returns Bob's reconstruction of Alice's graph on her canonical labeling, plus the
-/// measured communication. Fails with [`ReconError::SeparationFailure`] when the
-/// signatures do not produce an unambiguous conforming labeling. Delegates to the
-/// sans-I/O party pair of [`crate::session`] driven over an in-memory link.
-pub fn reconcile(
+/// The set-of-sets parameters both parties of Theorem 5.6 run the embedded
+/// Section 3.4 session under: its seed, and a packed child-size bound that covers
+/// both parties' signatures — the one input neither can compute alone (separated
+/// parties agree on it out of band, like any other universe bound).
+pub fn agreed_params(
     alice: &Graph,
     bob: &Graph,
-    d: usize,
     params: &DegreeNeighborhoodParams,
-) -> Result<Outcome<Graph>, ReconError> {
-    if alice.num_vertices() != bob.num_vertices() {
-        return Err(ReconError::InvalidInput("graphs must have the same vertex count".into()));
-    }
-    // The two parties must agree on the packed child-size bound; the local driver
-    // derives it from both inputs, like the legacy implementation did.
-    let packing = PairPacking::default();
-    let alice_collection = SetOfMultisets::from_children(signatures(alice, params.degree_cap));
-    let bob_collection = SetOfMultisets::from_children(signatures(bob, params.degree_cap));
-    let base_params = SosParams::new(params.seed ^ 0xDE16, params.degree_cap.max(4));
-    let resolved = multiset_of_multisets::resolved_params(
-        &alice_collection,
-        &bob_collection,
-        &base_params,
-        &packing,
-    )?;
-    SessionBuilder::new(params.seed).run(
-        session::degree_neighborhood_alice(alice, d, params, &resolved)?,
-        session::degree_neighborhood_bob(bob, d, params, &resolved)?,
+) -> Result<SosParams, ReconError> {
+    multiset_of_multisets::resolved_params(
+        &SetOfMultisets::from_children(signatures(alice, params.degree_cap)),
+        &SetOfMultisets::from_children(signatures(bob, params.degree_cap)),
+        &SosParams::new(params.seed ^ 0xDE16, params.degree_cap.max(4)),
+        &PairPacking::default(),
     )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session;
     use recon_base::rng::Xoshiro256;
+    use recon_protocol::{Outcome, SessionBuilder};
+
+    /// Theorem 5.6's party pair, run in memory.
+    fn run_session(
+        alice: &Graph,
+        bob: &Graph,
+        d: usize,
+        params: &DegreeNeighborhoodParams,
+    ) -> Result<Outcome<Graph>, ReconError> {
+        let agreed = agreed_params(alice, bob, params)?;
+        let alice = session::degree_neighborhood_alice(alice, d, params, &agreed)?;
+        let bob = session::degree_neighborhood_bob(bob, d, params, &agreed)?;
+        SessionBuilder::new(params.seed).run(alice, bob)
+    }
 
     #[test]
     fn signature_collects_capped_neighbor_degrees() {
@@ -142,7 +140,7 @@ mod tests {
         let mut rng = Xoshiro256::new(2);
         let g = Graph::gnp(80, 0.15, &mut rng);
         let params = DegreeNeighborhoodParams::for_gnp(80, 0.15, 11);
-        match reconcile(&g, &g, 1, &params) {
+        match run_session(&g, &g, 1, &params) {
             Ok(outcome) => {
                 assert_eq!(outcome.recovered.num_edges(), g.num_edges());
                 assert_eq!(outcome.stats.rounds, 1);
@@ -163,7 +161,7 @@ mod tests {
         let alice = base.perturb(1, &mut rng);
         let bob = base.perturb(1, &mut rng);
         let params = DegreeNeighborhoodParams::for_gnp(128, 0.12, 23);
-        match reconcile(&alice, &bob, 2, &params) {
+        match run_session(&alice, &bob, 2, &params) {
             Ok(outcome) => {
                 assert_eq!(outcome.recovered.num_edges(), alice.num_edges());
                 let mut a_deg: Vec<usize> = (0..128u32).map(|v| alice.degree(v)).collect();
@@ -184,16 +182,20 @@ mod tests {
 
     #[test]
     fn mismatched_vertex_counts_are_rejected() {
-        let a = Graph::new(4);
-        let b = Graph::new(5);
-        let params = DegreeNeighborhoodParams { degree_cap: 3, seed: 1 };
-        assert!(matches!(reconcile(&a, &b, 1, &params), Err(ReconError::InvalidInput(_))));
+        // One more, isolated, vertex on either side: Bob learns Alice's count from
+        // the recovered signatures and refuses.
+        let mut rng = Xoshiro256::new(3);
+        let a = Graph::gnp(160, 0.1, &mut rng);
+        let b = Graph::from_edges(161, &a.edges());
+        let params = DegreeNeighborhoodParams::for_gnp(160, 0.1, 7);
+        assert!(matches!(run_session(&a, &b, 1, &params), Err(ReconError::InvalidInput(_))));
+        assert!(matches!(run_session(&b, &a, 1, &params), Err(ReconError::InvalidInput(_))));
     }
 
     #[test]
     fn twin_vertices_surface_as_separation_failure() {
         let g = Graph::from_edges(4, &[(0, 1), (0, 2), (2, 3)]);
         let params = DegreeNeighborhoodParams { degree_cap: 10, seed: 3 };
-        assert!(matches!(reconcile(&g, &g, 1, &params), Err(ReconError::SeparationFailure(_))));
+        assert!(matches!(run_session(&g, &g, 1, &params), Err(ReconError::SeparationFailure(_))));
     }
 }

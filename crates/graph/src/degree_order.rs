@@ -9,12 +9,11 @@
 //! distance `d` of each other while non-conforming vertices are at distance `≥ d+1`,
 //! so recovering Alice's signature *set of sets* (Theorem 3.7) lets Bob build a
 //! conforming labeling, after which the edges are reconciled as an ordinary labeled
-//! set (Corollary 2.2).
+//! set (Corollary 2.2). The two parties are [`crate::session::degree_order_alice`]
+//! and [`crate::session::degree_order_bob`].
 
 use crate::graph::Graph;
-use crate::session;
 use recon_base::ReconError;
-use recon_protocol::{Outcome, SessionBuilder};
 use recon_sos::{ChildSet, SetOfSets};
 use std::collections::{BTreeSet, HashMap, HashSet};
 
@@ -197,34 +196,23 @@ pub(crate) fn label_map_from_signatures(
     (labels, sorted_sigs.into_iter().map(|(s, _)| s.clone()).collect())
 }
 
-/// One-round random-graph reconciliation with the degree-ordering scheme
-/// (Theorem 5.2). `d` is the total number of edge changes between `G_A` and `G_B`.
-///
-/// Returns Bob's reconstruction of Alice's graph — expressed on Alice's canonical
-/// labeling, hence isomorphic to `G_A` — together with the measured communication.
-/// Fails with [`ReconError::SeparationFailure`] when the signature scheme cannot
-/// produce an unambiguous labeling (the base graph was not sufficiently separated
-/// for this `h` and `d`). Delegates to the sans-I/O party pair of
-/// [`crate::session`] driven over an in-memory link.
-pub fn reconcile(
-    alice: &Graph,
-    bob: &Graph,
-    d: usize,
-    params: &DegreeOrderParams,
-) -> Result<Outcome<Graph>, ReconError> {
-    if alice.num_vertices() != bob.num_vertices() {
-        return Err(ReconError::InvalidInput("graphs must have the same vertex count".into()));
-    }
-    SessionBuilder::new(params.seed).run(
-        session::degree_order_alice(alice, d, params)?,
-        session::degree_order_bob(bob, d, params)?,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session;
     use recon_base::rng::Xoshiro256;
+    use recon_protocol::{Outcome, SessionBuilder};
+
+    /// Theorem 5.2's party pair, run in memory.
+    fn run_session(
+        alice: &Graph,
+        bob: &Graph,
+        d: usize,
+        params: &DegreeOrderParams,
+    ) -> Result<Outcome<Graph>, ReconError> {
+        let alice = session::degree_order_alice(alice, d, params)?;
+        SessionBuilder::new(params.seed).run(alice, session::degree_order_bob(bob, d, params)?)
+    }
 
     fn dense_random_graph(n: usize, p: f64, seed: u64) -> Graph {
         let mut rng = Xoshiro256::new(seed);
@@ -304,7 +292,7 @@ mod tests {
             let alice = perturb_off_anchor(&base, 48, d / 2, &mut rng);
             let bob = perturb_off_anchor(&base, 48, d - d / 2, &mut rng);
             let params = DegreeOrderParams { h: 48, seed: 1000 + d as u64 };
-            let outcome = reconcile(&alice, &bob, d, &params).unwrap();
+            let outcome = run_session(&alice, &bob, d, &params).unwrap();
             assert_eq!(outcome.recovered.num_edges(), alice.num_edges(), "d = {d}");
             let mut a_deg: Vec<usize> = (0..200u32).map(|v| alice.degree(v)).collect();
             let mut r_deg: Vec<usize> = (0..200u32).map(|v| outcome.recovered.degree(v)).collect();
@@ -326,7 +314,7 @@ mod tests {
             let alice = base.perturb(d / 2, &mut rng);
             let bob = base.perturb(d - d / 2, &mut rng);
             let params = DegreeOrderParams { h: 48, seed: 2000 + d as u64 };
-            match reconcile(&alice, &bob, d, &params) {
+            match run_session(&alice, &bob, d, &params) {
                 Ok(outcome) => {
                     assert_eq!(outcome.recovered.num_edges(), alice.num_edges(), "d = {d}");
                 }
@@ -340,7 +328,7 @@ mod tests {
     fn identical_graphs_reconcile_exactly() {
         let g = dense_random_graph(120, 0.4, 3);
         let params = DegreeOrderParams { h: 40, seed: 5 };
-        let outcome = reconcile(&g, &g, 2, &params).unwrap();
+        let outcome = run_session(&g, &g, 2, &params).unwrap();
         // With zero differences the recovered graph is exactly Alice's graph under
         // her canonical relabeling, so edge count and degree sequence must agree.
         assert_eq!(outcome.recovered.num_edges(), g.num_edges());
@@ -348,10 +336,13 @@ mod tests {
 
     #[test]
     fn mismatched_vertex_counts_are_rejected() {
-        let a = dense_random_graph(30, 0.4, 1);
-        let b = dense_random_graph(31, 0.4, 2);
-        let params = DegreeOrderParams { h: 4, seed: 5 };
-        assert!(matches!(reconcile(&a, &b, 2, &params), Err(ReconError::InvalidInput(_))));
+        // One more, isolated, vertex on either side: Bob learns Alice's count from
+        // the recovered signatures and refuses.
+        let a = dense_random_graph(120, 0.4, 3);
+        let b = Graph::from_edges(121, &a.edges());
+        let params = DegreeOrderParams { h: 40, seed: 5 };
+        assert!(matches!(run_session(&a, &b, 2, &params), Err(ReconError::InvalidInput(_))));
+        assert!(matches!(run_session(&b, &a, 2, &params), Err(ReconError::InvalidInput(_))));
     }
 
     #[test]
@@ -362,7 +353,7 @@ mod tests {
         let mut rng = Xoshiro256::new(4);
         let alice = base.perturb(1, &mut rng);
         let params = DegreeOrderParams { h: 3, seed: 77 };
-        if let Ok(outcome) = reconcile(&alice, &base, 2, &params) {
+        if let Ok(outcome) = run_session(&alice, &base, 2, &params) {
             assert!(outcome.recovered.is_isomorphic_bruteforce(&alice));
         }
     }

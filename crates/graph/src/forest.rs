@@ -15,7 +15,6 @@
 use recon_base::hash::{hash_u64_set, truncate_bits};
 use recon_base::rng::Xoshiro256;
 use recon_base::ReconError;
-use recon_protocol::{Outcome, SessionBuilder};
 use recon_set::Multiset;
 use recon_sos::multiset_of_multisets::{self, PairPacking, SetOfMultisets};
 use recon_sos::SosParams;
@@ -344,37 +343,22 @@ pub fn reconstruct(collection: &SetOfMultisets) -> Result<Forest, ReconError> {
     Ok(forest)
 }
 
-/// One-round forest reconciliation (Theorem 6.1). `d` bounds the number of directed
-/// edge updates between the forests, and `sigma` bounds the depth of every tree in
-/// either forest.
-///
-/// Returns a forest isomorphic to Alice's, plus the measured communication.
-/// Delegates to the sans-I/O party pair of [`crate::session`] driven over an
-/// in-memory link.
-pub fn reconcile(
-    alice: &Forest,
-    bob: &Forest,
-    d: usize,
-    sigma: usize,
-    seed: u64,
-) -> Result<Outcome<Forest>, ReconError> {
+/// The set-of-sets parameters both parties of Theorem 6.1 run the embedded
+/// Section 3.4 session under: its seed, and a packed child-size bound that covers
+/// both forests' vertex multisets — the one input neither party can compute alone
+/// (separated parties agree on it out of band, like any other universe bound).
+/// The parties are [`crate::session::forest_alice`] and
+/// [`crate::session::forest_bob`].
+pub fn agreed_params(alice: &Forest, bob: &Forest, seed: u64) -> Result<SosParams, ReconError> {
     let alice_collection = alice.vertex_multisets(seed);
     let bob_collection = bob.vertex_multisets(seed);
-    // The parties must agree on the packed child-size bound; the local driver
-    // derives it from both inputs, like the legacy implementation did.
-    let packing = PairPacking::default();
     let max_child =
         alice_collection.max_child_distinct().max(bob_collection.max_child_distinct()).max(2) + 1;
-    let base_params = SosParams::new(seed ^ 0xF07E57, max_child);
-    let resolved = multiset_of_multisets::resolved_params(
+    multiset_of_multisets::resolved_params(
         &alice_collection,
         &bob_collection,
-        &base_params,
-        &packing,
-    )?;
-    SessionBuilder::new(seed).run(
-        crate::session::forest_alice(alice, d, sigma, seed, &resolved)?,
-        crate::session::forest_bob(bob, seed, &resolved)?,
+        &SosParams::new(seed ^ 0xF07E57, max_child),
+        &PairPacking::default(),
     )
 }
 
@@ -395,6 +379,15 @@ pub fn from_parents(parents: &[Option<u32>]) -> Forest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use recon_protocol::{Outcome, SessionBuilder};
+
+    /// Theorem 6.1's party pair, run in memory.
+    fn run_session(a: &Forest, b: &Forest, d: usize, sigma: usize, seed: u64) -> Outcome<Forest> {
+        let agreed = agreed_params(a, b, seed).unwrap();
+        let alice = crate::session::forest_alice(a, d, sigma, seed, &agreed).unwrap();
+        let bob = crate::session::forest_bob(b, seed, &agreed).unwrap();
+        SessionBuilder::new(seed).run(alice, bob).unwrap()
+    }
 
     fn chain(n: usize) -> Forest {
         // 0 <- 1 <- 2 <- ... (vertex i's parent is i-1)
@@ -484,7 +477,7 @@ mod tests {
     fn identical_forests_reconcile() {
         let mut rng = Xoshiro256::new(21);
         let f = Forest::random(400, 0.1, 6, &mut rng);
-        let outcome = reconcile(&f, &f, 1, 6, 5).unwrap();
+        let outcome = run_session(&f, &f, 1, 6, 5);
         assert!(outcome.recovered.is_isomorphic(&f, 5));
         assert_eq!(outcome.stats.rounds, 1);
     }
@@ -497,7 +490,7 @@ mod tests {
             let alice = base.perturb(d / 2, &mut rng);
             let bob = base.perturb(d - d / 2, &mut rng);
             let sigma = alice.max_depth().max(bob.max_depth()).max(1);
-            let outcome = reconcile(&alice, &bob, d, sigma, 100 + d as u64).unwrap();
+            let outcome = run_session(&alice, &bob, d, sigma, 100 + d as u64);
             assert!(outcome.recovered.is_isomorphic(&alice, 100 + d as u64), "d = {d}");
             assert!(outcome.stats.total_bytes() > 0);
         }
@@ -510,8 +503,8 @@ mod tests {
         let large = Forest::random(2000, 0.1, 5, &mut rng);
         let small_alice = small.perturb(2, &mut rng);
         let large_alice = large.perturb(2, &mut rng);
-        let small_stats = reconcile(&small_alice, &small, 2, 6, 7).unwrap().stats;
-        let large_stats = reconcile(&large_alice, &large, 2, 6, 7).unwrap().stats;
+        let small_stats = run_session(&small_alice, &small, 2, 6, 7).stats;
+        let large_stats = run_session(&large_alice, &large, 2, 6, 7).stats;
         // Ten times more vertices should not mean ten times more communication.
         assert!(
             large_stats.total_bytes() < 4 * small_stats.total_bytes(),

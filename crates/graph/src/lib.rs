@@ -20,17 +20,25 @@
 //! * [`forest`] — rooted-forest reconciliation via signature multisets (Section 6,
 //!   Theorem 6.1).
 //!
+//! * [`session`] — each scheme's Alice and Bob parties, which
+//!   `recon_protocol::SessionBuilder::run` drives in memory.
+//!
 //! ```
 //! use recon_base::rng::Xoshiro256;
-//! use recon_graph::{degree_order, Graph};
+//! use recon_graph::{degree_order, session, Graph};
+//! use recon_protocol::SessionBuilder;
 //!
 //! let mut rng = Xoshiro256::new(7);
 //! let base = Graph::gnp(200, 0.35, &mut rng);
 //! let alice = base.perturb(2, &mut rng);   // Alice's copy drifted by 2 edges
 //! let bob = base.perturb(2, &mut rng);     // Bob's copy drifted by 2 other edges
 //!
+//! // Each side builds its party from its own graph; the session runs the pair.
 //! let params = degree_order::DegreeOrderParams { h: 16, seed: 99 };
-//! if let Ok(outcome) = degree_order::reconcile(&alice, &bob, 4, &params) {
+//! let outcome = session::degree_order_alice(&alice, 4, &params).and_then(|a| {
+//!     SessionBuilder::new(params.seed).run(a, session::degree_order_bob(&bob, 4, &params)?)
+//! });
+//! if let Ok(outcome) = outcome {
 //!     assert_eq!(outcome.recovered.num_edges(), alice.num_edges());
 //!     println!("graph reconciled with {}", outcome.stats);
 //! }

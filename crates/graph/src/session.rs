@@ -4,9 +4,9 @@
 //! [`recon_protocol::Nested`]: the embedded envelopes travel through the outer
 //! session uncharged while their would-be cost accumulates, and once the
 //! sub-protocol completes Alice emits a single aggregate charge — matching how
-//! the paper (and the legacy drivers) account the signature reconciliation as
-//! one message — followed, in the same round, by the scheme's finale (the
-//! labeled-edge IBLT, or the root-signature hash for forests).
+//! the paper accounts the signature reconciliation as one message — followed, in
+//! the same round, by the scheme's finale (the labeled-edge IBLT, or the
+//! root-signature hash for forests).
 
 use crate::degree_neighborhood::{self, DegreeNeighborhoodParams};
 use crate::degree_order::{self, DegreeOrderParams, DegreeOrderSignatures};
@@ -34,7 +34,7 @@ type BoxedSosBob = Box<dyn Party<Output = SetOfSets>>;
 type BoxedMomBob = Box<dyn Party<Output = SetOfMultisets>>;
 
 /// The amplification budget of the embedded cascading sessions (Theorem 3.7's
-/// replication, as in the legacy drivers).
+/// replication).
 fn embedded_amplification() -> Amplification {
     Amplification::replicate(4)
 }
@@ -50,6 +50,23 @@ fn map_signature_errors(error: ReconError) -> ReconError {
         ),
         other => other,
     }
+}
+
+/// Bob's graph on `n` vertices from the recovered labeled edge keys. A key that
+/// is no edge of a simple graph on `n` vertices — a self-loop, or an endpoint
+/// `≥ n` — only a forged digest holds, and is refused.
+fn graph_from_edge_keys(n: usize, keys: HashSet<u64>) -> Result<Graph, ReconError> {
+    let mut graph = Graph::new(n);
+    for key in keys {
+        let (u, v) = Graph::key_edge(key);
+        if u == v || u as usize >= n || v as usize >= n {
+            return Err(ReconError::InvalidInput(format!(
+                "recovered edge ({u}, {v}) is no edge of a simple graph on {n} vertices"
+            )));
+        }
+        graph.add_edge(u, v);
+    }
+    Ok(graph)
 }
 
 // ---------------------------------------------------------------------------
@@ -202,6 +219,11 @@ impl Party for DegreeOrderBob {
         if Nested::<BoxedSosBob>::is_nested(&envelope) {
             match self.nested.handle(envelope).map_err(map_signature_errors)? {
                 Step::Done(recovered) => {
+                    // One signature per non-anchor vertex: any other count is a
+                    // graph of another size, whose labels would leave Bob's range.
+                    if recovered.num_children() != self.n - self.h {
+                        return Err(ReconError::InvalidInput("the graphs differ in size".into()));
+                    }
                     self.recovered = Some(recovered);
                     self.outbox.push_back(Envelope::control(
                         TAG_GRAPH_ACK,
@@ -266,12 +288,7 @@ impl Party for DegreeOrderBob {
                         }
                     })?;
 
-                let mut result = Graph::new(self.n);
-                for key in recovered_edges {
-                    let (u, v) = Graph::key_edge(key);
-                    result.add_edge(u, v);
-                }
-                Ok(Step::Done(result))
+                Ok(Step::Done(graph_from_edge_keys(self.n, recovered_edges)?))
             }
             _ => Err(ReconError::InvalidInput(format!(
                 "unexpected envelope tag {:#x} for degree-order Bob",
@@ -287,7 +304,7 @@ impl Party for DegreeOrderBob {
 
 /// Build Alice's side of Theorem 5.6. `resolved` must carry the packed
 /// `max_child_size` both parties agreed on (see
-/// [`recon_sos::multiset_of_multisets::resolved_params`]).
+/// [`degree_neighborhood::agreed_params`]).
 pub fn degree_neighborhood_alice(
     alice: &Graph,
     d: usize,
@@ -418,10 +435,10 @@ impl Party for DegreeNeighborhoodBob {
                 alice_sorted.sort();
                 let alice_rank: HashMap<Vec<(u64, u64)>, u32> =
                     alice_sorted.iter().enumerate().map(|(i, k)| (k.clone(), i as u32)).collect();
-                if alice_rank.len() != self.n {
-                    return Err(ReconError::SeparationFailure(
-                        "recovered signature collection has duplicates".to_string(),
-                    ));
+                // Alice refuses twin signatures, so fewer distinct ones than Bob has
+                // vertices, or more, is a graph of another size.
+                if alice_sorted.len() != self.n || alice_rank.len() != self.n {
+                    return Err(ReconError::InvalidInput("the graphs differ in size".into()));
                 }
 
                 let recovered_multisets: Vec<Multiset> = alice_sorted
@@ -481,13 +498,7 @@ impl Party for DegreeNeighborhoodBob {
                     .map(|&(u, v)| Graph::edge_key(bob_labels[u as usize], bob_labels[v as usize]))
                     .collect();
                 let recovered_edges = edge_protocol.reconcile(&edge_digest, &bob_edges)?;
-
-                let mut result = Graph::new(self.n);
-                for key in recovered_edges {
-                    let (u, v) = Graph::key_edge(key);
-                    result.add_edge(u, v);
-                }
-                Ok(Step::Done(result))
+                Ok(Step::Done(graph_from_edge_keys(self.n, recovered_edges)?))
             }
             _ => Err(ReconError::InvalidInput(format!(
                 "unexpected envelope tag {:#x} for degree-neighborhood Bob",
@@ -502,7 +513,7 @@ impl Party for DegreeNeighborhoodBob {
 // ---------------------------------------------------------------------------
 
 /// Build Alice's side of Theorem 6.1. `resolved` must carry the packed
-/// `max_child_size` both parties agreed on.
+/// `max_child_size` both parties agreed on (see [`crate::forest::agreed_params`]).
 pub fn forest_alice(
     alice: &Forest,
     d: usize,

@@ -40,8 +40,7 @@ pub struct AmplifiedSender {
 
 impl AmplifiedSender {
     /// Create the sender; the attempt-0 envelope is built eagerly so digest
-    /// construction errors surface before any message is transmitted, exactly as
-    /// in the legacy drivers.
+    /// construction errors surface before any message is transmitted.
     pub fn new(
         max_attempts: u64,
         mut make: impl FnMut(u64) -> Result<Envelope, ReconError> + Send + 'static,

@@ -2,13 +2,13 @@
 //! [`Transport`], plus the [`ShardedRunner`] that fans a partitioned workload
 //! out across such sessions.
 //!
-//! Where [`Session::run`](crate::Session::run) drives exactly one blocking
-//! reconciliation per link, an `Endpoint` owns any number of
+//! Where [`SessionBuilder::run`](crate::SessionBuilder::run) drives exactly one
+//! reconciliation in memory, an `Endpoint` owns any number of
 //! [`SessionCore`]s, each identified by a [`SessionId`] both peers agreed on,
 //! and pumps them all through a single byte stream: [`Endpoint::poll`] drains
 //! every session's outgoing envelopes into session-tagged [`Frame`]s, then
 //! dispatches every arrived frame to its session. Per-session [`Transcript`]s
-//! apply exactly the metering of [`MemoryLink`](crate::MemoryLink), so a
+//! apply the one metering rule, [`Envelope::record_into`], so a
 //! protocol multiplexed across a shared connection reports the same
 //! [`CommStats`] as the same protocol run alone — amortizing transport setup
 //! without distorting the paper's accounting.
@@ -283,7 +283,7 @@ impl<T: Transport> Endpoint<T> {
             FrameBody::Envelope(envelope) => {
                 if slot.finished() {
                     // Late frame after local completion/failure; drop it, like
-                    // the blocking driver drops undelivered envelopes once the
+                    // `SessionBuilder::run` drops undelivered envelopes once the
                     // receiving party returns its output.
                     return Ok(());
                 }

@@ -3,10 +3,11 @@
 //! An [`Envelope`] carries a tagged, wire-encoded payload (via [`recon_base::wire`])
 //! together with a [`Meter`] describing how the message is charged against the
 //! paper's communication accounting. Keeping the metering on the envelope — rather
-//! than inside the protocol drivers — is what lets one generic
-//! [`Session`](crate::Session) reproduce the exact `CommStats` of every legacy
-//! driver while staying transport-agnostic: a link can serialize an envelope,
-//! ship it over any byte stream, and reconstruct it losslessly on the far side.
+//! than inside the protocol drivers — is what lets the in-memory
+//! [`SessionBuilder::run`](crate::SessionBuilder::run) and a framed
+//! [`Endpoint`](crate::Endpoint) record the same `CommStats` while staying
+//! transport-agnostic: an envelope can be serialized, shipped over any byte
+//! stream, and reconstructed losslessly on the far side.
 
 use recon_base::comm::{Direction, Transcript};
 use recon_base::wire::{
@@ -103,10 +104,11 @@ impl Envelope {
     }
 
     /// Record this envelope into `transcript` according to its [`Meter`] — the
-    /// single metering rule shared by every driver ([`MemoryLink`], [`Endpoint`])
-    /// so the accounting is a property of the envelope, not of the transport.
+    /// single metering rule shared by every driver ([`SessionBuilder::run`],
+    /// [`Endpoint`]) so the accounting is a property of the envelope, not of the
+    /// transport.
     ///
-    /// [`MemoryLink`]: crate::MemoryLink
+    /// [`SessionBuilder::run`]: crate::SessionBuilder::run
     /// [`Endpoint`]: crate::Endpoint
     pub fn record_into(&self, transcript: &mut Transcript, direction: Direction) {
         match self.meter {
@@ -221,6 +223,25 @@ mod tests {
             let decoded = Envelope::from_bytes(&env.to_bytes()).unwrap();
             assert_eq!(decoded, env);
         }
+    }
+
+    #[test]
+    fn record_into_applies_the_metering_rule() {
+        let mut transcript = Transcript::new();
+        for (direction, envelope) in [
+            (Direction::AliceToBob, Envelope::round(1, "digest", &vec![1u64, 2])),
+            (Direction::AliceToBob, Envelope::parallel(2, "edges", &7u64)),
+            (Direction::BobToAlice, Envelope::control(3, "nack", &())),
+            (Direction::AliceToBob, Envelope::charge(4, "aggregate", 100, false)),
+        ] {
+            envelope.record_into(&mut transcript, direction);
+        }
+        let stats = transcript.stats();
+        assert_eq!(stats.rounds, 2, "control envelopes must not advance rounds");
+        assert_eq!(stats.messages, 3, "control envelopes must not be recorded");
+        assert_eq!(stats.bytes_bob_to_alice, 0);
+        let vec_len = vec![1u64, 2].to_bytes().len();
+        assert_eq!(stats.bytes_alice_to_bob, vec_len + 8 + 100);
     }
 
     #[test]

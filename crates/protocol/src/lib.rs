@@ -3,8 +3,8 @@
 //! The sans-I/O protocol layer of the `recon` workspace: a uniform way to express
 //! every reconciliation protocol of *"Reconciling Graphs and Sets of Sets"*
 //! (Mitzenmacher & Morgan, PODS 2018) as a pair of [`Party`] state machines
-//! exchanging tagged, wire-encoded [`Envelope`]s, driven by a generic [`Session`]
-//! over a pluggable [`Link`].
+//! exchanging tagged, wire-encoded [`Envelope`]s, driven in memory by
+//! [`SessionBuilder::run`] or over a framed transport by an [`Endpoint`].
 //!
 //! The paper presents its results as *message-passing protocols* — explicit
 //! rounds, explicit bit budgets, two parties. This crate makes that structure the
@@ -16,11 +16,11 @@
 //! * [`Party`] — one side of a protocol: `poll_send()` and `handle(envelope)`.
 //!   No sockets, no transcripts, no shared state: the same machine runs in tests,
 //!   across processes, or (later) over async transports.
-//! * [`Session`] / [`SessionBuilder`] — the driver: moves envelopes between an
-//!   Alice and a Bob until Bob produces his output, returning an [`Outcome`]
-//!   with the recovered data and the measured [`CommStats`]. The in-memory
-//!   [`MemoryLink`] records into a [`Transcript`], reproducing exactly the
-//!   byte/round accounting of the legacy one-shot drivers.
+//! * [`SessionBuilder`] — the one way to run a session in memory: it carries the
+//!   shared [`SessionConfig`] the party factories consume, and its `run` moves
+//!   envelopes between an Alice and a Bob until Bob produces his output,
+//!   returning an [`Outcome`] with the recovered data and the [`CommStats`] of a
+//!   [`Transcript`] every envelope was recorded into.
 //! * [`Frame`] / [`Transport`] — the multiplexing layer: session-tagged,
 //!   length-delimited frames carried by a pluggable byte stream (in-memory,
 //!   non-blocking TCP, OS pipes), reassembled by an incremental [`FrameDecoder`].
@@ -49,7 +49,6 @@ pub mod endpoint;
 pub mod envelope;
 pub mod fault;
 pub mod frame;
-pub mod link;
 pub mod nested;
 pub mod party;
 pub mod pool;
@@ -62,11 +61,10 @@ pub use endpoint::{drive_pair, Endpoint, Role, ShardedOutcome, ShardedRunner};
 pub use envelope::{Envelope, Meter, NESTED_TAG_BIT};
 pub use fault::{FaultProfile, FaultStats, FaultyTransport};
 pub use frame::{Frame, FrameBody, FrameDecoder, SessionId};
-pub use link::{Link, MemoryLink};
 pub use nested::Nested;
 pub use party::{Party, Step};
 pub use pool::{buffer_pool_stats, BufferPool, BufferPoolStats, ConnBuffers};
-pub use session::{Amplification, Outcome, Session, SessionBuilder, SessionConfig, SessionCore};
+pub use session::{Amplification, Outcome, SessionBuilder, SessionConfig, SessionCore};
 #[cfg(unix)]
 pub use transport::Pollable;
 pub use transport::{MemoryTransport, StreamTransport, Transport};

@@ -8,7 +8,7 @@
 //! transport still works), but re-metered as control envelopes, while the bytes
 //! they would have charged accumulate in the wrapper. When the sub-protocol
 //! finishes, the outer protocol emits a single [`Envelope::charge`] for the
-//! accumulated total — reproducing exactly the legacy drivers' accounting.
+//! accumulated total — the one-message accounting the paper's theorems state.
 
 use crate::envelope::{Envelope, Meter, NESTED_TAG_BIT};
 use crate::party::{Party, Step};

@@ -3,8 +3,9 @@
 //!
 //! A party never touches a socket, a transcript or the other party directly. It
 //! exposes exactly two operations — "do you have a message to send?" and "here is
-//! a message for you" — and the [`Session`](crate::Session) driver (or any custom
-//! transport loop) moves [`Envelope`]s between the two parties. This is the sans-I/O
+//! a message for you" — and a driver ([`SessionBuilder::run`](crate::SessionBuilder::run),
+//! an [`Endpoint`](crate::Endpoint), or any custom transport loop) moves
+//! [`Envelope`]s between the two parties. This is the sans-I/O
 //! pattern: the same state machines run in-memory for tests and benchmarks, over a
 //! serialized byte stream between processes, or (later) over an async network
 //! transport, without any change to the protocol logic.

@@ -1,27 +1,22 @@
-//! The poll-style [`SessionCore`] state machine, the blocking [`Session`]
-//! driver over it, and the [`SessionBuilder`] front-end.
+//! The poll-style [`SessionCore`] state machine and the [`SessionBuilder`] that
+//! configures a party pair and drives it in memory.
 //!
 //! [`SessionCore`] wraps one [`Party`] with its completion state: poll it for
 //! outgoing envelopes, hand it incoming ones, and collect the output once the
 //! party finishes. It is the unit an [`Endpoint`](crate::Endpoint) multiplexes
-//! many of over one framed transport. The blocking [`Session::run`] is now a
-//! thin wrapper that pumps two cores against each other over a pluggable
-//! [`Link`] until Bob produces his output; because the parties are sans-I/O
-//! state machines and the link observes every envelope, the in-memory session
-//! reproduces byte-for-byte the `CommStats` of the legacy one-shot drivers —
-//! which are themselves thin wrappers over this module.
+//! many of over one framed transport. [`SessionBuilder::run`] pumps two cores
+//! against each other until Bob produces his output, recording every envelope
+//! into one [`Transcript`] by its [`Meter`](crate::Meter) — the metering an
+//! `Endpoint` applies too, so both report the same `CommStats` for a pair.
 
 use crate::envelope::Envelope;
-use crate::link::{Link, MemoryLink};
 use crate::party::Party;
-use recon_base::comm::{CommStats, Direction};
+use recon_base::comm::{CommStats, Direction, Transcript};
 use recon_base::ReconError;
 use recon_estimator::L0Config;
 
 /// The result of a protocol session: Bob's output plus the measured
-/// communication. Replaces the per-family outcome types (`ReconcileOutcome`,
-/// `SosOutcome`, the graph crates' `(recovered, stats)` tuples), which are now
-/// aliases of this type.
+/// communication.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Outcome<T> {
     /// Bob's reconstruction of Alice's data (set, set of sets, graph, forest, …).
@@ -70,9 +65,8 @@ impl Default for Amplification {
 
 /// Shared configuration both parties of a session are constructed from: the
 /// public-coin seed, the amplification policy and the difference-estimator
-/// shape. Party factories derive their per-role seeds from `seed` exactly as
-/// the legacy drivers did, so a given configuration reproduces a given
-/// transcript bit-for-bit.
+/// shape. Party factories derive their per-role seeds from `seed`, so a given
+/// configuration reproduces a given transcript bit-for-bit.
 #[derive(Debug, Clone)]
 pub struct SessionConfig {
     /// Public-coin seed shared by Alice and Bob.
@@ -120,21 +114,48 @@ impl SessionBuilder {
         &self.config
     }
 
-    /// Drive `alice` and `bob` over an in-memory link and return Bob's output
-    /// with the measured communication.
+    /// Drive `alice` and `bob` to completion in memory and return Bob's output
+    /// with the measured communication: poll each side for outgoing envelopes,
+    /// record each into the transcript and hand it to the other side, until Bob
+    /// returns [`Step::Done`](crate::Step::Done). Alice's completion (if any) is
+    /// implicit — per the paper's one-way convention she never learns whether
+    /// Bob succeeded unless the protocol itself sends an acknowledgement. A pass
+    /// in which neither side has anything to send is
+    /// [`ReconError::SessionStalled`].
     pub fn run<A: Party, B: Party>(
         &self,
         alice: A,
         bob: B,
     ) -> Result<Outcome<B::Output>, ReconError> {
-        let mut link = MemoryLink::new();
-        let recovered = Session::new(&mut link).run(alice, bob)?;
-        Ok(Outcome { recovered, stats: link.stats() })
+        let (mut alice, mut bob) = (SessionCore::new(alice), SessionCore::new(bob));
+        let mut transcript = Transcript::new();
+        let mut delivered = 0;
+        loop {
+            let mut progressed = false;
+            while let Some(envelope) = alice.poll_send() {
+                progressed = true;
+                delivered += 1;
+                envelope.record_into(&mut transcript, Direction::AliceToBob);
+                if bob.handle(envelope)? {
+                    let recovered = bob.take_output().expect("completed session has an output");
+                    return Ok(Outcome { recovered, stats: transcript.stats() });
+                }
+            }
+            while let Some(envelope) = bob.poll_send() {
+                progressed = true;
+                delivered += 1;
+                envelope.record_into(&mut transcript, Direction::BobToAlice);
+                alice.handle(envelope)?;
+            }
+            if !progressed {
+                return Err(ReconError::SessionStalled { messages_exchanged: delivered });
+            }
+        }
     }
 }
 
 /// One side of a session as a non-blocking state machine: a [`Party`] plus its
-/// completion state. Drivers — the blocking [`Session::run`] loop, an
+/// completion state. Drivers — the in-memory [`SessionBuilder::run`] loop, an
 /// [`Endpoint`](crate::Endpoint) multiplexing many sessions over one framed
 /// transport — poll it for outgoing envelopes and feed it incoming ones; once
 /// the party reports [`Step::Done`](crate::Step::Done) the core stops sending and holds the output
@@ -153,7 +174,7 @@ impl<P: Party> SessionCore<P> {
     }
 
     /// The next envelope to transmit, if any. A finished core never sends —
-    /// mirroring the blocking driver, which stops pumping the moment the
+    /// mirroring [`SessionBuilder::run`], which stops pumping the moment the
     /// receiving party completes.
     pub fn poll_send(&mut self) -> Option<Envelope> {
         if self.done {
@@ -187,55 +208,6 @@ impl<P: Party> SessionCore<P> {
     /// The output, once produced (consumes it; subsequent calls return `None`).
     pub fn take_output(&mut self) -> Option<P::Output> {
         self.output.take()
-    }
-}
-
-/// A two-party protocol session over a pluggable link.
-#[derive(Debug)]
-pub struct Session<L: Link> {
-    link: L,
-    delivered: usize,
-}
-
-impl<L: Link> Session<L> {
-    /// A session transporting envelopes through `link`.
-    pub fn new(link: L) -> Self {
-        Self { link, delivered: 0 }
-    }
-
-    /// Number of envelopes delivered so far (metered or not).
-    pub fn messages_delivered(&self) -> usize {
-        self.delivered
-    }
-
-    /// Drive the party pair to completion: poll each side for outgoing envelopes,
-    /// deliver them through the link, and hand them to the other side, until Bob
-    /// returns [`Step::Done`](crate::Step::Done). Alice's completion (if any) is implicit — per the
-    /// paper's one-way convention she never learns whether Bob succeeded unless
-    /// the protocol itself sends an acknowledgement.
-    pub fn run<A: Party, B: Party>(&mut self, alice: A, bob: B) -> Result<B::Output, ReconError> {
-        let mut alice = SessionCore::new(alice);
-        let mut bob = SessionCore::new(bob);
-        loop {
-            let mut progressed = false;
-            while let Some(envelope) = alice.poll_send() {
-                progressed = true;
-                self.link.deliver(Direction::AliceToBob, &envelope)?;
-                self.delivered += 1;
-                if bob.handle(envelope)? {
-                    return Ok(bob.take_output().expect("completed session has an output"));
-                }
-            }
-            while let Some(envelope) = bob.poll_send() {
-                progressed = true;
-                self.link.deliver(Direction::BobToAlice, &envelope)?;
-                self.delivered += 1;
-                alice.handle(envelope)?;
-            }
-            if !progressed {
-                return Err(ReconError::SessionStalled { messages_exchanged: self.delivered });
-            }
-        }
     }
 }
 

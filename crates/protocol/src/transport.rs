@@ -1,8 +1,8 @@
 //! Framed byte-stream transports an [`Endpoint`](crate::Endpoint) multiplexes
 //! sessions over.
 //!
-//! Where a [`Link`](crate::Link) observes one session's envelopes for
-//! accounting, a [`Transport`] actually *moves* [`Frame`]s — session-tagged,
+//! Where [`SessionBuilder::run`](crate::SessionBuilder::run) hands one
+//! session's envelopes across in memory, a [`Transport`] actually *moves* [`Frame`]s — session-tagged,
 //! length-delimited envelopes — between two endpoints, and never blocks the
 //! event loop: `recv` returns `Ok(None)` when no complete frame has arrived
 //! yet. Two implementations cover the deployment spectrum:

@@ -12,9 +12,11 @@
 //! |----------|-----------------|--------|---------------|------|
 //! | [`IbltSetProtocol`] | Corollary 2.2 | 1 | `O(d log u)` bits | `O(n)` |
 //! | [`CharPolyProtocol`] | Theorem 2.3 | 1 | `O(d log u)` bits | `O(n·min(d, log² n) + d³)` |
-//! | [`reconcile_unknown`] | Corollary 3.2 | 2 | `O(d log u)` bits | `O(n log d)` |
+//! | [`session::unknown_alice`] / [`session::unknown_bob`] | Corollary 3.2 | 2 | `O(d log u)` bits | `O(n log d)` |
 //!
-//! plus multiset reconciliation (Section 3.4) in [`multiset`].
+//! plus multiset reconciliation (Section 3.4) in [`multiset`]. [`session`] holds
+//! each protocol's two parties; `recon_protocol::SessionBuilder::run` drives a
+//! pair in memory, an `Endpoint` over a framed transport.
 //!
 //! The IBLT protocol is fast and succeeds with probability `1 − 1/poly(d)`; the
 //! characteristic-polynomial protocol is slower but exact (it fails only if the
@@ -41,7 +43,6 @@ pub mod charpoly_protocol;
 pub mod diff;
 pub mod iblt_protocol;
 pub mod multiset;
-pub mod protocol;
 pub mod session;
 pub mod sharded;
 
@@ -49,7 +50,4 @@ pub use charpoly_protocol::{CharPolyDigest, CharPolyProtocol};
 pub use diff::SetDiff;
 pub use iblt_protocol::{full_digest_builds, IbltSetProtocol, SetDigest};
 pub use multiset::{Multiset, MultisetProtocol};
-pub use protocol::{
-    reconcile_known, reconcile_known_charpoly, reconcile_unknown, ReconcileOutcome,
-};
 pub use sharded::{reconcile_known_sharded, reconcile_unknown_sharded, shard_set};

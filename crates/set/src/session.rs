@@ -2,8 +2,8 @@
 //!
 //! Each factory builds *one side* of a protocol from that party's own data plus
 //! the shared [`SessionConfig`] (public-coin seed, amplification policy,
-//! estimator shape). The pairs reproduce, message for message, the transcripts of
-//! the legacy one-shot drivers in [`crate::protocol`] — which now delegate here.
+//! estimator shape); `SessionBuilder::run` drives a pair in memory and reports
+//! the exact bytes and rounds the paper accounts for.
 
 use crate::charpoly_protocol::CharPolyProtocol;
 use crate::iblt_protocol::IbltSetProtocol;
@@ -188,13 +188,16 @@ mod tests {
 
     #[test]
     fn session_driven_unknown_pair_recovers() {
-        let (alice, bob) = random_sets(800, 24, 4);
-        let builder = SessionBuilder::new(11).amplification(Amplification::replicate(6));
-        let outcome = builder
-            .run(unknown_alice(&alice, builder.config()), unknown_bob(&bob, builder.config()))
-            .unwrap();
-        assert_eq!(outcome.recovered, alice);
-        assert!(outcome.stats.rounds >= 2);
-        assert!(outcome.stats.bytes_bob_to_alice > 0);
+        // A typical difference, none at all, and 800 keys out of 5 000.
+        for (n, d, data_seed, seed) in [(800, 24, 4, 11), (1000, 0, 5, 3), (5000, 800, 6, 13)] {
+            let (alice, bob) = random_sets(n, d, data_seed);
+            let builder = SessionBuilder::new(seed).amplification(Amplification::replicate(6));
+            let outcome = builder
+                .run(unknown_alice(&alice, builder.config()), unknown_bob(&bob, builder.config()))
+                .unwrap();
+            assert_eq!(outcome.recovered, alice, "n = {n}, d = {d}");
+            assert!(outcome.stats.rounds >= 2);
+            assert!(outcome.stats.bytes_bob_to_alice > 0, "the estimator is transmitted");
+        }
     }
 }

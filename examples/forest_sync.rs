@@ -4,7 +4,8 @@
 
 use recon_base::rng::Xoshiro256;
 use recon_graph::forest::{self, Forest};
-use recon_protocol::Outcome;
+use recon_graph::session::{forest_alice, forest_bob};
+use recon_protocol::{Outcome, SessionBuilder};
 
 fn main() {
     let mut rng = Xoshiro256::new(3);
@@ -23,9 +24,16 @@ fn main() {
         bob.max_depth()
     );
 
+    // The two sides agree on one bound over their packed vertex multisets, then
+    // each builds its party from its own forest.
     let sigma_bound = alice.max_depth().max(bob.max_depth()).max(1);
-    let Outcome { recovered, stats } =
-        forest::reconcile(&alice, &bob, d, sigma_bound, 17).expect("forest reconciliation");
+    let agreed = forest::agreed_params(&alice, &bob, 17).expect("agreed parameters");
+    let Outcome { recovered, stats } = SessionBuilder::new(17)
+        .run(
+            forest_alice(&alice, d, sigma_bound, 17, &agreed).expect("Alice's party"),
+            forest_bob(&bob, 17, &agreed).expect("Bob's party"),
+        )
+        .expect("forest reconciliation");
 
     println!("communication: {stats}");
     println!("recovered forest is isomorphic to Alice's: {}", recovered.is_isomorphic(&alice, 17));

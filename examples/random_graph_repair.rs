@@ -5,9 +5,9 @@
 
 use recon_base::rng::Xoshiro256;
 use recon_graph::degree_neighborhood::{self, DegreeNeighborhoodParams};
-use recon_graph::degree_order::{self, DegreeOrderParams};
-use recon_graph::Graph;
-use recon_protocol::Outcome;
+use recon_graph::degree_order::DegreeOrderParams;
+use recon_graph::{session, Graph};
+use recon_protocol::{Outcome, SessionBuilder};
 
 fn main() {
     // --- Degree-ordering scheme on a dense-ish graph (Theorem 5.2). ---------------
@@ -22,8 +22,12 @@ fn main() {
         alice.num_edges(),
         bob.num_edges()
     );
+    // Each side builds its party from its own graph alone.
     let params = DegreeOrderParams { h: 48, seed: 11 };
-    match degree_order::reconcile(&alice, &bob, d, &params) {
+    let run = session::degree_order_alice(&alice, d, &params).and_then(|alice| {
+        SessionBuilder::new(params.seed).run(alice, session::degree_order_bob(&bob, d, &params)?)
+    });
+    match run {
         Ok(Outcome { recovered, stats }) => {
             println!(
                 "degree-ordering scheme: recovered a graph with {} edges using {stats}",
@@ -47,8 +51,14 @@ fn main() {
         alice.num_edges(),
         bob.num_edges()
     );
+    // Both sides must agree on one bound over their packed signatures.
     let params = DegreeNeighborhoodParams::for_gnp(n, p, 13);
-    match degree_neighborhood::reconcile(&alice, &bob, 2, &params) {
+    let run = degree_neighborhood::agreed_params(&alice, &bob, &params).and_then(|agreed| {
+        let alice = session::degree_neighborhood_alice(&alice, 2, &params, &agreed)?;
+        let bob = session::degree_neighborhood_bob(&bob, 2, &params, &agreed)?;
+        SessionBuilder::new(params.seed).run(alice, bob)
+    });
+    match run {
         Ok(Outcome { recovered, stats }) => {
             println!(
                 "degree-neighborhood scheme: recovered a graph with {} edges using {stats}",

@@ -5,9 +5,16 @@
 use proptest::prelude::*;
 use recon_base::rng::Xoshiro256;
 use recon_estimator::{L0Config, L0Estimator, Side, StrataConfig, StrataEstimator};
-use recon_set::{reconcile_known, reconcile_known_charpoly, reconcile_unknown};
+use recon_protocol::{Amplification, SessionBuilder};
+use recon_set::session::{
+    charpoly_known_alice, charpoly_known_bob, iblt_known_alice, iblt_known_bob, unknown_alice,
+    unknown_bob,
+};
+use recon_sos::session::{
+    cascading_known_alice, cascading_known_bob, ioi_known_alice, ioi_known_bob,
+};
 use recon_sos::workload::{generate_pair, WorkloadParams};
-use recon_sos::{cascading, iblt_of_iblts, matching_difference, SosParams};
+use recon_sos::{matching_difference, SosParams};
 use std::collections::HashSet;
 
 fn random_set_pair(n: usize, d: usize, seed: u64) -> (HashSet<u64>, HashSet<u64>) {
@@ -32,20 +39,26 @@ proptest! {
     fn set_protocols_agree(n in 50usize..400, d in 0usize..24, seed in any::<u64>()) {
         let (alice, bob) = random_set_pair(n, d, seed);
         let bound = d.max(1) + 2;
-        let iblt = reconcile_known(&alice, &bob, bound, seed ^ 1).expect("iblt");
-        let poly = reconcile_known_charpoly(&alice, &bob, bound, seed ^ 2).expect("charpoly");
+        let run = SessionBuilder::new(seed ^ 1).amplification(Amplification::replicate(3));
+        let a = iblt_known_alice(&alice, bound, run.config()).unwrap();
+        let iblt = run.run(a, iblt_known_bob(&bob, run.config())).expect("iblt");
+        let run = SessionBuilder::new(seed ^ 2).amplification(Amplification::single());
+        let a = charpoly_known_alice(&alice, bound, run.config()).unwrap();
+        let poly = run.run(a, charpoly_known_bob(&bob, run.config())).expect("charpoly");
         prop_assert_eq!(&iblt.recovered, &alice);
         prop_assert_eq!(&poly.recovered, &alice);
         prop_assert!(poly.stats.total_bytes() <= iblt.stats.total_bytes());
     }
 
-    /// The two-round unknown-d driver also recovers Alice's set, with no bound given.
+    /// The two-round unknown-d parties also recover Alice's set, with no bound given.
     #[test]
     fn unknown_d_set_reconciliation_roundtrips(
         n in 100usize..600, d in 0usize..64, seed in any::<u64>()
     ) {
         let (alice, bob) = random_set_pair(n, d, seed);
-        let outcome = reconcile_unknown(&alice, &bob, seed ^ 3).expect("unknown");
+        let run = SessionBuilder::new(seed ^ 3).amplification(Amplification::replicate(6));
+        let (a, b) = (unknown_alice(&alice, run.config()), unknown_bob(&bob, run.config()));
+        let outcome = run.run(a, b).expect("unknown");
         prop_assert_eq!(outcome.recovered, alice);
     }
 
@@ -87,9 +100,13 @@ proptest! {
         let workload = WorkloadParams::new(48, 12, 1 << 28);
         let (alice, bob) = generate_pair(&workload, d, seed);
         prop_assume!(matching_difference(&alice, &bob) <= d);
-        let params = SosParams::new(seed ^ 7, workload.max_child_size);
-        let flat = iblt_of_iblts::run_known(&alice, &bob, d, d, &params).expect("flat");
-        let cascade = cascading::run_known(&alice, &bob, d, &params).expect("cascade");
+        let p = &SosParams::new(seed ^ 7, workload.max_child_size);
+        let (run, three, four) =
+            (SessionBuilder::new(p.seed), Amplification::replicate(3), Amplification::replicate(4));
+        let a = ioi_known_alice(&alice, d, d, p, three).unwrap();
+        let flat = run.run(a, ioi_known_bob(&bob, p, three)).expect("flat");
+        let a = cascading_known_alice(&alice, d, p, four).unwrap();
+        let cascade = run.run(a, cascading_known_bob(&bob, p, four)).expect("cascade");
         prop_assert_eq!(&flat.recovered, &alice);
         prop_assert_eq!(&cascade.recovered, &alice);
         prop_assert_eq!(flat.recovered, cascade.recovered);

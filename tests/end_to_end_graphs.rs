@@ -1,21 +1,31 @@
-//! Cross-crate integration tests for the graph and forest reconciliation pipelines.
+//! Cross-crate integration tests for the graph and forest reconciliation pipelines,
+//! each scheme's party pair driven in memory by `SessionBuilder::run`.
 
 use recon_base::rng::Xoshiro256;
 use recon_base::ReconError;
 use recon_graph::degree_neighborhood::{self, DegreeNeighborhoodParams};
-use recon_graph::degree_order::{self, DegreeOrderParams};
+use recon_graph::degree_order::DegreeOrderParams;
 use recon_graph::forest::{self, Forest};
-use recon_graph::general;
-use recon_graph::Graph;
-use recon_protocol::Outcome;
+use recon_graph::{general, session, Graph};
+use recon_protocol::{Outcome, SessionBuilder};
+
+/// Theorem 5.2.
+fn degree_order(
+    a: &Graph,
+    b: &Graph,
+    d: usize,
+    p: &DegreeOrderParams,
+) -> Result<Outcome<Graph>, ReconError> {
+    let alice = session::degree_order_alice(a, d, p)?;
+    SessionBuilder::new(p.seed).run(alice, session::degree_order_bob(b, d, p)?)
+}
 
 #[test]
 fn degree_ordering_end_to_end_on_identical_graphs() {
     let mut rng = Xoshiro256::new(1);
     let g = Graph::gnp(256, 0.4, &mut rng);
     let params = DegreeOrderParams { h: 48, seed: 3 };
-    let Outcome { recovered, stats } =
-        degree_order::reconcile(&g, &g, 2, &params).expect("reconcile");
+    let Outcome { recovered, stats } = degree_order(&g, &g, 2, &params).expect("reconcile");
     assert_eq!(recovered.num_edges(), g.num_edges());
     assert_eq!(stats.rounds, 1);
     // O(d log n)-ish communication: far below retransmitting ~13k edges (>100 KiB).
@@ -30,7 +40,7 @@ fn degree_ordering_never_returns_a_wrong_graph() {
         let alice = base.perturb(d / 2, &mut rng);
         let bob = base.perturb(d - d / 2, &mut rng);
         let params = DegreeOrderParams { h: 40, seed: 100 + d as u64 };
-        match degree_order::reconcile(&alice, &bob, d, &params) {
+        match degree_order(&alice, &bob, d, &params) {
             Ok(Outcome { recovered, .. }) => {
                 let mut a: Vec<usize> = (0..160u32).map(|v| alice.degree(v)).collect();
                 let mut r: Vec<usize> = (0..160u32).map(|v| recovered.degree(v)).collect();
@@ -52,7 +62,12 @@ fn degree_neighborhood_end_to_end_on_sparse_graphs() {
     let alice = base.perturb(1, &mut rng);
     let bob = base.perturb(1, &mut rng);
     let params = DegreeNeighborhoodParams::for_gnp(160, 0.1, 7);
-    match degree_neighborhood::reconcile(&alice, &bob, 2, &params) {
+    let run = degree_neighborhood::agreed_params(&alice, &bob, &params).and_then(|agreed| {
+        let a = session::degree_neighborhood_alice(&alice, 2, &params, &agreed)?;
+        let b = session::degree_neighborhood_bob(&bob, 2, &params, &agreed)?;
+        SessionBuilder::new(params.seed).run(a, b)
+    });
+    match run {
         Ok(Outcome { recovered, stats }) => {
             assert_eq!(recovered.num_edges(), alice.num_edges());
             let mut a: Vec<usize> = (0..160u32).map(|v| alice.degree(v)).collect();
@@ -74,9 +89,11 @@ fn forest_reconciliation_end_to_end() {
     for d in [1usize, 4, 10] {
         let alice = base.perturb(d / 2, &mut rng);
         let bob = base.perturb(d - d / 2, &mut rng);
-        let sigma = alice.max_depth().max(bob.max_depth()).max(1);
-        let Outcome { recovered, stats } =
-            forest::reconcile(&alice, &bob, d, sigma, 40 + d as u64).expect("forest");
+        let (sigma, seed) = (alice.max_depth().max(bob.max_depth()).max(1), 40 + d as u64);
+        let agreed = forest::agreed_params(&alice, &bob, seed).expect("agreed parameters");
+        let a = session::forest_alice(&alice, d, sigma, seed, &agreed).expect("alice");
+        let b = session::forest_bob(&bob, seed, &agreed).expect("bob");
+        let Outcome { recovered, stats } = SessionBuilder::new(seed).run(a, b).expect("forest");
         assert!(recovered.is_isomorphic(&alice, 40 + d as u64), "d = {d}");
         // Communication grows with d·σ, not with the vertex count; the absolute
         // constant is dominated by IBLT cell overhead (see DESIGN.md §5), so only a

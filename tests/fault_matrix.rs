@@ -25,7 +25,6 @@ use recon_protocol::{
     SessionBuilder, Transport,
 };
 use recon_set::session as set_session;
-use recon_sos::multiset_of_multisets::{self, PairPacking};
 use recon_sos::workload::{generate_pair, WorkloadParams};
 use recon_sos::{session as sos_session, SetOfSets, SosParams};
 use std::collections::HashSet;
@@ -78,20 +77,8 @@ impl Workload {
         let forest_base = Forest::random(150, 0.1, 5, &mut forest_rng);
         let forest_alice = forest_base.perturb(2, &mut forest_rng);
         let forest_seed = 761u64;
-        let packing = PairPacking::default();
-        let alice_collection = forest_alice.vertex_multisets(forest_seed);
-        let bob_collection = forest_base.vertex_multisets(forest_seed);
-        let max_child =
-            alice_collection.max_child_distinct().max(bob_collection.max_child_distinct()).max(2)
-                + 1;
-        let base_params = SosParams::new(forest_seed ^ 0xF07E57, max_child);
-        let forest_resolved = multiset_of_multisets::resolved_params(
-            &alice_collection,
-            &bob_collection,
-            &base_params,
-            &packing,
-        )
-        .unwrap();
+        let forest_resolved =
+            forest::agreed_params(&forest_alice, &forest_base, forest_seed).unwrap();
 
         Self {
             set_a,
@@ -113,8 +100,8 @@ impl Workload {
         }
     }
 
-    /// Expected per-family stats from the solo blocking path (one
-    /// `MemoryLink` each) — the equivalence baseline.
+    /// Expected per-family stats from the solo in-memory path (one
+    /// `SessionBuilder::run` each) — the equivalence baseline.
     fn expected(&self) -> Vec<CommStats> {
         let mut expected = Vec::with_capacity(FAMILIES);
         expected.push(
@@ -192,8 +179,13 @@ impl Workload {
                 .unwrap()
                 .stats,
         );
+        let (seed, agreed) = (self.forest_seed, &self.forest_resolved);
         expected.push(
-            forest::reconcile(&self.forest_alice, &self.forest_base, 4, 6, self.forest_seed)
+            SessionBuilder::new(seed)
+                .run(
+                    graph_session::forest_alice(&self.forest_alice, 4, 6, seed, agreed).unwrap(),
+                    graph_session::forest_bob(&self.forest_base, seed, agreed).unwrap(),
+                )
                 .unwrap()
                 .stats,
         );

@@ -1,11 +1,13 @@
 //! Transport-equivalence tests for the sans-I/O session layer.
 //!
-//! Every protocol family is driven two ways: through the one-shot drivers (which
-//! delegate to `recon_protocol::Session` over an in-memory link) and *manually*,
-//! message by message, with each [`Envelope`] serialized to bytes and decoded on
-//! the far side — the way two separate processes would exchange them. The
-//! recovered data and the measured [`CommStats`] must agree byte for byte: the
-//! accounting is a property of the protocol, not of the transport.
+//! Every protocol family is driven two ways: through `SessionBuilder::run`, which
+//! records each envelope into a transcript by its meter, and *manually*, message
+//! by message, with each [`Envelope`] serialized to bytes, decoded on the far
+//! side — the way two separate processes would exchange them — and metered by an
+//! independent copy of the rule. The recovered data and the measured
+//! [`CommStats`] must agree byte for byte: the accounting is a property of the
+//! protocol, not of the transport. The framed `Endpoint` path and the sharded
+//! runner are then held to the same `SessionBuilder::run` baseline.
 
 use proptest::prelude::*;
 use recon_base::comm::{CommStats, Direction, Transcript};
@@ -14,30 +16,27 @@ use recon_base::wire::{Decode, Encode};
 use recon_base::ReconError;
 use recon_estimator::L0Config;
 use recon_protocol::{
-    drive_pair, Amplification, Endpoint, Envelope, MemoryTransport, Meter, Party, Role,
+    drive_pair, Amplification, Endpoint, Envelope, MemoryTransport, Meter, Outcome, Party, Role,
     SessionBuilder, SessionConfig, ShardedRunner, Step,
 };
-use recon_set::{
-    reconcile_known, reconcile_known_charpoly, reconcile_unknown, session as set_session,
-};
+use recon_set::session as set_session;
 use recon_sos::workload::{generate_pair, WorkloadParams};
-use recon_sos::{
-    cascading, iblt_of_iblts, multiround, naive, session as sos_session, SetOfSets,
-    ShardedSosFamily, SosParams,
-};
+use recon_sos::{session as sos_session, SetOfSets, ShardedSosFamily, SosParams};
 use std::collections::HashSet;
+use std::fmt::Debug;
 
 /// Drive a party pair by hand, pushing every envelope through a serialize →
-/// deserialize round trip, and account for it exactly like `MemoryLink` does.
+/// deserialize round trip, and account for it the way `Envelope::record_into`
+/// does.
 fn drive_over_bytes<A: Party, B: Party>(
     mut alice: A,
     mut bob: B,
 ) -> Result<(B::Output, CommStats), ReconError> {
-    // Deliberately an *independent* reimplementation of MemoryLink's metering
-    // rather than a call into it: the one-shot drivers under test already run
-    // through MemoryLink, so reusing it here would make the accounting
-    // comparison tautological. If the Meter rules change in one place and not
-    // the other, these tests fail loudly instead of agreeing by construction.
+    // Deliberately an *independent* reimplementation of `Envelope::record_into`
+    // rather than a call into it: `SessionBuilder::run` already meters through
+    // it, so reusing it here would make the accounting comparison tautological.
+    // If the Meter rules change in one place and not the other, these tests
+    // fail loudly instead of agreeing by construction.
     fn record(transcript: &mut Transcript, direction: Direction, envelope: &Envelope) {
         match envelope.meter {
             Meter::Round => {
@@ -84,6 +83,34 @@ fn drive_over_bytes<A: Party, B: Party>(
     }
 }
 
+/// Run the pair `pair` builds from `builder`'s configuration through
+/// `SessionBuilder::run` and, built afresh, through [`drive_over_bytes`]. Both
+/// must end the same way — the same output and `CommStats`, or the same error;
+/// the session's outcome is returned, if it has one.
+fn session_matches_bytes<A: Party, B: Party>(
+    builder: &SessionBuilder,
+    pair: impl Fn(&SessionConfig) -> (A, B),
+) -> Option<Outcome<B::Output>>
+where
+    B::Output: PartialEq + Debug,
+{
+    let (alice, bob) = pair(builder.config());
+    let session = builder.run(alice, bob);
+    let (alice, bob) = pair(builder.config());
+    match (session, drive_over_bytes(alice, bob)) {
+        (Ok(session), Ok((recovered, stats))) => {
+            assert_eq!(recovered, session.recovered);
+            assert_eq!(stats, session.stats);
+            Some(session)
+        }
+        (Err(session), Err(bytes)) => {
+            assert_eq!(session.to_string(), bytes.to_string(), "both runs must fail identically");
+            None
+        }
+        (session, bytes) => panic!("the runs disagree: {session:?} against {bytes:?}"),
+    }
+}
+
 /// Drive a single party pair through a *framed* in-memory transport: one
 /// `Endpoint` per side, session-tagged frames on a shared byte stream — the
 /// multiplexed path, degenerate case of one session. Returns Bob's output plus
@@ -124,252 +151,160 @@ fn random_set_pair(n: usize, d: usize, seed: u64) -> (HashSet<u64>, HashSet<u64>
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// IBLT set reconciliation (Cor 2.2): manual byte-level driving reproduces the
-    /// one-shot driver's output and CommStats exactly.
+    /// IBLT set reconciliation (Cor 2.2): manual byte-level driving reproduces
+    /// `SessionBuilder::run`'s output and CommStats exactly.
     #[test]
-    fn set_iblt_known_matches_driver(
+    fn set_iblt_known_matches_session(
         n in 50usize..400, d in 0usize..24, seed in any::<u64>()
     ) {
         let (alice, bob) = random_set_pair(n, d, seed);
         let bound = d.max(1) + 2;
-        let driver = reconcile_known(&alice, &bob, bound, seed ^ 1).expect("driver");
-
         let builder = SessionBuilder::new(seed ^ 1).amplification(Amplification::replicate(3));
-        let (recovered, stats) = drive_over_bytes(
-            set_session::iblt_known_alice(&alice, bound, builder.config()).expect("alice"),
-            set_session::iblt_known_bob(&bob, builder.config()),
-        )
-        .expect("session");
-        prop_assert_eq!(&recovered, &driver.recovered);
-        prop_assert_eq!(stats, driver.stats);
+        session_matches_bytes(&builder, |config| (
+            set_session::iblt_known_alice(&alice, bound, config).expect("alice"),
+            set_session::iblt_known_bob(&bob, config),
+        )).expect("session");
     }
 
     /// Characteristic-polynomial set reconciliation (Thm 2.3).
     #[test]
-    fn set_charpoly_matches_driver(
+    fn set_charpoly_matches_session(
         n in 50usize..300, d in 0usize..16, seed in any::<u64>()
     ) {
         let (alice, bob) = random_set_pair(n, d, seed);
         let bound = d.max(1) + 2;
-        let driver = reconcile_known_charpoly(&alice, &bob, bound, seed ^ 2).expect("driver");
-
         let builder = SessionBuilder::new(seed ^ 2).amplification(Amplification::single());
-        let (recovered, stats) = drive_over_bytes(
-            set_session::charpoly_known_alice(&alice, bound, builder.config()).expect("alice"),
-            set_session::charpoly_known_bob(&bob, builder.config()),
-        )
-        .expect("session");
-        prop_assert_eq!(&recovered, &driver.recovered);
-        prop_assert_eq!(stats, driver.stats);
+        session_matches_bytes(&builder, |config| (
+            set_session::charpoly_known_alice(&alice, bound, config).expect("alice"),
+            set_session::charpoly_known_bob(&bob, config),
+        )).expect("session");
     }
 
     /// Unknown-d set reconciliation (Cor 3.2), including the estimator round.
     #[test]
-    fn set_unknown_matches_driver(
+    fn set_unknown_matches_session(
         n in 100usize..500, d in 0usize..48, seed in any::<u64>()
     ) {
         let (alice, bob) = random_set_pair(n, d, seed);
-        let driver = reconcile_unknown(&alice, &bob, seed ^ 3).expect("driver");
-
         let builder = SessionBuilder::new(seed ^ 3).amplification(Amplification::replicate(6));
-        let (recovered, stats) = drive_over_bytes(
-            set_session::unknown_alice(&alice, builder.config()),
-            set_session::unknown_bob(&bob, builder.config()),
-        )
-        .expect("session");
-        prop_assert_eq!(&recovered, &driver.recovered);
-        prop_assert_eq!(stats, driver.stats);
+        session_matches_bytes(&builder, |config| (
+            set_session::unknown_alice(&alice, config),
+            set_session::unknown_bob(&bob, config),
+        )).expect("session");
     }
 
     /// All four set-of-sets families, known-d variants.
     #[test]
-    fn sos_known_families_match_drivers(seed in any::<u64>(), d in 1usize..8) {
+    fn sos_known_families_match_sessions(seed in any::<u64>(), d in 1usize..8) {
         let workload = WorkloadParams::new(48, 12, 1 << 28);
         let (alice, bob) = generate_pair(&workload, d, seed);
         let params = SosParams::new(seed ^ 0x50, workload.max_child_size);
+        let (p, builder) = (&params, SessionBuilder::new(params.seed));
+        let (three, four) = (Amplification::replicate(3), Amplification::replicate(4));
 
-        let driver = naive::run_known(&alice, &bob, d, &params).expect("naive driver");
-        let (recovered, stats) = drive_over_bytes(
-            sos_session::naive_known_alice(&alice, d, &params, Amplification::replicate(3))
-                .expect("alice"),
-            sos_session::naive_known_bob(&bob, &params, Amplification::replicate(3)),
-        )
-        .expect("naive session");
-        prop_assert_eq!(&recovered, &driver.recovered);
-        prop_assert_eq!(stats, driver.stats);
-
-        let driver = iblt_of_iblts::run_known(&alice, &bob, d, d, &params).expect("ioi driver");
-        let (recovered, stats) = drive_over_bytes(
-            sos_session::ioi_known_alice(&alice, d, d, &params, Amplification::replicate(3))
-                .expect("alice"),
-            sos_session::ioi_known_bob(&bob, &params, Amplification::replicate(3)),
-        )
-        .expect("ioi session");
-        prop_assert_eq!(&recovered, &driver.recovered);
-        prop_assert_eq!(stats, driver.stats);
-
-        let driver = cascading::run_known(&alice, &bob, d, &params).expect("cascading driver");
-        let (recovered, stats) = drive_over_bytes(
-            sos_session::cascading_known_alice(&alice, d, &params, Amplification::replicate(4))
-                .expect("alice"),
-            sos_session::cascading_known_bob(&bob, &params, Amplification::replicate(4)),
-        )
-        .expect("cascading session");
-        prop_assert_eq!(&recovered, &driver.recovered);
-        prop_assert_eq!(stats, driver.stats);
-
+        session_matches_bytes(&builder, |_| (
+            sos_session::naive_known_alice(&alice, d, p, three).expect("alice"),
+            sos_session::naive_known_bob(&bob, p, three),
+        )).expect("naive session");
+        session_matches_bytes(&builder, |_| (
+            sos_session::ioi_known_alice(&alice, d, d, p, three).expect("alice"),
+            sos_session::ioi_known_bob(&bob, p, three),
+        )).expect("ioi session");
+        session_matches_bytes(&builder, |_| (
+            sos_session::cascading_known_alice(&alice, d, p, four).expect("alice"),
+            sos_session::cascading_known_bob(&bob, p, four),
+        )).expect("cascading session");
         // Theorem 3.9 has no amplification, so some random instances legitimately
-        // fail with constant probability; the session must agree either way.
-        let session_result = drive_over_bytes(
-            sos_session::multiround_known_alice(&alice, d, d, &params),
-            sos_session::multiround_known_bob(&bob, &params),
-        );
-        match multiround::run_known(&alice, &bob, d, d, &params) {
-            Ok(driver) => {
-                let (recovered, stats) = session_result.expect("multiround session");
-                prop_assert_eq!(&recovered, &driver.recovered);
-                prop_assert_eq!(stats, driver.stats);
-            }
-            Err(driver_error) => {
-                let session_error = session_result.expect_err("session must fail too");
-                prop_assert_eq!(
-                    format!("{session_error}"), format!("{driver_error}"),
-                    "both runs must fail identically"
-                );
-            }
-        }
+        // fail with constant probability; the two runs must agree either way.
+        session_matches_bytes(&builder, |_| (
+            sos_session::multiround_known_alice(&alice, d, d, p),
+            sos_session::multiround_known_bob(&bob, p),
+        ));
     }
 
     /// All four set-of-sets families, unknown-d variants (estimator rounds and
     /// metered NACK doubling included).
     #[test]
-    fn sos_unknown_families_match_drivers(seed in any::<u64>(), d in 1usize..6) {
+    fn sos_unknown_families_match_sessions(seed in any::<u64>(), d in 1usize..6) {
         let workload = WorkloadParams::new(40, 10, 1 << 28);
         let (alice, bob) = generate_pair(&workload, d, seed);
         let params = SosParams::new(seed ^ 0x51, workload.max_child_size);
-        let estimator = L0Config::default();
+        let (p, builder) = (&params, SessionBuilder::new(params.seed));
+        let (five, estimator) = (Amplification::replicate(5), L0Config::default());
 
-        let driver = naive::run_unknown(&alice, &bob, &params).expect("naive driver");
-        let (recovered, stats) = drive_over_bytes(
-            sos_session::naive_unknown_alice(
-                &alice,
-                &params,
-                Amplification::replicate(5),
-                estimator,
-            ),
-            sos_session::naive_unknown_bob(&bob, &params, Amplification::replicate(5), estimator),
-        )
-        .expect("naive session");
-        prop_assert_eq!(&recovered, &driver.recovered);
-        prop_assert_eq!(stats, driver.stats);
+        session_matches_bytes(&builder, |_| (
+            sos_session::naive_unknown_alice(&alice, p, five, estimator),
+            sos_session::naive_unknown_bob(&bob, p, five, estimator),
+        )).expect("naive session");
 
         let max_possible = alice.total_elements() + bob.total_elements() + 2;
         let children_cap = alice.num_children().max(bob.num_children()).max(1);
         let doubling = Amplification::doubling(1, 2 * max_possible);
-        let driver = iblt_of_iblts::run_unknown(&alice, &bob, &params).expect("ioi driver");
-        let (recovered, stats) = drive_over_bytes(
-            sos_session::ioi_unknown_alice(&alice, &params, children_cap, doubling)
-                .expect("alice"),
-            sos_session::ioi_unknown_bob(&bob, &params, doubling),
-        )
-        .expect("ioi session");
-        prop_assert_eq!(&recovered, &driver.recovered);
-        prop_assert_eq!(stats, driver.stats);
+        session_matches_bytes(&builder, |_| (
+            sos_session::ioi_unknown_alice(&alice, p, children_cap, doubling).expect("alice"),
+            sos_session::ioi_unknown_bob(&bob, p, doubling),
+        )).expect("ioi session");
 
         let doubling = Amplification::doubling(2, 2 * max_possible);
-        let driver = cascading::run_unknown(&alice, &bob, &params).expect("cascading driver");
-        let (recovered, stats) = drive_over_bytes(
-            sos_session::cascading_unknown_alice(&alice, &params, doubling).expect("alice"),
-            sos_session::cascading_unknown_bob(&bob, &params, doubling),
-        )
-        .expect("cascading session");
-        prop_assert_eq!(&recovered, &driver.recovered);
-        prop_assert_eq!(stats, driver.stats);
+        session_matches_bytes(&builder, |_| (
+            sos_session::cascading_unknown_alice(&alice, p, doubling).expect("alice"),
+            sos_session::cascading_unknown_bob(&bob, p, doubling),
+        )).expect("cascading session");
 
-        let session_result = drive_over_bytes(
-            sos_session::multiround_unknown_alice(&alice, &params, estimator),
-            sos_session::multiround_unknown_bob(&bob, &params, estimator),
-        );
-        match multiround::run_unknown(&alice, &bob, &params) {
-            Ok(driver) => {
-                let (recovered, stats) = session_result.expect("multiround session");
-                prop_assert_eq!(&recovered, &driver.recovered);
-                prop_assert_eq!(stats, driver.stats);
-            }
-            Err(driver_error) => {
-                let session_error = session_result.expect_err("session must fail too");
-                prop_assert_eq!(
-                    format!("{session_error}"), format!("{driver_error}"),
-                    "both runs must fail identically"
-                );
-            }
-        }
+        session_matches_bytes(&builder, |_| (
+            sos_session::multiround_unknown_alice(&alice, p, estimator),
+            sos_session::multiround_unknown_bob(&bob, p, estimator),
+        ));
     }
 }
 
 #[test]
-fn degree_order_session_matches_driver() {
-    use recon_graph::degree_order::{self, DegreeOrderParams};
+fn degree_order_session_matches_session() {
+    use recon_graph::degree_order::DegreeOrderParams;
     use recon_graph::{session as graph_session, Graph};
 
     let mut rng = Xoshiro256::new(17);
     let base = Graph::gnp(200, 0.35, &mut rng);
     let params = DegreeOrderParams { h: 48, seed: 91 };
-    let driver = degree_order::reconcile(&base, &base, 4, &params).expect("driver");
-
-    let (recovered, stats) = drive_over_bytes(
-        graph_session::degree_order_alice(&base, 4, &params).expect("alice"),
-        graph_session::degree_order_bob(&base, 4, &params).expect("bob"),
-    )
+    let outcome = session_matches_bytes(&SessionBuilder::new(params.seed), |_| {
+        (
+            graph_session::degree_order_alice(&base, 4, &params).expect("alice"),
+            graph_session::degree_order_bob(&base, 4, &params).expect("bob"),
+        )
+    })
     .expect("session");
-    assert_eq!(recovered.num_edges(), driver.recovered.num_edges());
-    assert_eq!(stats, driver.stats);
-    assert_eq!(stats.rounds, 1, "charge + parallel edge digest share one round");
-    assert_eq!(stats.messages, 2);
+    assert_eq!(outcome.recovered.num_edges(), base.num_edges());
+    assert_eq!(outcome.stats.rounds, 1, "charge + parallel edge digest share one round");
+    assert_eq!(outcome.stats.messages, 2);
 }
 
 #[test]
-fn forest_session_matches_driver() {
+fn forest_session_matches_session() {
     use recon_graph::forest::{self, Forest};
     use recon_graph::session as graph_session;
-    use recon_sos::multiset_of_multisets::{self, PairPacking};
 
     let mut rng = Xoshiro256::new(23);
     let base = Forest::random(300, 0.1, 5, &mut rng);
     let alice = base.perturb(2, &mut rng);
     let seed = 501u64;
-    let driver = forest::reconcile(&alice, &base, 4, 6, seed).expect("driver");
-
-    let packing = PairPacking::default();
-    let alice_collection = alice.vertex_multisets(seed);
-    let bob_collection = base.vertex_multisets(seed);
-    let max_child =
-        alice_collection.max_child_distinct().max(bob_collection.max_child_distinct()).max(2) + 1;
-    let base_params = SosParams::new(seed ^ 0xF07E57, max_child);
-    let resolved = multiset_of_multisets::resolved_params(
-        &alice_collection,
-        &bob_collection,
-        &base_params,
-        &packing,
-    )
-    .expect("resolved params");
-
-    let (recovered, stats) = drive_over_bytes(
-        graph_session::forest_alice(&alice, 4, 6, seed, &resolved).expect("alice"),
-        graph_session::forest_bob(&base, seed, &resolved).expect("bob"),
-    )
+    let agreed = forest::agreed_params(&alice, &base, seed).expect("agreed params");
+    let outcome = session_matches_bytes(&SessionBuilder::new(seed), |_| {
+        (
+            graph_session::forest_alice(&alice, 4, 6, seed, &agreed).expect("alice"),
+            graph_session::forest_bob(&base, seed, &agreed).expect("bob"),
+        )
+    })
     .expect("session");
-    assert!(recovered.is_isomorphic(&driver.recovered, seed));
-    assert_eq!(stats, driver.stats);
-    assert_eq!(stats.rounds, 1);
+    assert!(outcome.recovered.is_isomorphic(&alice, seed));
+    assert_eq!(outcome.stats.rounds, 1);
 }
 
 // ---------------------------------------------------------------------------
-// Framed transport (Endpoint over MemoryTransport) vs MemoryLink
+// Framed transport (Endpoint over MemoryTransport) vs SessionBuilder::run
 // ---------------------------------------------------------------------------
 
 /// Per family: the framed multiplexed path reports byte-identical `CommStats`
-/// to the blocking `MemoryLink` path, on both endpoints.
+/// to `SessionBuilder::run`, on both endpoints.
 #[test]
 fn framed_transport_matches_memory_link_per_family() {
     let seed = 0xF4A3;
@@ -377,54 +312,54 @@ fn framed_transport_matches_memory_link_per_family() {
     // Set, known d (Cor 2.2).
     let (alice, bob) = random_set_pair(300, 14, seed);
     let builder = SessionBuilder::new(seed ^ 1).amplification(Amplification::replicate(3));
-    let link = builder
+    let solo = builder
         .run(
             set_session::iblt_known_alice(&alice, 16, builder.config()).expect("alice"),
             set_session::iblt_known_bob(&bob, builder.config()),
         )
-        .expect("link run");
+        .expect("solo run");
     let (recovered, bob_stats, alice_stats) = drive_over_endpoint_pair(
         set_session::iblt_known_alice(&alice, 16, builder.config()).expect("alice"),
         set_session::iblt_known_bob(&bob, builder.config()),
     )
     .expect("framed run");
-    assert_eq!(recovered, link.recovered);
-    assert_eq!(bob_stats, link.stats, "set/iblt-known");
-    assert_eq!(alice_stats, link.stats, "set/iblt-known alice side");
+    assert_eq!(recovered, solo.recovered);
+    assert_eq!(bob_stats, solo.stats, "set/iblt-known");
+    assert_eq!(alice_stats, solo.stats, "set/iblt-known alice side");
 
     // Set, characteristic polynomial (Thm 2.3).
     let builder = SessionBuilder::new(seed ^ 2).amplification(Amplification::single());
-    let link = builder
+    let solo = builder
         .run(
             set_session::charpoly_known_alice(&alice, 16, builder.config()).expect("alice"),
             set_session::charpoly_known_bob(&bob, builder.config()),
         )
-        .expect("link run");
+        .expect("solo run");
     let (recovered, bob_stats, alice_stats) = drive_over_endpoint_pair(
         set_session::charpoly_known_alice(&alice, 16, builder.config()).expect("alice"),
         set_session::charpoly_known_bob(&bob, builder.config()),
     )
     .expect("framed run");
-    assert_eq!(recovered, link.recovered);
-    assert_eq!(bob_stats, link.stats, "set/charpoly");
-    assert_eq!(alice_stats, link.stats);
+    assert_eq!(recovered, solo.recovered);
+    assert_eq!(bob_stats, solo.stats, "set/charpoly");
+    assert_eq!(alice_stats, solo.stats);
 
     // Set, unknown d (Cor 3.2) — estimator round included.
     let builder = SessionBuilder::new(seed ^ 3).amplification(Amplification::replicate(6));
-    let link = builder
+    let solo = builder
         .run(
             set_session::unknown_alice(&alice, builder.config()),
             set_session::unknown_bob(&bob, builder.config()),
         )
-        .expect("link run");
+        .expect("solo run");
     let (recovered, bob_stats, alice_stats) = drive_over_endpoint_pair(
         set_session::unknown_alice(&alice, builder.config()),
         set_session::unknown_bob(&bob, builder.config()),
     )
     .expect("framed run");
-    assert_eq!(recovered, link.recovered);
-    assert_eq!(bob_stats, link.stats, "set/unknown");
-    assert_eq!(alice_stats, link.stats);
+    assert_eq!(recovered, solo.recovered);
+    assert_eq!(bob_stats, solo.stats, "set/unknown");
+    assert_eq!(alice_stats, solo.stats);
 
     // Sets of sets: all four families, known d.
     let workload = WorkloadParams::new(48, 12, 1 << 28);
@@ -433,66 +368,66 @@ fn framed_transport_matches_memory_link_per_family() {
     let params = SosParams::new(seed ^ 5, workload.max_child_size);
     let amplification = Amplification::replicate(4);
 
-    let link = SessionBuilder::new(params.seed)
+    let solo = SessionBuilder::new(params.seed)
         .run(
             sos_session::naive_known_alice(&sos_alice, d, &params, amplification).expect("alice"),
             sos_session::naive_known_bob(&sos_bob, &params, amplification),
         )
-        .expect("link run");
+        .expect("solo run");
     let (recovered, bob_stats, alice_stats) = drive_over_endpoint_pair(
         sos_session::naive_known_alice(&sos_alice, d, &params, amplification).expect("alice"),
         sos_session::naive_known_bob(&sos_bob, &params, amplification),
     )
     .expect("framed run");
-    assert_eq!(recovered, link.recovered);
-    assert_eq!(bob_stats, link.stats, "sos/naive");
-    assert_eq!(alice_stats, link.stats);
+    assert_eq!(recovered, solo.recovered);
+    assert_eq!(bob_stats, solo.stats, "sos/naive");
+    assert_eq!(alice_stats, solo.stats);
 
-    let link = SessionBuilder::new(params.seed)
+    let solo = SessionBuilder::new(params.seed)
         .run(
             sos_session::ioi_known_alice(&sos_alice, d, d, &params, amplification).expect("alice"),
             sos_session::ioi_known_bob(&sos_bob, &params, amplification),
         )
-        .expect("link run");
+        .expect("solo run");
     let (recovered, bob_stats, alice_stats) = drive_over_endpoint_pair(
         sos_session::ioi_known_alice(&sos_alice, d, d, &params, amplification).expect("alice"),
         sos_session::ioi_known_bob(&sos_bob, &params, amplification),
     )
     .expect("framed run");
-    assert_eq!(recovered, link.recovered);
-    assert_eq!(bob_stats, link.stats, "sos/ioi");
-    assert_eq!(alice_stats, link.stats);
+    assert_eq!(recovered, solo.recovered);
+    assert_eq!(bob_stats, solo.stats, "sos/ioi");
+    assert_eq!(alice_stats, solo.stats);
 
-    let link = SessionBuilder::new(params.seed)
+    let solo = SessionBuilder::new(params.seed)
         .run(
             sos_session::cascading_known_alice(&sos_alice, d, &params, amplification)
                 .expect("alice"),
             sos_session::cascading_known_bob(&sos_bob, &params, amplification),
         )
-        .expect("link run");
+        .expect("solo run");
     let (recovered, bob_stats, alice_stats) = drive_over_endpoint_pair(
         sos_session::cascading_known_alice(&sos_alice, d, &params, amplification).expect("alice"),
         sos_session::cascading_known_bob(&sos_bob, &params, amplification),
     )
     .expect("framed run");
-    assert_eq!(recovered, link.recovered);
-    assert_eq!(bob_stats, link.stats, "sos/cascading");
-    assert_eq!(alice_stats, link.stats);
+    assert_eq!(recovered, solo.recovered);
+    assert_eq!(bob_stats, solo.stats, "sos/cascading");
+    assert_eq!(alice_stats, solo.stats);
 
-    let link = SessionBuilder::new(params.seed)
+    let solo = SessionBuilder::new(params.seed)
         .run(
             sos_session::multiround_known_alice(&sos_alice, d, d, &params),
             sos_session::multiround_known_bob(&sos_bob, &params),
         )
-        .expect("link run (seed chosen to succeed)");
+        .expect("solo run (seed chosen to succeed)");
     let (recovered, bob_stats, alice_stats) = drive_over_endpoint_pair(
         sos_session::multiround_known_alice(&sos_alice, d, d, &params),
         sos_session::multiround_known_bob(&sos_bob, &params),
     )
     .expect("framed run");
-    assert_eq!(recovered, link.recovered);
-    assert_eq!(bob_stats, link.stats, "sos/multiround");
-    assert_eq!(alice_stats, link.stats);
+    assert_eq!(recovered, solo.recovered);
+    assert_eq!(bob_stats, solo.stats, "sos/multiround");
+    assert_eq!(alice_stats, solo.stats);
 
     // Graph, degree-ordering scheme (Thm 5.2) — nested + parallel charges.
     use recon_graph::degree_order::DegreeOrderParams;
@@ -500,20 +435,20 @@ fn framed_transport_matches_memory_link_per_family() {
     let mut rng = Xoshiro256::new(seed ^ 6);
     let graph = Graph::gnp(150, 0.3, &mut rng);
     let graph_params = DegreeOrderParams { h: 48, seed: seed ^ 7 };
-    let link = SessionBuilder::new(graph_params.seed)
+    let solo = SessionBuilder::new(graph_params.seed)
         .run(
             graph_session::degree_order_alice(&graph, 4, &graph_params).expect("alice"),
             graph_session::degree_order_bob(&graph, 4, &graph_params).expect("bob"),
         )
-        .expect("link run");
+        .expect("solo run");
     let (recovered, bob_stats, alice_stats) = drive_over_endpoint_pair(
         graph_session::degree_order_alice(&graph, 4, &graph_params).expect("alice"),
         graph_session::degree_order_bob(&graph, 4, &graph_params).expect("bob"),
     )
     .expect("framed run");
-    assert_eq!(recovered.num_edges(), link.recovered.num_edges());
-    assert_eq!(bob_stats, link.stats, "graph/degree-order");
-    assert_eq!(alice_stats, link.stats);
+    assert_eq!(recovered.num_edges(), solo.recovered.num_edges());
+    assert_eq!(bob_stats, solo.stats, "graph/degree-order");
+    assert_eq!(alice_stats, solo.stats);
 }
 
 // ---------------------------------------------------------------------------
@@ -523,19 +458,18 @@ fn framed_transport_matches_memory_link_per_family() {
 /// Body of the nine-session acceptance test, shared with the kernel-dispatch
 /// equivalence test below: runs the full mixed-family suite (nine concurrent
 /// sessions over one framed transport, each checked against its solo
-/// `MemoryLink` twin), asserts every recovery, and returns the per-session
+/// `SessionBuilder::run` twin), asserts every recovery, and returns the per-session
 /// stats so callers can compare whole runs against each other.
 fn run_nine_session_suite() -> Vec<CommStats> {
     use recon_graph::degree_order::DegreeOrderParams;
     use recon_graph::{forest, session as graph_session, Forest, Graph};
-    use recon_sos::multiset_of_multisets::{self, PairPacking};
 
     let seed = 0x008E_5510;
     let (transport_a, transport_b) = MemoryTransport::pair();
     let mut alice_end = Endpoint::new(transport_a);
     let mut bob_end = Endpoint::new(transport_b);
 
-    // Expected outcomes from the legacy blocking path, one `MemoryLink` each.
+    // Expected outcomes from `SessionBuilder::run`, one session each.
     let mut expected: Vec<CommStats> = Vec::new();
 
     // Sessions 0-2: three plain-set protocols on distinct data.
@@ -707,20 +641,16 @@ fn run_nine_session_suite() -> Vec<CommStats> {
     let base = Forest::random(200, 0.1, 5, &mut rng);
     let forest_alice = base.perturb(2, &mut rng);
     let forest_seed = 761u64;
-    let packing = PairPacking::default();
-    let alice_collection = forest_alice.vertex_multisets(forest_seed);
-    let bob_collection = base.vertex_multisets(forest_seed);
-    let max_child =
-        alice_collection.max_child_distinct().max(bob_collection.max_child_distinct()).max(2) + 1;
-    let base_params = SosParams::new(forest_seed ^ 0xF07E57, max_child);
-    let resolved = multiset_of_multisets::resolved_params(
-        &alice_collection,
-        &bob_collection,
-        &base_params,
-        &packing,
-    )
-    .unwrap();
-    expected.push(forest::reconcile(&forest_alice, &base, 4, 6, forest_seed).unwrap().stats);
+    let resolved = forest::agreed_params(&forest_alice, &base, forest_seed).unwrap();
+    expected.push(
+        SessionBuilder::new(forest_seed)
+            .run(
+                graph_session::forest_alice(&forest_alice, 4, 6, forest_seed, &resolved).unwrap(),
+                graph_session::forest_bob(&base, forest_seed, &resolved).unwrap(),
+            )
+            .unwrap()
+            .stats,
+    );
     alice_end
         .register(
             8,
@@ -756,7 +686,7 @@ fn run_nine_session_suite() -> Vec<CommStats> {
     for id in 0..9u64 {
         let alice_stats = alice_end.close(id).expect("alice side registered");
         let stats = take(&mut bob_end, id);
-        assert_eq!(stats, expected[id as usize], "session {id} vs MemoryLink");
+        assert_eq!(stats, expected[id as usize], "session {id} vs SessionBuilder::run");
         assert_eq!(alice_stats, expected[id as usize], "session {id} alice side");
         per_session.push(stats);
     }
@@ -766,7 +696,7 @@ fn run_nine_session_suite() -> Vec<CommStats> {
 /// One endpoint pair multiplexes nine concurrent sessions spanning all three
 /// protocol layers (plain sets, sets of sets, graphs) over a single framed
 /// byte stream, and every session's `CommStats` is byte-identical to the same
-/// protocol run alone through the legacy `MemoryLink` path.
+/// protocol run alone through `SessionBuilder::run`.
 #[test]
 fn one_endpoint_drives_nine_concurrent_mixed_family_sessions() {
     let per_session = run_nine_session_suite();
@@ -778,7 +708,7 @@ fn one_endpoint_drives_nine_concurrent_mixed_family_sessions() {
 // ---------------------------------------------------------------------------
 
 /// Sharded set reconciliation: every shard's stats equal the same shard run
-/// alone over a `MemoryLink`, the merged stats are their exact sum, and the
+/// alone through `SessionBuilder::run`, the merged stats are their exact sum, and the
 /// whole thing is deterministic across runs.
 #[test]
 fn sharded_set_stats_match_solo_memory_link_shards() {
@@ -793,7 +723,7 @@ fn sharded_set_stats_match_solo_memory_link_shards() {
     assert_eq!(outcome.recovered, alice);
     assert_eq!(outcome.per_shard.len(), 5);
 
-    // Each shard individually, through the legacy blocking path.
+    // Each shard individually, through `SessionBuilder::run`.
     let alice_shards = recon_set::shard_set(&alice, &runner);
     let bob_shards = recon_set::shard_set(&bob, &runner);
     for (shard, stats) in outcome.per_shard.iter().enumerate() {
@@ -810,7 +740,7 @@ fn sharded_set_stats_match_solo_memory_link_shards() {
                 set_session::iblt_known_bob(&bob_shards[shard], &config),
             )
             .expect("solo shard run");
-        assert_eq!(*stats, solo.stats, "shard {shard} vs MemoryLink");
+        assert_eq!(*stats, solo.stats, "shard {shard} vs SessionBuilder::run");
         assert_eq!(solo.recovered, alice_shards[shard]);
     }
 
@@ -833,8 +763,9 @@ fn sharded_set_stats_match_solo_memory_link_shards() {
     assert_eq!(outcome, again);
 }
 
-/// Sharded set-of-sets reconciliation: per-shard stats equal solo MemoryLink
-/// runs of the same shard parties and the merged stats sum deterministically.
+/// Sharded set-of-sets reconciliation: per-shard stats equal solo
+/// `SessionBuilder::run` runs of the same shard parties and the merged stats sum
+/// deterministically.
 #[test]
 fn sharded_sos_stats_match_solo_memory_link_shards() {
     let workload = WorkloadParams::new(60, 10, 1 << 28);
@@ -873,7 +804,7 @@ fn sharded_sos_stats_match_solo_memory_link_shards() {
                 sos_session::naive_known_bob(&bob_shards[shard], &shard_params, amplification),
             )
             .expect("solo shard run");
-        assert_eq!(*stats, solo.stats, "shard {shard} vs MemoryLink");
+        assert_eq!(*stats, solo.stats, "shard {shard} vs SessionBuilder::run");
     }
     assert_eq!(
         outcome.stats.total_bytes(),
