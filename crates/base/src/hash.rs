@@ -1,26 +1,19 @@
 //! Hash families used by the reconciliation protocols.
 //!
-//! The paper relies on three kinds of hashing, all realized here:
+//! The paper relies on two kinds of hashing, both realized here:
 //!
-//! * **Pairwise-independent hashing** ([`PairwiseHash`]) for child-set hashes
-//!   (Algorithm 1 and 2 use an `O(log s)`-bit pairwise independent hash of each child
-//!   set) and for level assignment in the ℓ0 estimator (Appendix A). Implemented as
-//!   `((a·x + b) mod p) mod 2^bits` over the Mersenne prime `p = 2^61 − 1`, which is
-//!   the textbook pairwise-independent family.
-//! * **Strong 64-bit mixing** ([`hash64`], [`hash_bytes`]) for IBLT bucket selection
-//!   and checksums. These need to behave like random functions on the keys actually
-//!   inserted; we use a Murmur3/SplitMix-style finalizer for integers and a simple
-//!   multiply-rotate scheme (an FxHash/wyhash hybrid) for byte strings.
+//! * **Strong 64-bit mixing** ([`hash64`], [`hash_bytes`]) for IBLT bucket selection,
+//!   checksums and the ℓ0 estimator's one mix per key. These need to behave like
+//!   random functions on the keys actually inserted; we use a Murmur3/SplitMix-style
+//!   finalizer for integers and a simple multiply-rotate scheme (an FxHash/wyhash
+//!   hybrid) for byte strings.
 //! * **Composite hashing of sets** ([`hash_u64_set`]) — an order-independent hash of
 //!   a set of 64-bit elements, used to ward against IBLT checksum failures by
 //!   verifying a recovered set against a hash of the original (Section 2, "we often
 //!   ward against checksum failures by augmenting the set recovery process with a
 //!   hash of each of the sets").
 
-use crate::rng::split_seed;
-
-/// The Mersenne prime `2^61 − 1` used as the modulus of the pairwise-independent
-/// hash family (and, in `recon-field`, as the field characteristic).
+/// The Mersenne prime `2^61 − 1`, the characteristic of `recon-field`'s prime field.
 pub const MERSENNE61: u64 = (1u64 << 61) - 1;
 
 /// Reduce a 128-bit product modulo `2^61 − 1` using the Mersenne structure.
@@ -39,71 +32,9 @@ pub fn mod_mersenne61(x: u128) -> u64 {
     r
 }
 
-/// `x mod (2^61 − 1)` for a 64-bit `x`, by one Mersenne fold. Callers that
-/// evaluate many [`PairwiseHash`] functions on one key reduce it once and use
-/// [`PairwiseHash::hash_reduced`].
-#[inline]
-pub fn reduce_mersenne61(x: u64) -> u64 {
-    let r = (x & MERSENNE61) + (x >> 61);
-    if r >= MERSENNE61 {
-        r - MERSENNE61
-    } else {
-        r
-    }
-}
-
-/// A pairwise-independent hash function `x ↦ ((a·x + b) mod p) >> shift`,
-/// producing `bits` output bits, with `p = 2^61 − 1`.
-///
-/// The coefficients `a ∈ [1, p)`, `b ∈ [0, p)` are derived deterministically from a
-/// seed, so Alice and Bob construct identical functions from their shared public
-/// coins without communication.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PairwiseHash {
-    a: u64,
-    b: u64,
-    bits: u32,
-}
-
-impl PairwiseHash {
-    /// Construct a hash function with `bits` output bits (1 ≤ bits ≤ 61) from a seed.
-    pub fn from_seed(seed: u64, bits: u32) -> Self {
-        assert!((1..=61).contains(&bits), "bits must be in 1..=61, got {bits}");
-        let mut a = split_seed(seed, 0x61) % MERSENNE61;
-        if a == 0 {
-            a = 1;
-        }
-        let b = split_seed(seed, 0x62) % MERSENNE61;
-        Self { a, b, bits }
-    }
-
-    /// Number of output bits.
-    #[inline]
-    pub fn output_bits(&self) -> u32 {
-        self.bits
-    }
-
-    /// Hash a 64-bit value to `bits` bits.
-    #[inline]
-    pub fn hash(&self, x: u64) -> u64 {
-        self.hash_reduced(reduce_mersenne61(x))
-    }
-
-    /// [`PairwiseHash::hash`] of a value already reduced with
-    /// [`reduce_mersenne61`] (`x < 2^61 − 1`).
-    #[inline]
-    pub fn hash_reduced(&self, x: u64) -> u64 {
-        debug_assert!(x < MERSENNE61);
-        let prod = (self.a as u128) * (x as u128) + (self.b as u128);
-        let v = mod_mersenne61(prod);
-        // Take the high-order bits of the 61-bit value: (v >> (61 - bits)).
-        v >> (61 - self.bits)
-    }
-}
-
-/// `x % d` for a divisor that is fixed per table and often a power of two (ℓ0
-/// bucket counts, the partitions of small IBLTs): those take a mask, every other
-/// divisor the hardware divide.
+/// `x % d` for a divisor that is fixed per table and often a power of two (the
+/// partitions of small IBLTs): those take a mask, every other divisor the
+/// hardware divide.
 #[inline]
 pub fn rem_fixed(x: u64, d: u64) -> u64 {
     if d.is_power_of_two() {
@@ -267,41 +198,6 @@ mod tests {
         for x in [0u128, 1, 5, 1 << 61, (1 << 61) - 1, u64::MAX as u128, u128::MAX >> 3] {
             assert_eq!(mod_mersenne61(x), (x % (MERSENNE61 as u128)) as u64, "x = {x}");
         }
-    }
-
-    #[test]
-    fn mersenne_fold_agrees_with_remainder() {
-        let edges = [0, 1, MERSENNE61 - 1, MERSENNE61, MERSENNE61 + 1, 2 * MERSENNE61, u64::MAX];
-        let h = PairwiseHash::from_seed(5, 61);
-        for x in edges.into_iter().chain((0..1000).map(|i| hash64(i, 3))) {
-            assert_eq!(reduce_mersenne61(x), x % MERSENNE61, "x = {x}");
-            assert_eq!(h.hash(x), h.hash_reduced(x % MERSENNE61), "x = {x}");
-        }
-    }
-
-    #[test]
-    fn pairwise_hash_range_respected() {
-        let h = PairwiseHash::from_seed(1, 10);
-        for x in 0..1000u64 {
-            assert!(h.hash(x) < 1024);
-        }
-    }
-
-    #[test]
-    fn pairwise_hash_is_deterministic_per_seed() {
-        let h1 = PairwiseHash::from_seed(7, 32);
-        let h2 = PairwiseHash::from_seed(7, 32);
-        let h3 = PairwiseHash::from_seed(8, 32);
-        assert_eq!(h1.hash(12345), h2.hash(12345));
-        assert_ne!(h1.hash(12345), h3.hash(12345), "different seeds should differ (whp)");
-    }
-
-    #[test]
-    fn pairwise_hash_spreads_values() {
-        // With 16 output bits and 2^12 inputs, collisions should be rare (birthday ~ 12%).
-        let h = PairwiseHash::from_seed(3, 20);
-        let outputs: HashSet<u64> = (0..4096u64).map(|x| h.hash(x)).collect();
-        assert!(outputs.len() > 4000, "only {} distinct outputs", outputs.len());
     }
 
     #[test]

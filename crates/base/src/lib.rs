@@ -10,8 +10,8 @@
 //!
 //! * [`rng`] — deterministic pseudo-random generators (`SplitMix64`, `Xoshiro256``),
 //!   used both as the public-coin source and for workload generation,
-//! * [`hash`] — pairwise-independent hash families over GF(2^61 − 1), strong 64-bit
-//!   mixers for bucket selection, and checksum hashing for IBLT cells,
+//! * [`hash`] — strong 64-bit mixers for bucket selection, checksum hashing for
+//!   IBLT cells, and order-independent set hashes,
 //! * [`wire`] — a small, explicit binary encoding layer ([`wire::Encode`] /
 //!   [`wire::Decode`]) so that every protocol message has a well-defined serialized
 //!   size in bytes,
@@ -41,7 +41,7 @@ pub mod wire;
 
 pub use comm::{CommStats, Direction, MessageStat, Transcript};
 pub use error::ReconError;
-pub use hash::{hash64, hash_bytes, PairwiseHash};
+pub use hash::{hash64, hash_bytes};
 pub use retry::{run_with_retry, RetryPolicy};
 pub use rng::{SplitMix64, Xoshiro256};
 pub use wire::{Decode, Encode, WireError};

@@ -3,13 +3,23 @@
 //! Model the symmetric difference as a vector indexed by the universe whose entries
 //! lie in {−1, 0, +1} (+1 for elements only in S1, −1 for elements only in S2). Its
 //! ℓ0 norm is exactly the set difference size. The estimator keeps, for each of
-//! `reps` independent repetitions, `levels` geometric sub-streams; an element belongs
-//! to level `i` with probability `2^{-(i+1)}` (the position of the least significant
-//! set bit of a pairwise-independent hash). Each level hashes its elements into a
+//! `reps` repetitions, `levels` geometric sub-streams; an element belongs to level
+//! `i` with probability `2^{-(i+1)}`. Each level hashes its elements into a
 //! constant number of buckets holding 2-bit counters: the count of elements mod 4.
 //! An element present on both sides cancels (+1 then −1), so only differing elements
 //! leave a trace — which is what makes the sketch an estimator of the *difference*
 //! rather than of the sets.
+//!
+//! A key is mixed once, `h = hash64(x, key_seed)`, and every repetition slices
+//! its (level, bucket) pair from that one mix. Repetition `r` forms the wrapping
+//! product `v = (h ⊕ k_r) · a_r` with `a_r` odd, then `v · buckets` in 128 bits:
+//! the high word is the bucket (a multiply-high, so any bucket count works) and
+//! the level is the number of leading zero bits of the low word, capped at
+//! `levels − 1`. For a power-of-two bucket count those are disjoint runs of
+//! `v`'s high bits, the bucket's first. The evidence that this family keeps the
+//! paper's guarantee is statistical, not a proof: `tests/l0_accuracy.rs` checks
+//! the level shares against `2^{-(i+1)}`, bucket uniformity, and the estimate on
+//! random and structured key sets.
 //!
 //! Querying finds, per repetition, the deepest level whose number of non-zero buckets
 //! exceeds the threshold (8, as in the paper) and scales it back up by the level's
@@ -19,7 +29,7 @@
 //! probability `1 − δ` using `O(log(1/δ) log n)` bits.
 
 use crate::Side;
-use recon_base::hash::{hash64, reduce_mersenne61, rem_fixed, PairwiseHash};
+use recon_base::hash::hash64;
 use recon_base::rng::split_seed;
 use recon_base::wire::{read_uvarint, write_uvarint, Decode, Encode, WireError};
 use recon_base::ReconError;
@@ -67,22 +77,24 @@ impl L0Config {
     }
 }
 
-/// The hash functions of one repetition, derived from the seed once per
-/// estimator so that no update re-derives them.
-#[derive(Debug, Clone, PartialEq)]
+/// One repetition's slice of a key's mix, `v = (h ^ xor) · mul` (module doc),
+/// derived from the seed once per estimator so that no update re-derives it.
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct RepPlan {
-    /// Pairwise-independent level hash; an element's level is the number of
-    /// trailing one bits of its 61-bit output.
-    level: PairwiseHash,
-    bucket_seed: u64,
+    xor: u64,
+    /// Odd, so `v` is a bijection of `h`.
+    mul: u64,
 }
 
 /// The ℓ0-norm set difference estimator (Theorem 3.1).
 #[derive(Debug, Clone, PartialEq)]
 pub struct L0Estimator {
     cfg: L0Config,
-    /// `counters[rep][level * buckets + bucket]`, each value in 0..4 (mod-4 counter).
-    counters: Vec<Vec<u8>>,
+    /// Rep-major: `counters[(rep * levels + level) * buckets + bucket]`, each
+    /// value in 0..4 (mod-4 counter).
+    counters: Vec<u8>,
+    /// Seed of the one strong mix a key gets per update; a function of `cfg`.
+    key_seed: u64,
     /// One entry per repetition, a function of `cfg` alone.
     plan: Vec<RepPlan>,
 }
@@ -91,17 +103,21 @@ impl L0Estimator {
     /// Create an empty estimator.
     pub fn new(cfg: &L0Config) -> Self {
         assert!(cfg.reps >= 1 && cfg.levels >= 1 && cfg.buckets >= 4);
-        Self::with_counters(*cfg, vec![vec![0u8; cfg.levels * cfg.buckets]; cfg.reps])
+        Self::with_counters(*cfg, vec![0u8; cfg.reps * cfg.levels * cfg.buckets])
     }
 
-    fn with_counters(cfg: L0Config, counters: Vec<Vec<u8>>) -> Self {
+    fn with_counters(cfg: L0Config, counters: Vec<u8>) -> Self {
         let plan = (0..cfg.reps as u64)
             .map(|rep| RepPlan {
-                level: PairwiseHash::from_seed(split_seed(cfg.seed, 0x1000 + rep), 61),
-                bucket_seed: split_seed(cfg.seed, 0x2000 + rep),
+                xor: split_seed(cfg.seed, 0x1000 + rep),
+                mul: split_seed(cfg.seed, 0x2000 + rep) | 1,
             })
             .collect();
-        Self { cfg, counters, plan }
+        Self { cfg, counters, key_seed: split_seed(cfg.seed, 0x3000), plan }
+    }
+
+    fn per_rep(&self) -> usize {
+        self.cfg.levels * self.cfg.buckets
     }
 
     /// The configuration this estimator was built with.
@@ -117,11 +133,14 @@ impl L0Estimator {
             Side::A => 1,
             Side::B => 3, // ≡ −1 (mod 4)
         };
-        let reduced = reduce_mersenne61(x);
+        let h = hash64(x, self.key_seed);
         let (deepest, buckets) = (self.cfg.levels - 1, self.cfg.buckets);
-        for (rep, counters) in self.plan.iter().zip(&mut self.counters) {
-            let level = (rep.level.hash_reduced(reduced).trailing_ones() as usize).min(deepest);
-            let bucket = rem_fixed(hash64(x, rep.bucket_seed), buckets as u64) as usize;
+        let per_rep = self.per_rep();
+        for (rep, counters) in self.plan.iter().zip(self.counters.chunks_exact_mut(per_rep)) {
+            let v = (h ^ rep.xor).wrapping_mul(rep.mul);
+            let scaled = u128::from(v) * buckets as u128;
+            let bucket = (scaled >> 64) as usize;
+            let level = ((scaled as u64).leading_zeros() as usize).min(deepest);
             let slot = &mut counters[level * buckets + bucket];
             *slot = (*slot + delta) & 3;
         }
@@ -142,10 +161,8 @@ impl L0Estimator {
             ));
         }
         let mut out = self.clone();
-        for (mine, theirs) in out.counters.iter_mut().zip(&other.counters) {
-            for (a, b) in mine.iter_mut().zip(theirs) {
-                *a = (*a + *b) & 3;
-            }
+        for (a, b) in out.counters.iter_mut().zip(&other.counters) {
+            *a = (*a + *b) & 3;
         }
         Ok(out)
     }
@@ -157,7 +174,7 @@ impl L0Estimator {
     /// trace in any repetition.
     pub fn estimate(&self) -> usize {
         let mut per_rep: Vec<usize> =
-            self.counters.iter().map(|rep| self.estimate_rep(rep)).collect();
+            self.counters.chunks_exact(self.per_rep()).map(|rep| self.estimate_rep(rep)).collect();
         per_rep.sort_unstable();
         per_rep[per_rep.len() / 2]
     }
@@ -209,8 +226,8 @@ impl Encode for L0Estimator {
         write_uvarint(buf, self.cfg.buckets as u64);
         write_uvarint(buf, self.cfg.threshold as u64);
         buf.extend_from_slice(&self.cfg.seed.to_le_bytes());
-        for rep in &self.counters {
-            // Pack 4 two-bit counters per byte.
+        for rep in self.counters.chunks_exact(self.per_rep()) {
+            // Pack 4 two-bit counters per byte, each repetition from a fresh byte.
             for chunk in rep.chunks(4) {
                 let mut byte = 0u8;
                 for (i, &c) in chunk.iter().enumerate() {
@@ -234,25 +251,20 @@ impl Decode for L0Estimator {
             return Err(WireError::Invalid("l0 estimator header"));
         }
         let cfg = L0Config { reps, levels, buckets, threshold, seed };
+        // The whole plane, bounded by the bytes present before anything is
+        // allocated for it (so `reps * per_rep ≤ 4 · buf.len()` below).
         let per_rep =
             levels.checked_mul(buckets).ok_or(WireError::Invalid("l0 estimator header"))?;
         let packed = per_rep.div_ceil(4);
-        let mut counters = Vec::with_capacity(reps);
-        for _ in 0..reps {
-            if buf.len() < packed {
-                return Err(WireError::UnexpectedEnd);
-            }
-            let (bytes, rest) = buf.split_at(packed);
-            *buf = rest;
-            let mut rep = Vec::with_capacity(per_rep);
-            for (i, &byte) in bytes.iter().enumerate() {
-                for j in 0..4 {
-                    if i * 4 + j < per_rep {
-                        rep.push((byte >> (2 * j)) & 3);
-                    }
-                }
-            }
-            counters.push(rep);
+        let total = packed.checked_mul(reps).ok_or(WireError::Invalid("l0 estimator header"))?;
+        if buf.len() < total {
+            return Err(WireError::UnexpectedEnd);
+        }
+        let (bytes, rest) = buf.split_at(total);
+        *buf = rest;
+        let mut counters = Vec::with_capacity(reps * per_rep);
+        for rep in bytes.chunks_exact(packed) {
+            counters.extend((0..per_rep).map(|i| (rep[i / 4] >> (2 * (i % 4))) & 3));
         }
         Ok(L0Estimator::with_counters(cfg, counters))
     }
@@ -362,6 +374,17 @@ mod tests {
             [9, levels, buckets, 8].iter().for_each(|&v| write_uvarint(&mut header, v));
             header.extend_from_slice(&[0u8; 8 + 64]);
             assert!(L0Estimator::from_bytes(&header).is_err(), "{levels} x {buckets}");
+        }
+    }
+
+    #[test]
+    fn decode_bounds_the_plane_by_the_bytes_present() {
+        // 2^54 packed bytes claimed over 100; then `reps * packed` past `usize`.
+        for buckets in [1u64 << 40, 1 << 52] {
+            let mut bytes = Vec::new();
+            [1024, 64, buckets, 8].iter().for_each(|&v| write_uvarint(&mut bytes, v));
+            bytes.extend_from_slice(&[0u8; 8 + 100]);
+            assert!(L0Estimator::decode(&mut bytes.as_slice()).is_err(), "64 x {buckets}");
         }
     }
 

@@ -732,7 +732,7 @@ mod tests {
     }
 
     #[test]
-    fn multiplexed_stats_match_the_blocking_driver() {
+    fn multiplexed_stats_match_session_builder() {
         let (ta, tb) = MemoryTransport::pair();
         let mut alice_end = Endpoint::new(ta);
         let mut bob_end = Endpoint::new(tb);

@@ -306,7 +306,7 @@ fn forest_session_matches_session() {
 /// Per family: the framed multiplexed path reports byte-identical `CommStats`
 /// to `SessionBuilder::run`, on both endpoints.
 #[test]
-fn framed_transport_matches_memory_link_per_family() {
+fn framed_transport_matches_session_builder_per_family() {
     let seed = 0xF4A3;
 
     // Set, known d (Cor 2.2).
