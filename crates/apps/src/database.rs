@@ -13,8 +13,8 @@
 
 use recon_base::rng::Xoshiro256;
 use recon_base::ReconError;
-use recon_protocol::{Amplification, Outcome, SessionBuilder, ShardedOutcome, ShardedRunner};
-use recon_sos::{session, sharded, L0Config, SetOfSets, ShardedSosFamily, SosParams};
+use recon_protocol::{Amplification, Outcome, SessionBuilder};
+use recon_sos::{session, SetOfSets, SosParams};
 use std::collections::BTreeSet;
 
 /// A relational table of binary data: `num_columns` labeled columns, unlabeled rows.
@@ -176,7 +176,7 @@ impl BinaryTable {
                 session::cascading_known_bob(b, p, four),
             )?,
             SosProtocolKind::MultiRound => run.run(
-                session::multiround_known_alice(a, d, d_hat, p),
+                session::multiround_known_alice(a, d, d_hat, p)?,
                 session::multiround_known_bob(b, p),
             )?,
         };
@@ -188,84 +188,6 @@ impl BinaryTable {
     /// reconciliation protocol should beat when `d` is small): one bit per cell.
     pub fn full_transfer_bytes(&self) -> usize {
         (self.num_rows() * self.num_columns as usize).div_ceil(8)
-    }
-
-    /// Sharded reconciliation: rows are split across `num_shards` deterministic
-    /// shards by hashed row identity and every shard reconciles concurrently as
-    /// its own session over one multiplexed link — the serving shape for large
-    /// tables, where per-shard differences stay small and the transport cost is
-    /// amortized.
-    ///
-    /// `d` bounds the total number of flipped bits. A flipped bit rehashes its
-    /// row to a (generally) different shard, where old and new version each
-    /// appear as a whole-row difference, so the always-safe per-shard bound is
-    /// `2d` differing rows for the row-level family and `2d` full row weights
-    /// for the bit-level families.
-    pub fn reconcile_from_sharded(
-        &self,
-        alice: &BinaryTable,
-        d: usize,
-        family: ShardedSosFamily,
-        num_shards: usize,
-        seed: u64,
-    ) -> Result<ShardedOutcome<BinaryTable>, ReconError> {
-        if alice.num_columns != self.num_columns {
-            return Err(ReconError::InvalidInput("column counts differ".to_string()));
-        }
-        // Shard execution is deterministic regardless of thread count, so the
-        // serving layer always uses whatever parallelism the machine offers.
-        let runner = ShardedRunner::new(num_shards, seed).with_available_threads();
-        let params = SosParams::new(seed, self.num_columns as usize);
-        let differing_rows = (2 * d.max(1)).min(alice.num_rows() + self.num_rows()).max(1);
-        let per_shard_d = match family {
-            // Theorem 3.3's parameter counts differing children (rows).
-            ShardedSosFamily::Naive => differing_rows,
-            // The bit-level families must be able to decode an unmatched row
-            // outright, so their bound covers each differing row's full weight.
-            ShardedSosFamily::IbltOfIblts | ShardedSosFamily::Cascading => {
-                let max_row = alice.rows.max_child_size().max(self.rows.max_child_size()).max(1);
-                differing_rows * (max_row + 1)
-            }
-        };
-        let outcome = sharded::reconcile_known_sharded(
-            &alice.rows,
-            &self.rows,
-            per_shard_d,
-            family,
-            &params,
-            Amplification::replicate(4),
-            &runner,
-        )?;
-        let table = BinaryTable::from_set_of_sets(self.num_columns, outcome.recovered)?;
-        Ok(ShardedOutcome { recovered: table, per_shard: outcome.per_shard, stats: outcome.stats })
-    }
-
-    /// [`BinaryTable::reconcile_from_sharded`] without a prior bound on the
-    /// number of flipped bits: every shard estimates (naive family) or doubles
-    /// toward (bit-level families) its own difference, so skewed edits cost
-    /// only what the affected shards actually need.
-    pub fn reconcile_from_sharded_unknown(
-        &self,
-        alice: &BinaryTable,
-        family: ShardedSosFamily,
-        num_shards: usize,
-        seed: u64,
-    ) -> Result<ShardedOutcome<BinaryTable>, ReconError> {
-        if alice.num_columns != self.num_columns {
-            return Err(ReconError::InvalidInput("column counts differ".to_string()));
-        }
-        let runner = ShardedRunner::new(num_shards, seed).with_available_threads();
-        let params = SosParams::new(seed, self.num_columns as usize);
-        let outcome = sharded::reconcile_unknown_sharded(
-            &alice.rows,
-            &self.rows,
-            family,
-            &params,
-            L0Config::default(),
-            &runner,
-        )?;
-        let table = BinaryTable::from_set_of_sets(self.num_columns, outcome.recovered)?;
-        Ok(ShardedOutcome { recovered: table, per_shard: outcome.per_shard, stats: outcome.stats })
     }
 }
 
@@ -347,41 +269,6 @@ mod tests {
             stats.total_bytes(),
             alice.full_transfer_bytes()
         );
-    }
-
-    #[test]
-    fn sharded_reconciliation_recovers_the_table_in_every_family() {
-        let (alice, bob) = sample_pair(64, 24, 5, 13);
-        for family in
-            [ShardedSosFamily::Naive, ShardedSosFamily::IbltOfIblts, ShardedSosFamily::Cascading]
-        {
-            let outcome = bob.reconcile_from_sharded(&alice, 5, family, 4, 21).unwrap();
-            assert_eq!(outcome.recovered, alice, "{family:?}");
-            assert_eq!(outcome.per_shard.len(), 4);
-            assert_eq!(
-                outcome.stats.total_bytes(),
-                outcome.per_shard.iter().map(|s| s.total_bytes()).sum::<usize>()
-            );
-        }
-    }
-
-    #[test]
-    fn sharded_reconciliation_rejects_mismatched_schemas() {
-        let a = BinaryTable::new(4);
-        let b = BinaryTable::new(5);
-        assert!(b.reconcile_from_sharded(&a, 1, ShardedSosFamily::Naive, 2, 1).is_err());
-        assert!(b.reconcile_from_sharded_unknown(&a, ShardedSosFamily::Naive, 2, 1).is_err());
-    }
-
-    #[test]
-    fn sharded_reconciliation_without_a_bound_recovers_alice() {
-        let (alice, bob) = sample_pair(30, 24, 4, 19);
-        for family in [ShardedSosFamily::Naive, ShardedSosFamily::Cascading] {
-            let outcome =
-                bob.reconcile_from_sharded_unknown(&alice, family, 3, 55).expect("unknown-d run");
-            assert_eq!(outcome.recovered, alice, "{family:?}");
-            assert_eq!(outcome.per_shard.len(), 3);
-        }
     }
 
     #[test]

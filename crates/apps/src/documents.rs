@@ -11,8 +11,8 @@
 
 use recon_base::hash::hash_bytes;
 use recon_base::ReconError;
-use recon_protocol::{Amplification, Outcome, SessionBuilder, ShardedOutcome, ShardedRunner};
-use recon_sos::{session, sharded, ChildSet, SetOfSets, ShardedSosFamily, SosParams};
+use recon_protocol::{Amplification, Outcome, SessionBuilder};
+use recon_sos::{session, SetOfSets, SosParams};
 use std::collections::BTreeSet;
 
 /// Compute the `k`-word shingle set of a document: every window of `k` consecutive
@@ -120,30 +120,18 @@ pub fn reconcile_collections(
         session::cascading_known_alice(&remote_sos, d.max(1), &params, amp)?,
         session::cascading_known_bob(&local_sos, &params, amp),
     )?;
-    let report = classify(&outcome.recovered, &local_sos, near_threshold);
-    Ok(Outcome { recovered: report, stats: outcome.stats })
-}
-
-/// Classify every recovered remote shingle set against the local collection.
-fn classify(
-    recovered: &SetOfSets,
-    local_sos: &SetOfSets,
-    near_threshold: usize,
-) -> CollectionDiffReport {
-    let local_children: Vec<&ChildSet> = local_sos.children().iter().collect();
+    // Classify every recovered remote shingle set against the local collection.
     let mut report = CollectionDiffReport {
         exact_duplicates: 0,
         near_duplicates: Vec::new(),
         fresh_documents: Vec::new(),
     };
-    for (idx, remote_doc) in recovered.children().iter().enumerate() {
+    for (idx, remote_doc) in outcome.recovered.children().iter().enumerate() {
         if local_sos.contains(remote_doc) {
             report.exact_duplicates += 1;
             continue;
         }
-        let best = local_children
-            .iter()
-            .enumerate()
+        let best = (local_sos.children().iter().enumerate())
             .map(|(j, l)| (remote_doc.symmetric_difference(l).count(), j))
             .min();
         match best {
@@ -153,41 +141,7 @@ fn classify(
             _ => report.fresh_documents.push(idx),
         }
     }
-    report
-}
-
-/// [`reconcile_collections`], sharded: the two collections are split into
-/// deterministic per-document shards and every shard reconciles concurrently as
-/// its own session over one multiplexed link. A document edit rehashes its
-/// shingle set to a (generally) different shard, where old and new version each
-/// appear whole, so every shard runs the row-level (naive) family under a bound
-/// of `2 * max_differing_docs` children. Classification happens once, on the
-/// union of the shard recoveries.
-pub fn reconcile_collections_sharded(
-    remote: &Collection,
-    local: &Collection,
-    max_differing_docs: usize,
-    near_threshold: usize,
-    num_shards: usize,
-    seed: u64,
-) -> Result<ShardedOutcome<CollectionDiffReport>, ReconError> {
-    let remote_sos = remote.as_set_of_sets();
-    let local_sos = local.as_set_of_sets();
-    let max_child = remote_sos.max_child_size().max(local_sos.max_child_size()).max(1);
-    let params = SosParams::new(seed, max_child);
-    // Deterministic across thread counts, so always use the machine's parallelism.
-    let runner = ShardedRunner::new(num_shards, seed).with_available_threads();
-    let outcome = sharded::reconcile_known_sharded(
-        &remote_sos,
-        &local_sos,
-        (2 * max_differing_docs).max(1),
-        ShardedSosFamily::Naive,
-        &params,
-        Amplification::replicate(4),
-        &runner,
-    )?;
-    let report = classify(&outcome.recovered, &local_sos, near_threshold);
-    Ok(ShardedOutcome { recovered: report, per_shard: outcome.per_shard, stats: outcome.stats })
+    Ok(Outcome { recovered: report, stats: outcome.stats })
 }
 
 #[cfg(test)]
@@ -267,28 +221,5 @@ mod tests {
         let report = reconcile_collections(&remote, &local, d, 3, 23).unwrap().recovered;
         assert_eq!(report.exact_duplicates, 1);
         assert_eq!(report.fresh_documents.len(), 1);
-    }
-
-    #[test]
-    fn sharded_collection_sync_matches_the_unsharded_classification() {
-        let mut local = Collection::new(3, 13);
-        local.add_document(DOC_A);
-        local.add_document(DOC_B);
-        local.add_document(DOC_C);
-        let mut remote = Collection::new(3, 13);
-        remote.add_document(DOC_A.replace("lazy", "sleepy"));
-        remote.add_document(DOC_B);
-        remote.add_document(DOC_C);
-
-        let sharded = reconcile_collections_sharded(&remote, &local, 2, 8, 3, 17).unwrap();
-        assert_eq!(sharded.per_shard.len(), 3);
-        assert_eq!(
-            sharded.stats.total_bytes(),
-            sharded.per_shard.iter().map(|s| s.total_bytes()).sum::<usize>()
-        );
-        let report = sharded.recovered;
-        assert_eq!(report.exact_duplicates, 2);
-        assert_eq!(report.near_duplicates.len(), 1);
-        assert!(report.fresh_documents.is_empty());
     }
 }

@@ -19,6 +19,4 @@ pub mod database;
 pub mod documents;
 
 pub use database::BinaryTable;
-pub use documents::{
-    reconcile_collections, reconcile_collections_sharded, Collection, CollectionDiffReport,
-};
+pub use documents::{reconcile_collections, Collection, CollectionDiffReport};

@@ -91,11 +91,12 @@ pub enum ReconError {
         waiting_b: Vec<u64>,
     },
     /// A hard resource cap was hit — the bound a server enforces so a
-    /// misbehaving peer cannot grow its memory without limit.
+    /// misbehaving peer cannot grow its memory without limit, or the memory
+    /// the allocator could not provide for a size a peer's message implied.
     ResourceExhausted {
         /// Which cap (e.g. `"sessions per connection"`).
         what: &'static str,
-        /// The configured limit.
+        /// The configured limit, or the size the allocator refused.
         limit: usize,
     },
     /// A sans-I/O session stalled: neither party had a message to send and the

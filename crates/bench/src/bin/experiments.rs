@@ -212,10 +212,10 @@ fn sos_sweep() {
                     sos_session::cascading_known_alice(a, d, p, four)
                         .and_then(|x| run.run(x, sos_session::cascading_known_bob(b, p, four)))
                 ),
-                cell(run.run(
-                    sos_session::multiround_known_alice(a, d, d, p),
-                    sos_session::multiround_known_bob(b, p)
-                )),
+                cell(
+                    sos_session::multiround_known_alice(a, d, d, p)
+                        .and_then(|x| run.run(x, sos_session::multiround_known_bob(b, p)))
+                ),
             );
         }
     }

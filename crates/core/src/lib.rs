@@ -58,12 +58,10 @@ pub mod multiround;
 pub mod multiset_of_multisets;
 pub mod naive;
 pub mod session;
-pub mod sharded;
 pub mod types;
 pub mod workload;
 
 pub use matching::{child_difference, differing_children, matching_difference, relaxed_difference};
 pub use multiset_of_multisets::{PairPacking, SetOfMultisets};
 pub use recon_estimator::L0Config;
-pub use sharded::{shard_set_of_sets, ShardedSosFamily};
 pub use types::{ChildSet, SetOfSets, SosParams};

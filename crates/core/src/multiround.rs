@@ -128,7 +128,7 @@ mod tests {
         d_hat: usize,
         p: &SosParams,
     ) -> Outcome<SetOfSets> {
-        let alice = session::multiround_known_alice(a, d, d_hat, p);
+        let alice = session::multiround_known_alice(a, d, d_hat, p).unwrap();
         SessionBuilder::new(p.seed).run(alice, session::multiround_known_bob(b, p)).unwrap()
     }
 

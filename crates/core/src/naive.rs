@@ -72,20 +72,30 @@ impl NaiveProtocol {
     /// Alice's side: encode her parent set for a bound of `d_hat` differing child
     /// sets.
     pub fn digest(&self, sos: &SetOfSets, d_hat: usize) -> NaiveDigest {
+        self.try_digest(sos, d_hat).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`NaiveProtocol::digest`] for a bound derived from the peer's
+    /// estimator: a table the allocator cannot provide is an error.
+    pub(crate) fn try_digest(
+        &self,
+        sos: &SetOfSets,
+        d_hat: usize,
+    ) -> Result<NaiveDigest, ReconError> {
         let cfg = self.outer_config();
         // Both parties' differing children end up in the subtracted table, so size
         // for twice the bound.
-        let mut outer = Iblt::with_expected_diff((2 * d_hat).max(2), &cfg);
+        let mut outer = Iblt::try_with_expected_diff(d_hat.saturating_mul(2).max(2), &cfg)?;
         let mut key = Vec::with_capacity(self.key_bytes());
         for child in sos.children() {
             SetOfSets::encode_child_fixed_into(child, self.params.max_child_size, &mut key);
             outer.insert(&key);
         }
-        NaiveDigest {
+        Ok(NaiveDigest {
             outer,
             parent_hash: sos.parent_hash(self.params.seed),
             num_children: sos.num_children() as u64,
-        }
+        })
     }
 
     /// Bob's side: recover Alice's parent set from her digest.

@@ -111,11 +111,12 @@ pub fn naive_unknown_alice(
         let mut alice_estimator = L0Estimator::new(&estimator_cfg);
         alice_estimator.update_all(sos.child_hashes(params.seed), Side::A);
         let estimate = alice_estimator.merge(&bob_estimator)?.estimate();
-        let base_d_hat = (estimate * 2).max(4);
         AmplifiedSender::new(amplification.max_attempts, move |attempt| {
             let attempt_params = SosParams { seed: params.role_seed(0xAC00 + attempt), ..params };
-            let d_hat = base_d_hat << attempt;
-            let digest = NaiveProtocol::new(attempt_params).digest(&sos, d_hat);
+            // Bob's estimate, so saturating: past `usize` it sizes a table
+            // `try_digest` refuses.
+            let d_hat = estimate.saturating_mul(2).max(4).saturating_mul(1 << attempt.min(63));
+            let digest = NaiveProtocol::new(attempt_params).try_digest(&sos, d_hat)?;
             Ok(Envelope::round(TAG_SOS_DIGEST, "naive outer IBLT", &digest))
         })
     })
@@ -366,10 +367,11 @@ fn hash_iblt_config(params: &SosParams) -> IbltConfig {
     IbltConfig::for_u64_keys(params.role_seed(0xD1))
 }
 
-fn hash_table(sos: &SetOfSets, d_hat: usize, params: &SosParams) -> Iblt {
-    let mut table = Iblt::with_expected_diff((2 * d_hat).max(2), &hash_iblt_config(params));
+fn hash_table(sos: &SetOfSets, d_hat: usize, params: &SosParams) -> Result<Iblt, ReconError> {
+    let expected_diff = d_hat.saturating_mul(2).max(2);
+    let mut table = Iblt::try_with_expected_diff(expected_diff, &hash_iblt_config(params))?;
     table.insert_u64s(sos.child_hashes(params.seed));
-    table
+    Ok(table)
 }
 
 /// Alice's state machine for Theorem 3.9 (the known-`d` multi-round protocol).
@@ -381,14 +383,16 @@ pub struct MultiroundAlice {
     outbox: VecDeque<Envelope>,
 }
 
-/// Build Alice's side of Theorem 3.9.
+/// Build Alice's side of Theorem 3.9. Fails with
+/// [`ReconError::ResourceExhausted`] if the allocator cannot provide a
+/// child-hash table sized for `d_hat`.
 pub fn multiround_known_alice(
     sos: &SetOfSets,
     d: usize,
     d_hat: usize,
     params: &SosParams,
-) -> MultiroundAlice {
-    let alice_hash_table = hash_table(sos, d_hat, params);
+) -> Result<MultiroundAlice, ReconError> {
+    let alice_hash_table = hash_table(sos, d_hat, params)?;
     let parent_hash = sos.parent_hash(params.seed);
     let mut outbox = VecDeque::new();
     outbox.push_back(Envelope::round(
@@ -396,7 +400,7 @@ pub fn multiround_known_alice(
         "child-hash IBLT",
         &(alice_hash_table.clone(), parent_hash),
     ));
-    MultiroundAlice { sos: sos.clone(), params: *params, d, alice_hash_table, outbox }
+    Ok(MultiroundAlice { sos: sos.clone(), params: *params, d, alice_hash_table, outbox })
 }
 
 impl Party for MultiroundAlice {
@@ -663,12 +667,14 @@ pub fn multiround_unknown_alice(
         let bob_estimator: L0Estimator = envelope.decode_payload()?;
         let mut alice_estimator = L0Estimator::new(&estimator_cfg);
         alice_estimator.update_all(sos.child_hashes(params.seed), Side::A);
-        let d_hat = (alice_estimator.merge(&bob_estimator)?.estimate() * 2).max(4);
+        // Bob's estimate, so saturating: past `usize` it sizes a child-hash
+        // table `multiround_known_alice` refuses.
+        let d_hat = alice_estimator.merge(&bob_estimator)?.estimate().saturating_mul(2).max(4);
         // With d unknown, use the generous per-child budget d = d̂ · h as the switch
         // point between the IBLT and charpoly branches; the per-child estimators of
         // round 3 provide the real per-child bounds.
-        let d = d_hat * params.max_child_size;
-        Ok(multiround_known_alice(&sos, d, d_hat, &params))
+        let d = d_hat.saturating_mul(params.max_child_size);
+        multiround_known_alice(&sos, d, d_hat, &params)
     })
 }
 
@@ -730,7 +736,7 @@ mod tests {
         assert_eq!(cascade.recovered, alice);
 
         let multi = builder
-            .run(multiround_known_alice(&alice, 6, 6, &p), multiround_known_bob(&bob, &p))
+            .run(multiround_known_alice(&alice, 6, 6, &p).unwrap(), multiround_known_bob(&bob, &p))
             .unwrap();
         assert_eq!(multi.recovered, alice);
         assert!(multi.stats.rounds >= 3);
@@ -777,5 +783,40 @@ mod tests {
             .unwrap();
         assert_eq!(multi.recovered, alice);
         assert!(multi.stats.rounds >= 4);
+    }
+
+    /// Hand `alice` honest Bob's estimator with every counter byte after the
+    /// 12-byte header set to 0x55: the merged estimate reads 96·2⁴⁸, which
+    /// must fail her session, not abort her process.
+    fn assert_hostile_estimator_exhausts(mut alice: impl Party, mut bob: impl Party) {
+        let mut estimator = bob.poll_send().expect("estimator first");
+        estimator.payload[12..].fill(0x55);
+        match alice.handle(estimator) {
+            Err(error @ ReconError::ResourceExhausted { .. }) => assert!(!error.is_retryable()),
+            Err(error) => panic!("expected ResourceExhausted, got {error}"),
+            Ok(_) => panic!("expected ResourceExhausted, got a digest"),
+        }
+    }
+
+    #[test]
+    fn a_hostile_estimator_fails_the_naive_unknown_alice() {
+        let (w, p) = params();
+        let (alice, bob) = generate_pair(&w, 6, 9);
+        let (amp, est) = (Amplification::replicate(3), L0Config::default());
+        assert_hostile_estimator_exhausts(
+            naive_unknown_alice(&alice, &p, amp, est),
+            naive_unknown_bob(&bob, &p, amp, est),
+        );
+    }
+
+    #[test]
+    fn a_hostile_estimator_fails_the_multiround_unknown_alice() {
+        let (w, p) = params();
+        let (alice, bob) = generate_pair(&w, 6, 9);
+        let est = L0Config::default();
+        assert_hostile_estimator_exhausts(
+            multiround_unknown_alice(&alice, &p, est),
+            multiround_unknown_bob(&bob, &p, est),
+        );
     }
 }

@@ -170,7 +170,7 @@ impl IbltConfig {
     pub fn cells_for(&self, expected_diff: usize) -> usize {
         let target = (self.cells_per_diff * expected_diff as f64).ceil() as usize;
         let m = target.max(self.min_cells).max(self.hash_count);
-        m.div_ceil(self.hash_count) * self.hash_count
+        m.div_ceil(self.hash_count).saturating_mul(self.hash_count)
     }
 
     /// The `(hash_count, partitioned cells)` layout for an expected difference
@@ -193,7 +193,7 @@ impl IbltConfig {
             .unwrap_or(TUNED_LAYOUT.last().expect("tuned layout table is non-empty"));
         let target = (cells_per_diff * expected_diff as f64).ceil() as usize;
         let m = target.max(self.min_cells).max(k);
-        (k, m.div_ceil(k) * k)
+        (k, m.div_ceil(k).saturating_mul(k))
     }
 
     /// Total cells (partitioned region + stash) a table sized for
@@ -528,35 +528,55 @@ impl Iblt {
     /// up to a multiple of the hash count), plus the configuration's stash cells
     /// on top.
     pub fn with_cells(cells: usize, cfg: &IbltConfig) -> Self {
-        Self::build(cfg, cfg.hash_count, cells)
+        Self::build(cfg, cfg.hash_count, cells).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Create an empty table sized for an expected difference of `expected_diff`
     /// keys, using the configuration's sizing policy ([`IbltConfig::layout_for`],
     /// which is [`IbltConfig::cells_for`] unless the tuned layout is enabled).
     pub fn with_expected_diff(expected_diff: usize, cfg: &IbltConfig) -> Self {
+        Self::try_with_expected_diff(expected_diff, cfg).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Iblt::with_expected_diff`] for a bound that came from a peer: a table
+    /// the allocator cannot provide (or whose size overflows `usize`) fails
+    /// with [`ReconError::ResourceExhausted`] instead of aborting the process.
+    pub fn try_with_expected_diff(
+        expected_diff: usize,
+        cfg: &IbltConfig,
+    ) -> Result<Self, ReconError> {
         let (hash_count, base_cells) = cfg.layout_for(expected_diff);
         Self::build(cfg, hash_count, base_cells)
     }
 
-    fn build(cfg: &IbltConfig, hash_count: usize, base_cells: usize) -> Self {
+    fn build(cfg: &IbltConfig, hash_count: usize, base_cells: usize) -> Result<Self, ReconError> {
         assert!(hash_count >= 1, "need at least one hash function");
         assert!(cfg.key_bytes >= 1, "keys must be at least one byte wide");
-        let base = base_cells.max(hash_count).div_ceil(hash_count) * hash_count;
-        let m = base + cfg.stash_cells;
-        Self {
+        let exhausted = || ReconError::ResourceExhausted { what: "IBLT cells", limit: base_cells };
+        // Zeroed planes, allocated fallibly so an oversized table is an error.
+        fn plane<T: Clone + Default>(len: usize) -> Option<Vec<T>> {
+            let mut plane = Vec::new();
+            plane.try_reserve_exact(len).ok()?;
+            plane.resize(len, T::default());
+            Some(plane)
+        }
+        let m = base_cells.max(hash_count).div_ceil(hash_count).checked_mul(hash_count);
+        let m = m.and_then(|base| base.checked_add(cfg.stash_cells)).ok_or_else(exhausted)?;
+        let key_sum_bytes = m.checked_mul(cfg.key_bytes).ok_or_else(exhausted)?;
+        let bank = Bank {
+            key_bytes: cfg.key_bytes,
+            counts: plane(m).ok_or_else(exhausted)?,
+            key_sums: plane(key_sum_bytes).ok_or_else(exhausted)?,
+            check_sums: plane(m).ok_or_else(exhausted)?,
+        };
+        Ok(Self {
             hash_count,
             seed: cfg.seed,
-            bank: Bank {
-                key_bytes: cfg.key_bytes,
-                counts: vec![0; m],
-                key_sums: vec![0; m * cfg.key_bytes],
-                check_sums: vec![0; m],
-            },
+            bank,
             plan: KeyPlan::new(cfg.seed, cfg.key_bytes, hash_count, m, cfg.stash_cells),
             stash_cells: cfg.stash_cells,
             rescue: cfg.rescue,
-        }
+        })
     }
 
     /// Number of cells.

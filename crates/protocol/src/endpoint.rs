@@ -1,6 +1,5 @@
 //! The multiplexed [`Endpoint`]: many concurrent sessions over one framed
-//! [`Transport`], plus the [`ShardedRunner`] that fans a partitioned workload
-//! out across such sessions.
+//! [`Transport`].
 //!
 //! Where [`SessionBuilder::run`](crate::SessionBuilder::run) drives exactly one
 //! reconciliation in memory, an `Endpoint` owns any number of
@@ -24,9 +23,8 @@ use crate::envelope::Envelope;
 use crate::frame::{Frame, FrameBody, SessionId};
 use crate::party::Party;
 use crate::session::{Outcome, SessionCore};
-use crate::transport::{MemoryTransport, Transport};
+use crate::transport::Transport;
 use recon_base::comm::{CommStats, Direction, Transcript};
-use recon_base::rng::split_seed;
 use recon_base::ReconError;
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -470,213 +468,12 @@ pub fn drive_pair<TA: Transport, TB: Transport>(
     }
 }
 
-/// The result of a sharded reconciliation: the reassembled output plus both the
-/// per-shard and the merged communication accounting.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardedOutcome<T> {
-    /// The union of the per-shard recoveries.
-    pub recovered: T,
-    /// Each shard's own `CommStats`, in shard order.
-    pub per_shard: Vec<CommStats>,
-    /// The merged accounting per [`ShardedRunner::merge_stats`].
-    pub stats: CommStats,
-}
-
-/// A deterministic fan-out of a reconciliation workload across concurrent
-/// sessions multiplexed over one link, optionally executed on worker threads.
-///
-/// The runner fixes the two ingredients both parties must agree on *without
-/// communicating*: how keys map to shards ([`ShardedRunner::shard_of_key`], a
-/// seeded hash — the power-of-choices intuition: spreading keys across `k`
-/// bins keeps every bin's difference small) and the per-shard public-coin
-/// seeds ([`ShardedRunner::shard_seed`]). Domain crates build per-shard party
-/// pairs from those and hand them to [`ShardedRunner::run_pairs`], which runs
-/// them through framed in-memory endpoint pairs.
-///
-/// With [`ShardedRunner::with_threads`] the shards execute on that many
-/// `std::thread::scope` workers (shard `i` on worker `i mod threads`, each
-/// worker multiplexing its shards over its own endpoint pair). Per-shard
-/// parties are independent state machines over `Send` flat-buffer tables, and
-/// each shard's [`CommStats`] comes from its own transcript, so the outcomes —
-/// merged back in shard order — are identical to the single-threaded run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardedRunner {
-    num_shards: usize,
-    seed: u64,
-    threads: usize,
-}
-
-/// Salt separating the shard-assignment hash from the per-shard protocol seeds.
-const SHARD_ASSIGN_SALT: u64 = 0x5AAD_0001;
-
-impl ShardedRunner {
-    /// A runner splitting work into `num_shards` shards (at least 1) under the
-    /// shared public-coin `seed`, executing on one thread.
-    pub fn new(num_shards: usize, seed: u64) -> Self {
-        Self { num_shards: num_shards.max(1), seed, threads: 1 }
-    }
-
-    /// Execute shards on up to `threads` worker threads (at least 1). The shard
-    /// map, per-shard seeds, stats and outcomes are unaffected — only wall-clock
-    /// parallelism changes.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// A thread count matching the machine's available parallelism.
-    pub fn with_available_threads(self) -> Self {
-        let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        self.with_threads(threads)
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.num_shards
-    }
-
-    /// Number of worker threads shards execute on.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// The shared seed the shard map and per-shard seeds derive from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The shard a key belongs to — a seeded hash, so both parties agree and
-    /// the assignment is adversarially balanced rather than range-based.
-    pub fn shard_of_key(&self, key: u64) -> usize {
-        (recon_base::hash::hash64(key, split_seed(self.seed, SHARD_ASSIGN_SALT))
-            % self.num_shards as u64) as usize
-    }
-
-    /// The public-coin seed for shard `shard`'s protocol instance.
-    pub fn shard_seed(&self, shard: usize) -> u64 {
-        split_seed(self.seed, shard as u64)
-    }
-
-    /// Run per-shard party pairs concurrently: shard `i`'s pair becomes session
-    /// id `i` on a framed [`MemoryTransport`]. On a single thread every shard
-    /// multiplexes over one shared endpoint pair; with
-    /// [`ShardedRunner::with_threads`] the shards are dealt round-robin onto
-    /// scoped worker threads, each multiplexing its share over its own endpoint
-    /// pair. Returns the per-shard outcomes in shard order either way; the
-    /// failing shard with the lowest id aborts the whole run.
-    pub fn run_pairs<A, B>(
-        &self,
-        pairs: impl IntoIterator<Item = (A, B)>,
-    ) -> Result<Vec<Outcome<B::Output>>, ReconError>
-    where
-        A: Party + Send + 'static,
-        B: Party + Send + 'static,
-        B::Output: Send + 'static,
-    {
-        let pairs: Vec<(A, B)> = pairs.into_iter().collect();
-        let workers = self.threads.min(pairs.len()).max(1);
-        if workers <= 1 {
-            let ids = 0..pairs.len() as SessionId;
-            return Self::run_chunk(ids.zip(pairs).collect())
-                .map(|done| done.into_iter().map(|(_, outcome)| outcome).collect())
-                .map_err(|(_, error)| error);
-        }
-
-        // Deal shards round-robin so every worker sees ids in increasing order.
-        let mut chunks: Vec<Vec<(SessionId, (A, B))>> = (0..workers).map(|_| Vec::new()).collect();
-        for (id, pair) in pairs.into_iter().enumerate() {
-            chunks[id % workers].push((id as SessionId, pair));
-        }
-
-        let total = chunks.iter().map(Vec::len).sum::<usize>();
-        let mut slots: Vec<Option<Outcome<B::Output>>> = Vec::new();
-        slots.resize_with(total, || None);
-        let mut first_error: Option<(SessionId, ReconError)> = None;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> =
-                chunks.into_iter().map(|chunk| scope.spawn(|| Self::run_chunk(chunk))).collect();
-            for handle in handles {
-                match handle.join().expect("shard worker panicked") {
-                    Ok(done) => {
-                        for (id, outcome) in done {
-                            slots[id as usize] = Some(outcome);
-                        }
-                    }
-                    Err((id, error)) => {
-                        // Deterministic abort: report the lowest failing shard id,
-                        // exactly like the sequential take_outcome order would.
-                        if first_error.as_ref().is_none_or(|(worst, _)| id < *worst) {
-                            first_error = Some((id, error));
-                        }
-                    }
-                }
-            }
-        });
-        if let Some((_, error)) = first_error {
-            return Err(error);
-        }
-        Ok(slots.into_iter().map(|slot| slot.expect("all shards completed")).collect())
-    }
-
-    /// Drive one worker's share of the shards over its own framed in-memory
-    /// endpoint pair. Errors carry the lowest affected shard id so the caller
-    /// can abort deterministically.
-    #[allow(clippy::type_complexity)]
-    fn run_chunk<A, B>(
-        chunk: Vec<(SessionId, (A, B))>,
-    ) -> Result<Vec<(SessionId, Outcome<B::Output>)>, (SessionId, ReconError)>
-    where
-        A: Party + 'static,
-        B: Party + 'static,
-        B::Output: 'static,
-    {
-        let first_id = chunk.first().map(|(id, _)| *id).unwrap_or(0);
-        let (transport_a, transport_b) = MemoryTransport::pair();
-        let mut alice_end = Endpoint::new(transport_a);
-        let mut bob_end = Endpoint::new(transport_b);
-        let mut ids = Vec::with_capacity(chunk.len());
-        for (id, (alice, bob)) in chunk {
-            alice_end.register(id, Role::Alice, alice).map_err(|e| (id, e))?;
-            bob_end.register(id, Role::Bob, bob).map_err(|e| (id, e))?;
-            ids.push(id);
-        }
-        drive_pair(&mut alice_end, &mut bob_end).map_err(|e| (first_id, e))?;
-        let mut outcomes = Vec::with_capacity(ids.len());
-        for id in ids {
-            let outcome = bob_end
-                .take_outcome::<B::Output>(id)
-                .expect("drive_pair finished every session")
-                .map_err(|e| (id, e))?;
-            // The Alice side observed the very same envelopes.
-            let alice_stats = alice_end.close(id);
-            debug_assert_eq!(
-                Some(outcome.stats),
-                alice_stats,
-                "both endpoints must account session {id} identically"
-            );
-            outcomes.push((id, outcome));
-        }
-        Ok(outcomes)
-    }
-
-    /// Merge per-shard accounting into one [`CommStats`]: bytes and messages
-    /// add up; rounds take the maximum, because the shards' messages travel
-    /// concurrently over the shared link (the paper's "in parallel" reading).
-    pub fn merge_stats(per_shard: &[CommStats]) -> CommStats {
-        CommStats {
-            rounds: per_shard.iter().map(|s| s.rounds).max().unwrap_or(0),
-            messages: per_shard.iter().map(|s| s.messages).sum(),
-            bytes_alice_to_bob: per_shard.iter().map(|s| s.bytes_alice_to_bob).sum(),
-            bytes_bob_to_alice: per_shard.iter().map(|s| s.bytes_bob_to_alice).sum(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::amplify::{AmplifiedReceiver, AmplifiedSender, Exhaust};
     use crate::session::SessionBuilder;
+    use crate::transport::MemoryTransport;
 
     fn counting_pair(
         payload: u64,
@@ -908,40 +705,5 @@ mod tests {
         assert!(!alice_end.is_write_blocked(), "memory transport never buffers");
         assert_eq!(alice_end.session_ids(), vec![0]);
         assert_eq!(bob_end.session_ids(), Vec::<SessionId>::new());
-    }
-
-    #[test]
-    fn sharded_runner_splits_keys_deterministically() {
-        let runner = ShardedRunner::new(4, 99);
-        for key in 0..1000u64 {
-            assert!(runner.shard_of_key(key) < 4);
-            assert_eq!(runner.shard_of_key(key), ShardedRunner::new(4, 99).shard_of_key(key));
-        }
-        // Different seeds shuffle the assignment.
-        let other = ShardedRunner::new(4, 100);
-        assert!((0..1000u64).any(|k| runner.shard_of_key(k) != other.shard_of_key(k)));
-        // Degenerate runner still works.
-        assert_eq!(ShardedRunner::new(0, 1).num_shards(), 1);
-        assert_eq!(ShardedRunner::new(1, 1).shard_of_key(42), 0);
-    }
-
-    #[test]
-    fn sharded_runner_runs_pairs_and_merges_stats() {
-        let runner = ShardedRunner::new(3, 7);
-        let pairs: Vec<_> = (0..3u64).map(|i| counting_pair(i, i % 2)).collect();
-        let outcomes = runner.run_pairs(pairs).unwrap();
-        assert_eq!(outcomes.len(), 3);
-        for (i, outcome) in outcomes.iter().enumerate() {
-            assert_eq!(outcome.recovered, i as u64 + (i as u64 % 2));
-        }
-        let per_shard: Vec<CommStats> = outcomes.iter().map(|o| o.stats).collect();
-        let merged = ShardedRunner::merge_stats(&per_shard);
-        assert_eq!(
-            merged.bytes_alice_to_bob,
-            per_shard.iter().map(|s| s.bytes_alice_to_bob).sum::<usize>()
-        );
-        assert_eq!(merged.messages, per_shard.iter().map(|s| s.messages).sum::<usize>());
-        assert_eq!(merged.rounds, per_shard.iter().map(|s| s.rounds).max().unwrap());
-        assert_eq!(ShardedRunner::merge_stats(&[]), CommStats::default());
     }
 }

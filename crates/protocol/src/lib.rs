@@ -26,8 +26,7 @@
 //!   non-blocking TCP, OS pipes), reassembled by an incremental [`FrameDecoder`].
 //! * [`Endpoint`] — the non-blocking driver: many concurrent [`SessionCore`]s
 //!   over one framed transport, with per-session transcripts reproducing the
-//!   single-session accounting exactly. [`ShardedRunner`] fans a partitioned
-//!   workload out across such sessions and merges the per-shard [`CommStats`].
+//!   single-session accounting exactly.
 //! * [`amplify`] — the paper's two amplification patterns (replication under
 //!   fresh hash functions, repeated doubling of the difference bound) as reusable
 //!   party combinators, plus estimator-round helpers.
@@ -57,7 +56,7 @@ pub mod transport;
 
 pub use amplify::{AmplifiedReceiver, AmplifiedSender, Deferred, Exhaust, WithPreamble};
 pub use control::{ControlFrame, CONTROL_SESSION, TAG_CONTROL_REQUEST, TAG_CONTROL_RESPONSE};
-pub use endpoint::{drive_pair, Endpoint, Role, ShardedOutcome, ShardedRunner};
+pub use endpoint::{drive_pair, Endpoint, Role};
 pub use envelope::{Envelope, Meter, NESTED_TAG_BIT};
 pub use fault::{FaultProfile, FaultStats, FaultyTransport};
 pub use frame::{Frame, FrameBody, FrameDecoder, SessionId};

@@ -148,10 +148,13 @@ impl CharPolyProtocol {
             self.check_element(x)?;
         }
         let d = digest.evaluations.len().saturating_sub(1);
-        let delta = digest.cardinality as i64 - local.len() as i64;
-        if delta.unsigned_abs() as usize > d {
+        // The cardinality is the peer's word: compare it in `i128`, where any
+        // `u64` minus any set size fits, and `|delta| ≤ d` then fits an `i64`.
+        let delta = i128::from(digest.cardinality) - local.len() as i128;
+        if delta.unsigned_abs() > d as u128 {
             return Err(ReconError::DifferenceBoundTooSmall { bound: d });
         }
+        let delta = delta as i64;
         // Choose the largest usable degree budget with the parity of `delta`
         // (|S_A \ S_B| + |S_B \ S_A| always has the parity of their difference).
         let d_use = if (d as i64 - delta.abs()) % 2 == 0 { d } else { d - 1 };
@@ -342,6 +345,21 @@ mod tests {
             bob.insert(rng.next_below(1 << 50));
         }
         (alice, bob)
+    }
+
+    #[test]
+    fn a_cardinality_past_i64_is_refused_not_overflowed() {
+        let (alice, bob) = random_sets(50, 4, 2);
+        let protocol = CharPolyProtocol::new(5);
+        let honest = protocol.digest(&alice, 8).unwrap();
+        for cardinality in [1u64 << 63, u64::MAX] {
+            let hostile = CharPolyDigest { cardinality, ..honest.clone() };
+            assert_eq!(
+                protocol.diff(&hostile, &bob),
+                Err(ReconError::DifferenceBoundTooSmall { bound: 8 }),
+                "cardinality {cardinality}"
+            );
+        }
     }
 
     #[test]

@@ -115,8 +115,17 @@ impl IbltSetProtocol {
     where
         I: IntoIterator<Item = &'a u64>,
     {
+        self.try_digest(set, d).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`IbltSetProtocol::digest`] for a bound derived from the peer's
+    /// estimator: a table the allocator cannot provide is an error.
+    pub(crate) fn try_digest<'a, I>(&self, set: I, d: usize) -> Result<SetDigest, ReconError>
+    where
+        I: IntoIterator<Item = &'a u64>,
+    {
         FULL_DIGEST_BUILDS.fetch_add(1, Ordering::Relaxed);
-        let mut iblt = Iblt::with_expected_diff(d.max(1), &self.iblt_cfg);
+        let mut iblt = Iblt::try_with_expected_diff(d.max(1), &self.iblt_cfg)?;
         // One pass: each key is folded into the whole-set hash on its way
         // into the table.
         let mut hasher = SetHasher::new(self.set_hash_seed());
@@ -124,7 +133,7 @@ impl IbltSetProtocol {
             hasher.insert(x);
             x
         }));
-        SetDigest { iblt, set_hash: hasher.finish(), cardinality: hasher.count() }
+        Ok(SetDigest { iblt, set_hash: hasher.finish(), cardinality: hasher.count() })
     }
 
     /// Bob's side: compute the set difference between Alice's digest and `local`.

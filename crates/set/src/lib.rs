@@ -44,10 +44,8 @@ pub mod diff;
 pub mod iblt_protocol;
 pub mod multiset;
 pub mod session;
-pub mod sharded;
 
 pub use charpoly_protocol::{CharPolyDigest, CharPolyProtocol};
 pub use diff::SetDiff;
 pub use iblt_protocol::{full_digest_builds, IbltSetProtocol, SetDigest};
 pub use multiset::{Multiset, MultisetProtocol};
-pub use sharded::{reconcile_known_sharded, reconcile_unknown_sharded, shard_set};

@@ -115,12 +115,13 @@ pub fn unknown_alice(set: &HashSet<u64>, config: &SessionConfig) -> impl Party<O
         let mut alice_estimator = L0Estimator::new(&estimator_cfg);
         alice_estimator.update_all(set.iter().copied(), Side::A);
         let estimate = alice_estimator.merge(&bob_estimator)?.estimate();
-        // Constant-factor headroom over the estimate; retries double the bound.
-        let base_bound = (estimate * 2).max(8);
         let protocol = IbltSetProtocol::tuned(split_seed(seed, 0x5E71));
         AmplifiedSender::new(max_attempts, move |attempt| {
-            let bound = base_bound << attempt;
-            let digest = protocol.digest(&set, bound);
+            // Constant-factor headroom over the estimate; retries double the
+            // bound. The estimate is Bob's word, so the arithmetic saturates:
+            // a bound past `usize` sizes a table `try_digest` refuses.
+            let bound = estimate.saturating_mul(2).max(8).saturating_mul(1 << attempt.min(63));
+            let digest = protocol.try_digest(&set, bound)?;
             let label = if attempt == 0 { "set digest (IBLT)" } else { "set digest (retry)" };
             Ok(Envelope::round(TAG_DIGEST, label, &digest))
         })
@@ -198,6 +199,22 @@ mod tests {
             assert_eq!(outcome.recovered, alice, "n = {n}, d = {d}");
             assert!(outcome.stats.rounds >= 2);
             assert!(outcome.stats.bytes_bob_to_alice > 0, "the estimator is transmitted");
+        }
+    }
+
+    #[test]
+    fn a_hostile_estimator_fails_alice_instead_of_aborting_her() {
+        // Every counter byte after the 12-byte header set to 0x55: the merged
+        // estimate reads 96·2⁴⁸, a digest the allocator cannot provide.
+        let (alice, bob) = random_sets(300, 8, 7);
+        let builder = SessionBuilder::new(21);
+        let mut estimator =
+            unknown_bob(&bob, builder.config()).poll_send().expect("estimator first");
+        estimator.payload[12..].fill(0x55);
+        match unknown_alice(&alice, builder.config()).handle(estimator) {
+            Err(error @ ReconError::ResourceExhausted { .. }) => assert!(!error.is_retryable()),
+            Err(error) => panic!("expected ResourceExhausted, got {error}"),
+            Ok(_) => panic!("expected ResourceExhausted, got a digest"),
         }
     }
 }

@@ -1,5 +1,6 @@
-//! A reconciliation *server*: sharded database sync over non-blocking TCP,
-//! served by the readiness-driven reactor runtime (`recon-runtime`).
+//! A reconciliation *server*: `TABLES` independent databases synced over one
+//! non-blocking TCP connection per client, served by the readiness-driven
+//! reactor runtime (`recon-runtime`).
 //!
 //! Run self-driving (a 2-worker reactor server plus 8 concurrent clients over
 //! loopback sockets — every one verified against the blocking driver):
@@ -15,121 +16,102 @@
 //! cargo run -p recon-examples --release --example endpoint_serve_sync -- --sync  127.0.0.1:7171 3
 //! ```
 //!
-//! The server holds the authoritative [`BinaryTable`] (the paper's Section 3.5
-//! binary-row database); each client holds a replica with `D` bits flipped
-//! under its own seed. A shared [`ShardedRunner`] splits the rows into
-//! `SHARDS` deterministic shards, each shard becomes one naive set-of-sets
-//! session, and one `Endpoint` per connection multiplexes all of them.
+//! The server holds `TABLES` authoritative [`BinaryTable`]s (the paper's
+//! Section 3.5 binary-row database); each client holds a replica of every
+//! table with `D` bits flipped under its own seed. Table `t` reconciles as
+//! session `t`, one naive set-of-sets session under its own public-coin seed,
+//! and one `Endpoint` per connection multiplexes all `TABLES` sessions.
 //!
-//! Where the PR-2 version hand-pumped a single connection with
-//! `std::thread::sleep` backoff, the server is now a [`Server`]: a
-//! non-blocking listener balancing accepted connections across two worker
-//! [`Reactor`]s (least-loaded-of-two-choices), each driving its endpoints
-//! purely off epoll/`poll(2)` readiness — idle connections cost nothing, and
-//! the process serves any number of concurrent clients. Clients run the same
-//! machinery single-connection via [`drive_endpoint`].
+//! The server is a [`Server`]: a non-blocking listener balancing accepted
+//! connections across two worker [`Reactor`]s (least-loaded-of-two-choices),
+//! each driving its endpoints purely off epoll/`poll(2)` readiness — idle
+//! connections cost nothing, and the process serves any number of concurrent
+//! clients. Clients run the same machinery single-connection via
+//! [`drive_endpoint`].
 //!
 //! [`Server`]: recon_runtime::Server
 //! [`Reactor`]: recon_runtime::Reactor
 //! [`drive_endpoint`]: recon_runtime::drive_endpoint
 
 use recon_apps::BinaryTable;
-use recon_base::rng::Xoshiro256;
+use recon_base::rng::{split_seed, Xoshiro256};
 use recon_base::{CommStats, ReconError};
-use recon_protocol::{
-    Amplification, Outcome, Role, SessionBuilder, SessionId, ShardedRunner, Transport,
-};
+use recon_protocol::{Amplification, Outcome, Party, Role, SessionBuilder, SessionId, Transport};
 use recon_runtime::{drive_endpoint, ConnId, ReactorConfig, Server, ServerConfig, TcpService};
-use recon_sos::{session as sos_session, sharded, SetOfSets, SosParams};
+use recon_sos::{session as sos_session, SetOfSets, SosParams};
 use std::sync::mpsc;
 use std::time::Duration;
 
 const SHARED_SEED: u64 = 0x005E_EDDB;
-const SHARDS: usize = 6;
+const TABLES: usize = 6;
 const ROWS: usize = 96;
 const COLUMNS: u32 = 32;
 const D: usize = 6;
 const CLIENTS: usize = 8;
 const WORKERS: usize = 2;
 
-/// Every shard reconciles under the always-safe bound of `2D` differing rows.
-const PER_SHARD_ROWS: usize = 2 * D;
+/// `D` flipped bits change at most `D` rows, each one differing child on
+/// either side: every table reconciles under a bound of `2D` differing rows.
+const DIFFERING_ROWS: usize = 2 * D;
 
-/// The authoritative table every replica drifted from.
-fn server_table() -> BinaryTable {
-    let mut rng = Xoshiro256::new(SHARED_SEED);
-    BinaryTable::random(ROWS, COLUMNS, 0.5, &mut rng)
+/// The authoritative tables every replica drifted from.
+fn server_tables() -> Vec<BinaryTable> {
+    (0..TABLES as u64)
+        .map(|t| BinaryTable::random(ROWS, COLUMNS, 0.5, &mut Xoshiro256::new(SHARED_SEED ^ t)))
+        .collect()
 }
 
-/// Client `client`'s replica: the server table with `D` bits flipped under a
-/// per-client seed, so the 8 concurrent connections all reconcile different
+/// Client `client`'s replicas: every server table with `D` bits flipped under
+/// a per-client seed, so the 8 concurrent connections all reconcile different
 /// differences against the same authority.
-fn client_table(client: u64) -> BinaryTable {
+fn client_tables(client: u64) -> Vec<BinaryTable> {
     let mut rng = Xoshiro256::new(SHARED_SEED ^ (0xC11E_4700 + client));
-    server_table().flip_bits(D, &mut rng)
+    server_tables().iter().map(|table| table.flip_bits(D, &mut rng)).collect()
 }
 
-fn runner() -> ShardedRunner {
-    ShardedRunner::new(SHARDS, SHARED_SEED ^ 0x5A)
+/// Table `t`'s public coins, shared by both roles.
+fn params(t: usize) -> SosParams {
+    SosParams::new(split_seed(SHARED_SEED, t as u64), COLUMNS as usize)
 }
 
-/// Per-shard session ingredients shared by both roles.
-fn shard_setup(table: &BinaryTable) -> (Vec<SetOfSets>, Vec<SosParams>) {
-    let runner = runner();
-    let shards = sharded::shard_set_of_sets(table.as_set_of_sets(), &runner);
-    let params = (0..runner.num_shards())
-        .map(|s| SosParams::new(runner.shard_seed(s), COLUMNS as usize))
-        .collect();
-    (shards, params)
-}
-
-fn alice_party(
-    shards: &[SetOfSets],
-    params: &[SosParams],
-    shard: usize,
-) -> impl recon_protocol::Party<Output = ()> + 'static {
+fn alice_party(tables: &[BinaryTable], t: usize) -> impl Party<Output = ()> + 'static {
     sos_session::naive_known_alice(
-        &shards[shard],
-        PER_SHARD_ROWS,
-        &params[shard],
+        tables[t].as_set_of_sets(),
+        DIFFERING_ROWS,
+        &params(t),
         Amplification::replicate(4),
     )
     .expect("alice party")
 }
 
-fn bob_party(
-    shards: &[SetOfSets],
-    params: &[SosParams],
-    shard: usize,
-) -> impl recon_protocol::Party<Output = SetOfSets> + 'static {
-    sos_session::naive_known_bob(&shards[shard], &params[shard], Amplification::replicate(4))
+fn bob_party(tables: &[BinaryTable], t: usize) -> impl Party<Output = SetOfSets> + 'static {
+    sos_session::naive_known_bob(
+        tables[t].as_set_of_sets(),
+        &params(t),
+        Amplification::replicate(4),
+    )
 }
 
 fn reactor_config() -> ReactorConfig {
     ReactorConfig { session_deadline: Some(Duration::from_secs(60)), ..ReactorConfig::default() }
 }
 
-/// The server side of every connection: `SHARDS` Alice sessions built from the
-/// authoritative table. One instance per worker reactor.
-struct ShardSyncService {
-    shards: Vec<SetOfSets>,
-    params: Vec<SosParams>,
+/// The server side of every connection: one Alice session per authoritative
+/// table. One instance per worker reactor.
+struct TableSyncService {
+    tables: Vec<BinaryTable>,
     worker: usize,
     done: mpsc::Sender<bool>,
 }
 
-impl TcpService for ShardSyncService {
+impl TcpService for TableSyncService {
     fn register(
         &mut self,
         _peer: std::net::SocketAddr,
         endpoint: &mut recon_runtime::TcpEndpoint,
     ) -> Result<(), ReconError> {
-        for shard in 0..SHARDS {
-            endpoint.register(
-                shard as SessionId,
-                Role::Alice,
-                alice_party(&self.shards, &self.params, shard),
-            )?;
+        for t in 0..TABLES {
+            endpoint.register(t as SessionId, Role::Alice, alice_party(&self.tables, t))?;
         }
         Ok(())
     }
@@ -160,12 +142,11 @@ impl TcpService for ShardSyncService {
 /// one message per retired connection.
 fn start_server(address: &str) -> (Server, mpsc::Receiver<bool>) {
     let (done_tx, done_rx) = mpsc::channel();
-    let (shards, params) = shard_setup(&server_table());
+    let tables = server_tables();
     let config =
         ServerConfig::new().workers(WORKERS).session_deadline(Some(Duration::from_secs(60)));
-    let server = Server::bind(address, config, |worker| ShardSyncService {
-        shards: shards.clone(),
-        params: params.clone(),
+    let server = Server::bind(address, config, |worker| TableSyncService {
+        tables: tables.clone(),
         worker,
         done: done_tx.clone(),
     })
@@ -194,56 +175,53 @@ fn serve_reactor(address: &str, conns: usize) {
     assert_eq!(clean, conns, "every connection must close cleanly");
 }
 
-/// One reactor client: reconcile every shard concurrently over one connection
-/// driven by readiness events, then verify outcome and stats against the
-/// blocking driver.
-fn sync_reactor(address: &str, client: u64) -> Vec<CommStats> {
+/// One reactor client: reconcile every table concurrently over one connection
+/// driven by readiness events, verify each outcome and its stats against the
+/// blocking driver, and return the connection's total accounting.
+fn sync_reactor(address: &str, client: u64) -> CommStats {
     let mut endpoint =
         recon_runtime::connect_endpoint(address).expect("connect (is --serve running?)");
-    let table = client_table(client);
-    let (shards, params) = shard_setup(&table);
-    for shard in 0..SHARDS {
-        endpoint
-            .register(shard as SessionId, Role::Bob, bob_party(&shards, &params, shard))
-            .expect("register");
+    let tables = client_tables(client);
+    for t in 0..TABLES {
+        endpoint.register(t as SessionId, Role::Bob, bob_party(&tables, t)).expect("register");
     }
 
-    let mut recovered_shards: Vec<Option<Outcome<SetOfSets>>> = (0..SHARDS).map(|_| None).collect();
+    let mut slots: Vec<Option<Outcome<SetOfSets>>> = (0..TABLES).map(|_| None).collect();
     drive_endpoint(&mut endpoint, &reactor_config(), |endpoint| {
-        for (shard, slot) in recovered_shards.iter_mut().enumerate() {
+        for (t, slot) in slots.iter_mut().enumerate() {
             if slot.is_none() {
-                if let Some(outcome) = endpoint.take_outcome::<SetOfSets>(shard as SessionId) {
+                if let Some(outcome) = endpoint.take_outcome::<SetOfSets>(t as SessionId) {
                     *slot = Some(outcome?);
                 }
             }
         }
-        Ok(recovered_shards.iter().all(Option::is_some))
+        Ok(slots.iter().all(Option::is_some))
     })
     .expect("reactor client");
 
-    let outcomes: Vec<_> = recovered_shards.into_iter().map(Option::unwrap).collect();
-
-    // The reassembled table must be the authority...
-    let children =
-        outcomes.iter().flat_map(|o| o.recovered.children().to_vec()).collect::<Vec<_>>();
-    let recovered =
-        BinaryTable::from_set_of_sets(COLUMNS, SetOfSets::from_children(children)).expect("table");
-    assert_eq!(recovered, server_table(), "client {client} must recover the server's table");
-
-    // ...and every shard's outcome and CommStats must be byte-identical to the
-    // blocking driver running the very same party pair.
-    let (server_shards, server_params) = shard_setup(&server_table());
-    for (shard, outcome) in outcomes.iter().enumerate() {
+    // Every table must come back as the authority's, and every session's
+    // outcome and CommStats must be byte-identical to the blocking driver
+    // running the very same party pair.
+    let authority = server_tables();
+    let mut total = CommStats::default();
+    for (t, outcome) in slots.into_iter().map(Option::unwrap).enumerate() {
         let blocking = SessionBuilder::new(0)
-            .run(
-                alice_party(&server_shards, &server_params, shard),
-                bob_party(&shards, &params, shard),
-            )
+            .run(alice_party(&authority, t), bob_party(&tables, t))
             .expect("blocking path");
-        assert_eq!(outcome.recovered, blocking.recovered, "client {client} shard {shard}");
-        assert_eq!(outcome.stats, blocking.stats, "client {client} shard {shard} stats");
+        assert_eq!(outcome.recovered, blocking.recovered, "client {client} table {t}");
+        assert_eq!(outcome.stats, blocking.stats, "client {client} table {t} stats");
+        let recovered = BinaryTable::from_set_of_sets(COLUMNS, outcome.recovered).expect("table");
+        assert_eq!(recovered, authority[t], "client {client} must recover table {t}");
+        // The sessions share one connection: bytes and messages add up, while
+        // their rounds overlap.
+        total = CommStats {
+            rounds: total.rounds.max(outcome.stats.rounds),
+            messages: total.messages + outcome.stats.messages,
+            bytes_alice_to_bob: total.bytes_alice_to_bob + outcome.stats.bytes_alice_to_bob,
+            bytes_bob_to_alice: total.bytes_bob_to_alice + outcome.stats.bytes_bob_to_alice,
+        };
     }
-    outcomes.into_iter().map(|o| o.stats).collect()
+    total
 }
 
 /// Self-driving reactor mode: one server, `CLIENTS` concurrent clients.
@@ -258,12 +236,8 @@ fn self_drive() {
             std::thread::spawn(move || sync_reactor(&address, client))
         })
         .collect();
-    let mut merged = Vec::new();
     for (client, handle) in clients.into_iter().enumerate() {
-        let per_shard = handle.join().expect("client thread");
-        let stats = ShardedRunner::merge_stats(&per_shard);
-        println!("client {client}: {stats}");
-        merged.push(stats);
+        println!("client {client}: {}", handle.join().expect("client thread"));
     }
     for _ in 0..CLIENTS {
         assert!(done.recv().expect("server alive"), "a connection closed uncleanly");
@@ -272,7 +246,7 @@ fn self_drive() {
     assert_eq!(stats.served(), CLIENTS as u64, "{stats:?}");
     assert_eq!(stats.failed, 0, "{stats:?}");
     println!(
-        "synced {CLIENTS} concurrent clients x {SHARDS} shard sessions ({ROWS}x{COLUMNS} table, \
+        "synced {CLIENTS} concurrent clients x {TABLES} table sessions ({ROWS}x{COLUMNS} tables, \
          {D} flipped bits each) on {WORKERS} worker reactors; per-worker connections {:?}; \
          every outcome and CommStats byte-identical to the blocking driver",
         stats.served_per_worker
@@ -290,8 +264,7 @@ fn main() {
         Some("--sync") => {
             let address = args.get(2).map(String::as_str).unwrap_or("127.0.0.1:7171");
             let client = args.get(3).and_then(|n| n.parse().ok()).unwrap_or(0);
-            let per_shard = sync_reactor(address, client);
-            println!("client {client}: {}", ShardedRunner::merge_stats(&per_shard));
+            println!("client {client}: {}", sync_reactor(address, client));
         }
         _ => self_drive(),
     }

@@ -54,7 +54,7 @@ fn main() -> Result<(), ReconError> {
         (
             "multi-round (Thm 3.9)",
             run.run(
-                session::multiround_known_alice(&alice, d, d_hat, p),
+                session::multiround_known_alice(&alice, d, d_hat, p)?,
                 session::multiround_known_bob(&bob, p),
             )?,
         ),

@@ -35,7 +35,7 @@ fn cascade(a: &SetOfSets, b: &SetOfSets, d: usize, p: &SosParams) -> Run {
 
 /// Theorem 3.9.
 fn multi(a: &SetOfSets, b: &SetOfSets, d: usize, d_hat: usize, p: &SosParams) -> Run {
-    let alice = parties::multiround_known_alice(a, d, d_hat, p);
+    let alice = parties::multiround_known_alice(a, d, d_hat, p)?;
     SessionBuilder::new(p.seed).run(alice, parties::multiround_known_bob(b, p))
 }
 

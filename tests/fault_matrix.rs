@@ -164,7 +164,7 @@ impl Workload {
         expected.push(
             SessionBuilder::new(p.seed)
                 .run(
-                    sos_session::multiround_known_alice(&self.sos_a, d, d, p),
+                    sos_session::multiround_known_alice(&self.sos_a, d, d, p).unwrap(),
                     sos_session::multiround_known_bob(&self.sos_b, p),
                 )
                 .unwrap()
@@ -277,7 +277,11 @@ fn register_family<T: Transport>(
         }
         6 => {
             alice_end
-                .register(id, Role::Alice, sos_session::multiround_known_alice(&w.sos_a, d, d, p))
+                .register(
+                    id,
+                    Role::Alice,
+                    sos_session::multiround_known_alice(&w.sos_a, d, d, p).unwrap(),
+                )
                 .unwrap();
             bob_end
                 .register(id, Role::Bob, sos_session::multiround_known_bob(&w.sos_b, p))

@@ -6,8 +6,8 @@
 //! side — the way two separate processes would exchange them — and metered by an
 //! independent copy of the rule. The recovered data and the measured
 //! [`CommStats`] must agree byte for byte: the accounting is a property of the
-//! protocol, not of the transport. The framed `Endpoint` path and the sharded
-//! runner are then held to the same `SessionBuilder::run` baseline.
+//! protocol, not of the transport. The framed `Endpoint` path is then held to
+//! the same `SessionBuilder::run` baseline.
 
 use proptest::prelude::*;
 use recon_base::comm::{CommStats, Direction, Transcript};
@@ -17,11 +17,11 @@ use recon_base::ReconError;
 use recon_estimator::L0Config;
 use recon_protocol::{
     drive_pair, Amplification, Endpoint, Envelope, MemoryTransport, Meter, Outcome, Party, Role,
-    SessionBuilder, SessionConfig, ShardedRunner, Step,
+    SessionBuilder, SessionConfig, Step,
 };
 use recon_set::session as set_session;
 use recon_sos::workload::{generate_pair, WorkloadParams};
-use recon_sos::{session as sos_session, SetOfSets, ShardedSosFamily, SosParams};
+use recon_sos::{session as sos_session, SetOfSets, SosParams};
 use std::collections::HashSet;
 use std::fmt::Debug;
 
@@ -217,7 +217,7 @@ proptest! {
         // Theorem 3.9 has no amplification, so some random instances legitimately
         // fail with constant probability; the two runs must agree either way.
         session_matches_bytes(&builder, |_| (
-            sos_session::multiround_known_alice(&alice, d, d, p),
+            sos_session::multiround_known_alice(&alice, d, d, p).unwrap(),
             sos_session::multiround_known_bob(&bob, p),
         ));
     }
@@ -416,12 +416,12 @@ fn framed_transport_matches_session_builder_per_family() {
 
     let solo = SessionBuilder::new(params.seed)
         .run(
-            sos_session::multiround_known_alice(&sos_alice, d, d, &params),
+            sos_session::multiround_known_alice(&sos_alice, d, d, &params).unwrap(),
             sos_session::multiround_known_bob(&sos_bob, &params),
         )
         .expect("solo run (seed chosen to succeed)");
     let (recovered, bob_stats, alice_stats) = drive_over_endpoint_pair(
-        sos_session::multiround_known_alice(&sos_alice, d, d, &params),
+        sos_session::multiround_known_alice(&sos_alice, d, d, &params).unwrap(),
         sos_session::multiround_known_bob(&sos_bob, &params),
     )
     .expect("framed run");
@@ -601,14 +601,18 @@ fn run_nine_session_suite() -> Vec<CommStats> {
     expected.push(
         SessionBuilder::new(params.seed)
             .run(
-                sos_session::multiround_known_alice(&sos_a, d, d, &params),
+                sos_session::multiround_known_alice(&sos_a, d, d, &params).unwrap(),
                 sos_session::multiround_known_bob(&sos_b, &params),
             )
             .unwrap()
             .stats,
     );
     alice_end
-        .register(6, Role::Alice, sos_session::multiround_known_alice(&sos_a, d, d, &params))
+        .register(
+            6,
+            Role::Alice,
+            sos_session::multiround_known_alice(&sos_a, d, d, &params).unwrap(),
+        )
         .unwrap();
     bob_end.register(6, Role::Bob, sos_session::multiround_known_bob(&sos_b, &params)).unwrap();
 
@@ -701,248 +705,4 @@ fn run_nine_session_suite() -> Vec<CommStats> {
 fn one_endpoint_drives_nine_concurrent_mixed_family_sessions() {
     let per_session = run_nine_session_suite();
     assert_eq!(per_session.len(), 9);
-}
-
-// ---------------------------------------------------------------------------
-// Sharded runner: merged stats are a deterministic sum of solo sessions
-// ---------------------------------------------------------------------------
-
-/// Sharded set reconciliation: every shard's stats equal the same shard run
-/// alone through `SessionBuilder::run`, the merged stats are their exact sum, and the
-/// whole thing is deterministic across runs.
-#[test]
-fn sharded_set_stats_match_solo_memory_link_shards() {
-    let (alice, bob) = random_set_pair(700, 28, 0x5A4D);
-    let runner = ShardedRunner::new(5, 0xD15C);
-    let amplification = Amplification::replicate(3);
-    let per_shard_d = 30;
-
-    let outcome =
-        recon_set::reconcile_known_sharded(&alice, &bob, per_shard_d, amplification, &runner)
-            .expect("sharded run");
-    assert_eq!(outcome.recovered, alice);
-    assert_eq!(outcome.per_shard.len(), 5);
-
-    // Each shard individually, through `SessionBuilder::run`.
-    let alice_shards = recon_set::shard_set(&alice, &runner);
-    let bob_shards = recon_set::shard_set(&bob, &runner);
-    for (shard, stats) in outcome.per_shard.iter().enumerate() {
-        let config = SessionConfig {
-            seed: runner.shard_seed(shard),
-            amplification,
-            estimator: L0Config::default(),
-        };
-        let solo = SessionBuilder::new(config.seed)
-            .amplification(amplification)
-            .run(
-                set_session::iblt_known_alice(&alice_shards[shard], per_shard_d, &config)
-                    .expect("alice"),
-                set_session::iblt_known_bob(&bob_shards[shard], &config),
-            )
-            .expect("solo shard run");
-        assert_eq!(*stats, solo.stats, "shard {shard} vs SessionBuilder::run");
-        assert_eq!(solo.recovered, alice_shards[shard]);
-    }
-
-    // Merged = componentwise sum (rounds overlap, so they take the max).
-    assert_eq!(
-        outcome.stats.bytes_alice_to_bob,
-        outcome.per_shard.iter().map(|s| s.bytes_alice_to_bob).sum::<usize>()
-    );
-    assert_eq!(
-        outcome.stats.bytes_bob_to_alice,
-        outcome.per_shard.iter().map(|s| s.bytes_bob_to_alice).sum::<usize>()
-    );
-    assert_eq!(outcome.stats.messages, outcome.per_shard.iter().map(|s| s.messages).sum::<usize>());
-    assert_eq!(outcome.stats.rounds, outcome.per_shard.iter().map(|s| s.rounds).max().unwrap());
-
-    // Determinism: an identical second run produces identical stats.
-    let again =
-        recon_set::reconcile_known_sharded(&alice, &bob, per_shard_d, amplification, &runner)
-            .expect("second sharded run");
-    assert_eq!(outcome, again);
-}
-
-/// Sharded set-of-sets reconciliation: per-shard stats equal solo
-/// `SessionBuilder::run` runs of the same shard parties and the merged stats sum
-/// deterministically.
-#[test]
-fn sharded_sos_stats_match_solo_memory_link_shards() {
-    let workload = WorkloadParams::new(60, 10, 1 << 28);
-    let d = 4;
-    let (alice, bob) = generate_pair(&workload, d, 0xBEE);
-    let params = SosParams::new(0xABBA, workload.max_child_size);
-    let runner = ShardedRunner::new(4, 0xCAFE);
-    let amplification = Amplification::replicate(4);
-    let per_shard_d = 2 * d + 2; // differing children (naive family units)
-
-    let outcome = recon_sos::sharded::reconcile_known_sharded(
-        &alice,
-        &bob,
-        per_shard_d,
-        ShardedSosFamily::Naive,
-        &params,
-        amplification,
-        &runner,
-    )
-    .expect("sharded run");
-    assert_eq!(outcome.recovered, alice);
-
-    let alice_shards = recon_sos::shard_set_of_sets(&alice, &runner);
-    let bob_shards = recon_sos::shard_set_of_sets(&bob, &runner);
-    for (shard, stats) in outcome.per_shard.iter().enumerate() {
-        let shard_params = SosParams::new(runner.shard_seed(shard), params.max_child_size);
-        let solo = SessionBuilder::new(shard_params.seed)
-            .run(
-                sos_session::naive_known_alice(
-                    &alice_shards[shard],
-                    per_shard_d,
-                    &shard_params,
-                    amplification,
-                )
-                .expect("alice"),
-                sos_session::naive_known_bob(&bob_shards[shard], &shard_params, amplification),
-            )
-            .expect("solo shard run");
-        assert_eq!(*stats, solo.stats, "shard {shard} vs SessionBuilder::run");
-    }
-    assert_eq!(
-        outcome.stats.total_bytes(),
-        outcome.per_shard.iter().map(|s| s.total_bytes()).sum::<usize>()
-    );
-
-    let again = recon_sos::sharded::reconcile_known_sharded(
-        &alice,
-        &bob,
-        per_shard_d,
-        ShardedSosFamily::Naive,
-        &params,
-        amplification,
-        &runner,
-    )
-    .expect("second sharded run");
-    assert_eq!(outcome, again);
-}
-
-// ---------------------------------------------------------------------------
-// Thread-parallel sharded execution: identical outcomes at every thread count
-// ---------------------------------------------------------------------------
-
-/// Running the sharded set protocols on worker threads must change nothing but
-/// wall-clock: per-shard `CommStats`, merged stats, and recovered sets are
-/// byte-identical to the single-threaded multiplexed run, for both known-`d`
-/// and unknown-`d` (per-shard estimator) variants.
-#[test]
-fn threaded_sharded_set_matches_single_thread() {
-    let (alice, bob) = random_set_pair(900, 36, 0x7157);
-    let amplification = Amplification::replicate(3);
-    let base = ShardedRunner::new(6, 0xEED5);
-    assert_eq!(base.threads(), 1);
-
-    let single = recon_set::reconcile_known_sharded(&alice, &bob, 40, amplification, &base)
-        .expect("single-threaded run");
-    for threads in [2usize, 3, 16] {
-        let runner = base.with_threads(threads);
-        assert_eq!(runner.threads(), threads);
-        let threaded = recon_set::reconcile_known_sharded(&alice, &bob, 40, amplification, &runner)
-            .expect("threaded run");
-        assert_eq!(threaded, single, "known-d, {threads} threads");
-    }
-
-    let single = recon_set::reconcile_unknown_sharded(
-        &alice,
-        &bob,
-        Amplification::replicate(6),
-        L0Config::default(),
-        &base,
-    )
-    .expect("single-threaded unknown run");
-    let threaded = recon_set::reconcile_unknown_sharded(
-        &alice,
-        &bob,
-        Amplification::replicate(6),
-        L0Config::default(),
-        &base.with_threads(4),
-    )
-    .expect("threaded unknown run");
-    assert_eq!(threaded, single, "unknown-d");
-}
-
-/// Same property for the set-of-sets families, including the new per-shard
-/// unknown-`d` path, and errors abort deterministically regardless of threads.
-#[test]
-fn threaded_sharded_sos_matches_single_thread() {
-    let workload = WorkloadParams::new(54, 10, 1 << 28);
-    let (alice, bob) = generate_pair(&workload, 5, 0xF00D);
-    let params = SosParams::new(0x5EED, workload.max_child_size);
-    let base = ShardedRunner::new(5, 0xD00F);
-    let amplification = Amplification::replicate(4);
-
-    for family in
-        [ShardedSosFamily::Naive, ShardedSosFamily::IbltOfIblts, ShardedSosFamily::Cascading]
-    {
-        let per_shard_d = match family {
-            ShardedSosFamily::Naive => 12,
-            _ => 12 * (workload.max_child_size + 1),
-        };
-        let single = recon_sos::sharded::reconcile_known_sharded(
-            &alice,
-            &bob,
-            per_shard_d,
-            family,
-            &params,
-            amplification,
-            &base,
-        )
-        .expect("single-threaded run");
-        let threaded = recon_sos::sharded::reconcile_known_sharded(
-            &alice,
-            &bob,
-            per_shard_d,
-            family,
-            &params,
-            amplification,
-            &base.with_threads(3),
-        )
-        .expect("threaded run");
-        assert_eq!(threaded, single, "{family:?}");
-    }
-
-    // Per-shard unknown-d (naive family estimates per shard; the doubling
-    // families cap per shard) is thread-count-invariant too.
-    let single = recon_sos::sharded::reconcile_unknown_sharded(
-        &alice,
-        &bob,
-        ShardedSosFamily::IbltOfIblts,
-        &params,
-        L0Config::default(),
-        &base,
-    )
-    .expect("single-threaded unknown run");
-    let threaded = recon_sos::sharded::reconcile_unknown_sharded(
-        &alice,
-        &bob,
-        ShardedSosFamily::IbltOfIblts,
-        &params,
-        L0Config::default(),
-        &base.with_available_threads(),
-    )
-    .expect("threaded unknown run");
-    assert_eq!(threaded, single, "unknown-d ioi");
-
-    // A guaranteed-failing workload reports the same error at every thread
-    // count (the lowest failing shard id wins, as in sequential collection).
-    let undersized = |threads: usize| {
-        recon_sos::sharded::reconcile_known_sharded(
-            &alice,
-            &bob,
-            1, // far too small for the bit-level family
-            ShardedSosFamily::IbltOfIblts,
-            &params,
-            Amplification::single(),
-            &base.with_threads(threads),
-        )
-        .expect_err("undersized bound must fail")
-    };
-    assert_eq!(format!("{}", undersized(1)), format!("{}", undersized(4)));
 }
