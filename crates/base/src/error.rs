@@ -118,9 +118,9 @@ pub enum ReconError {
 
 impl ReconError {
     /// Whether a *fresh attempt* (reconnect, re-register fresh parties,
-    /// re-run) has a chance of succeeding. This is the sole retry criterion
-    /// used by [`retry::run_with_retry`](crate::retry::run_with_retry) —
-    /// never a string match.
+    /// re-run) has a chance of succeeding. This is the sole retry criterion;
+    /// the caller owns the loop that re-runs the session — never a string
+    /// match.
     ///
     /// Transport-level failures are retryable: they say something about the
     /// network the bytes crossed, not about the data being reconciled. A

@@ -21,9 +21,8 @@
 //! * [`error`] — the shared [`error::ReconError`] type naming every failure mode the
 //!   paper discusses (peeling failures, checksum failures, failed matchings, …) plus
 //!   the transport-level failures a lossy network adds, with
-//!   [`error::ReconError::is_retryable`] classifying which are worth a fresh attempt,
-//! * [`retry`] — the [`retry::RetryPolicy`] recovery driver re-running whole
-//!   sessions after retryable transport failures.
+//!   [`error::ReconError::is_retryable`] classifying which are worth a fresh attempt
+//!   (the caller owns the loop that re-runs a whole session).
 //!
 //! All higher-level crates (`recon-iblt`, `recon-set`, `recon-sos`, `recon-graph`,
 //! `recon-apps`) build on these primitives and never use ambient randomness: given the
@@ -35,13 +34,11 @@
 pub mod comm;
 pub mod error;
 pub mod hash;
-pub mod retry;
 pub mod rng;
 pub mod wire;
 
 pub use comm::{CommStats, Direction, MessageStat, Transcript};
 pub use error::ReconError;
 pub use hash::{hash64, hash_bytes};
-pub use retry::{run_with_retry, RetryPolicy};
 pub use rng::{SplitMix64, Xoshiro256};
 pub use wire::{Decode, Encode, WireError};

@@ -162,27 +162,6 @@ impl Xoshiro256 {
             items.swap(i, j);
         }
     }
-
-    /// Sample `count` distinct indices from `[0, bound)` (requires `count <= bound`).
-    ///
-    /// Uses a Floyd-style sampler: O(count) expected hash-set operations, so it stays
-    /// cheap even when `bound` is large (e.g. sampling edge slots of a big graph).
-    pub fn sample_distinct(&mut self, bound: u64, count: usize) -> Vec<u64> {
-        assert!((count as u64) <= bound, "cannot sample {count} distinct values below {bound}");
-        let mut chosen = std::collections::HashSet::with_capacity(count * 2);
-        let mut out = Vec::with_capacity(count);
-        // Floyd's algorithm: for j in bound-count..bound, pick t in [0, j]; if taken, use j.
-        let start = bound - count as u64;
-        for j in start..bound {
-            let t = self.next_below(j + 1);
-            let pick = if chosen.insert(t) { t } else { j };
-            if pick != t {
-                chosen.insert(pick);
-            }
-            out.push(pick);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -274,23 +253,5 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn sample_distinct_yields_distinct_values_in_range() {
-        let mut rng = Xoshiro256::new(77);
-        let sample = rng.sample_distinct(1000, 200);
-        assert_eq!(sample.len(), 200);
-        let unique: std::collections::HashSet<_> = sample.iter().copied().collect();
-        assert_eq!(unique.len(), 200);
-        assert!(sample.iter().all(|&x| x < 1000));
-    }
-
-    #[test]
-    fn sample_distinct_full_range() {
-        let mut rng = Xoshiro256::new(78);
-        let mut sample = rng.sample_distinct(16, 16);
-        sample.sort_unstable();
-        assert_eq!(sample, (0..16).collect::<Vec<_>>());
     }
 }

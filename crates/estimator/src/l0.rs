@@ -63,18 +63,6 @@ impl L0Config {
         self.seed = seed;
         self
     }
-
-    /// Use `reps` repetitions (failure probability decays exponentially in `reps`).
-    pub fn with_reps(mut self, reps: usize) -> Self {
-        self.reps = reps.max(1);
-        self
-    }
-
-    /// Use `buckets` buckets per level.
-    pub fn with_buckets(mut self, buckets: usize) -> Self {
-        self.buckets = buckets.max(4);
-        self
-    }
 }
 
 /// One repetition's slice of a key's mix, `v = (h ^ xor) · mul` (module doc),
@@ -340,7 +328,7 @@ mod tests {
         let a = L0Estimator::new(&L0Config::default().with_seed(1));
         let b = L0Estimator::new(&L0Config::default().with_seed(2));
         assert!(a.merge(&b).is_err());
-        let c = L0Estimator::new(&L0Config::default().with_seed(1).with_buckets(64));
+        let c = L0Estimator::new(&L0Config { buckets: 64, ..L0Config::default().with_seed(1) });
         assert!(a.merge(&c).is_err());
     }
 

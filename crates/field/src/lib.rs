@@ -7,9 +7,10 @@
 //! The protocol represents a set `S = {x_1, …, x_n}` by its characteristic polynomial
 //! `χ_S(z) = (z − x_1)(z − x_2)⋯(z − x_n)` over a prime field, transmits evaluations
 //! of `χ_S` at a few agreed-upon points, interpolates the rational function
-//! `χ_{S_A}(z) / χ_{S_B}(z)` from those evaluations (a linear system, solved by
-//! Gaussian elimination), and recovers the set difference as the roots of the
-//! numerator and denominator.
+//! `χ_{S_A}(z) / χ_{S_B}(z)` from those evaluations, and recovers the set
+//! difference as the roots of the numerator and denominator. The paper solves the
+//! interpolation as a linear system by Gaussian elimination in `O(d^3)`; this
+//! crate solves it in `O(d^2)` by rational reconstruction instead.
 //!
 //! This crate provides the substrate:
 //!
@@ -18,8 +19,6 @@
 //!   the paper embeds directly as long as elements are `< 2^61 − 1`),
 //! * [`poly::Poly`] — dense univariate polynomials with multiplication, Euclidean
 //!   division, GCD, evaluation and construction from roots,
-//! * [`linalg`] — Gaussian elimination over GF(2^61 − 1) on a flat row-major
-//!   coefficient bank (the dense `O(d^3)` fallback),
 //! * [`gf2`] — sparse bitset Gaussian elimination over GF(2) with tracked
 //!   combination masks (the IBLT decode-rescue substrate),
 //! * [`structured`] — the `O(d^2)` structured solve for the rational
@@ -33,14 +32,12 @@
 
 pub mod fp;
 pub mod gf2;
-pub mod linalg;
 pub mod poly;
 pub mod roots;
 pub mod structured;
 
 pub use fp::{Fp, MODULUS};
 pub use gf2::{BitVec, SubsetSolution, SubsetXorSolver};
-pub use linalg::{solve_consistent, solve_consistent_flat, solve_linear_system};
 pub use poly::Poly;
 pub use roots::find_roots;
 pub use structured::{batch_invert, interpolate, rational_reconstruct};

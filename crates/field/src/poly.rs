@@ -199,16 +199,6 @@ impl Poly {
         a.monic()
     }
 
-    /// Formal derivative.
-    pub fn derivative(&self) -> Poly {
-        if self.coeffs.len() <= 1 {
-            return Poly::zero();
-        }
-        let coeffs =
-            self.coeffs.iter().enumerate().skip(1).map(|(i, &c)| c * Fp::new(i as u64)).collect();
-        Poly::from_coeffs(coeffs)
-    }
-
     /// Compute `self^exp mod modulus` by repeated squaring (the core step of
     /// Cantor–Zassenhaus root finding, where `exp = (p − 1)/2`).
     pub fn pow_mod(&self, mut exp: u64, modulus: &Poly) -> Poly {
@@ -340,14 +330,6 @@ mod tests {
         let a = Poly::from_roots(&[Fp::new(1), Fp::new(2)]);
         let b = Poly::from_roots(&[Fp::new(3), Fp::new(4)]);
         assert_eq!(a.gcd(&b), Poly::one());
-    }
-
-    #[test]
-    fn derivative_of_cubic() {
-        // d/dz (2z^3 + 3z^2 + 5) = 6z^2 + 6z
-        let p = poly_from_u64(&[5, 0, 3, 2]);
-        assert_eq!(p.derivative(), poly_from_u64(&[0, 6, 6]));
-        assert_eq!(Poly::constant(Fp::new(9)).derivative(), Poly::zero());
     }
 
     #[test]

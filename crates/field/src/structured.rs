@@ -17,7 +17,7 @@
 //! cross-product is the zero polynomial and the reduced fraction is unique. The
 //! EEA row returned here satisfies those degree bounds by the standard invariant
 //! `deg t_{j} = deg M − deg r_{j−1}`, hence it reduces to exactly the fraction
-//! the dense elimination finds.
+//! the paper's Gaussian elimination would find.
 
 use crate::fp::Fp;
 use crate::poly::Poly;
@@ -95,7 +95,7 @@ pub fn interpolate(points: &[Fp], values: &[Fp]) -> Option<Poly> {
 /// algorithm (only the `t` cofactor sequence is tracked).
 ///
 /// Returns `None` when no usable pair exists (the cofactor degenerates to
-/// zero), which callers treat as "fall back to dense elimination".
+/// zero), which callers treat as a violated difference bound.
 pub fn rational_reconstruct(m: &Poly, n: &Poly, numerator_bound: usize) -> Option<(Poly, Poly)> {
     let mut r0 = m.clone();
     let mut t0 = Poly::zero();

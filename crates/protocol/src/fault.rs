@@ -453,8 +453,8 @@ mod tests {
     #[test]
     fn dropped_frames_stall_the_pair_as_a_retryable_error() {
         // Drop everything: the pair can never finish, and the failure must be
-        // the structured, retryable SessionStuck — the signal RetryPolicy
-        // keys on.
+        // the structured, retryable SessionStuck — the signal a caller's
+        // retry loop keys on.
         let (ma, mb) = MemoryTransport::pair();
         let mut alice_end =
             Endpoint::new(FaultyTransport::new(ma, FaultProfile::drop_only(4, 1.0)));

@@ -191,28 +191,20 @@ pub const DECODER_RETAIN_CAP: usize = 64 * 1024;
 /// frames require a key via [`FrameDecoder::set_integrity_key`]).
 ///
 /// Decoding an oversized frame grows the internal buffer; once every buffered
-/// byte has been consumed the buffer is shrunk back to the retain cap
-/// ([`DECODER_RETAIN_CAP`] by default, [`FrameDecoder::set_retain_cap`] to
-/// tune) so a single outlier frame does not pin its peak capacity for the
+/// byte has been consumed the buffer is shrunk back to [`DECODER_RETAIN_CAP`]
+/// so a single outlier frame does not pin its peak capacity for the
 /// connection's lifetime.
 #[derive(Debug)]
 pub struct FrameDecoder {
     buf: Vec<u8>,
     pos: usize,
-    retain_cap: usize,
     max_frame: usize,
     integrity_key: Option<u64>,
 }
 
 impl Default for FrameDecoder {
     fn default() -> Self {
-        Self {
-            buf: Vec::new(),
-            pos: 0,
-            retain_cap: DECODER_RETAIN_CAP,
-            max_frame: MAX_FRAME_BYTES,
-            integrity_key: None,
-        }
+        Self { buf: Vec::new(), pos: 0, max_frame: MAX_FRAME_BYTES, integrity_key: None }
     }
 }
 
@@ -235,13 +227,6 @@ impl FrameDecoder {
     pub fn take_buffer(&mut self) -> Vec<u8> {
         self.pos = 0;
         std::mem::take(&mut self.buf)
-    }
-
-    /// Cap the capacity retained after the buffer fully drains. Oversized
-    /// frames still decode (growth is unconditional up to the frame cap);
-    /// this only bounds what outlives them.
-    pub fn set_retain_cap(&mut self, cap: usize) {
-        self.retain_cap = cap;
     }
 
     /// Tighten the per-frame body cap below [`MAX_FRAME_BYTES`]. A length
@@ -310,7 +295,7 @@ impl FrameDecoder {
             // oversized frame grew (`shrink_to` is a no-op below the cap).
             self.buf.clear();
             self.pos = 0;
-            self.buf.shrink_to(self.retain_cap);
+            self.buf.shrink_to(DECODER_RETAIN_CAP);
         }
         Ok(Some(frame))
     }
@@ -543,7 +528,7 @@ mod tests {
         let mut decoder = FrameDecoder::new();
         decoder.extend(&wire);
         assert!(decoder.capacity() >= wire.len());
-        assert_eq!(decoder.next_frame().unwrap(), Some(big.clone()));
+        assert_eq!(decoder.next_frame().unwrap(), Some(big));
         assert_eq!(decoder.buffered(), 0);
         assert!(
             decoder.capacity() <= DECODER_RETAIN_CAP,
@@ -551,15 +536,10 @@ mod tests {
             decoder.capacity()
         );
 
-        // The cap is configurable, and a shrunk decoder still decodes.
-        let mut tight = FrameDecoder::new();
-        tight.set_retain_cap(1024);
-        tight.extend(&wire);
-        assert_eq!(tight.next_frame().unwrap(), Some(big));
-        assert!(tight.capacity() <= 1024);
+        // A shrunk decoder still decodes.
         let small = Frame::fin(4);
-        tight.extend(&small.to_wire());
-        assert_eq!(tight.next_frame().unwrap(), Some(small));
+        decoder.extend(&small.to_wire());
+        assert_eq!(decoder.next_frame().unwrap(), Some(small));
     }
 
     #[test]

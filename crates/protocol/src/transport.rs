@@ -282,12 +282,6 @@ impl<R: Read, W: Write> StreamTransport<R, W> {
         }
     }
 
-    /// Number of staged outgoing bytes the stream has not yet accepted — the
-    /// buffered-output state a readiness poller re-arms write interest on.
-    pub fn pending_out(&self) -> usize {
-        self.out_buf.len()
-    }
-
     /// Cap the staged-output buffer: a send that would push it past `cap`
     /// bytes fails with [`ReconError::ResourceExhausted`] instead of growing
     /// without bound. This is the server-side defense against a peer that

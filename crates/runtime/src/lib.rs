@@ -48,9 +48,7 @@ pub mod sys;
 pub mod timer;
 
 pub use poller::{Backend, Event, Interest, Poller, Trigger};
-pub use reactor::{
-    drive_endpoint, drive_endpoint_with_retry, ConnId, Finished, Reactor, ReactorConfig, Waker,
-};
+pub use reactor::{drive_endpoint, ConnId, Finished, Reactor, ReactorConfig, Waker};
 pub use server::{
     connect_endpoint, AcceptMode, Server, ServerConfig, ServerStats, TcpEndpoint, TcpService,
     TcpTransport,

@@ -27,7 +27,7 @@
 use crate::poller::{Backend, Event, Interest, Poller, Trigger};
 use crate::sys;
 use crate::timer::TimerWheel;
-use recon_base::{ReconError, RetryPolicy};
+use recon_base::ReconError;
 use recon_protocol::{Endpoint, Pollable, SessionId, Transport};
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
@@ -56,23 +56,11 @@ pub struct ReactorConfig {
     /// First [`ConnId`] this reactor hands out. A multi-reactor server gives
     /// each worker a disjoint base so connection ids are process-unique.
     pub first_conn_id: ConnId,
-    /// Recovery policy for drivers built on this config. The reactor itself
-    /// never retries — a failed connection is handed back through
-    /// [`Reactor::take_finished`] — but [`RetryPolicy::attempt_deadline`],
-    /// when set, overrides `session_deadline` as the per-attempt time budget,
-    /// and callers like [`drive_endpoint_with_retry`] re-run retryable
-    /// failures ([`ReconError::is_retryable`]) under this policy.
-    pub retry: RetryPolicy,
 }
 
 impl Default for ReactorConfig {
     fn default() -> Self {
-        Self {
-            session_deadline: Some(Duration::from_secs(30)),
-            backend: None,
-            first_conn_id: 0,
-            retry: RetryPolicy::none(),
-        }
+        Self { session_deadline: Some(Duration::from_secs(30)), backend: None, first_conn_id: 0 }
     }
 }
 
@@ -84,13 +72,6 @@ impl ReactorConfig {
     /// `poll(2)` backend stays level-triggered behind the same call.
     fn poller(&self) -> Result<Poller, ReconError> {
         Poller::with_config(self.backend, Trigger::Edge).map_err(|e| io_err("create poller", e))
-    }
-
-    /// The per-attempt deadline in force: the retry policy's
-    /// [`attempt_deadline`](RetryPolicy::attempt_deadline) when set, else
-    /// [`session_deadline`](ReactorConfig::session_deadline).
-    pub fn effective_deadline(&self) -> Option<Duration> {
-        self.retry.attempt_deadline.or(self.session_deadline)
     }
 }
 
@@ -239,11 +220,6 @@ impl<T: Transport + Pollable> Reactor<T> {
         self.conns.is_empty()
     }
 
-    /// The endpoint of a live connection.
-    pub fn endpoint_mut(&mut self, conn: ConnId) -> Option<&mut Endpoint<T>> {
-        self.conns.get_mut(&conn).map(|c| &mut c.endpoint)
-    }
-
     /// Adopt `endpoint`, registering its transport's descriptors and arming a
     /// deadline for every session currently registered on it. The endpoint is
     /// pumped once immediately so opening envelopes go out without waiting for
@@ -265,7 +241,7 @@ impl<T: Transport + Pollable> Reactor<T> {
             }
         }
         let now = Instant::now();
-        if let Some(deadline) = self.config.effective_deadline() {
+        if let Some(deadline) = self.config.session_deadline {
             for session in endpoint.session_ids() {
                 self.timers.insert(now + deadline, (conn, session));
             }
@@ -477,7 +453,7 @@ pub fn drive_endpoint<T: Transport + Pollable>(
             result.map_err(|e| io_err("re-arm write interest", e))?;
             write_armed = want;
         }
-        let budget = match config.effective_deadline() {
+        let budget = match config.session_deadline {
             Some(deadline) => {
                 let left = deadline.checked_sub(started.elapsed()).ok_or(ReconError::Timeout {
                     waited_ms: started.elapsed().as_millis() as u64,
@@ -506,27 +482,6 @@ pub fn drive_endpoint<T: Transport + Pollable>(
             return Err(ReconError::PeerClosed { open_sessions: endpoint.open_sessions() });
         }
     }
-}
-
-/// [`drive_endpoint`] under [`ReactorConfig::retry`]: each attempt gets a
-/// fresh endpoint from `make` (a new connection with fresh parties — sessions
-/// are stateful and cannot be resumed mid-protocol), bounded by
-/// [`ReactorConfig::effective_deadline`]. Retryable failures
-/// ([`ReconError::is_retryable`]: lost peers, corrupt frames, stuck or
-/// timed-out sessions) are re-run with exponential backoff; anything else —
-/// and exhaustion of the attempt budget — returns the last error. On success
-/// the attempt's endpoint is handed back for accounting, alongside how many
-/// attempts it took (1 = first try).
-pub fn drive_endpoint_with_retry<T: Transport + Pollable>(
-    config: &ReactorConfig,
-    mut make: impl FnMut(u32) -> Result<Endpoint<T>, ReconError>,
-    mut until: impl FnMut(&mut Endpoint<T>) -> Result<bool, ReconError>,
-) -> Result<(Endpoint<T>, u32), ReconError> {
-    recon_base::run_with_retry(&config.retry, |attempt| {
-        let mut endpoint = make(attempt)?;
-        drive_endpoint(&mut endpoint, config, &mut until)?;
-        Ok((endpoint, attempt + 1))
-    })
 }
 
 #[cfg(test)]
@@ -740,66 +695,6 @@ mod tests {
         }
         // Fail-fast means an error now, not a 30s deadline (or a spin) later.
         assert!(started.elapsed() < Duration::from_secs(5), "did not fail fast");
-    }
-
-    #[test]
-    fn drive_endpoint_with_retry_survives_a_dropped_first_connection() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-
-        let server = std::thread::spawn(move || {
-            // First connection: hang up before the session exchanges anything.
-            let (first, _) = listener.accept().expect("accept");
-            drop(first);
-            // Second connection: serve the session properly.
-            let (stream, _) = listener.accept().expect("accept");
-            stream.set_nonblocking(true).expect("nonblock");
-            let reader = stream.try_clone().expect("clone");
-            let mut endpoint = Endpoint::new(StreamTransport::new(reader, stream));
-            let (alice, _) = chatty_pair(5, 1);
-            endpoint.register(0, Role::Alice, alice).unwrap();
-            let mut reactor = Reactor::new(ReactorConfig::default()).unwrap();
-            reactor.insert(endpoint).unwrap();
-            while !reactor.is_empty() {
-                reactor
-                    .turn(Some(Duration::from_millis(20)), |_, endpoint| {
-                        endpoint.close_finished();
-                    })
-                    .unwrap();
-            }
-        });
-
-        let config = ReactorConfig {
-            retry: RetryPolicy::default()
-                .backoff(Duration::from_millis(5))
-                .attempt_deadline(Duration::from_secs(10)),
-            ..ReactorConfig::default()
-        };
-        let mut outcome = None;
-        let (_endpoint, attempts) = drive_endpoint_with_retry(
-            &config,
-            |_attempt| {
-                let stream = TcpStream::connect(addr)
-                    .map_err(|e| ReconError::Transport(format!("connect: {e}")))?;
-                stream.set_nonblocking(true).expect("nonblock");
-                let reader = stream.try_clone().expect("clone");
-                let mut endpoint = Endpoint::new(StreamTransport::new(reader, stream));
-                let (_, bob) = chatty_pair(5, 1);
-                endpoint.register(0, Role::Bob, bob).unwrap();
-                Ok(endpoint)
-            },
-            |endpoint| {
-                if let Some(result) = endpoint.take_outcome::<u64>(0) {
-                    outcome = Some(result?);
-                    return Ok(true);
-                }
-                Ok(false)
-            },
-        )
-        .expect("retry recovers");
-        assert_eq!(attempts, 2, "first attempt hit the dropped peer");
-        assert_eq!(outcome.expect("outcome").recovered, 6);
-        server.join().expect("server thread");
     }
 
     #[test]

@@ -32,7 +32,7 @@ use crate::poller::{Backend, Interest, Poller};
 use crate::reactor::{ConnId, Reactor, ReactorConfig};
 use crate::sys;
 use recon_base::rng::Xoshiro256;
-use recon_base::{ReconError, RetryPolicy};
+use recon_base::ReconError;
 use recon_protocol::{BufferPool, Endpoint, StreamTransport, Transport as _};
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -134,10 +134,6 @@ pub struct ServerConfig {
     /// stop reading while sessions keep producing. Default 32 MiB (always at
     /// least one max-sized frame plus its prefix).
     pub max_buffered_out: usize,
-    /// Recovery policy forwarded to every worker's [`ReactorConfig::retry`]:
-    /// its `attempt_deadline`, when set, overrides `session_deadline` as the
-    /// per-session time budget. Default [`RetryPolicy::none`].
-    pub retry: RetryPolicy,
 }
 
 impl Default for ServerConfig {
@@ -151,7 +147,6 @@ impl Default for ServerConfig {
             max_frame_bytes: 16 << 20,
             max_sessions_per_conn: 1024,
             max_buffered_out: 32 << 20,
-            retry: RetryPolicy::none(),
         }
     }
 }
@@ -207,12 +202,6 @@ impl ServerConfig {
     /// Cap buffered output bytes per connection.
     pub fn max_buffered_out(mut self, bytes: usize) -> Self {
         self.max_buffered_out = bytes;
-        self
-    }
-
-    /// Set the recovery policy forwarded to the workers.
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
         self
     }
 
@@ -384,7 +373,6 @@ impl Server {
                 backend: config.backend,
                 // Disjoint id ranges so connection ids are process-unique.
                 first_conn_id: (worker as ConnId) << 48,
-                retry: config.retry,
             };
             let caps = config.caps();
             let shard = shard_listeners.as_mut().and_then(Iterator::next);

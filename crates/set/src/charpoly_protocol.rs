@@ -6,10 +6,12 @@
 //! `d + 1` agreed-upon points lying *outside the universe* (so they can never be
 //! roots). Bob evaluates his own characteristic polynomial at the same points, forms
 //! the ratios `f_i = χ_{S_A}(z_i) / χ_{S_B}(z_i)`, and interpolates the reduced
-//! rational function `χ_{S_A \ S_B} / χ_{S_B \ S_A}`: the coefficients of monic
-//! numerator and denominator of the right degrees satisfy a linear system
-//! (`recon_field::solve_consistent`). Dividing out the common factor and finding the
-//! roots of numerator and denominator yields the two one-sided differences exactly —
+//! rational function `χ_{S_A \ S_B} / χ_{S_B \ S_A}`. The paper solves the linear
+//! system for its monic numerator and denominator by Gaussian elimination in
+//! `O(d^3)`; here one polynomial interpolation plus extended-Euclidean rational
+//! reconstruction finds the same fraction in `O(d^2)`. Dividing out the common
+//! factor and finding the roots of numerator and denominator yields the two
+//! one-sided differences exactly —
 //! this protocol succeeds with probability 1 whenever the bound `d` is correct, which
 //! is why Theorem 3.9 uses it for child sets with very small differences.
 
@@ -18,10 +20,7 @@ use recon_base::hash::hash_u64_set;
 use recon_base::rng::split_seed;
 use recon_base::wire::{Decode, Encode, WireError};
 use recon_base::ReconError;
-use recon_field::{
-    batch_invert, find_roots, interpolate, rational_reconstruct, solve_consistent_flat, Fp, Poly,
-    MODULUS,
-};
+use recon_field::{batch_invert, find_roots, interpolate, rational_reconstruct, Fp, Poly};
 use std::collections::HashSet;
 
 /// Alice's one-round message for the characteristic-polynomial protocol.
@@ -62,29 +61,17 @@ impl Decode for CharPolyDigest {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CharPolyProtocol {
     seed: u64,
-    universe_bound: u64,
 }
 
 impl CharPolyProtocol {
-    /// Default bound on universe elements: `2^60`, leaving plenty of field elements
+    /// Bound on universe elements: `2^60`, leaving plenty of field elements
     /// above the universe to serve as evaluation points.
     pub const DEFAULT_UNIVERSE_BOUND: u64 = 1 << 60;
 
-    /// Create a protocol instance from a shared seed, using the default universe
-    /// bound.
+    /// Create a protocol instance from a shared seed; the universe is
+    /// `[0, DEFAULT_UNIVERSE_BOUND)`.
     pub fn new(seed: u64) -> Self {
-        Self { seed, universe_bound: Self::DEFAULT_UNIVERSE_BOUND }
-    }
-
-    /// Create a protocol instance whose universe is `[0, universe_bound)`.
-    /// `universe_bound` must leave room for evaluation points below the field
-    /// modulus.
-    pub fn with_universe_bound(seed: u64, universe_bound: u64) -> Self {
-        assert!(
-            universe_bound < MODULUS - (1 << 20),
-            "universe bound must leave room for evaluation points below 2^61 - 1"
-        );
-        Self { seed, universe_bound }
+        Self { seed }
     }
 
     /// The shared seed.
@@ -98,14 +85,14 @@ impl CharPolyProtocol {
 
     /// The `i`-th agreed evaluation point (deterministic, outside the universe).
     fn point(&self, i: usize) -> Fp {
-        Fp::new(self.universe_bound + i as u64)
+        Fp::new(Self::DEFAULT_UNIVERSE_BOUND + i as u64)
     }
 
     fn check_element(&self, x: u64) -> Result<(), ReconError> {
-        if x >= self.universe_bound {
+        if x >= Self::DEFAULT_UNIVERSE_BOUND {
             return Err(ReconError::InvalidInput(format!(
                 "element {x} is outside the universe bound {}",
-                self.universe_bound
+                Self::DEFAULT_UNIVERSE_BOUND
             )));
         }
         Ok(())
@@ -192,20 +179,11 @@ impl CharPolyProtocol {
             .map(|(&a, &inv)| Fp::new(a) * inv)
             .collect();
 
-        // Structured `O(d^2)` solve first; dense elimination over the first
-        // `d_use` points as the fallback. Both find the same (unique) reduced
-        // monic fraction whenever the bound is honest, so the choice of path is
-        // invisible to callers.
+        // The reduced monic fraction is unique whenever the bound is honest, so
+        // a solve that finds none means the bound was violated.
         let (p_reduced, q_reduced) =
-            match structured_reduced_fraction(&points, &ratios, deg_missing, deg_extra, delta) {
-                Some(pair) => pair,
-                None => dense_reduced_fraction(
-                    &points[..d_use],
-                    &ratios[..d_use],
-                    deg_missing,
-                    deg_extra,
-                )?,
-            };
+            structured_reduced_fraction(&points, &ratios, deg_missing, deg_extra, delta)
+                .ok_or(ReconError::DifferenceBoundTooSmall { bound: d })?;
 
         let missing_roots = find_roots(&p_reduced, split_seed(self.seed, 0xF00D));
         let extra_roots = find_roots(&q_reduced, split_seed(self.seed, 0xF00E));
@@ -218,7 +196,7 @@ impl CharPolyProtocol {
         let missing: Vec<u64> = missing_roots.into_iter().map(Fp::value).collect();
         let extra: Vec<u64> = extra_roots.into_iter().map(Fp::value).collect();
         // Every recovered element must lie inside the universe.
-        if missing.iter().chain(&extra).any(|&x| x >= self.universe_bound) {
+        if missing.iter().chain(&extra).any(|&x| x >= Self::DEFAULT_UNIVERSE_BOUND) {
             return Err(ReconError::InterpolationFailure);
         }
         Ok(SetDiff { missing, extra })
@@ -249,9 +227,9 @@ impl CharPolyProtocol {
 ///
 /// `points` must have `deg_missing + deg_extra + 1` entries; with that margin a
 /// reduced monic pair passing the degree/`delta` checks below is unique, so it
-/// is exactly the fraction the dense elimination would find. Returns `None`
-/// whenever the checks fail (e.g. the difference bound was violated), in which
-/// case the caller falls back to the dense path.
+/// is exactly the fraction the paper's Gaussian elimination would find. Returns
+/// `None` whenever the checks fail, which means the difference bound was
+/// violated.
 fn structured_reduced_fraction(
     points: &[Fp],
     ratios: &[Fp],
@@ -278,55 +256,6 @@ fn structured_reduced_fraction(
     // both degree budgets; anything else means the bound was wrong.
     (dp - dq == delta && dp <= deg_missing as i64 && dq <= deg_extra as i64)
         .then_some((p_reduced, q_reduced))
-}
-
-/// Dense fallback: build the linear system for the coefficients of monic `P`
-/// (deg `deg_missing`) and monic `Q` (deg `deg_extra`) with `P(z_i) = f_i
-/// Q(z_i)` as a flat row-major bank, solve it by Gaussian elimination, and
-/// divide out the common factor so only the true differences remain.
-fn dense_reduced_fraction(
-    points: &[Fp],
-    ratios: &[Fp],
-    deg_missing: usize,
-    deg_extra: usize,
-) -> Result<(Poly, Poly), ReconError> {
-    let d_use = points.len();
-    debug_assert_eq!(d_use, deg_missing + deg_extra);
-    let mut matrix = Vec::with_capacity(d_use * d_use);
-    let mut rhs = Vec::with_capacity(d_use);
-    for (&z, &f) in points.iter().zip(ratios) {
-        // Powers of z for P's unknown coefficients.
-        let mut zp = Fp::ONE;
-        for _ in 0..deg_missing {
-            matrix.push(zp);
-            zp *= z;
-        }
-        let z_pow_deg_missing = zp;
-        // Powers of z for Q's unknown coefficients (negated, scaled by f).
-        let mut zq = Fp::ONE;
-        for _ in 0..deg_extra {
-            matrix.push(-(f * zq));
-            zq *= z;
-        }
-        let z_pow_deg_extra = zq;
-        rhs.push(f * z_pow_deg_extra - z_pow_deg_missing);
-    }
-
-    let solution = solve_consistent_flat(&matrix, d_use, d_use, &rhs)
-        .ok_or(ReconError::InterpolationFailure)?;
-
-    let mut p_coeffs: Vec<Fp> = solution[..deg_missing].to_vec();
-    p_coeffs.push(Fp::ONE);
-    let mut q_coeffs: Vec<Fp> = solution[deg_missing..].to_vec();
-    q_coeffs.push(Fp::ONE);
-    let p = Poly::from_coeffs(p_coeffs);
-    let q = Poly::from_coeffs(q_coeffs);
-
-    let g = p.gcd(&q);
-    let (p_reduced, rem_p) = p.divmod(&g);
-    let (q_reduced, rem_q) = q.divmod(&g);
-    debug_assert!(rem_p.is_zero() && rem_q.is_zero());
-    Ok((p_reduced, q_reduced))
 }
 
 #[cfg(test)]
@@ -411,8 +340,9 @@ mod tests {
 
     #[test]
     fn elements_outside_universe_are_rejected() {
-        let protocol = CharPolyProtocol::with_universe_bound(1, 1 << 20);
-        let bad: HashSet<u64> = [1u64 << 30].into_iter().collect();
+        let protocol = CharPolyProtocol::new(1);
+        let bad: HashSet<u64> =
+            [CharPolyProtocol::DEFAULT_UNIVERSE_BOUND, u64::MAX].into_iter().collect();
         assert!(protocol.digest(&bad, 2).is_err());
         let good: HashSet<u64> = [5u64].into_iter().collect();
         let digest = protocol.digest(&good, 2).unwrap();
@@ -439,8 +369,8 @@ mod tests {
     fn structured_path_solves_tight_and_loose_bounds() {
         // The structured solver must carry both the tight case (degree budget
         // exactly the true difference) and the loose case (budget padded, so
-        // numerator and denominator share a spurious common factor) — otherwise
-        // every reconciliation would quietly pay the dense fallback on top.
+        // numerator and denominator share a spurious common factor) — it is the
+        // only solver, so a miss on an honest bound would fail the session.
         let missing: Vec<Fp> = [3u64, 77, 1234].iter().map(|&x| Fp::new(x)).collect();
         let extra: Vec<Fp> = [500u64, 9000].iter().map(|&x| Fp::new(x)).collect();
         let p_true = Poly::from_roots(&missing);

@@ -9,7 +9,6 @@
 //! reconciliation of the derived `(element, multiplicity)` pair set, using 16-byte
 //! IBLT keys to hold the pair.
 
-use crate::diff::SetDiff;
 use recon_base::hash::hash_u64_set;
 use recon_base::rng::split_seed;
 use recon_base::wire::{Decode, Encode, WireError};
@@ -235,28 +234,6 @@ impl MultisetProtocol {
         }
         Ok(recovered)
     }
-
-    /// Convenience: the exact symmetric difference of the derived pair sets as a
-    /// [`SetDiff`] over hashed pair identities (used by the estimator-driven
-    /// protocols that only need the difference *size*).
-    pub fn pair_diff(
-        &self,
-        digest: &MultisetDigest,
-        local: &Multiset,
-    ) -> Result<SetDiff, ReconError> {
-        let mut table = digest.iblt.clone();
-        for (x, c) in local.iter() {
-            table.delete(&pair_key(x, c));
-        }
-        let decoded = table.decode_in_place();
-        if !decoded.complete {
-            return Err(ReconError::PeelingFailure { remaining_cells: table.nonempty_cells() });
-        }
-        Ok(SetDiff {
-            missing: decoded.positive.iter().map(|k| key_pair(k).0).collect(),
-            extra: decoded.negative.iter().map(|k| key_pair(k).0).collect(),
-        })
-    }
 }
 
 #[cfg(test)]
@@ -355,17 +332,5 @@ mod tests {
         let protocol = MultisetProtocol::new(8);
         let digest = protocol.digest(&alice, 2);
         assert!(protocol.reconcile(&digest, &bob).is_err());
-    }
-
-    #[test]
-    fn pair_diff_reports_changed_elements() {
-        let alice = Multiset::from_elements([1, 1, 2, 3]);
-        let bob = Multiset::from_elements([1, 2, 3]);
-        let protocol = MultisetProtocol::new(5);
-        let digest = protocol.digest(&alice, 4);
-        let diff = protocol.pair_diff(&digest, &bob).unwrap();
-        // Element 1 changed multiplicity: its pair appears on both sides.
-        assert!(diff.missing.contains(&1));
-        assert!(diff.extra.contains(&1));
     }
 }

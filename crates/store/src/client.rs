@@ -13,13 +13,13 @@
 //! [`iblt_known_bob`]: recon_set::session::iblt_known_bob
 
 use recon_base::comm::CommStats;
-use recon_base::{ReconError, RetryPolicy};
+use recon_base::ReconError;
 use recon_estimator::{Side, StrataEstimator};
 use recon_protocol::{ControlFrame, Envelope, Party, Role, SessionId, Step, CONTROL_SESSION};
 use recon_runtime::{connect_endpoint, drive_endpoint, ReactorConfig, TcpEndpoint};
 use recon_set::session::iblt_known_bob;
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::net::{SocketAddr, ToSocketAddrs};
+use std::net::ToSocketAddrs;
 use std::sync::{Arc, Mutex};
 
 use crate::control::{
@@ -81,64 +81,30 @@ pub struct StoreClient {
     endpoint: TcpEndpoint,
     config: ReactorConfig,
     shared: Arc<Mutex<ClientShared>>,
-    /// Resolved daemon address, kept for [`StoreClient::reconnect`].
-    addrs: Vec<SocketAddr>,
     next_request: u64,
     next_session: SessionId,
     /// Parameters of replicas opened through this client, by name.
     params: HashMap<String, ReplicaParams>,
 }
 
-/// Dial the daemon and install a fresh control session.
-fn dial(addrs: &[SocketAddr]) -> Result<(TcpEndpoint, Arc<Mutex<ClientShared>>), ReconError> {
-    let mut endpoint = connect_endpoint(addrs)?;
-    let shared = Arc::new(Mutex::new(ClientShared::default()));
-    endpoint.register(CONTROL_SESSION, Role::Bob, ClientControl { shared: Arc::clone(&shared) })?;
-    Ok((endpoint, shared))
-}
-
 impl StoreClient {
-    /// Connect to a daemon at `addr`.
+    /// Connect to a daemon at `addr` and install the control session.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, ReconError> {
-        let addrs: Vec<SocketAddr> = addr
-            .to_socket_addrs()
-            .map_err(|e| ReconError::Transport(format!("resolve addr: {e}")))?
-            .collect();
-        if addrs.is_empty() {
-            return Err(ReconError::Transport("connect: address resolved to nothing".into()));
-        }
-        let (endpoint, shared) = dial(&addrs)?;
+        let mut endpoint = connect_endpoint(addr)?;
+        let shared = Arc::new(Mutex::new(ClientShared::default()));
+        endpoint.register(
+            CONTROL_SESSION,
+            Role::Bob,
+            ClientControl { shared: Arc::clone(&shared) },
+        )?;
         Ok(Self {
             endpoint,
             config: ReactorConfig::default(),
             shared,
-            addrs,
             next_request: 1,
             next_session: CONTROL_SESSION + 1,
             params: HashMap::new(),
         })
-    }
-
-    /// Set the recovery policy. Every command (and [`StoreClient::reconcile`])
-    /// re-runs on a retryable failure ([`ReconError::is_retryable`]: lost
-    /// connections, corrupt frames, stuck or timed-out sessions), dialing the
-    /// daemon again between attempts; the policy's `attempt_deadline`, when
-    /// set, bounds each attempt. The default policy is [`RetryPolicy::none`]:
-    /// fail on the first error.
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.config.retry = policy;
-    }
-
-    /// Drop the connection and dial the daemon again with a fresh control
-    /// session. Cached replica parameters survive; in-flight requests and
-    /// unharvested sessions are lost, and session ids restart (they are
-    /// per-connection on the daemon).
-    pub fn reconnect(&mut self) -> Result<(), ReconError> {
-        let (endpoint, shared) = dial(&self.addrs)?;
-        self.endpoint = endpoint;
-        self.shared = shared;
-        self.next_session = CONTROL_SESSION + 1;
-        Ok(())
     }
 
     /// Queue a request frame; returns its request id.
@@ -176,14 +142,8 @@ impl StoreClient {
         op: u16,
         body: &impl recon_base::wire::Encode,
     ) -> Result<ControlFrame, ReconError> {
-        let policy = self.config.retry;
-        recon_base::run_with_retry(&policy, |attempt| {
-            if attempt > 0 {
-                self.reconnect()?;
-            }
-            let request_id = self.send(op, body);
-            self.wait(request_id)
-        })
+        let request_id = self.send(op, body);
+        self.wait(request_id)
     }
 
     /// Open (creating if absent) replica `name`, returning — and caching —
@@ -239,27 +199,11 @@ impl StoreClient {
     /// builds a strata estimator over `local` and lets the daemon size the
     /// session.
     ///
-    /// Under a non-trivial [`StoreClient::set_retry_policy`], a retryable
-    /// failure reconnects and re-runs the whole exchange with a fresh session
-    /// and a fresh local party — sessions are stateful and cannot resume
-    /// mid-protocol, so recovery is re-execution.
+    /// A failure whose [`ReconError::is_retryable`] holds (a lost connection,
+    /// a corrupt frame, a stuck session) leaves this client's connection in an
+    /// unknown state: retry by connecting a new client. Sessions are stateful
+    /// and cannot resume mid-protocol, so recovery is re-execution.
     pub fn reconcile(
-        &mut self,
-        name: &str,
-        local: &HashSet<u64>,
-        d_bound: Option<u64>,
-    ) -> Result<ReconcileReport, ReconError> {
-        let policy = self.config.retry;
-        recon_base::run_with_retry(&policy, |attempt| {
-            if attempt > 0 {
-                self.reconnect()?;
-            }
-            self.reconcile_once(name, local, d_bound)
-        })
-    }
-
-    /// One reconciliation attempt on the current connection.
-    fn reconcile_once(
         &mut self,
         name: &str,
         local: &HashSet<u64>,

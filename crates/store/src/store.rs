@@ -74,13 +74,6 @@ impl StoreConfig {
         self
     }
 
-    /// Auto-snapshot every replica whose WAL reaches `bytes` on the backend —
-    /// the byte-budget spelling of [`StoreConfig::with_wal_snapshot_records`]
-    /// (records are fixed-width, so the budget divides exactly).
-    pub fn with_wal_snapshot_bytes(self, bytes: u64) -> Self {
-        self.with_wal_snapshot_records(bytes / wal::RECORD_BYTES as u64)
-    }
-
     fn params_for(&self, name: &str) -> ReplicaParams {
         let name_hash = recon_base::hash::hash_bytes(name.as_bytes(), 0x5709);
         ReplicaParams {
@@ -433,14 +426,6 @@ mod tests {
         assert_eq!(store2.keys("r").unwrap(), &(0u64..14).collect());
         assert_eq!(store2.stat("r").unwrap().wal_records, 0);
         assert_eq!(store2.digest("r", 4).unwrap().1.to_bytes(), digest);
-    }
-
-    #[test]
-    fn wal_snapshot_bytes_divides_to_records() {
-        let config = small_config().with_wal_snapshot_bytes(5 * crate::wal::RECORD_BYTES as u64);
-        assert_eq!(config.wal_snapshot_records, Some(5));
-        // A sub-record byte budget still checkpoints (clamped to 1 record).
-        assert_eq!(small_config().with_wal_snapshot_bytes(3).wal_snapshot_records, Some(1));
     }
 
     #[test]

@@ -17,7 +17,6 @@
 //! crash-recovery proptest pins.
 
 use recon_base::hash::hash64;
-use recon_base::ReconError;
 
 /// Serialized size of one WAL record.
 pub const RECORD_BYTES: usize = 17;
@@ -102,19 +101,6 @@ pub fn scan(bytes: &[u8], seed: u64) -> WalScan {
     WalScan { dropped_bytes: bytes.len() - offset, ops }
 }
 
-/// Decode a WAL that must be whole: any dropped tail is an error. Used by
-/// paths that just wrote the log themselves.
-pub fn scan_strict(bytes: &[u8], seed: u64) -> Result<Vec<WalOp>, ReconError> {
-    let scanned = scan(bytes, seed);
-    if scanned.dropped_bytes != 0 {
-        return Err(ReconError::InvalidInput(format!(
-            "WAL has {} bytes of torn tail",
-            scanned.dropped_bytes
-        )));
-    }
-    Ok(scanned.ops)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,7 +127,6 @@ mod tests {
         let scanned = scan(&buf, 42);
         assert_eq!(scanned.ops, ops);
         assert_eq!(scanned.dropped_bytes, 0);
-        assert_eq!(scan_strict(&buf, 42).unwrap(), ops);
     }
 
     #[test]
@@ -162,7 +147,6 @@ mod tests {
         let scanned = scan(&buf, 9);
         assert_eq!(scanned.ops, ops[..2]);
         assert_eq!(scanned.dropped_bytes, 3 * RECORD_BYTES);
-        assert!(scan_strict(&buf, 9).is_err());
     }
 
     #[test]

@@ -8,23 +8,23 @@
 //! all driven by a **fixed seed**, so every run of this example meets exactly
 //! the same mishaps. Both sides negotiate the keyed checksum trailer
 //! ([`Endpoint::offer_integrity`]), so a flipped bit surfaces as a structured
-//! [`ReconError::ChecksumMismatch`] instead of silent corruption, and a
-//! [`RetryPolicy`] re-runs failed attempts under fresh fault seeds until the
-//! reconciliation lands. Retry decisions go through
-//! [`ReconError::is_retryable`] exclusively — no error-message matching.
+//! [`ReconError::ChecksumMismatch`] instead of silent corruption, and a plain
+//! loop re-runs failed attempts under fresh fault seeds until the
+//! reconciliation lands (at most 16 attempts). The loop continues only while
+//! [`ReconError::is_retryable`] holds — no error-message matching.
 
 use recon_base::rng::split_seed;
-use recon_base::{ReconError, RetryPolicy};
+use recon_base::ReconError;
 use recon_protocol::{
     drive_pair, Amplification, Endpoint, FaultProfile, FaultyTransport, MemoryTransport, Role,
     SessionBuilder, Transport,
 };
 use recon_set::session;
 use std::collections::HashSet;
-use std::time::Duration;
 
 const SHARED_SEED: u64 = 0xBAD_5EA;
 const INTEGRITY_KEY: u64 = 0x0C1E_0C1E;
+const MAX_ATTEMPTS: u32 = 16;
 
 fn alice_set() -> HashSet<u64> {
     (0..1_000u64).map(|x| x * 7 + 1).collect()
@@ -48,14 +48,13 @@ fn main() {
         latency_ticks: 1,
         ..FaultProfile::clean(SHARED_SEED)
     };
-    let policy = RetryPolicy::with_attempts(16).backoff(Duration::ZERO);
     let builder = SessionBuilder::new(SHARED_SEED).amplification(Amplification::replicate(4));
 
     println!("profile: {profile:?}");
 
     let mut wire_bytes = 0u64;
     let mut faults = 0u64;
-    let (recovered, attempts) = recon_base::run_with_retry(&policy, |attempt| {
+    let mut run_attempt = |attempt: u32| -> Result<HashSet<u64>, ReconError> {
         // Each attempt gets a fresh connection under a fresh fault seed — the
         // same seed would meet the same mishaps and fail the same way forever.
         let (ta, tb) = MemoryTransport::pair();
@@ -95,9 +94,19 @@ fn main() {
         }
         result?;
         let outcome = bob_end.take_outcome::<HashSet<u64>>(0).expect("session finished")?;
-        Ok((outcome.recovered, attempt + 1))
-    })
-    .expect("reconciliation must eventually survive the fault profile");
+        Ok(outcome.recovered)
+    };
+    let mut attempt = 0;
+    let recovered = loop {
+        match run_attempt(attempt) {
+            Ok(recovered) => break recovered,
+            Err(error) if error.is_retryable() && attempt + 1 < MAX_ATTEMPTS => attempt += 1,
+            Err(error) => {
+                panic!("reconciliation must eventually survive the fault profile: {error:?}")
+            }
+        }
+    };
+    let attempts = attempt + 1;
 
     assert_eq!(recovered, alice_set(), "Bob must recover Alice's set exactly");
     assert!(
