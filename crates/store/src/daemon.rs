@@ -316,18 +316,14 @@ impl<B: StorageBackend + 'static> StoreDaemon<B> {
         self.server.local_addr()
     }
 
-    /// Shared handle to the store (e.g. for out-of-band mutations in tests).
-    pub fn store(&self) -> Arc<Mutex<SketchStore<B>>> {
-        Arc::clone(&self.store)
-    }
-
-    /// Stop serving and reclaim the store. The store is `None` only if some
-    /// external [`StoreDaemon::store`] handle is still alive.
-    pub fn shutdown(self) -> (recon_runtime::ServerStats, Option<SketchStore<B>>) {
+    /// Stop serving and reclaim the store.
+    pub fn shutdown(self) -> (recon_runtime::ServerStats, SketchStore<B>) {
         let stats = self.server.shutdown();
-        let store = Arc::try_unwrap(self.store)
-            .ok()
-            .map(|mutex| mutex.into_inner().unwrap_or_else(|poisoned| poisoned.into_inner()));
-        (stats, store)
+        // Every other handle lived in a worker's service, and the workers have
+        // been joined.
+        let Ok(store) = Arc::try_unwrap(self.store) else {
+            unreachable!("a store handle outlived the server's workers")
+        };
+        (stats, store.into_inner().unwrap_or_else(|poisoned| poisoned.into_inner()))
     }
 }

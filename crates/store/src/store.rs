@@ -97,9 +97,9 @@ pub struct StoreStat {
     pub wal_records: u64,
 }
 
-/// One row of the daemon's `ListReplicas` response: enough for an operator or
-/// a fleet hub to enumerate replicas instead of guessing names, and to compare
-/// convergence state (the incremental set hash) without pulling key sets.
+/// One row of the daemon's `ListReplicas` response: enough for a client to
+/// enumerate replicas instead of guessing names, and to compare convergence
+/// state (the incremental set hash) without pulling key sets.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplicaInfo {
     /// Replica name.

@@ -87,7 +87,6 @@ fn daemon_serves_byte_identical_sessions_without_rebuilds() {
     let (stats, store) = daemon.shutdown();
     assert_eq!(stats.served(), 1, "{stats:?}");
     assert_eq!(stats.failed, 0, "{stats:?}");
-    let store = store.expect("all handles released");
     assert_eq!(store.keys("events").unwrap(), &replica_keys);
 }
 

@@ -157,8 +157,9 @@ fn communication_ordering_matches_table_1_for_large_u() {
     // Table 1 (large u, d ≤ s, h): naive > iblt-of-iblts > cascading in transmitted
     // bytes, with the multi-round protocol cheapest of all in the d log u term. The
     // ordering is asymptotic in h/d, so a workload with large children (h = 128)
-    // and moderate d is used; EXPERIMENTS.md discusses where the crossovers fall
-    // with this implementation's IBLT constants.
+    // and moderate d is used. `tests/paper_claims.rs`
+    // (`table_1_bytes_order_naive_ioi_cascading_multiround`) states where the
+    // order holds with this implementation's IBLT constants and where it does not.
     let workload = WorkloadParams::new(256, 128, 1 << 40);
     let d = 16;
     let (alice, bob) = generate_pair(&workload, d, 17);
