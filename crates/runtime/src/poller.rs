@@ -10,20 +10,19 @@
 //!   the reference semantics the epoll backend is tested against.
 //!
 //! The backend is chosen once per [`Poller`]: epoll on Linux, `poll(2)`
-//! everywhere else. [`Poller::with_backend`] pins a backend explicitly, which
-//! is how the differential tests run both on one host.
+//! everywhere else. [`Poller::new`] takes `Some(backend)` to pin one
+//! explicitly, which is how the differential tests run both on one host.
 //!
-//! Delivery is governed by [`Trigger`]. **Level-triggered** (the `poll(2)`
-//! semantics, and epoll's default): an event repeats on every wait until the
-//! condition is consumed (read to `WouldBlock`, buffered output flushed).
-//! **Edge-triggered** ([`Trigger::Edge`], epoll only): each readiness
-//! *transition* is reported once, so the kernel skips re-scanning descriptors
-//! whose condition merely persists — but the consumer must drain to
-//! `WouldBlock` on every event or the descriptor goes silent. The reactor's
-//! transports already drain fully (that is the [`Endpoint::poll_ready`]
-//! contract), so both modes serve the same traffic; `poll(2)` silently stays
-//! level-triggered behind the same API, which is exactly what the differential
-//! tests exercise.
+//! Delivery differs by backend, behind the same API. **epoll is always
+//! edge-triggered** (`EPOLLET`): each readiness *transition* is reported once,
+//! so the kernel skips re-scanning descriptors whose condition merely
+//! persists — and the consumer must drain to `WouldBlock` on every event or
+//! the descriptor goes silent. **`poll(2)` is level-triggered**: an event
+//! repeats on every wait until the condition is consumed (read to
+//! `WouldBlock`, buffered output flushed). Every consumer in this crate drains
+//! fully (that is the [`Endpoint::poll_ready`] contract, and the server's
+//! accept loop runs to `WouldBlock`), so both serve the same traffic — which
+//! is exactly what the differential tests exercise.
 //!
 //! [`Endpoint::poll_ready`]: recon_protocol::Endpoint::poll_ready
 
@@ -75,17 +74,6 @@ pub enum Backend {
     Poll,
 }
 
-/// How readiness events are delivered; see the module docs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Trigger {
-    /// Re-report a condition on every wait until it is consumed.
-    #[default]
-    Level,
-    /// Report each readiness transition once (`EPOLLET`); epoll only — the
-    /// `poll(2)` backend stays level-triggered behind the same API.
-    Edge,
-}
-
 fn default_backend() -> Backend {
     if cfg!(target_os = "linux") {
         Backend::Epoll
@@ -119,29 +107,13 @@ enum Imp {
 }
 
 impl Poller {
-    /// A poller on the default backend: epoll on Linux, `poll(2)` otherwise.
-    /// Level-triggered; use [`Poller::with_config`] for edge-triggered epoll.
-    pub fn new() -> io::Result<Self> {
-        Self::with_config(None, Trigger::Level)
-    }
-
-    /// A poller pinned to `backend`. Requesting [`Backend::Epoll`] off Linux is
-    /// an error.
-    pub fn with_backend(backend: Backend) -> io::Result<Self> {
-        Self::with_config(Some(backend), Trigger::Level)
-    }
-
-    /// A poller with an explicit backend (or the [`Poller::new`] default when
-    /// `None`) and delivery mode. [`Trigger::Edge`] only takes effect on the
-    /// epoll backend; `poll(2)` has no edge mode and stays level-triggered —
-    /// by design, so the same config can run on either backend and the
-    /// differential tests can diff their behaviour.
-    pub fn with_config(backend: Option<Backend>, trigger: Trigger) -> io::Result<Self> {
+    /// A poller on `backend`, or on the default when `None`: epoll on Linux,
+    /// `poll(2)` otherwise. Requesting [`Backend::Epoll`] off Linux is an
+    /// error.
+    pub fn new(backend: Option<Backend>) -> io::Result<Self> {
         match backend.unwrap_or_else(default_backend) {
             #[cfg(target_os = "linux")]
-            Backend::Epoll => {
-                Ok(Self { imp: Imp::Epoll(EpollPoller::new(trigger == Trigger::Edge)?) })
-            }
+            Backend::Epoll => Ok(Self { imp: Imp::Epoll(EpollPoller::new()?) }),
             #[cfg(not(target_os = "linux"))]
             Backend::Epoll => {
                 Err(io::Error::new(io::ErrorKind::Unsupported, "epoll backend requires Linux"))
@@ -156,16 +128,6 @@ impl Poller {
             #[cfg(target_os = "linux")]
             Imp::Epoll(_) => Backend::Epoll,
             Imp::Poll(_) => Backend::Poll,
-        }
-    }
-
-    /// The *effective* delivery mode: [`Trigger::Edge`] only when this poller
-    /// is epoll and was configured edge-triggered.
-    pub fn trigger(&self) -> Trigger {
-        match &self.imp {
-            #[cfg(target_os = "linux")]
-            Imp::Epoll(ep) if ep.edge => Trigger::Edge,
-            _ => Trigger::Level,
         }
     }
 
@@ -217,41 +179,36 @@ impl Poller {
 struct EpollPoller {
     ep: sys::OwnedSysFd,
     scratch: Vec<sys::EpollEvent>,
-    edge: bool,
 }
 
 #[cfg(target_os = "linux")]
 impl EpollPoller {
-    fn new(edge: bool) -> io::Result<Self> {
+    fn new() -> io::Result<Self> {
         Ok(Self {
             ep: sys::epoll_create()?,
             scratch: vec![sys::EpollEvent { events: 0, data: 0 }; 256],
-            edge,
         })
     }
 
-    fn mask(&self, interest: Interest) -> u32 {
-        let mut mask = sys::EPOLLRDHUP;
+    fn mask(interest: Interest) -> u32 {
+        // EPOLL_CTL_MOD re-arms an edge registration and redelivers if the
+        // condition holds, so interest changes stay race-free under ET.
+        let mut mask = sys::EPOLLRDHUP | sys::EPOLLET;
         if interest.readable {
             mask |= sys::EPOLLIN;
         }
         if interest.writable {
             mask |= sys::EPOLLOUT;
         }
-        if self.edge {
-            // EPOLL_CTL_MOD re-arms an edge registration and redelivers if the
-            // condition holds, so interest changes stay race-free under ET.
-            mask |= sys::EPOLLET;
-        }
         mask
     }
 
     fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        sys::epoll_add(&self.ep, fd, self.mask(interest), token)
+        sys::epoll_add(&self.ep, fd, Self::mask(interest), token)
     }
 
     fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        sys::epoll_modify(&self.ep, fd, self.mask(interest), token)
+        sys::epoll_modify(&self.ep, fd, Self::mask(interest), token)
     }
 
     fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
@@ -375,7 +332,7 @@ mod tests {
     #[test]
     fn both_backends_report_readability_with_tokens() {
         for backend in backends() {
-            let mut poller = Poller::with_backend(backend).unwrap();
+            let mut poller = Poller::new(Some(backend)).unwrap();
             assert_eq!(poller.backend(), backend);
             let (reader, mut writer) = std::io::pipe().expect("os pipe");
             crate::sys::set_nonblocking(reader.as_raw_fd()).unwrap();
@@ -405,7 +362,7 @@ mod tests {
     #[test]
     fn write_interest_follows_modify() {
         for backend in backends() {
-            let mut poller = Poller::with_backend(backend).unwrap();
+            let mut poller = Poller::new(Some(backend)).unwrap();
             let (_reader, writer) = std::io::pipe().expect("os pipe");
             crate::sys::set_nonblocking(writer.as_raw_fd()).unwrap();
             // Registered without write interest: an empty pipe is writable,
@@ -424,7 +381,7 @@ mod tests {
 
     #[test]
     fn poll_backend_rejects_duplicate_and_unknown_fds() {
-        let mut poller = Poller::with_backend(Backend::Poll).unwrap();
+        let mut poller = Poller::new(Some(Backend::Poll)).unwrap();
         let (reader, _writer) = std::io::pipe().expect("os pipe");
         poller.register(reader.as_raw_fd(), 1, Interest::READ).unwrap();
         assert!(poller.register(reader.as_raw_fd(), 2, Interest::READ).is_err());
@@ -432,54 +389,38 @@ mod tests {
         assert!(poller.deregister(9999).is_err());
     }
 
-    #[test]
-    fn trigger_is_edge_only_on_epoll() {
-        let poll = Poller::with_config(Some(Backend::Poll), Trigger::Edge).unwrap();
-        assert_eq!(poll.trigger(), Trigger::Level, "poll(2) has no edge mode");
-        #[cfg(target_os = "linux")]
-        {
-            let ep = Poller::with_config(Some(Backend::Epoll), Trigger::Edge).unwrap();
-            assert_eq!(ep.trigger(), Trigger::Edge);
-            let lt = Poller::with_config(Some(Backend::Epoll), Trigger::Level).unwrap();
-            assert_eq!(lt.trigger(), Trigger::Level);
-        }
-    }
-
     #[cfg(target_os = "linux")]
     #[test]
-    fn edge_triggered_reports_transitions_once_level_repeats() {
+    fn epoll_reports_each_transition_once() {
         use std::io::Read as _;
 
-        for (trigger, repeats) in [(Trigger::Level, true), (Trigger::Edge, false)] {
-            let mut poller = Poller::with_config(Some(Backend::Epoll), trigger).unwrap();
-            let (mut reader, mut writer) = std::io::pipe().expect("os pipe");
-            crate::sys::set_nonblocking(reader.as_raw_fd()).unwrap();
-            poller.register(reader.as_raw_fd(), 1, Interest::READ).unwrap();
+        let mut poller = Poller::new(Some(Backend::Epoll)).unwrap();
+        let (mut reader, mut writer) = std::io::pipe().expect("os pipe");
+        crate::sys::set_nonblocking(reader.as_raw_fd()).unwrap();
+        poller.register(reader.as_raw_fd(), 1, Interest::READ).unwrap();
 
-            writer.write_all(&[1, 2, 3]).unwrap();
-            let mut events = Vec::new();
-            poller.wait(&mut events, Some(Duration::from_secs(2))).unwrap();
-            assert_eq!(events.len(), 1, "{trigger:?}: first wait sees the data");
+        writer.write_all(&[1, 2, 3]).unwrap();
+        let mut events = Vec::new();
+        poller.wait(&mut events, Some(Duration::from_secs(2))).unwrap();
+        assert_eq!(events.len(), 1, "first wait sees the data");
 
-            // Without consuming the data, wait again: level re-reports, edge
-            // stays silent until the next transition.
-            poller.wait(&mut events, Some(Duration::from_millis(50))).unwrap();
-            assert_eq!(!events.is_empty(), repeats, "{trigger:?}: repeat semantics");
+        // Without consuming the data, wait again: edge delivery stays silent
+        // until the next transition.
+        poller.wait(&mut events, Some(Duration::from_millis(50))).unwrap();
+        assert!(events.is_empty(), "an unconsumed condition must not repeat");
 
-            // After draining to WouldBlock, new data is a fresh transition and
-            // must fire under both modes.
-            let mut buf = [0u8; 16];
-            assert_eq!(reader.read(&mut buf).unwrap(), 3);
-            writer.write_all(&[4]).unwrap();
-            poller.wait(&mut events, Some(Duration::from_secs(2))).unwrap();
-            assert_eq!(events.len(), 1, "{trigger:?}: new data is a new edge");
+        // After draining to WouldBlock, new data is a fresh transition.
+        let mut buf = [0u8; 16];
+        assert_eq!(reader.read(&mut buf).unwrap(), 3);
+        writer.write_all(&[4]).unwrap();
+        poller.wait(&mut events, Some(Duration::from_secs(2))).unwrap();
+        assert_eq!(events.len(), 1, "new data is a new edge");
 
-            // EPOLL_CTL_MOD re-arms: data still unread + re-arm => redelivery
-            // even under ET (this is what makes interest flips safe).
-            poller.modify(reader.as_raw_fd(), 1, Interest::READ).unwrap();
-            poller.wait(&mut events, Some(Duration::from_secs(2))).unwrap();
-            assert_eq!(events.len(), 1, "{trigger:?}: MOD redelivers pending readiness");
-        }
+        // EPOLL_CTL_MOD re-arms: data still unread + re-arm => redelivery
+        // (this is what makes interest flips safe).
+        poller.modify(reader.as_raw_fd(), 1, Interest::READ).unwrap();
+        poller.wait(&mut events, Some(Duration::from_secs(2))).unwrap();
+        assert_eq!(events.len(), 1, "MOD redelivers pending readiness");
     }
 
     #[test]

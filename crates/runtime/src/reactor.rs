@@ -6,7 +6,8 @@
 //! sleep-backoff, idle connections cost nothing. Each [`Reactor::turn`] is one
 //! event-loop iteration:
 //!
-//! 1. wait on the poller (bounded by the caller's budget and the timer wheel),
+//! 1. wait on the poller (bounded by the caller's budget and the earliest
+//!    deadline),
 //! 2. [`Endpoint::poll_ready`] every connection that got an event,
 //! 3. let the caller's visitor harvest outcomes / retire sessions,
 //! 4. re-arm write interest exactly where output is still buffered
@@ -17,19 +18,19 @@
 //! keeps its descriptors registered until the transport's output buffer
 //! drains (graceful `Fin` delivery), then closes cleanly. A peer that
 //! disappears mid-session surfaces as a transport error; a peer that stalls
-//! past its deadline is cut off by the timer wheel. Either way the endpoint is
-//! handed back through [`Reactor::take_finished`] for post-mortem accounting.
+//! past its deadline is cut off by the deadline queue. Either way the endpoint
+//! is handed back through [`Reactor::take_finished`] for post-mortem
+//! accounting.
 //!
 //! The reactor is single-threaded by design — sessions are `!Sync` state
 //! machines — and scales across cores by running one reactor per worker
-//! thread; see [`Server`](crate::Server) for the accept-and-balance layer.
+//! thread; see [`Server`](crate::Server) for the accept layer.
 
-use crate::poller::{Backend, Event, Interest, Poller, Trigger};
+use crate::poller::{Backend, Event, Interest, Poller};
 use crate::sys;
-use crate::timer::TimerWheel;
 use recon_base::ReconError;
 use recon_protocol::{Endpoint, Pollable, SessionId, Transport};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{Read, Write};
 use std::os::fd::{AsRawFd, RawFd};
 use std::time::{Duration, Instant};
@@ -50,8 +51,8 @@ pub struct ReactorConfig {
     /// inserted: a session not finished this long after insertion fails its
     /// connection with [`ReconError::Timeout`]. `None` disables deadlines.
     pub session_deadline: Option<Duration>,
-    /// Pin the poller backend; `None` uses [`Poller::new`]'s default
-    /// (epoll on Linux, `poll(2)` elsewhere).
+    /// Pin the poller backend; `None` uses the platform default (epoll on
+    /// Linux, `poll(2)` elsewhere).
     pub backend: Option<Backend>,
     /// First [`ConnId`] this reactor hands out. A multi-reactor server gives
     /// each worker a disjoint base so connection ids are process-unique.
@@ -65,13 +66,9 @@ impl Default for ReactorConfig {
 }
 
 impl ReactorConfig {
-    /// The poller every driver built on this config waits on. Always asks for
-    /// edge delivery: the transports drain to `WouldBlock` on every event (the
-    /// `poll_ready` contract), which is what edge-triggered epoll requires, and
-    /// ET skips the kernel's per-wait rescan of still-ready descriptors. The
-    /// `poll(2)` backend stays level-triggered behind the same call.
+    /// The poller every driver built on this config waits on.
     fn poller(&self) -> Result<Poller, ReconError> {
-        Poller::with_config(self.backend, Trigger::Edge).map_err(|e| io_err("create poller", e))
+        Poller::new(self.backend).map_err(|e| io_err("create poller", e))
     }
 }
 
@@ -119,11 +116,11 @@ pub struct Finished<T: Transport + Pollable> {
 pub struct Reactor<T: Transport + Pollable> {
     poller: Poller,
     conns: BTreeMap<ConnId, Conn<T>>,
-    timers: TimerWheel<(ConnId, SessionId)>,
+    /// Per-session deadlines, oldest first. Every entry is insert time plus
+    /// the one `session_deadline`, so pushes arrive already sorted.
+    deadlines: VecDeque<(Instant, (ConnId, SessionId))>,
     finished: Vec<Finished<T>>,
     events: Vec<Event>,
-    /// Scratch for expired timers, reused across turns like `events`.
-    due: Vec<(ConnId, SessionId)>,
     next_conn: ConnId,
     waker_rx: std::io::PipeReader,
     waker: Waker,
@@ -149,10 +146,9 @@ impl<T: Transport + Pollable> Reactor<T> {
         Ok(Self {
             poller,
             conns: BTreeMap::new(),
-            timers: TimerWheel::for_connections(),
+            deadlines: VecDeque::new(),
             finished: Vec::new(),
             events: Vec::new(),
-            due: Vec::new(),
             next_conn: config.first_conn_id,
             waker_rx,
             waker: Waker { pipe: waker_tx },
@@ -191,9 +187,11 @@ impl<T: Transport + Pollable> Reactor<T> {
     }
 
     /// Consume the auxiliary-readiness latch. The caller must then drain the
-    /// descriptor to `WouldBlock`; if draining is cut short (e.g. transient
-    /// fd exhaustion while accepting), call [`Reactor::mark_aux_ready`] so the
-    /// next turn retries even without a fresh edge.
+    /// descriptor to `WouldBlock`, or re-latch with
+    /// [`Reactor::mark_aux_ready`] to drain again after the next turn. A caller
+    /// that must back off instead (the server on a failed `accept`) unwatches
+    /// the descriptor: under level-triggered `poll(2)` a still-readable one
+    /// would end every turn at once.
     pub fn take_aux_ready(&mut self) -> bool {
         std::mem::take(&mut self.aux_ready)
     }
@@ -242,8 +240,11 @@ impl<T: Transport + Pollable> Reactor<T> {
         }
         let now = Instant::now();
         if let Some(deadline) = self.config.session_deadline {
+            // `now` never decreases and `deadline` is one constant: FIFO order.
+            let at = now + deadline;
+            debug_assert!(self.deadlines.back().is_none_or(|&(last, _)| last <= at));
             for session in endpoint.session_ids() {
-                self.timers.insert(now + deadline, (conn, session));
+                self.deadlines.push_back((at, (conn, session)));
             }
         }
         let mut slot = Conn { endpoint, write_armed: false, failed: None, inserted: now };
@@ -258,7 +259,7 @@ impl<T: Transport + Pollable> Reactor<T> {
     }
 
     /// One event-loop iteration; see the module docs. Blocks at most
-    /// `max_wait` (`None`: until an event, a timer, or a wake). The visitor
+    /// `max_wait` (`None`: until an event, a deadline, or a wake). The visitor
     /// runs for every connection that got an event, *after* it was pumped —
     /// the place to harvest outcomes and retire finished sessions. Returns how
     /// many connections had events.
@@ -268,9 +269,9 @@ impl<T: Transport + Pollable> Reactor<T> {
         mut visit: impl FnMut(ConnId, &mut Endpoint<T>),
     ) -> Result<usize, ReconError> {
         let now = Instant::now();
-        let timer_budget =
-            self.timers.next_deadline().map(|deadline| deadline.saturating_duration_since(now));
-        let wait = match (max_wait, timer_budget) {
+        let deadline_budget =
+            self.deadlines.front().map(|&(at, _)| at.saturating_duration_since(now));
+        let wait = match (max_wait, deadline_budget) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (one, other) => one.or(other),
         };
@@ -325,10 +326,14 @@ impl<T: Transport + Pollable> Reactor<T> {
         }
 
         // Deadlines, including ones that expired while we were blocked.
+        // Cancellation is lazy: a retired connection's or finished session's
+        // entry fires into the void.
         let now = Instant::now();
-        let mut due = std::mem::take(&mut self.due);
-        self.timers.expire(now, &mut due);
-        for (conn, session) in due.drain(..) {
+        while let Some(&(at, (conn, session))) = self.deadlines.front() {
+            if at > now {
+                break;
+            }
+            self.deadlines.pop_front();
             let Some(slot) = self.conns.get_mut(&conn) else { continue };
             if slot.endpoint.is_finished(session) == Some(false) {
                 let waited_ms = now.saturating_duration_since(slot.inserted).as_millis() as u64;
@@ -336,7 +341,6 @@ impl<T: Transport + Pollable> Reactor<T> {
                 self.settle(conn);
             }
         }
-        self.due = due;
         Ok(touched)
     }
 
@@ -613,6 +617,71 @@ mod tests {
             }
             assert!(Instant::now() < deadline, "deadline never fired");
         }
+    }
+
+    #[test]
+    fn deadlines_expire_in_insert_order_and_skip_retired_connections() {
+        const DEADLINE: Duration = Duration::from_millis(100);
+        let mut reactor = Reactor::new(ReactorConfig {
+            session_deadline: Some(DEADLINE),
+            ..ReactorConfig::default()
+        })
+        .unwrap();
+
+        // First connection: a session that finishes well inside its deadline.
+        let (mut fast_server, mut fast_client) = tcp_endpoint_pair();
+        let (alice, bob) = chatty_pair(5, 0);
+        fast_server.register(0, Role::Alice, alice).unwrap();
+        fast_client.register(0, Role::Bob, bob).unwrap();
+        let fast = reactor.insert(fast_server).unwrap();
+        let fast_inserted = Instant::now();
+
+        // Pump it to completion; its deadline entry stays queued (lazy
+        // cancellation) ahead of the second connection's.
+        let mut results = Vec::new();
+        while fast_inserted.elapsed() < Duration::from_millis(30) || results.is_empty() {
+            reactor
+                .turn(Some(Duration::from_millis(5)), |_, endpoint| {
+                    endpoint.close_finished();
+                })
+                .unwrap();
+            fast_client.poll_ready(true, true).unwrap();
+            let _ = fast_client.take_outcome::<u64>(0);
+            results.extend(reactor.take_finished().into_iter().map(|f| (f.conn, f.result)));
+            assert!(fast_inserted.elapsed() < DEADLINE, "the fast session did not finish in time");
+        }
+        assert_eq!(results.len(), 1);
+        assert_eq!(results[0].0, fast);
+        assert!(results[0].1.is_ok(), "{:?}", results[0].1);
+
+        // Second connection, inserted at least 30 ms later: Bob waits for an
+        // opening message that never comes.
+        let (mut slow_server, _slow_client_kept_silent) = tcp_endpoint_pair();
+        let (_, bob) = chatty_pair(0, 0);
+        slow_server.register(0, Role::Bob, bob).unwrap();
+        let slow = reactor.insert(slow_server).unwrap();
+        let slow_inserted = Instant::now();
+
+        // The first entry falls due while the second connection is still
+        // inside its deadline: it must fire into the void, not retire `slow`.
+        let give_up = slow_inserted + Duration::from_secs(5);
+        loop {
+            reactor.turn(Some(Duration::from_millis(10)), |_, _| {}).unwrap();
+            if let Some(finished) = reactor.take_finished().into_iter().next() {
+                let elapsed = slow_inserted.elapsed();
+                assert_eq!(finished.conn, slow);
+                match finished.result {
+                    Err(ReconError::Timeout { waited_ms }) => {
+                        assert!(waited_ms >= 100, "reported after {waited_ms} ms");
+                        assert!(elapsed >= DEADLINE, "fired after {elapsed:?}");
+                    }
+                    other => panic!("expected a timeout, got {other:?}"),
+                }
+                break;
+            }
+            assert!(Instant::now() < give_up, "deadline never fired");
+        }
+        assert!(reactor.is_empty());
     }
 
     #[test]

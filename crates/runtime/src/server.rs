@@ -1,45 +1,38 @@
-//! The multi-reactor [`Server`]: accepted TCP connections fanned out across
-//! worker [`Reactor`]s, with two accept topologies.
+//! The multi-reactor [`Server`]: TCP connections accepted by worker
+//! [`Reactor`]s from one shared listener.
 //!
-//! **Sharded** ([`AcceptMode::Sharded`], the Linux default): every worker
-//! binds its *own* `SO_REUSEPORT` listener on the shared port and accepts
-//! directly inside its reactor loop — the kernel hashes incoming 4-tuples
-//! across the listeners, there is no acceptor thread, no cross-thread stream
-//! hand-off, and no intake lock on the hot path.
+//! [`Server::bind`] binds one non-blocking listener and hands every worker its
+//! own handle to it (`try_clone`). Each worker watches that handle as its
+//! reactor's auxiliary descriptor and accepts inside its own loop, so a
+//! connection never crosses threads, not even at accept. The same shape runs
+//! on every Unix and on both poller backends.
 //!
 //! ```text
-//!        port P ── kernel SO_REUSEPORT hash ──┬──────────────┐
-//!                                             ▼              ▼
-//!                                      listener 0   …  listener N-1
-//!                                             │              │
-//!                                      worker reactor 0 … reactor N-1
+//!        port P ── one listening socket (a handle per worker)
+//!                     │                      │
+//!             worker reactor 0     …    worker reactor N-1
+//!             accept · serve             accept · serve
 //! ```
 //!
-//! **Balanced** ([`AcceptMode::Balanced`], the portable fallback): one central
-//! non-blocking listener on its own acceptor thread pushes each stream to the
-//! less loaded of two sampled workers ("power of two choices": max load within
-//! `O(log log n)` of the mean — see Walzer's *"What if we tried Less Power?"*
-//! in PAPERS.md) through a mutex-guarded intake plus a reactor
-//! [`Waker`](crate::Waker).
+//! A new connection wakes every idle worker; the first `accept` wins and the
+//! rest read `WouldBlock`. The server keeps no handle of its own: once every
+//! worker has closed its handle on shutdown, the port refuses connections.
 //!
 //! Each worker owns one single-threaded [`Reactor`], one [`TcpService`]
 //! instance (built by the factory passed to [`Server::bind`]), and one
 //! [`BufferPool`] recycling connection buffers so steady-state serving
 //! allocates nothing per session. Sessions never cross threads after
-//! registration, which is what lets the endpoint layer stay `!Send`.
+//! accepting, which is what lets the endpoint layer stay `!Send`.
 
-use crate::poller::{Backend, Interest, Poller};
-use crate::reactor::{ConnId, Reactor, ReactorConfig};
-use crate::sys;
-use recon_base::rng::Xoshiro256;
+use crate::poller::Backend;
+use crate::reactor::{ConnId, Reactor, ReactorConfig, Waker};
 use recon_base::ReconError;
 use recon_protocol::{BufferPool, Endpoint, StreamTransport, Transport as _};
-use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
 /// The transport a served TCP connection runs on.
 pub type TcpTransport = StreamTransport<TcpStream, TcpStream>;
@@ -79,28 +72,6 @@ pub trait TcpService: Send + 'static {
     }
 }
 
-/// How a [`Server`] distributes incoming connections to its workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AcceptMode {
-    /// One `SO_REUSEPORT` listener per worker, accepted inside each worker's
-    /// reactor loop (Linux). Falls back to [`AcceptMode::Balanced`] where the
-    /// socket option is unavailable.
-    Sharded,
-    /// One central listener on an acceptor thread, two-choice least-loaded
-    /// balancing to worker intakes. Portable.
-    Balanced,
-}
-
-impl Default for AcceptMode {
-    fn default() -> Self {
-        if cfg!(target_os = "linux") {
-            AcceptMode::Sharded
-        } else {
-            AcceptMode::Balanced
-        }
-    }
-}
-
 /// Tuning for a [`Server`].
 ///
 /// Construct with [`ServerConfig::new`] and chain the builder methods, or use
@@ -116,12 +87,8 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Per-session deadline applied by every worker reactor.
     pub session_deadline: Option<Duration>,
-    /// Pin the poller backend for the acceptor and all workers.
+    /// Pin the poller backend for all workers.
     pub backend: Option<Backend>,
-    /// Accept topology; defaults to sharded on Linux, balanced elsewhere.
-    pub accept_mode: AcceptMode,
-    /// Seed for the balancer's two random worker choices (balanced mode).
-    pub accept_seed: u64,
     /// Largest frame a peer may send, enforced on the length prefix before
     /// any body bytes are buffered. Default 16 MiB — far above any frame the
     /// protocol families produce, far below what exhausts a worker.
@@ -142,8 +109,6 @@ impl Default for ServerConfig {
             workers: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(4),
             session_deadline: Some(Duration::from_secs(30)),
             backend: None,
-            accept_mode: AcceptMode::default(),
-            accept_seed: 0x2C01CE5,
             max_frame_bytes: 16 << 20,
             max_sessions_per_conn: 1024,
             max_buffered_out: 32 << 20,
@@ -172,18 +137,6 @@ impl ServerConfig {
     /// Pin the poller backend.
     pub fn backend(mut self, backend: Backend) -> Self {
         self.backend = Some(backend);
-        self
-    }
-
-    /// Set the accept topology.
-    pub fn accept_mode(mut self, mode: AcceptMode) -> Self {
-        self.accept_mode = mode;
-        self
-    }
-
-    /// Seed the balanced-mode two-choice sampler.
-    pub fn accept_seed(mut self, seed: u64) -> Self {
-        self.accept_seed = seed;
         self
     }
 
@@ -238,9 +191,8 @@ impl ConnCaps {
 pub struct ServerStats {
     /// Connections each worker retired cleanly, in worker order.
     pub served_per_worker: Vec<u64>,
-    /// Connections each worker took in, in worker order: direct accepts in
-    /// sharded mode, intake adoptions in balanced mode. Shows how evenly the
-    /// kernel (or the balancer) spread the load.
+    /// Connections each worker accepted from the shared listener, in worker
+    /// order. Shows how the race between waking workers spread the load.
     pub accepted_per_worker: Vec<u64>,
     /// Connections that retired with an error (including registration
     /// failures), across all workers.
@@ -251,25 +203,6 @@ impl ServerStats {
     /// Total connections retired cleanly.
     pub fn served(&self) -> u64 {
         self.served_per_worker.iter().sum()
-    }
-}
-
-struct WorkerShared {
-    intake: Mutex<Vec<(TcpStream, SocketAddr)>>,
-    /// Live connections assigned to this worker (queued or in its reactor) —
-    /// the balancer's load signal.
-    load: AtomicU64,
-    /// Cleared when the worker's loop returns *or unwinds* (panicking service
-    /// callbacks included), so the balancer stops routing to a dead worker.
-    alive: AtomicBool,
-}
-
-/// Marks the worker dead on every exit path, including panics.
-struct AliveGuard<'a>(&'a AtomicBool);
-
-impl Drop for AliveGuard<'_> {
-    fn drop(&mut self) {
-        self.0.store(false, Ordering::SeqCst);
     }
 }
 
@@ -284,41 +217,30 @@ struct WorkerReport {
 pub struct Server {
     local_addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    accepting_done: Arc<AtomicBool>,
-    accept_wake: std::io::PipeWriter,
-    acceptor: Option<std::thread::JoinHandle<()>>,
     workers: Vec<std::thread::JoinHandle<WorkerReport>>,
-    worker_wakers: Vec<crate::reactor::Waker>,
-    shared: Vec<Arc<WorkerShared>>,
+    worker_wakers: Vec<Waker>,
 }
 
 fn io_err(context: &str, e: std::io::Error) -> ReconError {
     ReconError::Transport(format!("{context}: {e}"))
 }
 
-/// Tear down already-spawned worker threads on a failed `Server::bind`.
-/// Without `accepting_done` the workers' exit condition could never hold and
-/// they would spin (and leak their reactors) forever.
-fn abort_workers<'a>(
+/// Stop and join every worker: set `stop`, wake each reactor out of `turn`.
+fn stop_workers(
     stop: &AtomicBool,
-    accepting_done: &AtomicBool,
-    wakers: impl IntoIterator<Item = &'a crate::reactor::Waker>,
+    wakers: &[Waker],
     workers: Vec<std::thread::JoinHandle<WorkerReport>>,
-) {
+) -> Vec<std::thread::Result<WorkerReport>> {
     stop.store(true, Ordering::SeqCst);
-    accepting_done.store(true, Ordering::SeqCst);
     for waker in wakers {
         waker.wake();
     }
-    for handle in workers {
-        let _ = handle.join();
-    }
+    workers.into_iter().map(|handle| handle.join()).collect()
 }
 
 impl Server {
-    /// Bind `addr` and start serving: one acceptor thread plus
-    /// `config.workers` reactor threads, each running the service returned by
-    /// `factory(worker_index)`.
+    /// Bind `addr` and start serving on `config.workers` reactor threads, each
+    /// running the service returned by `factory(worker_index)`.
     pub fn bind<S: TcpService>(
         addr: impl ToSocketAddrs,
         config: ServerConfig,
@@ -330,44 +252,21 @@ impl Server {
             return Err(ReconError::Transport("bind: address resolved to nothing".into()));
         }
         let workers_n = config.workers.max(1);
-
-        // Sharded accept: one SO_REUSEPORT listener per worker; the central
-        // listener and acceptor thread disappear entirely. Any setup failure
-        // (non-Linux, exotic socket restrictions) falls back to balanced mode.
-        let mut shard_listeners: Option<Vec<TcpListener>> = None;
-        if config.accept_mode == AcceptMode::Sharded {
-            for &candidate in &addrs {
-                if let Ok(listeners) = sharded_listeners(candidate, workers_n) {
-                    shard_listeners = Some(listeners);
-                    break;
-                }
-            }
+        let listener = TcpListener::bind(&addrs[..]).map_err(|e| io_err("bind", e))?;
+        listener.set_nonblocking(true).map_err(|e| io_err("listener nonblock", e))?;
+        let local_addr = listener.local_addr().map_err(|e| io_err("local addr", e))?;
+        // One handle per worker, the original going to the last: the server
+        // itself keeps none, so the socket closes with the last worker.
+        let mut listeners = Vec::with_capacity(workers_n);
+        for _ in 1..workers_n {
+            listeners.push(listener.try_clone().map_err(|e| io_err("clone listener", e))?);
         }
-        let (listener, local_addr) = match &shard_listeners {
-            Some(listeners) => {
-                (None, listeners[0].local_addr().map_err(|e| io_err("local addr", e))?)
-            }
-            None => {
-                let listener = TcpListener::bind(&addrs[..]).map_err(|e| io_err("bind", e))?;
-                listener.set_nonblocking(true).map_err(|e| io_err("listener nonblock", e))?;
-                let local_addr = listener.local_addr().map_err(|e| io_err("local addr", e))?;
-                (Some(listener), local_addr)
-            }
-        };
-        let stop = Arc::new(AtomicBool::new(false));
-        let accepting_done = Arc::new(AtomicBool::new(false));
+        listeners.push(listener);
 
-        let mut shard_listeners = shard_listeners.map(Vec::into_iter);
-        let mut shared = Vec::with_capacity(workers_n);
+        let stop = Arc::new(AtomicBool::new(false));
         let mut workers = Vec::with_capacity(workers_n);
         let (waker_tx, waker_rx) = mpsc::channel();
-        for worker in 0..workers_n {
-            let worker_shared = Arc::new(WorkerShared {
-                intake: Mutex::new(Vec::new()),
-                load: AtomicU64::new(0),
-                alive: AtomicBool::new(true),
-            });
-            shared.push(Arc::clone(&worker_shared));
+        for (worker, listener) in listeners.into_iter().enumerate() {
             let reactor_config = ReactorConfig {
                 session_deadline: config.session_deadline,
                 backend: config.backend,
@@ -375,69 +274,24 @@ impl Server {
                 first_conn_id: (worker as ConnId) << 48,
             };
             let caps = config.caps();
-            let shard = shard_listeners.as_mut().and_then(Iterator::next);
             let service = factory(worker);
             let stop = Arc::clone(&stop);
-            let accepting_done = Arc::clone(&accepting_done);
             let waker_tx = waker_tx.clone();
             workers.push(std::thread::spawn(move || {
-                worker_loop(
-                    reactor_config,
-                    caps,
-                    shard,
-                    worker_shared,
-                    service,
-                    stop,
-                    accepting_done,
-                    waker_tx,
-                )
+                worker_loop(reactor_config, caps, listener, service, &stop, waker_tx)
             }));
         }
         drop(waker_tx);
         // The reactors build their wakers on their own threads; collect them
-        // before accepting the first connection.
-        let mut worker_wakers: Vec<(usize, crate::reactor::Waker)> =
-            waker_rx.iter().take(workers_n).collect();
+        // so shutdown can interrupt every `turn`.
+        let mut worker_wakers: Vec<(usize, Waker)> = waker_rx.iter().take(workers_n).collect();
+        worker_wakers.sort_by_key(|(worker, _)| *worker);
+        let worker_wakers: Vec<Waker> = worker_wakers.into_iter().map(|(_, waker)| waker).collect();
         if worker_wakers.len() < workers_n {
-            abort_workers(&stop, &accepting_done, worker_wakers.iter().map(|(_, w)| w), workers);
+            stop_workers(&stop, &worker_wakers, workers);
             return Err(ReconError::Transport("a worker reactor failed to start".into()));
         }
-        worker_wakers.sort_by_key(|(worker, _)| *worker);
-        let worker_wakers: Vec<_> = worker_wakers.into_iter().map(|(_, waker)| waker).collect();
-
-        let (accept_wake_rx, accept_wake) = match std::io::pipe() {
-            Ok(pipe) => pipe,
-            Err(e) => {
-                abort_workers(&stop, &accepting_done, &worker_wakers, workers);
-                return Err(io_err("acceptor wake pipe", e));
-            }
-        };
-        if let Err(e) = sys::set_nonblocking(accept_wake_rx.as_raw_fd()) {
-            abort_workers(&stop, &accepting_done, &worker_wakers, workers);
-            return Err(io_err("acceptor wake nonblock", e));
-        }
-        // Sharded mode has no acceptor thread — workers accept for themselves.
-        let acceptor = listener.map(|listener| {
-            let stop = Arc::clone(&stop);
-            let shared = shared.clone();
-            let wakers = worker_wakers.clone();
-            let backend = config.backend;
-            let seed = config.accept_seed;
-            std::thread::spawn(move || {
-                accept_loop(listener, accept_wake_rx, stop, shared, wakers, backend, seed)
-            })
-        });
-
-        Ok(Server {
-            local_addr,
-            stop,
-            accepting_done,
-            accept_wake,
-            acceptor,
-            workers,
-            worker_wakers,
-            shared,
-        })
+        Ok(Server { local_addr, stop, workers, worker_wakers })
     }
 
     /// The address the server is listening on.
@@ -445,140 +299,98 @@ impl Server {
         self.local_addr
     }
 
-    /// Live connections currently assigned to each worker.
-    pub fn loads(&self) -> Vec<u64> {
-        self.shared.iter().map(|s| s.load.load(Ordering::SeqCst)).collect()
-    }
-
-    /// Stop accepting, let in-flight connections finish (bounded by their
-    /// session deadlines), and join every thread.
-    pub fn shutdown(mut self) -> ServerStats {
-        self.stop.store(true, Ordering::SeqCst);
-        let _ = (&self.accept_wake).write(&[1]);
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        // Only after the acceptor has fully exited may workers treat an empty
-        // intake as final — otherwise a connection accepted during shutdown
-        // could land in the intake of a worker that already returned.
-        self.accepting_done.store(true, Ordering::SeqCst);
-        for waker in &self.worker_wakers {
-            waker.wake();
-        }
+    /// Stop accepting (every worker closes its listener handle, so the port
+    /// refuses connections once all have), let in-flight connections finish
+    /// (bounded by their session deadlines), and join every worker.
+    pub fn shutdown(self) -> ServerStats {
         let mut stats = ServerStats {
             served_per_worker: Vec::new(),
             accepted_per_worker: Vec::new(),
             failed: 0,
         };
-        for handle in self.workers.drain(..) {
-            match handle.join() {
-                Ok(report) => {
-                    stats.served_per_worker.push(report.served);
-                    stats.accepted_per_worker.push(report.accepted);
-                    stats.failed += report.failed;
-                }
-                Err(_) => {
-                    stats.served_per_worker.push(0);
-                    stats.accepted_per_worker.push(0);
-                    stats.failed += 1;
-                }
-            }
+        for joined in stop_workers(&self.stop, &self.worker_wakers, self.workers) {
+            let report = joined.unwrap_or(WorkerReport { served: 0, accepted: 0, failed: 1 });
+            stats.served_per_worker.push(report.served);
+            stats.accepted_per_worker.push(report.accepted);
+            stats.failed += report.failed;
         }
         stats
     }
 }
 
-/// Per-worker SO_REUSEPORT listeners sharing one port: the first may bind
-/// port 0; the rest bind the resolved concrete address.
-fn sharded_listeners(addr: SocketAddr, workers: usize) -> std::io::Result<Vec<TcpListener>> {
-    #[cfg(target_os = "linux")]
-    {
-        let first = sys::reuseport_listener(addr)?;
-        let concrete = first.local_addr()?;
-        let mut listeners = vec![first];
-        for _ in 1..workers {
-            listeners.push(sys::reuseport_listener(concrete)?);
-        }
-        Ok(listeners)
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        let _ = (addr, workers);
-        Err(std::io::Error::new(
-            std::io::ErrorKind::Unsupported,
-            "SO_REUSEPORT accept sharding requires Linux",
-        ))
-    }
-}
+/// How long a worker stops watching its listener after a failed `accept`.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
 
-/// One worker: a reactor, its service, its buffer pool, and either its own
-/// sharded listener or the balanced intake handshake.
-#[allow(clippy::too_many_arguments)]
+/// One worker: a reactor, its service, its buffer pool, and its handle to the
+/// shared listener.
 fn worker_loop<S: TcpService>(
     config: ReactorConfig,
     caps: ConnCaps,
-    mut listener: Option<TcpListener>,
-    shared: Arc<WorkerShared>,
+    listener: TcpListener,
     mut service: S,
-    stop: Arc<AtomicBool>,
-    accepting_done: Arc<AtomicBool>,
-    waker_tx: mpsc::Sender<(usize, crate::reactor::Waker)>,
+    stop: &AtomicBool,
+    waker_tx: mpsc::Sender<(usize, Waker)>,
 ) -> WorkerReport {
-    // Dropped on every exit path (panics included): tells the balancer to
-    // stop routing connections here.
-    let _alive = AliveGuard(&shared.alive);
     let worker = (config.first_conn_id >> 48) as usize;
     let mut report = WorkerReport { served: 0, accepted: 0, failed: 0 };
+    let listen_fd = listener.as_raw_fd();
+    let mut listener = Some(listener);
+    // Declared after `listener`, so on every exit path (panics included) the
+    // reactor and its registration go before the handle does.
     let Ok(mut reactor) = Reactor::<TcpTransport>::new(config) else {
         // Dropping the sender makes bind() fail loudly.
         return report;
     };
-    if let Some(shard) = &listener {
-        // Watched alongside the connections; readiness latches sticky, so a
-        // backlog predating this registration is still drained.
-        if reactor.watch_aux(shard.as_raw_fd()).is_err() {
-            return report;
-        }
-    }
-    if waker_tx.send((worker, reactor.waker())).is_err() {
+    // Readiness latches sticky from here, so a backlog predating this
+    // registration is still drained.
+    if reactor.watch_aux(listen_fd).is_err() || waker_tx.send((worker, reactor.waker())).is_err() {
         return report;
     }
     drop(waker_tx);
     let mut pool = BufferPool::new();
+    // Set while backing off a failed accept (listener unwatched until then).
+    let mut retry_at: Option<Instant> = None;
 
     loop {
-        // Stop accepting the moment shutdown starts: deregister and close our
-        // shard so new connections get a reset, then drain what's in flight.
-        if stop.load(Ordering::SeqCst) && listener.is_some() {
+        // Stop accepting the moment shutdown starts. Deregister *before*
+        // closing: the other workers' handles keep the socket open, and
+        // closing one duplicate does not remove its epoll registration.
+        let stopping = stop.load(Ordering::SeqCst);
+        if stopping && listener.is_some() {
             reactor.unwatch_aux();
             listener = None;
+            retry_at = None;
         }
 
-        // Sharded mode: accept straight off our own listener. Must drain to
-        // WouldBlock — under edge-triggered delivery no event repeats for a
-        // backlog we leave behind.
-        if let Some(shard) = &listener {
+        if let Some(shared) = &listener {
+            if retry_at.is_some_and(|at| Instant::now() >= at) {
+                // Watching again latches readiness, so the next drain retries.
+                retry_at = match reactor.watch_aux(shared.as_raw_fd()) {
+                    Ok(()) => None,
+                    Err(_) => Some(Instant::now() + ACCEPT_BACKOFF),
+                };
+            }
+            // Drain to WouldBlock: under edge-triggered delivery no event
+            // repeats for a backlog left behind.
             if reactor.take_aux_ready() {
                 loop {
-                    match shard.accept() {
+                    match shared.accept() {
                         Ok((stream, peer)) => {
-                            shared.load.fetch_add(1, Ordering::SeqCst);
                             report.accepted += 1;
                             match adopt(&mut reactor, caps, &mut service, &mut pool, stream, peer) {
                                 Ok(conn) => service.on_accepted(conn, peer),
-                                Err(_) => {
-                                    shared.load.fetch_sub(1, Ordering::SeqCst);
-                                    report.failed += 1;
-                                }
+                                Err(_) => report.failed += 1,
                             }
                         }
                         Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                         Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                        // Transient accept failure (aborted handshake, EMFILE):
-                        // re-latch so the next turn (≤200ms away) retries even
-                        // without a fresh readiness edge.
+                        // Transient failure (aborted handshake, EMFILE): back
+                        // off unwatched. The connection not accepted keeps the
+                        // listener readable, so a level-triggered poll(2) would
+                        // end every turn at once and spin this worker.
                         Err(_) => {
-                            reactor.mark_aux_ready();
+                            reactor.unwatch_aux();
+                            retry_at = Some(Instant::now() + ACCEPT_BACKOFF);
                             break;
                         }
                     }
@@ -586,23 +398,8 @@ fn worker_loop<S: TcpService>(
             }
         }
 
-        // Balanced mode: adopt whatever the acceptor queued.
-        let streams: Vec<(TcpStream, SocketAddr)> =
-            std::mem::take(&mut *shared.intake.lock().expect("intake lock"));
-        for (stream, peer) in streams {
-            report.accepted += 1;
-            match adopt(&mut reactor, caps, &mut service, &mut pool, stream, peer) {
-                Ok(conn) => service.on_accepted(conn, peer),
-                Err(_) => {
-                    shared.load.fetch_sub(1, Ordering::SeqCst);
-                    report.failed += 1;
-                }
-            }
-        }
-
         // Hand back retired connections, recycling their buffers.
         for mut finished in reactor.take_finished() {
-            shared.load.fetch_sub(1, Ordering::SeqCst);
             service.on_closed(finished.conn, &finished.endpoint, &finished.result);
             pool.put_back(finished.endpoint.transport_mut().take_buffers());
             match finished.result {
@@ -611,25 +408,18 @@ fn worker_loop<S: TcpService>(
             }
         }
 
-        // Exit only once accepting is over for good: in balanced mode the
-        // acceptor must be gone (a fresh connection could still land in our
-        // intake until then); in sharded mode our listener is already closed.
-        if stop.load(Ordering::SeqCst)
-            && accepting_done.load(Ordering::SeqCst)
-            && reactor.is_empty()
-            && shared.intake.lock().expect("intake lock").is_empty()
-        {
+        if stopping && reactor.is_empty() {
             return report;
         }
 
-        // The waker interrupts this for intake and shutdown; the cap is a
-        // safety tick so a missed wake can never park the worker for good.
-        if reactor
-            .turn(Some(Duration::from_millis(200)), |conn, endpoint| {
-                service.on_progress(conn, endpoint)
-            })
-            .is_err()
-        {
+        // The waker interrupts this for shutdown; the cap is a safety tick so
+        // a missed wake can never park the worker for good, and a back-off
+        // ends on time.
+        let mut wait = Duration::from_millis(200);
+        if let Some(at) = retry_at {
+            wait = wait.min(at.saturating_duration_since(Instant::now()));
+        }
+        if reactor.turn(Some(wait), |conn, endpoint| service.on_progress(conn, endpoint)).is_err() {
             // A poller-level failure is unrecoverable for this worker.
             report.failed += 1;
             return report;
@@ -669,96 +459,6 @@ pub fn connect_endpoint(addr: impl ToSocketAddrs) -> Result<TcpEndpoint, ReconEr
     stream.set_nodelay(true).map_err(|e| io_err("conn nodelay", e))?;
     let reader = stream.try_clone().map_err(|e| io_err("clone stream", e))?;
     Ok(Endpoint::new(StreamTransport::new(reader, stream)))
-}
-
-/// The acceptor: its own tiny event loop over the listener plus a wake pipe,
-/// pushing each accepted stream to the less loaded of two sampled workers.
-fn accept_loop(
-    listener: TcpListener,
-    wake_rx: std::io::PipeReader,
-    stop: Arc<AtomicBool>,
-    shared: Vec<Arc<WorkerShared>>,
-    wakers: Vec<crate::reactor::Waker>,
-    backend: Option<Backend>,
-    seed: u64,
-) {
-    let mut wake_rx = wake_rx;
-    let mut poller = match backend {
-        Some(backend) => Poller::with_backend(backend),
-        None => Poller::new(),
-    }
-    .expect("acceptor poller");
-    poller.register(listener.as_raw_fd(), 0, Interest::READ).expect("register listener");
-    poller.register(wake_rx.as_raw_fd(), 1, Interest::READ).expect("register acceptor waker");
-    let mut rng = Xoshiro256::new(seed);
-    let mut events = Vec::new();
-
-    while !stop.load(Ordering::SeqCst) {
-        if poller.wait(&mut events, Some(Duration::from_millis(500))).is_err() {
-            break;
-        }
-        let mut drain = [0u8; 64];
-        while matches!(wake_rx.read(&mut drain), Ok(n) if n > 0) {}
-        let mut transient_error = false;
-        loop {
-            match listener.accept() {
-                Ok((stream, peer)) => {
-                    let Some(worker) = pick_two_choices(&shared, &mut rng) else {
-                        // Every worker is dead; dropping the stream resets the
-                        // client rather than parking it in a dead intake.
-                        drop(stream);
-                        continue;
-                    };
-                    shared[worker].load.fetch_add(1, Ordering::SeqCst);
-                    shared[worker].intake.lock().expect("intake lock").push((stream, peer));
-                    wakers[worker].wake();
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                // Aborted handshakes, fd exhaustion (EMFILE), and other
-                // transient errors: keep serving, but back off below.
-                Err(_) => {
-                    transient_error = true;
-                    break;
-                }
-            }
-        }
-        if transient_error {
-            // The pending connection keeps the listener level-triggered
-            // readable, so an un-accepted error (EMFILE until fds free up)
-            // would otherwise hot-loop this thread. poll(2) with no
-            // descriptors is a pure kernel-timed wait.
-            let _ = sys::poll_fds(&mut [], 50);
-        }
-    }
-}
-
-/// Sample two distinct *live* workers uniformly and return the less loaded one
-/// (ties go to the first sample) — the classic power-of-two-choices balancer.
-/// `None` when no worker is alive.
-fn pick_two_choices(shared: &[Arc<WorkerShared>], rng: &mut Xoshiro256) -> Option<usize> {
-    let alive: Vec<usize> =
-        (0..shared.len()).filter(|&w| shared[w].alive.load(Ordering::SeqCst)).collect();
-    let n = alive.len();
-    match n {
-        0 => None,
-        1 => Some(alive[0]),
-        _ => {
-            let i = rng.next_below(n as u64) as usize;
-            let mut j = rng.next_below(n as u64 - 1) as usize;
-            if j >= i {
-                j += 1;
-            }
-            let (first, second) = (alive[i], alive[j]);
-            if shared[second].load.load(Ordering::SeqCst)
-                < shared[first].load.load(Ordering::SeqCst)
-            {
-                Some(second)
-            } else {
-                Some(first)
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -816,12 +516,11 @@ mod tests {
         recovered.expect("recovered")
     }
 
-    fn serve_eight_clients(mode: AcceptMode) -> ServerStats {
+    fn serve_eight_clients(backend: Option<Backend>) {
         let config = ServerConfig {
             workers: 2,
             session_deadline: Some(Duration::from_secs(15)),
-            accept_mode: mode,
-            accept_seed: 7,
+            backend,
             ..ServerConfig::default()
         };
         let server = Server::bind("127.0.0.1:0", config, |_| EchoNumbers).expect("bind");
@@ -833,65 +532,44 @@ mod tests {
             let recovered = client.join().expect("client thread");
             assert_eq!(recovered, 1000 + (i as u64 % 3));
         }
-        server.shutdown()
+        let stats = server.shutdown();
+        assert_eq!(stats.served(), 8, "{stats:?}");
+        assert_eq!(stats.failed, 0, "{stats:?}");
+        assert_eq!(stats.served_per_worker.len(), 2);
+        // Whichever worker wins each accept race: the totals must add up.
+        assert_eq!(stats.accepted_per_worker.iter().sum::<u64>(), 8, "{stats:?}");
     }
 
     #[test]
     fn two_worker_server_serves_concurrent_clients() {
-        let stats = serve_eight_clients(AcceptMode::Balanced);
-        assert_eq!(stats.served(), 8, "{stats:?}");
-        assert_eq!(stats.failed, 0, "{stats:?}");
-        assert_eq!(stats.served_per_worker.len(), 2);
-        assert_eq!(stats.accepted_per_worker.iter().sum::<u64>(), 8, "{stats:?}");
-    }
-
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn sharded_accept_serves_the_same_traffic_without_an_acceptor() {
-        let stats = serve_eight_clients(AcceptMode::Sharded);
-        assert_eq!(stats.served(), 8, "{stats:?}");
-        assert_eq!(stats.failed, 0, "{stats:?}");
-        // The kernel spreads by 4-tuple hash; totals must add up regardless
-        // of how even the split came out.
-        assert_eq!(stats.accepted_per_worker.iter().sum::<u64>(), 8, "{stats:?}");
-    }
-
-    fn worker(load: u64, alive: bool) -> Arc<WorkerShared> {
-        Arc::new(WorkerShared {
-            intake: Mutex::new(Vec::new()),
-            load: AtomicU64::new(load),
-            alive: AtomicBool::new(alive),
-        })
+        serve_eight_clients(None);
     }
 
     #[test]
-    fn pick_two_choices_prefers_the_lighter_worker() {
-        let shared: Vec<Arc<WorkerShared>> =
-            (0..4).map(|i| worker(if i == 2 { 0 } else { 100 }, true)).collect();
-        let mut rng = Xoshiro256::new(99);
-        let mut hits = 0;
-        for _ in 0..400 {
-            if pick_two_choices(&shared, &mut rng) == Some(2) {
-                hits += 1;
-            }
-        }
-        // Worker 2 is in a sample pair with probability 1 - C(3,2)/C(4,2) = 1/2
-        // and wins every pair it appears in.
-        assert!((150..=250).contains(&hits), "two-choice skew off: {hits}/400");
+    fn two_worker_server_serves_concurrent_clients_on_poll_fallback() {
+        serve_eight_clients(Some(Backend::Poll));
+    }
+
+    /// Fails if the server or any worker leaks a handle to the listener: the
+    /// port would then keep accepting into a backlog nobody drains.
+    fn port_refuses_connections_after_shutdown(backend: Option<Backend>) {
+        let config = ServerConfig { workers: 2, backend, ..ServerConfig::default() };
+        let server = Server::bind("127.0.0.1:0", config, |_| EchoNumbers).expect("bind");
+        let addr = server.local_addr();
+        assert_eq!(run_client(addr, 0), 1000);
+        let stats = server.shutdown();
+        assert_eq!(stats.served(), 1, "{stats:?}");
+        let refused = TcpStream::connect(addr).expect_err("port still open after shutdown");
+        assert_eq!(refused.kind(), std::io::ErrorKind::ConnectionRefused, "{refused}");
     }
 
     #[test]
-    fn pick_two_choices_never_routes_to_a_dead_worker() {
-        let shared = vec![worker(50, true), worker(0, false), worker(60, true), worker(0, false)];
-        let mut rng = Xoshiro256::new(5);
-        for _ in 0..200 {
-            let picked = pick_two_choices(&shared, &mut rng).expect("live workers exist");
-            assert!(picked == 0 || picked == 2, "routed to dead worker {picked}");
-        }
-        // One survivor: always picked. None: refused.
-        let one = vec![worker(9, false), worker(1, true)];
-        assert_eq!(pick_two_choices(&one, &mut rng), Some(1));
-        let none = vec![worker(0, false), worker(0, false)];
-        assert_eq!(pick_two_choices(&none, &mut rng), None);
+    fn shutdown_closes_the_port() {
+        port_refuses_connections_after_shutdown(None);
+    }
+
+    #[test]
+    fn shutdown_closes_the_port_on_poll_fallback() {
+        port_refuses_connections_after_shutdown(Some(Backend::Poll));
     }
 }

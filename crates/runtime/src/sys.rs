@@ -104,15 +104,6 @@ extern "C" {
     fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
     #[cfg(target_os = "linux")]
     fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int) -> c_int;
-
-    #[cfg(target_os = "linux")]
-    fn socket(domain: c_int, ty: c_int, protocol: c_int) -> c_int;
-    #[cfg(target_os = "linux")]
-    fn setsockopt(fd: c_int, level: c_int, name: c_int, value: *const c_void, len: u32) -> c_int;
-    #[cfg(target_os = "linux")]
-    fn bind(fd: c_int, addr: *const c_void, len: u32) -> c_int;
-    #[cfg(target_os = "linux")]
-    fn listen(fd: c_int, backlog: c_int) -> c_int;
 }
 
 fn cvt(res: c_int) -> io::Result<c_int> {
@@ -207,94 +198,6 @@ pub fn poll_fds(fds: &mut [PollFd], timeout_ms: c_int) -> io::Result<usize> {
             Err(e) => return Err(e),
         }
     }
-}
-
-/// `struct sockaddr_in` from `<netinet/in.h>`; port and address are stored as
-/// network-order byte arrays so no host/network conversion can be missed.
-#[cfg(target_os = "linux")]
-#[repr(C)]
-struct SockAddrIn {
-    family: u16,
-    port: [u8; 2],
-    addr: [u8; 4],
-    zero: [u8; 8],
-}
-
-/// `struct sockaddr_in6` from `<netinet/in.h>`.
-#[cfg(target_os = "linux")]
-#[repr(C)]
-struct SockAddrIn6 {
-    family: u16,
-    port: [u8; 2],
-    flowinfo: u32,
-    addr: [u8; 16],
-    scope_id: u32,
-}
-
-/// Build a non-blocking TCP listener with `SO_REUSEPORT` set *before* `bind`,
-/// so several listeners — one per server worker — can share one port and let
-/// the kernel spread incoming connections across them. Returned as a std
-/// [`std::net::TcpListener`] so the ordinary `accept` path applies.
-#[cfg(target_os = "linux")]
-pub fn reuseport_listener(addr: std::net::SocketAddr) -> io::Result<std::net::TcpListener> {
-    const AF_INET: c_int = 2;
-    const AF_INET6: c_int = 10;
-    const SOCK_STREAM: c_int = 1;
-    const SOCK_CLOEXEC: c_int = 0o2000000;
-    const SOCK_NONBLOCK: c_int = 0o4000;
-    const SOL_SOCKET: c_int = 1;
-    const SO_REUSEADDR: c_int = 2;
-    const SO_REUSEPORT: c_int = 15;
-
-    let family = if addr.is_ipv4() { AF_INET } else { AF_INET6 };
-    let fd = cvt(unsafe { socket(family, SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK, 0) })?;
-    // Owned wrapper so every early return below closes the descriptor.
-    let fd = OwnedSysFd(fd);
-    let one: c_int = 1;
-    let optlen = std::mem::size_of::<c_int>() as u32;
-    for opt in [SO_REUSEADDR, SO_REUSEPORT] {
-        cvt(unsafe {
-            setsockopt(fd.raw(), SOL_SOCKET, opt, (&one as *const c_int).cast::<c_void>(), optlen)
-        })?;
-    }
-    match addr {
-        std::net::SocketAddr::V4(v4) => {
-            let sa = SockAddrIn {
-                family: AF_INET as u16,
-                port: v4.port().to_be_bytes(),
-                addr: v4.ip().octets(),
-                zero: [0; 8],
-            };
-            cvt(unsafe {
-                bind(
-                    fd.raw(),
-                    (&sa as *const SockAddrIn).cast::<c_void>(),
-                    std::mem::size_of::<SockAddrIn>() as u32,
-                )
-            })?;
-        }
-        std::net::SocketAddr::V6(v6) => {
-            let sa = SockAddrIn6 {
-                family: AF_INET6 as u16,
-                port: v6.port().to_be_bytes(),
-                flowinfo: v6.flowinfo().to_be(),
-                addr: v6.ip().octets(),
-                scope_id: v6.scope_id(),
-            };
-            cvt(unsafe {
-                bind(
-                    fd.raw(),
-                    (&sa as *const SockAddrIn6).cast::<c_void>(),
-                    std::mem::size_of::<SockAddrIn6>() as u32,
-                )
-            })?;
-        }
-    }
-    cvt(unsafe { listen(fd.raw(), 1024) })?;
-    let raw = fd.raw();
-    // Ownership moves into the TcpListener; OwnedSysFd must not double-close.
-    std::mem::forget(fd);
-    Ok(unsafe { <std::net::TcpListener as std::os::fd::FromRawFd>::from_raw_fd(raw) })
 }
 
 /// Switch `fd` to non-blocking mode (`O_NONBLOCK`), preserving its other flags.
@@ -428,36 +331,5 @@ mod tests {
 
         epoll_remove(&ep, reader.as_raw_fd()).unwrap();
         assert_eq!(epoll_wait_events(&ep, &mut events, 0).unwrap(), 0);
-    }
-
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn reuseport_listeners_share_a_port() {
-        use std::net::{SocketAddr, TcpStream};
-
-        let first = reuseport_listener("127.0.0.1:0".parse::<SocketAddr>().unwrap()).unwrap();
-        let addr = first.local_addr().unwrap();
-        // A second listener on the very same concrete port must succeed.
-        let second = reuseport_listener(addr).unwrap();
-        assert_eq!(second.local_addr().unwrap().port(), addr.port());
-
-        // The kernel hashes connections across both; a connect lands on one.
-        let client = TcpStream::connect(addr).unwrap();
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        loop {
-            match first.accept() {
-                Ok(_) => break,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
-                Err(e) => panic!("accept on first listener: {e}"),
-            }
-            match second.accept() {
-                Ok(_) => break,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
-                Err(e) => panic!("accept on second listener: {e}"),
-            }
-            assert!(std::time::Instant::now() < deadline, "no listener saw the connection");
-            std::thread::yield_now();
-        }
-        drop(client);
     }
 }

@@ -288,15 +288,12 @@ impl<B: StorageBackend + 'static> StoreDaemon<B> {
         store: SketchStore<B>,
         workers: usize,
     ) -> Result<Self, ReconError> {
-        let config = ServerConfig::new()
-            .workers(workers.max(1))
-            .session_deadline(None)
-            .accept_seed(0x5709ED);
+        let config = ServerConfig::new().workers(workers.max(1)).session_deadline(None);
         Self::bind_with(addr, store, config)
     }
 
     /// [`StoreDaemon::bind`] with full control over the [`ServerConfig`] —
-    /// deadlines, accept topology, and the per-connection resource caps
+    /// deadlines, poller backend, and the per-connection resource caps
     /// (frame size, session count, buffered output).
     pub fn bind_with(
         addr: impl ToSocketAddrs,

@@ -96,8 +96,8 @@ fn daemon_survives_bad_requests_and_serves_many_clients() {
     bad_requests_then_many_clients(StoreDaemon::bind("127.0.0.1:0", store, 2).unwrap());
 }
 
-/// The same traffic with every worker reactor (and, off Linux, the acceptor)
-/// on the portable `poll(2)` backend.
+/// The same traffic with every worker reactor on the portable `poll(2)`
+/// backend.
 #[test]
 fn daemon_serves_many_clients_on_the_poll_backend() {
     let store = SketchStore::open(MemoryBackend::new(), daemon_config()).unwrap();

@@ -22,9 +22,9 @@
 //! session `t`, one naive set-of-sets session under its own public-coin seed,
 //! and one `Endpoint` per connection multiplexes all `TABLES` sessions.
 //!
-//! The server is a [`Server`]: a non-blocking listener balancing accepted
-//! connections across two worker [`Reactor`]s (least-loaded-of-two-choices),
-//! each driving its endpoints purely off epoll/`poll(2)` readiness — idle
+//! The server is a [`Server`]: two worker [`Reactor`]s accepting from one
+//! shared non-blocking listener, each driving its endpoints purely off
+//! epoll/`poll(2)` readiness — idle
 //! connections cost nothing, and the process serves any number of concurrent
 //! clients. Clients run the same machinery single-connection via
 //! [`drive_endpoint`].
