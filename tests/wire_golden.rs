@@ -19,13 +19,15 @@
 use recon_base::rng::Xoshiro256;
 use recon_base::wire::Encode;
 use recon_estimator::{L0Config, L0Estimator, Side, StrataConfig, StrataEstimator};
+use recon_graph::degree_neighborhood::{self, DegreeNeighborhoodParams};
 use recon_graph::degree_order::{self, DegreeOrderParams};
-use recon_graph::{session as graph_session, Graph};
+use recon_graph::{forest, session as graph_session, Forest, Graph};
 use recon_protocol::{Amplification, Party, SessionBuilder, Step};
 use recon_set::{session as set_session, IbltSetProtocol};
 use recon_sos::cascading::CascadingProtocol;
 use recon_sos::iblt_of_iblts::IbltOfIbltsProtocol;
 use recon_sos::naive::NaiveProtocol;
+use recon_sos::session as sos_session;
 use recon_sos::workload::{generate_pair, WorkloadParams};
 use recon_sos::SosParams;
 use std::collections::HashSet;
@@ -193,9 +195,116 @@ fn session_transcripts_are_pinned() {
         graph_session::degree_order_bob(&graph_bob, 4, &params).expect("bob builds"),
     );
     assert_eq!(recovered.num_edges(), graph_alice.num_edges());
+
+    // Corollary 2.2 and Theorem 2.3, one round each.
+    let (alice, bob) = set_pair(3000, 40, 0x5E7_0003);
+    let (iblt_hash, recovered) = transcript_hash(
+        set_session::iblt_known_alice(&alice, 40, builder.config()).expect("alice builds"),
+        set_session::iblt_known_bob(&bob, builder.config()),
+    );
+    assert_eq!(recovered, alice);
+    let (alice, bob) = set_pair(200, 12, 0x5E7_0004);
+    let (alice, bob): (HashSet<u64>, HashSet<u64>) =
+        (alice.iter().map(|x| x >> 8).collect(), bob.iter().map(|x| x >> 8).collect());
+    let (charpoly_hash, recovered) = transcript_hash(
+        set_session::charpoly_known_alice(&alice, 12, builder.config()).expect("alice builds"),
+        set_session::charpoly_known_bob(&bob, builder.config()),
+    );
+    assert_eq!(recovered, alice);
+
+    // Section 3's set-of-sets families, known and unknown bound. The doubling
+    // pairs start at a bound far below the difference, so their transcripts
+    // walk the metered NACK chain through several attempts (six for the IBLT
+    // of IBLTs, four for the cascade).
+    let workload = WorkloadParams::new(96, 16, 1 << 30);
+    let params = SosParams::new(0x505_0002, workload.max_child_size);
+    let (alice, bob) = generate_pair(&workload, 30, 0x505_0003);
+    let (replicate, estimator) = (Amplification::replicate(4), L0Config::default());
+    let doubling = Amplification::doubling(1, 1 << 12);
+    let cap = alice.num_children().max(bob.num_children());
+    let sos_hashes = [
+        transcript_hash(
+            sos_session::naive_known_alice(&alice, 30, &params, replicate).expect("alice builds"),
+            sos_session::naive_known_bob(&bob, &params, replicate),
+        ),
+        transcript_hash(
+            sos_session::naive_unknown_alice(&alice, &params, replicate, estimator),
+            sos_session::naive_unknown_bob(&bob, &params, replicate, estimator),
+        ),
+        transcript_hash(
+            sos_session::ioi_known_alice(&alice, 60, 30, &params, replicate).expect("alice builds"),
+            sos_session::ioi_known_bob(&bob, &params, replicate),
+        ),
+        transcript_hash(
+            sos_session::ioi_unknown_alice(&alice, &params, cap, doubling).expect("alice builds"),
+            sos_session::ioi_unknown_bob(&bob, &params, doubling),
+        ),
+        transcript_hash(
+            sos_session::cascading_known_alice(&alice, 30, &params, replicate)
+                .expect("alice builds"),
+            sos_session::cascading_known_bob(&bob, &params, replicate),
+        ),
+        transcript_hash(
+            sos_session::cascading_unknown_alice(&alice, &params, doubling).expect("alice builds"),
+            sos_session::cascading_unknown_bob(&bob, &params, doubling),
+        ),
+        transcript_hash(
+            sos_session::multiround_known_alice(&alice, 60, 30, &params).expect("alice builds"),
+            sos_session::multiround_known_bob(&bob, &params),
+        ),
+        transcript_hash(
+            sos_session::multiround_unknown_alice(&alice, &params, estimator),
+            sos_session::multiround_unknown_bob(&bob, &params, estimator),
+        ),
+    ]
+    .map(|(hash, recovered)| {
+        assert_eq!(recovered, alice);
+        hash
+    });
+
+    // Theorem 5.6 and Theorem 6.1: the nested set-of-multisets session, then
+    // the labelled edge digest or the root-signature hash.
+    let mut rng = Xoshiro256::new(3);
+    let base = Graph::gnp(128, 0.2, &mut rng);
+    let (graph_alice, graph_bob) = (base.perturb(1, &mut rng), base.perturb(1, &mut rng));
+    let params = DegreeNeighborhoodParams::for_gnp(128, 0.2, 7);
+    let agreed = degree_neighborhood::agreed_params(&graph_alice, &graph_bob, &params)
+        .expect("agreed parameters");
+    let (neighborhood_hash, recovered) = transcript_hash(
+        graph_session::degree_neighborhood_alice(&graph_alice, 2, &params, &agreed)
+            .expect("alice builds"),
+        graph_session::degree_neighborhood_bob(&graph_bob, 2, &params, &agreed)
+            .expect("bob builds"),
+    );
+    assert_eq!(recovered.num_edges(), graph_alice.num_edges());
+    let mut rng = Xoshiro256::new(0xF0);
+    let base = Forest::random(400, 0.1, 6, &mut rng);
+    let (forest_alice, forest_bob) = (base.perturb(2, &mut rng), base.perturb(2, &mut rng));
+    let sigma = forest_alice.max_depth().max(forest_bob.max_depth()).max(1);
+    let agreed =
+        forest::agreed_params(&forest_alice, &forest_bob, 0xF0_0001).expect("agreed parameters");
+    let (forest_hash, recovered) = transcript_hash(
+        graph_session::forest_alice(&forest_alice, 4, sigma, 0xF0_0001, &agreed)
+            .expect("alice builds"),
+        graph_session::forest_bob(&forest_bob, 0xF0_0001, &agreed).expect("bob builds"),
+    );
+    assert!(recovered.is_isomorphic(&forest_alice, 0xF0_0001));
+
     assert_pinned(&[
         ("set unknown-d transcript", set_hash, 0x535E_F0AB_51DF_95C6),
         // PR 23: the nested cascading session's cut, as above.
         ("degree-order graph transcript", graph_hash, 0xBF49_ABA6_6A63_39FA),
+        ("set iblt known-d transcript", iblt_hash, 0xE3BA_6F11_E38C_6D35),
+        ("set charpoly transcript", charpoly_hash, 0x86E2_5185_CF0A_9BC2),
+        ("naive known-d transcript", sos_hashes[0], 0xE56E_D103_1773_0093),
+        ("naive unknown-d transcript", sos_hashes[1], 0xED7E_9396_A8BC_588F),
+        ("iblt of iblts known-d transcript", sos_hashes[2], 0x9467_3C19_9C98_5A78),
+        ("iblt of iblts unknown-d transcript", sos_hashes[3], 0xB842_411D_CE8E_C20A),
+        ("cascading known-d transcript", sos_hashes[4], 0x2F02_6ED4_DC8A_E4E9),
+        ("cascading unknown-d transcript", sos_hashes[5], 0xDC25_943F_83FF_9339),
+        ("multiround known-d transcript", sos_hashes[6], 0xC44C_910E_934A_0707),
+        ("multiround unknown-d transcript", sos_hashes[7], 0xE4A8_A38C_CD8E_A51B),
+        ("degree-neighborhood graph transcript", neighborhood_hash, 0x2CB5_B613_D40D_ACD1),
+        ("forest transcript", forest_hash, 0x67B4_83EB_544A_4A1F),
     ]);
 }
