@@ -146,10 +146,10 @@ impl CascadingProtocol {
         let first = Self::first_level();
         let level = |level: usize| {
             let shift = if level == first { 0 } else { level - 1 };
-            (self.level_outer_config(level), ((2 * d) >> shift).max(4))
+            (self.level_outer_config(level), (d.saturating_mul(2) >> shift).max(4))
         };
         let fallback = (self.needs_fallback(d) || last < self.num_levels(d))
-            .then(|| (self.fallback_config(), ((2 * d) >> last).max(4)));
+            .then(|| (self.fallback_config(), (d.saturating_mul(2) >> last).max(4)));
         ((first..=last).map(level).collect(), fallback)
     }
 
@@ -242,32 +242,48 @@ impl CascadingProtocol {
 
     /// The empty cascade for bound `d` (the module's "Which levels are sent"):
     /// of the cuts `first ..= last` with `last ≤ t`, the one whose tables are
-    /// the fewest bytes — the shortest, among equals.
-    fn empty_tables(&self, d: usize) -> (Vec<Iblt>, Option<Iblt>) {
+    /// the fewest bytes — the shortest, among equals. Tables the allocator
+    /// cannot provide are [`ReconError::ResourceExhausted`].
+    fn empty_tables(&self, d: usize) -> Result<(Vec<Iblt>, Option<Iblt>), ReconError> {
         let bytes = |&last: &usize| -> usize {
             let (levels, fallback) = self.sizing(d, last);
             let tables = levels.iter().chain(&fallback);
-            tables.map(|(cfg, diff)| cfg.serialized_len(cfg.cells_for(*diff))).sum()
+            let sizes = tables.map(|(cfg, diff)| cfg.serialized_len(cfg.cells_for(*diff)));
+            sizes.fold(0, usize::saturating_add)
         };
         let first = Self::first_level();
         let last = (first..=self.num_levels(d).max(first)).min_by_key(bytes);
         let (levels, fallback) = self.sizing(d, last.expect("the range holds `first`"));
-        let empty = |(cfg, diff): &Sizing| Iblt::with_expected_diff(*diff, cfg);
-        (levels.iter().map(empty).collect(), fallback.as_ref().map(empty))
+        let empty = |(cfg, diff): &Sizing| Iblt::try_with_expected_diff(*diff, cfg);
+        Ok((
+            levels.iter().map(empty).collect::<Result<_, _>>()?,
+            fallback.as_ref().map(empty).transpose()?,
+        ))
     }
 
     /// Alice's side: build the cascade digest for total element-difference bound `d`.
     pub fn digest(&self, sos: &SetOfSets, d: usize) -> CascadingDigest {
+        self.try_digest(sos, d).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`CascadingProtocol::digest`] for a bound a doubling chain grew: a
+    /// cascade the allocator cannot provide (or whose size overflows `usize`)
+    /// is an error.
+    pub(crate) fn try_digest(
+        &self,
+        sos: &SetOfSets,
+        d: usize,
+    ) -> Result<CascadingDigest, ReconError> {
         let d = d.max(1);
-        let (mut levels, mut fallback) = self.empty_tables(d);
+        let (mut levels, mut fallback) = self.empty_tables(d)?;
         let (hashes, _) = self.apply_children(sos, &mut levels, fallback.as_mut(), Iblt::insert);
-        CascadingDigest {
+        Ok(CascadingDigest {
             diff_bound: d,
             levels,
             fallback,
             parent_hash: SetOfSets::parent_hash_of(hashes, self.params.seed),
             num_children: sos.num_children() as u64,
-        }
+        })
     }
 
     /// Bob's side: recover Alice's parent set from the cascade.
@@ -285,7 +301,7 @@ impl CascadingProtocol {
         if !digest.levels.first().is_some_and(|first| (1..first.cells()).contains(&d)) {
             return Err(another_shape());
         }
-        let (mut tables, mut fallback) = self.empty_tables(d);
+        let (mut tables, mut fallback) = self.empty_tables(d)?;
         if digest.levels.len() != tables.len() || digest.fallback.is_some() != fallback.is_some() {
             return Err(another_shape());
         }
@@ -510,7 +526,7 @@ mod tests {
             let digest = protocol.digest(&alice, d);
             assert_eq!(digest.levels.len(), levels, "h = {h}, d = {d}");
             assert_eq!(digest.parent_hash, alice.parent_hash(p.seed));
-            let (mut want, _) = protocol.empty_tables(d);
+            let (mut want, _) = protocol.empty_tables(d).unwrap();
             let mut encoding = Vec::new();
             for (want, mut scratch) in want.iter_mut().zip(protocol.child_tables(levels)) {
                 for child in alice.children() {

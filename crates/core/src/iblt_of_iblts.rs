@@ -128,20 +128,35 @@ impl IbltOfIbltsProtocol {
     /// Alice's side: build the digest for per-child bound `d` and differing-children
     /// bound `d_hat`.
     pub fn digest(&self, sos: &SetOfSets, d: usize, d_hat: usize) -> IbltOfIbltsDigest {
+        self.try_digest(sos, d, d_hat).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`IbltOfIbltsProtocol::digest`] for a bound a doubling chain grew: a
+    /// table the allocator cannot provide (or whose size overflows `usize`)
+    /// is an error.
+    pub(crate) fn try_digest(
+        &self,
+        sos: &SetOfSets,
+        d: usize,
+        d_hat: usize,
+    ) -> Result<IbltOfIbltsDigest, ReconError> {
         let d = d.max(1);
-        let mut outer = Iblt::with_expected_diff((2 * d_hat).max(2), &self.outer_config(d));
-        let mut scratch = self.child_scratch(d);
+        // The child table first (it is `child_scratch(d)`): once it exists,
+        // the encoding width derived from its cell count fits in `usize`.
+        let mut scratch = Iblt::try_with_expected_diff(d, &self.child_config())?;
+        let expected = d_hat.saturating_mul(2).max(2);
+        let mut outer = Iblt::try_with_expected_diff(expected, &self.outer_config(d))?;
         let mut encoding = Vec::with_capacity(self.encoding_bytes(d));
         for child in sos.children() {
             self.encode_child_into(child, &mut scratch, &mut encoding);
             outer.insert(&encoding);
         }
-        IbltOfIbltsDigest {
+        Ok(IbltOfIbltsDigest {
             outer,
             child_diff_bound: d,
             parent_hash: sos.parent_hash(self.params.seed),
             num_children: sos.num_children() as u64,
-        }
+        })
     }
 
     /// Bob's side: recover Alice's parent set.

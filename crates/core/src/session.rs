@@ -6,6 +6,13 @@
 //! (Theorems 3.9/3.10) as bespoke machines. `SessionBuilder::run` drives a pair
 //! in memory, an `Endpoint` over a framed transport, and the graph schemes embed
 //! them via [`recon_protocol::Nested`].
+//!
+//! What the two parties of a one-round family must agree on — each attempt's
+//! seed, the digest's label, how a failed attempt is answered — is one private
+//! `Chain` per family variant, and its bound schedule sits beside it; Alice's
+//! and Bob's factories both build from that one definition. The estimator
+//! round in front of the unknown-bound families is likewise one pair of
+//! helpers, over Bob's and Alice's child hashes.
 
 use crate::cascading::CascadingProtocol;
 use crate::iblt_of_iblts::IbltOfIbltsProtocol;
@@ -14,12 +21,13 @@ use crate::multiset_of_multisets::{PairPacking, SetOfMultisets};
 use crate::naive::NaiveProtocol;
 use crate::types::{ChildSet, SetOfSets, SosParams};
 use recon_base::rng::split_seed;
+use recon_base::wire::Encode;
 use recon_base::ReconError;
 use recon_estimator::{L0Config, L0Estimator, Side};
 use recon_iblt::{Iblt, IbltConfig};
 use recon_protocol::{
-    Amplification, AmplifiedReceiver, AmplifiedSender, Deferred, Envelope, Exhaust, Party, Step,
-    WithPreamble,
+    estimator_preamble, merged_estimate, Amplification, AmplifiedReceiver, AmplifiedSender,
+    Deferred, Envelope, Exhaust, Party, Step, WithPreamble,
 };
 use recon_set::{CharPolyProtocol, IbltSetProtocol};
 use std::collections::{BTreeMap, VecDeque};
@@ -43,16 +51,142 @@ pub const TAG_MR_FAILURES: u16 = 0x5058;
 /// Envelope tag: multi-round fallback, Alice's verbatim child sets.
 pub const TAG_MR_FULL: u16 = 0x5059;
 
-fn retry_all(_: &ReconError) -> bool {
-    true
+/// The attempt chain of one one-round family variant, shared by its two
+/// parties: attempt `k` runs under seed role `role + k`, its digest travels as
+/// `label`, and Bob decodes it with `reconcile`. A replication chain answers a
+/// failed attempt with an uncharged replica request and, once exhausted,
+/// reports the last error (Section 3.2). A doubling chain sizes attempt `k`
+/// for `d = doubling_from · 2^k` and answers with the metered NACK of
+/// Corollaries 3.6/3.8, reporting [`ReconError::RetriesExhausted`].
+#[derive(Clone, Copy)]
+struct Chain {
+    role: u64,
+    label: &'static str,
+    doubling_from: Option<usize>,
+    reconcile: fn(SosParams, &Envelope, &SetOfSets) -> Result<SetOfSets, ReconError>,
 }
 
-fn control_retry(_attempt: u64) -> Envelope {
-    Envelope::control(TAG_SOS_RETRY, "retry request", &())
+const NAIVE_KNOWN: Chain = Chain {
+    role: 0xAA00,
+    label: "naive outer IBLT",
+    doubling_from: None,
+    reconcile: |p, envelope, sos| NaiveProtocol::new(p).reconcile(&envelope.decode_payload()?, sos),
+};
+const NAIVE_UNKNOWN: Chain = Chain { role: 0xAC00, ..NAIVE_KNOWN };
+const IOI_KNOWN: Chain = Chain {
+    role: 0xBB00,
+    label: "IBLT of child-IBLT encodings",
+    doubling_from: None,
+    reconcile: |p, envelope, sos| {
+        IbltOfIbltsProtocol::new(p).reconcile(&envelope.decode_payload()?, sos)
+    },
+};
+const IOI_UNKNOWN: Chain = Chain { role: 0xBC00, doubling_from: Some(1), ..IOI_KNOWN };
+const CASCADING_KNOWN: Chain = Chain {
+    role: 0xCC00,
+    label: "cascading IBLTs of IBLTs",
+    doubling_from: None,
+    reconcile: |p, envelope, sos| {
+        CascadingProtocol::new(p).reconcile(&envelope.decode_payload()?, sos)
+    },
+};
+const CASCADING_UNKNOWN: Chain = Chain { role: 0xCD00, doubling_from: Some(2), ..CASCADING_KNOWN };
+
+/// Seed role of the naive family's child-hash estimator (Theorem 3.4).
+const NAIVE_ESTIMATOR: u64 = 0xAB;
+/// Seed role of the multi-round family's child-hash estimator (Theorem 3.10).
+const MULTIROUND_ESTIMATOR: u64 = 0xD0;
+
+/// Bound schedule of Theorem 3.4's naive chain: twice Bob's estimate, at
+/// least 4, doubled on every retry. The estimate is Bob's word, so the
+/// arithmetic saturates: past `usize` it sizes a table `try_digest` refuses.
+fn naive_unknown_bound(estimate: usize, attempt: u64) -> usize {
+    estimate.saturating_mul(2).max(4).saturating_mul(1 << attempt.min(63))
 }
 
-fn metered_nack(_attempt: u64) -> Envelope {
-    Envelope::round(TAG_SOS_NACK, "NACK (double d)", &1u8)
+impl Chain {
+    fn attempt_params(self, params: &SosParams, attempt: u64) -> SosParams {
+        SosParams { seed: params.role_seed(self.role + attempt), ..*params }
+    }
+
+    /// A doubling chain's bound for `attempt`, or
+    /// [`ReconError::ResourceExhausted`] past `usize`: the peer sets `attempt`
+    /// (every envelope it sends asks for the next one), so a bound that does
+    /// not fit is refused, never wrapped.
+    fn doubled_bound(self, attempt: u64) -> Result<usize, ReconError> {
+        u32::try_from(attempt)
+            .ok()
+            .and_then(|shift| 1usize.checked_shl(shift))
+            .and_then(|factor| self.doubling_from?.checked_mul(factor))
+            .ok_or(ReconError::ResourceExhausted { what: "doubled bound", limit: usize::MAX })
+    }
+
+    /// Alice: attempt `k`'s digest is `digest(k's parameters, k)`.
+    fn alice<D: Encode>(
+        self,
+        params: &SosParams,
+        amplification: Amplification,
+        mut digest: impl FnMut(SosParams, u64) -> Result<D, ReconError> + Send + 'static,
+    ) -> Result<AmplifiedSender, ReconError> {
+        let params = *params;
+        AmplifiedSender::new(amplification.max_attempts, move |attempt| {
+            let digest = digest(self.attempt_params(&params, attempt), attempt)?;
+            Ok(Envelope::round(TAG_SOS_DIGEST, self.label, &digest))
+        })
+    }
+
+    /// Bob over `sos`; `unpack` maps each attempt's recovered set of sets to
+    /// the output, and its failure fails that attempt.
+    fn bob<T>(
+        self,
+        sos: SetOfSets,
+        params: &SosParams,
+        amplification: Amplification,
+        unpack: impl Fn(SetOfSets) -> Result<T, ReconError> + Send + 'static,
+    ) -> AmplifiedReceiver<T> {
+        let params = *params;
+        let doubling = self.doubling_from.is_some();
+        let exhaust = if doubling { Exhaust::RetriesExhausted } else { Exhaust::LastError };
+        let nack = move |_| match doubling {
+            true => Envelope::round(TAG_SOS_NACK, "NACK (double d)", &1u8),
+            false => Envelope::control(TAG_SOS_RETRY, "retry request", &()),
+        };
+        AmplifiedReceiver::new(
+            amplification.max_attempts,
+            move |attempt, envelope| {
+                unpack((self.reconcile)(self.attempt_params(&params, attempt), &envelope, &sos)?)
+            },
+            |_| true,
+            nack,
+            exhaust,
+        )
+    }
+}
+
+/// Bob's estimator round of Theorems 3.4/3.10: his child hashes, sent ahead of
+/// `inner`.
+fn child_hash_preamble<P>(
+    sos: &SetOfSets,
+    params: &SosParams,
+    estimator: L0Config,
+    role: u64,
+    inner: P,
+) -> WithPreamble<P> {
+    let config = estimator.with_seed(params.role_seed(role));
+    let keys = sos.child_hashes(params.seed);
+    estimator_preamble(&config, keys, TAG_SOS_ESTIMATOR, "child-hash difference estimator", inner)
+}
+
+/// Alice's half of that round: the merged estimate of differing children.
+fn child_hash_estimate(
+    sos: &SetOfSets,
+    params: &SosParams,
+    estimator: L0Config,
+    role: u64,
+    envelope: &Envelope,
+) -> Result<usize, ReconError> {
+    let config = estimator.with_seed(params.role_seed(role));
+    merged_estimate(&config, sos.child_hashes(params.seed), envelope)
 }
 
 // ---------------------------------------------------------------------------
@@ -67,12 +201,8 @@ pub fn naive_known_alice(
     amplification: Amplification,
 ) -> Result<impl Party<Output = ()>, ReconError> {
     let sos = sos.clone();
-    let params = *params;
-    AmplifiedSender::new(amplification.max_attempts, move |attempt| {
-        let attempt_params = SosParams { seed: params.role_seed(0xAA00 + attempt), ..params };
-        let digest = NaiveProtocol::new(attempt_params).digest(&sos, d_hat);
-        Ok(Envelope::round(TAG_SOS_DIGEST, "naive outer IBLT", &digest))
-    })
+    NAIVE_KNOWN
+        .alice(params, amplification, move |p, _| Ok(NaiveProtocol::new(p).digest(&sos, d_hat)))
 }
 
 /// Bob's side of Theorem 3.3.
@@ -81,18 +211,7 @@ pub fn naive_known_bob(
     params: &SosParams,
     amplification: Amplification,
 ) -> impl Party<Output = SetOfSets> {
-    let sos = sos.clone();
-    let params = *params;
-    AmplifiedReceiver::new(
-        amplification.max_attempts,
-        move |attempt, envelope: Envelope| {
-            let attempt_params = SosParams { seed: params.role_seed(0xAA00 + attempt), ..params };
-            NaiveProtocol::new(attempt_params).reconcile(&envelope.decode_payload()?, &sos)
-        },
-        retry_all,
-        control_retry,
-        Exhaust::LastError,
-    )
+    NAIVE_KNOWN.bob(sos.clone(), params, amplification, Ok)
 }
 
 /// Alice's side of Theorem 3.4 (naive SSRU): waits for Bob's child-hash
@@ -105,19 +224,10 @@ pub fn naive_unknown_alice(
 ) -> impl Party<Output = ()> {
     let sos = sos.clone();
     let params = *params;
-    let estimator_cfg = estimator.with_seed(params.role_seed(0xAB));
     Deferred::new(move |envelope: Envelope| {
-        let bob_estimator: L0Estimator = envelope.decode_payload()?;
-        let mut alice_estimator = L0Estimator::new(&estimator_cfg);
-        alice_estimator.update_all(sos.child_hashes(params.seed), Side::A);
-        let estimate = alice_estimator.merge(&bob_estimator)?.estimate();
-        AmplifiedSender::new(amplification.max_attempts, move |attempt| {
-            let attempt_params = SosParams { seed: params.role_seed(0xAC00 + attempt), ..params };
-            // Bob's estimate, so saturating: past `usize` it sizes a table
-            // `try_digest` refuses.
-            let d_hat = estimate.saturating_mul(2).max(4).saturating_mul(1 << attempt.min(63));
-            let digest = NaiveProtocol::new(attempt_params).try_digest(&sos, d_hat)?;
-            Ok(Envelope::round(TAG_SOS_DIGEST, "naive outer IBLT", &digest))
+        let estimate = child_hash_estimate(&sos, &params, estimator, NAIVE_ESTIMATOR, &envelope)?;
+        NAIVE_UNKNOWN.alice(&params, amplification, move |p, attempt| {
+            NaiveProtocol::new(p).try_digest(&sos, naive_unknown_bound(estimate, attempt))
         })
     })
 }
@@ -129,25 +239,8 @@ pub fn naive_unknown_bob(
     amplification: Amplification,
     estimator: L0Config,
 ) -> impl Party<Output = SetOfSets> {
-    let estimator_cfg = estimator.with_seed(params.role_seed(0xAB));
-    let mut bob_estimator = L0Estimator::new(&estimator_cfg);
-    bob_estimator.update_all(sos.child_hashes(params.seed), Side::B);
-    let preamble =
-        [Envelope::round(TAG_SOS_ESTIMATOR, "child-hash difference estimator", &bob_estimator)];
-
-    let sos = sos.clone();
-    let params = *params;
-    let receiver = AmplifiedReceiver::new(
-        amplification.max_attempts,
-        move |attempt, envelope: Envelope| {
-            let attempt_params = SosParams { seed: params.role_seed(0xAC00 + attempt), ..params };
-            NaiveProtocol::new(attempt_params).reconcile(&envelope.decode_payload()?, &sos)
-        },
-        retry_all,
-        control_retry,
-        Exhaust::LastError,
-    );
-    WithPreamble::new(preamble, receiver)
+    let receiver = NAIVE_UNKNOWN.bob(sos.clone(), params, amplification, Ok);
+    child_hash_preamble(sos, params, estimator, NAIVE_ESTIMATOR, receiver)
 }
 
 // ---------------------------------------------------------------------------
@@ -163,11 +256,8 @@ pub fn ioi_known_alice(
     amplification: Amplification,
 ) -> Result<impl Party<Output = ()>, ReconError> {
     let sos = sos.clone();
-    let params = *params;
-    AmplifiedSender::new(amplification.max_attempts, move |attempt| {
-        let attempt_params = SosParams { seed: params.role_seed(0xBB00 + attempt), ..params };
-        let digest = IbltOfIbltsProtocol::new(attempt_params).digest(&sos, d, d_hat);
-        Ok(Envelope::round(TAG_SOS_DIGEST, "IBLT of child-IBLT encodings", &digest))
+    IOI_KNOWN.alice(params, amplification, move |p, _| {
+        Ok(IbltOfIbltsProtocol::new(p).digest(&sos, d, d_hat))
     })
 }
 
@@ -177,18 +267,7 @@ pub fn ioi_known_bob(
     params: &SosParams,
     amplification: Amplification,
 ) -> impl Party<Output = SetOfSets> {
-    let sos = sos.clone();
-    let params = *params;
-    AmplifiedReceiver::new(
-        amplification.max_attempts,
-        move |attempt, envelope: Envelope| {
-            let attempt_params = SosParams { seed: params.role_seed(0xBB00 + attempt), ..params };
-            IbltOfIbltsProtocol::new(attempt_params).reconcile(&envelope.decode_payload()?, &sos)
-        },
-        retry_all,
-        control_retry,
-        Exhaust::LastError,
-    )
+    IOI_KNOWN.bob(sos.clone(), params, amplification, Ok)
 }
 
 /// Alice's side of Corollary 3.6 (SSRU by repeated doubling `d = 1, 2, 4, …`).
@@ -201,13 +280,9 @@ pub fn ioi_unknown_alice(
     amplification: Amplification,
 ) -> Result<impl Party<Output = ()>, ReconError> {
     let sos = sos.clone();
-    let params = *params;
-    AmplifiedSender::new(amplification.max_attempts, move |attempt| {
-        let attempt_params = SosParams { seed: params.role_seed(0xBC00 + attempt), ..params };
-        let d = 1usize << attempt;
-        let d_hat = d.min(children_cap.max(1));
-        let digest = IbltOfIbltsProtocol::new(attempt_params).digest(&sos, d, d_hat);
-        Ok(Envelope::round(TAG_SOS_DIGEST, "IBLT of child-IBLT encodings", &digest))
+    IOI_UNKNOWN.alice(params, amplification, move |p, attempt| {
+        let d = IOI_UNKNOWN.doubled_bound(attempt)?;
+        IbltOfIbltsProtocol::new(p).try_digest(&sos, d, d.min(children_cap.max(1)))
     })
 }
 
@@ -218,18 +293,7 @@ pub fn ioi_unknown_bob(
     params: &SosParams,
     amplification: Amplification,
 ) -> impl Party<Output = SetOfSets> {
-    let sos = sos.clone();
-    let params = *params;
-    AmplifiedReceiver::new(
-        amplification.max_attempts,
-        move |attempt, envelope: Envelope| {
-            let attempt_params = SosParams { seed: params.role_seed(0xBC00 + attempt), ..params };
-            IbltOfIbltsProtocol::new(attempt_params).reconcile(&envelope.decode_payload()?, &sos)
-        },
-        retry_all,
-        metered_nack,
-        Exhaust::RetriesExhausted,
-    )
+    IOI_UNKNOWN.bob(sos.clone(), params, amplification, Ok)
 }
 
 // ---------------------------------------------------------------------------
@@ -244,12 +308,8 @@ pub fn cascading_known_alice(
     amplification: Amplification,
 ) -> Result<impl Party<Output = ()>, ReconError> {
     let sos = sos.clone();
-    let params = *params;
-    AmplifiedSender::new(amplification.max_attempts, move |attempt| {
-        let attempt_params = SosParams { seed: params.role_seed(0xCC00 + attempt), ..params };
-        let digest = CascadingProtocol::new(attempt_params).digest(&sos, d);
-        Ok(Envelope::round(TAG_SOS_DIGEST, "cascading IBLTs of IBLTs", &digest))
-    })
+    CASCADING_KNOWN
+        .alice(params, amplification, move |p, _| Ok(CascadingProtocol::new(p).digest(&sos, d)))
 }
 
 /// Bob's side of Theorem 3.7.
@@ -258,18 +318,7 @@ pub fn cascading_known_bob(
     params: &SosParams,
     amplification: Amplification,
 ) -> impl Party<Output = SetOfSets> {
-    let sos = sos.clone();
-    let params = *params;
-    AmplifiedReceiver::new(
-        amplification.max_attempts,
-        move |attempt, envelope: Envelope| {
-            let attempt_params = SosParams { seed: params.role_seed(0xCC00 + attempt), ..params };
-            CascadingProtocol::new(attempt_params).reconcile(&envelope.decode_payload()?, &sos)
-        },
-        retry_all,
-        control_retry,
-        Exhaust::LastError,
-    )
+    CASCADING_KNOWN.bob(sos.clone(), params, amplification, Ok)
 }
 
 /// Alice's side of Corollary 3.8 (SSRU by repeated doubling `d = 2, 4, 8, …`).
@@ -279,12 +328,8 @@ pub fn cascading_unknown_alice(
     amplification: Amplification,
 ) -> Result<impl Party<Output = ()>, ReconError> {
     let sos = sos.clone();
-    let params = *params;
-    AmplifiedSender::new(amplification.max_attempts, move |attempt| {
-        let attempt_params = SosParams { seed: params.role_seed(0xCD00 + attempt), ..params };
-        let d = 2usize << attempt;
-        let digest = CascadingProtocol::new(attempt_params).digest(&sos, d);
-        Ok(Envelope::round(TAG_SOS_DIGEST, "cascading IBLTs of IBLTs", &digest))
+    CASCADING_UNKNOWN.alice(params, amplification, move |p, attempt| {
+        CascadingProtocol::new(p).try_digest(&sos, CASCADING_UNKNOWN.doubled_bound(attempt)?)
     })
 }
 
@@ -294,18 +339,7 @@ pub fn cascading_unknown_bob(
     params: &SosParams,
     amplification: Amplification,
 ) -> impl Party<Output = SetOfSets> {
-    let sos = sos.clone();
-    let params = *params;
-    AmplifiedReceiver::new(
-        amplification.max_attempts,
-        move |attempt, envelope: Envelope| {
-            let attempt_params = SosParams { seed: params.role_seed(0xCD00 + attempt), ..params };
-            CascadingProtocol::new(attempt_params).reconcile(&envelope.decode_payload()?, &sos)
-        },
-        retry_all,
-        metered_nack,
-        Exhaust::RetriesExhausted,
-    )
+    CASCADING_UNKNOWN.bob(sos.clone(), params, amplification, Ok)
 }
 
 // ---------------------------------------------------------------------------
@@ -338,19 +372,9 @@ pub fn mom_known_bob(
 ) -> Result<impl Party<Output = SetOfMultisets>, ReconError> {
     let packed = collection.to_set_of_sets(packing)?;
     let packing = *packing;
-    let params = *resolved_params;
-    Ok(AmplifiedReceiver::new(
-        amplification.max_attempts,
-        move |attempt, envelope: Envelope| {
-            let attempt_params = SosParams { seed: params.role_seed(0xCC00 + attempt), ..params };
-            let recovered = CascadingProtocol::new(attempt_params)
-                .reconcile(&envelope.decode_payload()?, &packed)?;
-            SetOfMultisets::from_set_of_sets(&recovered, &packing)
-        },
-        retry_all,
-        control_retry,
-        Exhaust::LastError,
-    ))
+    Ok(CASCADING_KNOWN.bob(packed, resolved_params, amplification, move |recovered| {
+        SetOfMultisets::from_set_of_sets(&recovered, &packing)
+    }))
 }
 
 // ---------------------------------------------------------------------------
@@ -358,9 +382,20 @@ pub fn mom_known_bob(
 // ---------------------------------------------------------------------------
 
 /// Compact estimator configuration used for the per-child estimators of round 3
-/// (`O(log(d̂/δ) log h)` bits per differing child).
-fn child_estimator_config(seed: u64) -> L0Config {
+/// (`O(log(d̂/δ) log h)` bits per differing child), one seed per Bob child.
+fn child_estimator_config(params: &SosParams, bob_child_hash: u64) -> L0Config {
+    let seed = split_seed(params.role_seed(0xD2), bob_child_hash);
     L0Config { reps: 5, levels: 20, buckets: 16, threshold: 8, seed }
+}
+
+/// The per-child patch protocol of the charpoly branch (small differences).
+fn patch_charpoly(params: &SosParams) -> CharPolyProtocol {
+    CharPolyProtocol::new(params.role_seed(0xD4))
+}
+
+/// The per-child patch protocol of the IBLT branch.
+fn patch_iblt(params: &SosParams) -> IbltSetProtocol {
+    IbltSetProtocol::new(params.role_seed(0xD5))
 }
 
 fn hash_iblt_config(params: &SosParams) -> IbltConfig {
@@ -423,7 +458,7 @@ impl Party for MultiroundAlice {
                 let alice_differing: Vec<u64> = hash_diff.positive_u64();
 
                 let charpoly_threshold = (self.d as f64).sqrt().ceil() as usize;
-                let charpoly = CharPolyProtocol::new(self.params.role_seed(0xD4));
+                let charpoly = patch_charpoly(&self.params);
                 let by_hash = self.sos.children_by_hash(seed);
                 let mut patches: Vec<ChildPatch> = Vec::new();
                 for &ah in &alice_differing {
@@ -432,8 +467,7 @@ impl Party for MultiroundAlice {
                     // estimate.
                     let mut best: Option<(u64, usize)> = None;
                     for (bh, bob_est) in &bob_estimators {
-                        let cfg =
-                            child_estimator_config(split_seed(self.params.role_seed(0xD2), *bh));
+                        let cfg = child_estimator_config(&self.params, *bh);
                         let mut alice_side = L0Estimator::new(&cfg);
                         alice_side.update_all(child.iter().copied(), Side::A);
                         let estimate = alice_side.merge(bob_est)?.estimate();
@@ -457,11 +491,10 @@ impl Party for MultiroundAlice {
                                     digest: charpoly.digest(child, bound)?,
                                 }
                             } else {
-                                let protocol = IbltSetProtocol::new(self.params.role_seed(0xD5));
                                 ChildPatch::Iblt {
                                     alice_hash: ah,
                                     target_hash,
-                                    digest: protocol.digest(child, bound),
+                                    digest: patch_iblt(&self.params).digest(child, bound),
                                 }
                             }
                         }
@@ -564,8 +597,7 @@ impl Party for MultiroundBob {
                 let mut bob_estimators: Vec<(u64, L0Estimator)> = Vec::new();
                 for &h in &bob_differing {
                     let child = (*by_hash.get(&h).ok_or(ReconError::ChecksumFailure)?).clone();
-                    let cfg = child_estimator_config(split_seed(self.params.role_seed(0xD2), h));
-                    let mut est = L0Estimator::new(&cfg);
+                    let mut est = L0Estimator::new(&child_estimator_config(&self.params, h));
                     est.update_all(child.iter().copied(), Side::B);
                     bob_estimators.push((h, est));
                     self.bob_children.insert(h, child);
@@ -579,50 +611,40 @@ impl Party for MultiroundBob {
             }
             TAG_MR_PATCHES => {
                 let patches: Vec<ChildPatch> = envelope.decode_payload()?;
-                let iblt_protocol = IbltSetProtocol::new(self.params.role_seed(0xD5));
-                let charpoly = CharPolyProtocol::new(self.params.role_seed(0xD4));
+                let iblt_protocol = patch_iblt(&self.params);
+                let charpoly = patch_charpoly(&self.params);
                 let mut fallback_needed: Vec<u64> = Vec::new();
                 for patch in &patches {
-                    match patch {
+                    let (alice_hash, target_hash) = match patch {
                         ChildPatch::Full { child, .. } => {
                             self.recovered_children.push(child.iter().copied().collect());
+                            continue;
                         }
-                        ChildPatch::Iblt { alice_hash, target_hash, digest } => {
-                            let target = self
-                                .bob_children
-                                .get(target_hash)
-                                .ok_or(ReconError::ChecksumFailure)?;
-                            let target_set = target.iter().copied().collect();
-                            match iblt_protocol.reconcile(digest, &target_set) {
-                                Ok(rec)
-                                    if SetOfSets::child_hash(
-                                        &rec.iter().copied().collect(),
-                                        seed,
-                                    ) == *alice_hash =>
-                                {
-                                    self.recovered_children.push(rec.into_iter().collect());
-                                }
-                                _ => fallback_needed.push(*alice_hash),
-                            }
+                        ChildPatch::Iblt { alice_hash, target_hash, .. }
+                        | ChildPatch::CharPoly { alice_hash, target_hash, .. } => {
+                            (*alice_hash, target_hash)
                         }
-                        ChildPatch::CharPoly { alice_hash, target_hash, digest } => {
-                            let target = self
-                                .bob_children
-                                .get(target_hash)
-                                .ok_or(ReconError::ChecksumFailure)?;
-                            let target_set = target.iter().copied().collect();
-                            match charpoly.reconcile(digest, &target_set) {
-                                Ok(rec)
-                                    if SetOfSets::child_hash(
-                                        &rec.iter().copied().collect(),
-                                        seed,
-                                    ) == *alice_hash =>
-                                {
-                                    self.recovered_children.push(rec.into_iter().collect());
-                                }
-                                _ => fallback_needed.push(*alice_hash),
-                            }
+                    };
+                    let target =
+                        self.bob_children.get(target_hash).ok_or(ReconError::ChecksumFailure)?;
+                    let target_set = target.iter().copied().collect();
+                    let recovered = match patch {
+                        ChildPatch::Iblt { digest, .. } => {
+                            iblt_protocol.reconcile(digest, &target_set)
                         }
+                        ChildPatch::CharPoly { digest, .. } => {
+                            charpoly.reconcile(digest, &target_set)
+                        }
+                        ChildPatch::Full { .. } => continue,
+                    };
+                    match recovered {
+                        Ok(rec)
+                            if SetOfSets::child_hash(&rec.iter().copied().collect(), seed)
+                                == alice_hash =>
+                        {
+                            self.recovered_children.push(rec.into_iter().collect());
+                        }
+                        _ => fallback_needed.push(alice_hash),
                     }
                 }
                 if fallback_needed.is_empty() {
@@ -662,14 +684,12 @@ pub fn multiround_unknown_alice(
 ) -> impl Party<Output = ()> {
     let sos = sos.clone();
     let params = *params;
-    let estimator_cfg = estimator.with_seed(params.role_seed(0xD0));
     Deferred::new(move |envelope: Envelope| {
-        let bob_estimator: L0Estimator = envelope.decode_payload()?;
-        let mut alice_estimator = L0Estimator::new(&estimator_cfg);
-        alice_estimator.update_all(sos.child_hashes(params.seed), Side::A);
+        let estimate =
+            child_hash_estimate(&sos, &params, estimator, MULTIROUND_ESTIMATOR, &envelope)?;
         // Bob's estimate, so saturating: past `usize` it sizes a child-hash
         // table `multiround_known_alice` refuses.
-        let d_hat = alice_estimator.merge(&bob_estimator)?.estimate().saturating_mul(2).max(4);
+        let d_hat = estimate.saturating_mul(2).max(4);
         // With d unknown, use the generous per-child budget d = d̂ · h as the switch
         // point between the IBLT and charpoly branches; the per-child estimators of
         // round 3 provide the real per-child bounds.
@@ -685,12 +705,8 @@ pub fn multiround_unknown_bob(
     params: &SosParams,
     estimator: L0Config,
 ) -> impl Party<Output = SetOfSets> {
-    let estimator_cfg = estimator.with_seed(params.role_seed(0xD0));
-    let mut bob_estimator = L0Estimator::new(&estimator_cfg);
-    bob_estimator.update_all(sos.child_hashes(params.seed), Side::B);
-    let preamble =
-        [Envelope::round(TAG_SOS_ESTIMATOR, "child-hash difference estimator", &bob_estimator)];
-    WithPreamble::new(preamble, multiround_known_bob(sos, params))
+    let bob = multiround_known_bob(sos, params);
+    child_hash_preamble(sos, params, estimator, MULTIROUND_ESTIMATOR, bob)
 }
 
 #[cfg(test)]
@@ -796,6 +812,39 @@ mod tests {
             Err(error) => panic!("expected ResourceExhausted, got {error}"),
             Ok(_) => panic!("expected ResourceExhausted, got a digest"),
         }
+    }
+
+    fn exhausted<T>(result: Result<T, ReconError>) -> bool {
+        matches!(result, Err(ReconError::ResourceExhausted { .. }))
+    }
+
+    /// The peer sets the attempt number, so the doubling schedules must
+    /// refuse a bound past `usize` instead of wrapping or panicking.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn doubling_schedules_refuse_bounds_past_usize() {
+        let (ioi, cascade) = (IOI_UNKNOWN, CASCADING_UNKNOWN);
+        assert_eq!(ioi.doubled_bound(0).unwrap(), 1);
+        assert_eq!(ioi.doubled_bound(62).unwrap(), 1 << 62);
+        assert_eq!(ioi.doubled_bound(63).unwrap(), 1 << 63);
+        assert!(exhausted(ioi.doubled_bound(64)));
+        assert!(exhausted(ioi.doubled_bound(70)));
+        assert_eq!(cascade.doubled_bound(0).unwrap(), 2);
+        assert_eq!(cascade.doubled_bound(62).unwrap(), 1 << 63);
+        for attempt in [63, 64, 70] {
+            assert!(exhausted(cascade.doubled_bound(attempt)), "attempt {attempt}");
+        }
+    }
+
+    /// A bound whose tables cannot even be counted in `usize` is refused
+    /// before anything is allocated.
+    #[test]
+    fn doubling_digests_refuse_an_overflowing_bound() {
+        let (w, p) = params();
+        let (alice, _) = generate_pair(&w, 4, 5);
+        let huge = usize::MAX / 2 + 1;
+        assert!(exhausted(IbltOfIbltsProtocol::new(p).try_digest(&alice, huge, 4)));
+        assert!(exhausted(CascadingProtocol::new(p).try_digest(&alice, huge)));
     }
 
     #[test]

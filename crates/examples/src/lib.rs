@@ -26,7 +26,7 @@ pub mod prelude {
         TcpService,
     };
     pub use recon_set::session as set_session;
-    pub use recon_set::{CharPolyProtocol, IbltSetProtocol, Multiset, MultisetProtocol, SetDiff};
+    pub use recon_set::{CharPolyProtocol, IbltSetProtocol, Multiset, SetDiff};
     pub use recon_sos::session as sos_session;
     pub use recon_sos::{
         cascading, iblt_of_iblts, multiround, naive, workload, SetOfSets, SosParams,

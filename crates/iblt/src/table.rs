@@ -207,9 +207,11 @@ impl IbltConfig {
     /// Serialized size in bytes of an *empty* table with `cells` cells: the
     /// header, then a count byte, the key sum and the check-sum per cell. A count
     /// past ±63 adds a byte, past ±8191 another ([`Encode::encoded_len`] is exact).
+    /// Saturates at `usize::MAX`, a size no table can have.
     pub fn serialized_len(&self, cells: usize) -> usize {
+        let cell_bytes = 1 + self.key_bytes + check_bytes(self.key_bytes);
         header_len(self.key_bytes, self.hash_count, cells)
-            + cells * (1 + self.key_bytes + check_bytes(self.key_bytes))
+            .saturating_add(cells.saturating_mul(cell_bytes))
     }
 
     /// Size in bytes of the [key form](Iblt::write_key_form) of a table with

@@ -7,11 +7,14 @@
 //! (Corollaries 3.6/3.8). [`AmplifiedSender`] and [`AmplifiedReceiver`] capture
 //! that loop once, as a `Party` pair, parameterized by closures that build and
 //! decode the per-attempt digest. [`WithPreamble`] and [`Deferred`] bolt an
-//! estimator round (Corollary 3.2 / Theorem 3.4) in front of an amplified pair.
+//! estimator round (Corollary 3.2 / Theorems 3.4, 3.10) in front of an
+//! amplified pair, and that round's two halves are written once:
+//! [`estimator_preamble`] is Bob's, [`merged_estimate`] Alice's.
 
 use crate::envelope::Envelope;
 use crate::party::{Party, Step};
 use recon_base::ReconError;
+use recon_estimator::{L0Config, L0Estimator, Side};
 use std::collections::VecDeque;
 
 /// Builds the envelope for attempt `k` (0-based).
@@ -181,6 +184,35 @@ impl<P: Party> Party for WithPreamble<P> {
     fn handle(&mut self, envelope: Envelope) -> Result<Step<P::Output>, ReconError> {
         self.inner.handle(envelope)
     }
+}
+
+/// Bob's half of an estimator round: his ℓ0 estimator over `keys`, sent as
+/// one round envelope (`tag`, `label`) before anything `inner` sends.
+pub fn estimator_preamble<P>(
+    config: &L0Config,
+    keys: impl IntoIterator<Item = u64>,
+    tag: u16,
+    label: &str,
+    inner: P,
+) -> WithPreamble<P> {
+    let mut estimator = L0Estimator::new(config);
+    estimator.update_all(keys, Side::B);
+    WithPreamble::new([Envelope::round(tag, label, &estimator)], inner)
+}
+
+/// Alice's half of an estimator round: decode Bob's estimator from
+/// `envelope`, merge her own over `keys` into it, and estimate the difference.
+/// The estimate is the peer's word; whatever it sizes must be allocated
+/// fallibly.
+pub fn merged_estimate(
+    config: &L0Config,
+    keys: impl IntoIterator<Item = u64>,
+    envelope: &Envelope,
+) -> Result<usize, ReconError> {
+    let bob: L0Estimator = envelope.decode_payload()?;
+    let mut alice = L0Estimator::new(config);
+    alice.update_all(keys, Side::A);
+    Ok(alice.merge(&bob)?.estimate())
 }
 
 enum DeferredState<P> {

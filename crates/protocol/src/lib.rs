@@ -54,7 +54,10 @@ pub mod pool;
 pub mod session;
 pub mod transport;
 
-pub use amplify::{AmplifiedReceiver, AmplifiedSender, Deferred, Exhaust, WithPreamble};
+pub use amplify::{
+    estimator_preamble, merged_estimate, AmplifiedReceiver, AmplifiedSender, Deferred, Exhaust,
+    WithPreamble,
+};
 pub use control::{ControlFrame, CONTROL_SESSION, TAG_CONTROL_REQUEST, TAG_CONTROL_RESPONSE};
 pub use endpoint::{drive_pair, Endpoint, Role};
 pub use envelope::{Envelope, Meter, NESTED_TAG_BIT};

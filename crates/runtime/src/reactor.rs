@@ -187,20 +187,13 @@ impl<T: Transport + Pollable> Reactor<T> {
     }
 
     /// Consume the auxiliary-readiness latch. The caller must then drain the
-    /// descriptor to `WouldBlock`, or re-latch with
-    /// [`Reactor::mark_aux_ready`] to drain again after the next turn. A caller
-    /// that must back off instead (the server on a failed `accept`) unwatches
-    /// the descriptor: under level-triggered `poll(2)` a still-readable one
-    /// would end every turn at once.
+    /// descriptor to `WouldBlock`: under edge-triggered epoll a backlog left
+    /// behind fires no further event. A caller that must back off instead (the
+    /// server on a failed `accept`) unwatches the descriptor, since under
+    /// level-triggered `poll(2)` a still-readable one would end every turn at
+    /// once, and watches it again later, which re-latches.
     pub fn take_aux_ready(&mut self) -> bool {
         std::mem::take(&mut self.aux_ready)
-    }
-
-    /// Re-latch auxiliary readiness manually; see [`Reactor::take_aux_ready`].
-    pub fn mark_aux_ready(&mut self) {
-        if self.aux_fd.is_some() {
-            self.aux_ready = true;
-        }
     }
 
     /// A handle other threads use to interrupt [`Reactor::turn`].
@@ -782,12 +775,9 @@ mod tests {
         reactor.turn(Some(Duration::from_secs(2)), |_, _| {}).unwrap();
         assert!(reactor.take_aux_ready(), "aux readability latches through turn");
 
-        // A caller that could not finish draining re-latches manually.
-        reactor.mark_aux_ready();
-        assert!(reactor.take_aux_ready());
-
         reactor.unwatch_aux();
-        reactor.mark_aux_ready();
+        writer.write_all(&[2]).unwrap();
+        reactor.turn(Some(Duration::from_millis(50)), |_, _| {}).unwrap();
         assert!(!reactor.take_aux_ready(), "unwatched aux never reports ready");
     }
 

@@ -1,6 +1,6 @@
 //! # recon-set
 //!
-//! Set and multiset reconciliation — the building block the set-of-sets protocols of
+//! Set reconciliation — the building block the set-of-sets protocols of
 //! *"Reconciling Graphs and Sets of Sets"* (Mitzenmacher & Morgan, PODS 2018) are
 //! assembled from.
 //!
@@ -14,7 +14,7 @@
 //! | [`CharPolyProtocol`] | Theorem 2.3 | 1 | `O(d log u)` bits | `O(n·min(d, log² n) + d³)` |
 //! | [`session::unknown_alice`] / [`session::unknown_bob`] | Corollary 3.2 | 2 | `O(d log u)` bits | `O(n log d)` |
 //!
-//! plus multiset reconciliation (Section 3.4) in [`multiset`]. [`session`] holds
+//! plus the counted-set type of Section 3.4 in [`multiset`]. [`session`] holds
 //! each protocol's two parties; `recon_protocol::SessionBuilder::run` drives a
 //! pair in memory, an `Endpoint` over a framed transport.
 //!
@@ -48,4 +48,4 @@ pub mod session;
 pub use charpoly_protocol::{CharPolyDigest, CharPolyProtocol};
 pub use diff::SetDiff;
 pub use iblt_protocol::{full_digest_builds, IbltSetProtocol, SetDigest};
-pub use multiset::{Multiset, MultisetProtocol};
+pub use multiset::Multiset;

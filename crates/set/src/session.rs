@@ -6,13 +6,13 @@
 //! the exact bytes and rounds the paper accounts for.
 
 use crate::charpoly_protocol::CharPolyProtocol;
-use crate::iblt_protocol::IbltSetProtocol;
+use crate::iblt_protocol::{IbltSetProtocol, SetDigest};
 use recon_base::rng::split_seed;
 use recon_base::ReconError;
-use recon_estimator::{L0Estimator, Side};
+use recon_estimator::L0Config;
 use recon_protocol::{
-    AmplifiedReceiver, AmplifiedSender, Deferred, Envelope, Exhaust, Party, SessionConfig,
-    WithPreamble,
+    estimator_preamble, merged_estimate, AmplifiedReceiver, AmplifiedSender, Deferred, Envelope,
+    Exhaust, Party, SessionConfig,
 };
 use std::collections::HashSet;
 
@@ -31,6 +31,19 @@ fn control_retry(_attempt: u64) -> Envelope {
     Envelope::control(TAG_RETRY, "retry request", &())
 }
 
+/// Corollary 2.2's attempt chain: attempt `k` runs under fresh hash
+/// functions derived from the session seed. Both parties, and the store
+/// daemon's cached Alice, take every attempt's protocol from here.
+pub fn iblt_known_protocol(seed: u64, attempt: u64) -> IbltSetProtocol {
+    IbltSetProtocol::tuned(split_seed(seed, 0x2E0 + attempt))
+}
+
+/// The envelope that carries attempt `attempt`'s digest of Corollary 2.2.
+pub fn iblt_known_envelope(attempt: u64, digest: &SetDigest) -> Envelope {
+    let label = if attempt == 0 { "set digest (IBLT)" } else { "set digest (replica)" };
+    Envelope::round(TAG_DIGEST, label, digest)
+}
+
 /// Alice's side of Corollary 2.2 (one-round IBLT set reconciliation, known `d`),
 /// with replication-based amplification per the shared config.
 pub fn iblt_known_alice(
@@ -41,10 +54,8 @@ pub fn iblt_known_alice(
     let set = set.clone();
     let seed = config.seed;
     AmplifiedSender::new(config.amplification.max_attempts, move |attempt| {
-        let protocol = IbltSetProtocol::tuned(split_seed(seed, 0x2E0 + attempt));
-        let digest = protocol.digest(&set, d);
-        let label = if attempt == 0 { "set digest (IBLT)" } else { "set digest (replica)" };
-        Ok(Envelope::round(TAG_DIGEST, label, &digest))
+        let digest = iblt_known_protocol(seed, attempt).digest(&set, d);
+        Ok(iblt_known_envelope(attempt, &digest))
     })
 }
 
@@ -60,8 +71,7 @@ pub fn iblt_known_bob(
         config.amplification.max_attempts,
         move |attempt, envelope: Envelope| {
             let digest = envelope.decode_payload()?;
-            let protocol = IbltSetProtocol::tuned(split_seed(seed, 0x2E0 + attempt));
-            protocol.reconcile(&digest, &set)
+            iblt_known_protocol(seed, attempt).reconcile(&digest, &set)
         },
         retryable_iblt_failure,
         control_retry,
@@ -102,20 +112,22 @@ pub fn charpoly_known_bob(
     )
 }
 
+/// Corollary 3.2's agreement: the estimator both parties build, and the one
+/// digest protocol every attempt runs (only the bound doubles).
+fn unknown_agreement(config: &SessionConfig) -> (L0Config, IbltSetProtocol) {
+    let estimator = config.estimator.with_seed(split_seed(config.seed, 0xE57));
+    (estimator, IbltSetProtocol::tuned(split_seed(config.seed, 0x5E71)))
+}
+
 /// Alice's side of Corollary 3.2 (two-round reconciliation, unknown `d`): she
 /// waits for Bob's ℓ0 estimator, merges in her own elements, and sizes an
 /// amplified IBLT digest from the estimate (doubling the bound on each retry).
 pub fn unknown_alice(set: &HashSet<u64>, config: &SessionConfig) -> impl Party<Output = ()> {
     let set = set.clone();
-    let seed = config.seed;
-    let estimator_cfg = config.estimator.with_seed(split_seed(seed, 0xE57));
+    let (estimator, protocol) = unknown_agreement(config);
     let max_attempts = config.amplification.max_attempts;
     Deferred::new(move |envelope: Envelope| {
-        let bob_estimator: L0Estimator = envelope.decode_payload()?;
-        let mut alice_estimator = L0Estimator::new(&estimator_cfg);
-        alice_estimator.update_all(set.iter().copied(), Side::A);
-        let estimate = alice_estimator.merge(&bob_estimator)?.estimate();
-        let protocol = IbltSetProtocol::tuned(split_seed(seed, 0x5E71));
+        let estimate = merged_estimate(&estimator, set.iter().copied(), &envelope)?;
         AmplifiedSender::new(max_attempts, move |attempt| {
             // Constant-factor headroom over the estimate; retries double the
             // bound. The estimate is Bob's word, so the arithmetic saturates:
@@ -133,13 +145,9 @@ pub fn unknown_bob(
     set: &HashSet<u64>,
     config: &SessionConfig,
 ) -> impl Party<Output = HashSet<u64>> {
-    let estimator_cfg = config.estimator.with_seed(split_seed(config.seed, 0xE57));
-    let mut bob_estimator = L0Estimator::new(&estimator_cfg);
-    bob_estimator.update_all(set.iter().copied(), Side::B);
-    let preamble = [Envelope::round(TAG_ESTIMATOR, "l0 difference estimator", &bob_estimator)];
-
+    let (estimator, protocol) = unknown_agreement(config);
+    let keys = set.iter().copied();
     let set = set.clone();
-    let protocol = IbltSetProtocol::tuned(split_seed(config.seed, 0x5E71));
     let receiver = AmplifiedReceiver::new(
         config.amplification.max_attempts,
         move |_, envelope: Envelope| {
@@ -150,7 +158,7 @@ pub fn unknown_bob(
         control_retry,
         Exhaust::RetriesExhausted,
     );
-    WithPreamble::new(preamble, receiver)
+    estimator_preamble(&estimator, keys, TAG_ESTIMATOR, "l0 difference estimator", receiver)
 }
 
 #[cfg(test)]

@@ -15,19 +15,22 @@
 //!    under fresh hash functions — and only then queues the `ReconcileResp`,
 //!    so a client that has the response knows its session is live.
 //!
-//! The served envelopes reproduce [`iblt_known_alice`]'s byte-for-byte (same
-//! seed chain, same labels, same tag), so the client runs a completely
-//! ordinary [`iblt_known_bob`](recon_set::session::iblt_known_bob) against a
-//! daemon that never pays `O(n)` per session.
+//! The served envelopes are [`iblt_known_alice`]'s byte for byte by
+//! construction: the replica's banks and its rebuilt retries take every
+//! attempt's protocol from [`iblt_known_protocol`], and each envelope is made
+//! by [`iblt_known_envelope`]. So the client runs a completely ordinary
+//! [`iblt_known_bob`](recon_set::session::iblt_known_bob) against a daemon
+//! that never pays `O(n)` per session.
 //!
 //! [`iblt_known_alice`]: recon_set::session::iblt_known_alice
+//! [`iblt_known_protocol`]: recon_set::session::iblt_known_protocol
 
 use recon_base::ReconError;
 use recon_protocol::{
     AmplifiedSender, ControlFrame, Envelope, Party, Role, SessionId, Step, CONTROL_SESSION,
 };
 use recon_runtime::{ConnId, Server, ServerConfig, TcpEndpoint, TcpService};
-use recon_set::session::TAG_DIGEST;
+use recon_set::session::iblt_known_envelope;
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::{Arc, Mutex};
@@ -225,14 +228,14 @@ impl<B: StorageBackend + 'static> TcpService for StoreService<B> {
                 let d = job.d;
                 let sender = AmplifiedSender::new(job.max_attempts, move |attempt| {
                     let store = store.lock().expect("store lock");
-                    if attempt == 0 {
-                        // The cached bank: O(d), bit-identical to a fresh build.
-                        let (_, digest) = store.digest(&name, d)?;
-                        Ok(Envelope::round(TAG_DIGEST, "set digest (IBLT)", &digest))
+                    // Attempt 0 is the cached bank: O(d), bit-identical to a
+                    // fresh build.
+                    let digest = if attempt == 0 {
+                        store.digest(&name, d)?.1
                     } else {
-                        let digest = store.rebuild_digest(&name, d, attempt)?;
-                        Ok(Envelope::round(TAG_DIGEST, "set digest (replica)", &digest))
-                    }
+                        store.rebuild_digest(&name, d, attempt)?
+                    };
+                    Ok(iblt_known_envelope(attempt, &digest))
                 });
                 let response = match sender
                     .and_then(|party| endpoint.register(job.session, Role::Alice, party))

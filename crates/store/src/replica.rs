@@ -12,7 +12,8 @@
 //! `remove` cost `O(k)` per bank and the maintained state is **bit-identical**
 //! to a from-scratch build over the current keys — which is what lets the
 //! daemon serve [`SetDigest`]s indistinguishable from
-//! [`IbltSetProtocol::digest`] without ever paying its `O(n)`.
+//! [`IbltSetProtocol::digest`](recon_set::IbltSetProtocol::digest) under
+//! [`iblt_known_protocol`] without ever paying its `O(n)`.
 
 use recon_base::hash::SetHasher;
 use recon_base::rng::split_seed;
@@ -21,7 +22,8 @@ use recon_base::ReconError;
 use recon_estimator::{L0Config, Side, StrataConfig, StrataEstimator};
 use recon_iblt::Iblt;
 use recon_protocol::{Amplification, SessionConfig};
-use recon_set::{IbltSetProtocol, SetDigest};
+use recon_set::session::iblt_known_protocol;
+use recon_set::SetDigest;
 use std::collections::HashSet;
 
 use crate::wal::WalOp;
@@ -48,13 +50,6 @@ impl ReplicaParams {
             return Err(ReconError::InvalidInput(format!("invalid replica params {self:?}")));
         }
         Ok(())
-    }
-
-    /// The per-attempt digest protocol — the same derivation chain as
-    /// [`recon_set::session::iblt_known_alice`], so cached digests are
-    /// byte-compatible with a cold session run under [`Self::session_config`].
-    pub fn protocol_for_attempt(&self, attempt: u64) -> IbltSetProtocol {
-        IbltSetProtocol::tuned(split_seed(self.seed, 0x2E0 + attempt))
     }
 
     /// The strata-estimator shape clients must build (B-side) for unknown-`d`
@@ -124,7 +119,7 @@ impl Replica {
     /// An empty replica with the given parameters.
     pub fn new(params: ReplicaParams) -> Result<Self, ReconError> {
         params.validate()?;
-        let protocol = params.protocol_for_attempt(0);
+        let protocol = iblt_known_protocol(params.seed, 0);
         let banks = params
             .ladder
             .iter()
@@ -246,7 +241,7 @@ impl Replica {
     /// attempt's fresh hash functions — the rare amplification path; counted
     /// by [`recon_set::full_digest_builds`].
     pub fn rebuild_digest(&self, d: usize, attempt: u64) -> SetDigest {
-        self.params.protocol_for_attempt(attempt).digest(&self.keys, d)
+        iblt_known_protocol(self.params.seed, attempt).digest(&self.keys, d)
     }
 
     /// Estimate the difference against a client's B-side estimator and pick
@@ -314,7 +309,7 @@ impl Replica {
         let sum = u64::decode(&mut buf).map_err(ReconError::Wire)?;
         let xor = u64::decode(&mut buf).map_err(ReconError::Wire)?;
         let count = u64::decode(&mut buf).map_err(ReconError::Wire)?;
-        let protocol = params.protocol_for_attempt(0);
+        let protocol = iblt_known_protocol(params.seed, 0);
         let set_hash = SetHasher::from_state(protocol.set_hash_seed(), (sum, xor, count));
         let strata = StrataEstimator::decode(&mut buf).map_err(ReconError::Wire)?;
         let mut banks = Vec::with_capacity(params.ladder.len());
@@ -382,7 +377,7 @@ mod tests {
         // maintained bank serves exactly the bytes IbltSetProtocol::digest
         // would build from scratch — at every rung.
         let replica = churned_replica(500, 3);
-        let protocol = replica.params().protocol_for_attempt(0);
+        let protocol = iblt_known_protocol(replica.params().seed, 0);
         for &rung in &replica.params().ladder.clone() {
             let (d_eff, cached) = replica.digest(rung).unwrap();
             assert_eq!(d_eff, rung);
@@ -398,7 +393,7 @@ mod tests {
     #[test]
     fn rebuild_digest_matches_session_retry_protocol() {
         let replica = churned_replica(200, 5);
-        let fresh = replica.params().protocol_for_attempt(2).digest(replica.keys(), 32);
+        let fresh = iblt_known_protocol(replica.params().seed, 2).digest(replica.keys(), 32);
         assert_eq!(replica.rebuild_digest(32, 2).to_bytes(), fresh.to_bytes());
     }
 

@@ -341,6 +341,7 @@ mod tests {
     use super::*;
     use crate::backend::MemoryBackend;
     use recon_base::wire::Encode;
+    use recon_set::session::iblt_known_protocol;
 
     fn small_config() -> StoreConfig {
         StoreConfig::default().with_seed(77).with_ladder(vec![8, 32])
@@ -454,7 +455,7 @@ mod tests {
         store.delete("r", &[5, 10]).unwrap();
         let (d, cached) = store.digest("r", 20).unwrap();
         assert_eq!(d, 32);
-        let protocol = store.params("r").unwrap().protocol_for_attempt(0);
+        let protocol = iblt_known_protocol(store.params("r").unwrap().seed, 0);
         let fresh = protocol.digest(store.keys("r").unwrap(), 32);
         assert_eq!(cached.to_bytes(), fresh.to_bytes());
     }
