@@ -198,10 +198,9 @@ impl<R, T> Party for SchemeBob<R, T> {
             TAG_GRAPH_CHARGE => Ok(Step::Continue),
             tag if tag == self.finale_tag => {
                 let recovered = self.recovered.take().ok_or_else(|| {
-                    ReconError::InvalidInput(format!(
-                        "{} arrived before the signature reconciliation",
-                        envelope.label
-                    ))
+                    ReconError::InvalidInput(
+                        "the finale arrived before the signature reconciliation".to_string(),
+                    )
                 })?;
                 Ok(Step::Done((self.finish)(recovered, envelope)?))
             }
