@@ -51,6 +51,9 @@ pub struct Transcript {
     messages: Vec<MessageStat>,
     /// `rounds[i]` is the round index of `messages[i]`.
     round_of: Vec<usize>,
+    /// Bytes across all messages. A recorder of a peer's number checks it
+    /// against `usize::MAX - total` first, so no sum below overflows.
+    total: usize,
 }
 
 impl Transcript {
@@ -66,10 +69,7 @@ impl Transcript {
 
     /// Record a message of `bytes` bytes, starting a new round.
     pub fn record_bytes(&mut self, direction: Direction, label: &str, bytes: usize) -> usize {
-        let round = self.rounds() + 1;
-        self.messages.push(MessageStat { direction, bytes, label: label.to_string() });
-        self.round_of.push(round);
-        bytes
+        self.push(direction, label, bytes, self.rounds() + 1)
     }
 
     /// Record a message that travels in the same round as the previous message
@@ -95,7 +95,11 @@ impl Transcript {
         label: &str,
         bytes: usize,
     ) -> usize {
-        let round = self.rounds().max(1);
+        self.push(direction, label, bytes, self.rounds().max(1))
+    }
+
+    fn push(&mut self, direction: Direction, label: &str, bytes: usize, round: usize) -> usize {
+        self.total += bytes;
         self.messages.push(MessageStat { direction, bytes, label: label.to_string() });
         self.round_of.push(round);
         bytes
@@ -113,21 +117,12 @@ impl Transcript {
 
     /// Total bytes across all messages.
     pub fn total_bytes(&self) -> usize {
-        self.messages.iter().map(|m| m.bytes).sum()
+        self.total
     }
 
     /// Total bytes sent in the given direction.
     pub fn bytes_in_direction(&self, direction: Direction) -> usize {
         self.messages.iter().filter(|m| m.direction == direction).map(|m| m.bytes).sum()
-    }
-
-    /// Merge another transcript after this one (its rounds are appended).
-    pub fn extend(&mut self, other: &Transcript) {
-        let offset = self.rounds();
-        for (msg, round) in other.messages.iter().zip(&other.round_of) {
-            self.messages.push(msg.clone());
-            self.round_of.push(offset + round);
-        }
     }
 
     /// Produce the summary statistics for this transcript.
@@ -245,19 +240,6 @@ mod tests {
         assert_eq!(stats.total_bytes(), 141);
         assert_eq!(stats.total_bits(), 141 * 8);
         assert_eq!(stats.rounds, 3);
-    }
-
-    #[test]
-    fn extend_appends_rounds() {
-        let mut t1 = Transcript::new();
-        t1.record_bytes(Direction::AliceToBob, "a", 1);
-        let mut t2 = Transcript::new();
-        t2.record_bytes(Direction::BobToAlice, "b", 2);
-        t2.record_bytes(Direction::AliceToBob, "c", 3);
-        t1.extend(&t2);
-        assert_eq!(t1.rounds(), 3);
-        assert_eq!(t1.total_bytes(), 6);
-        assert_eq!(t1.messages().len(), 3);
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub enum ReconError {
     /// either a corrupted/desynced stream or a peer probing for an OOM.
     FrameTooLarge {
         /// The length the prefix claimed.
-        len: usize,
+        len: u64,
         /// The receiver's cap.
         max: usize,
     },

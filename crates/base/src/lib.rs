@@ -41,4 +41,4 @@ pub use comm::{CommStats, Direction, MessageStat, Transcript};
 pub use error::ReconError;
 pub use hash::{hash64, hash_bytes};
 pub use rng::{SplitMix64, Xoshiro256};
-pub use wire::{Decode, Encode, WireError};
+pub use wire::{Claimed, Decode, Encode, WireError};

@@ -178,9 +178,48 @@ impl Encode for usize {
     }
 }
 
-impl Decode for usize {
+/// A number a peer wrote — a length, a count, a bound — as it came off the
+/// wire (a varint). It becomes a `usize` only through one of its two checked
+/// exits, so no decoder sizes a table or a reservation from a number it did
+/// not bound first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[must_use]
+pub struct Claimed(u64);
+
+impl Claimed {
+    /// A peer's number that arrived in some other form than a varint (a
+    /// fixed-width field, a meter).
+    pub fn new(value: u64) -> Self {
+        Claimed(value)
+    }
+
+    /// The number, if it is at most `limit`; [`WireError::Invalid`] naming
+    /// `what` otherwise.
+    pub fn at_most(self, limit: usize, what: &'static str) -> Result<usize, WireError> {
+        usize::try_from(self.0).ok().filter(|&n| n <= limit).ok_or(WireError::Invalid(what))
+    }
+
+    /// The number as a count of items of at least `item_bytes` (and at least
+    /// one) bytes each, if `rest` can hold that many;
+    /// [`WireError::UnexpectedEnd`] otherwise: the input ended before the
+    /// items it announced.
+    pub fn items_in(self, rest: &[u8], item_bytes: usize) -> Result<usize, WireError> {
+        let room = rest.len() / item_bytes.max(1);
+        usize::try_from(self.0).ok().filter(|&n| n <= room).ok_or(WireError::UnexpectedEnd)
+    }
+}
+
+/// The number as the peer wrote it, for a report; a size comes out of the
+/// two exits only.
+impl From<Claimed> for u64 {
+    fn from(claimed: Claimed) -> u64 {
+        claimed.0
+    }
+}
+
+impl Decode for Claimed {
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(read_uvarint(buf)? as usize)
+        read_uvarint(buf).map(Claimed)
     }
 }
 
@@ -212,12 +251,10 @@ impl<T: Encode> Encode for Vec<T> {
 
 impl<T: Decode> Decode for Vec<T> {
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        let len = read_uvarint(buf)? as usize;
-        // Guard against absurd lengths from corrupt input: each element needs ≥ 1 byte.
-        if len > buf.len() {
-            return Err(WireError::Invalid("sequence length exceeds remaining bytes"));
-        }
-        let mut out = Vec::with_capacity(len);
+        // Each element takes at least a byte, and the up-front reservation
+        // takes no more memory than the input holds.
+        let len = Claimed::decode(buf)?.items_in(buf, 1)?;
+        let mut out = Vec::with_capacity(len.min(buf.len() / size_of::<T>().max(1)));
         for _ in 0..len {
             out.push(T::decode(buf)?);
         }
@@ -293,7 +330,7 @@ pub fn write_length_prefixed(buf: &mut Vec<u8>, bytes: &[u8]) {
 
 /// Read a length-prefixed byte slice, borrowing from the input buffer.
 pub fn read_length_prefixed<'a>(buf: &mut &'a [u8]) -> Result<&'a [u8], WireError> {
-    let len = read_uvarint(buf)? as usize;
+    let len = Claimed::decode(buf)?.items_in(buf, 1)?;
     take(buf, len)
 }
 

@@ -49,7 +49,7 @@
 
 use crate::iblt_of_iblts::IbltOfIbltsProtocol;
 use crate::types::{ChildSet, SetOfSets, SosParams};
-use recon_base::wire::{read_uvarint, write_uvarint, Decode, Encode, WireError};
+use recon_base::wire::{write_uvarint, Claimed, Decode, Encode, WireError};
 use recon_base::ReconError;
 use recon_iblt::{Iblt, IbltConfig};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -84,9 +84,13 @@ impl Encode for CascadingDigest {
 
 impl Decode for CascadingDigest {
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
+        let diff_bound = Claimed::decode(buf)?;
+        let levels = Vec::<Iblt>::decode(buf)?;
+        // The first level has more than `2d` cells.
+        let limit = levels.first().map_or(0, |first| first.cells() - 1);
         Ok(CascadingDigest {
-            diff_bound: read_uvarint(buf)? as usize,
-            levels: Vec::<Iblt>::decode(buf)?,
+            diff_bound: diff_bound.at_most(limit, "cascade difference bound")?,
+            levels,
             fallback: Option::<Iblt>::decode(buf)?,
             parent_hash: u64::decode(buf)?,
             num_children: u64::decode(buf)?,

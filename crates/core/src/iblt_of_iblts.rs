@@ -11,7 +11,7 @@
 //! Communication: `O(d̂ d log u + d̂ log s)` bits in one round.
 
 use crate::types::{ChildSet, SetOfSets, SosParams};
-use recon_base::wire::{read_uvarint, write_uvarint, Decode, Encode, WireError};
+use recon_base::wire::{write_uvarint, Claimed, Decode, Encode, WireError};
 use recon_base::ReconError;
 use recon_iblt::{Iblt, IbltConfig};
 
@@ -39,9 +39,12 @@ impl Encode for IbltOfIbltsDigest {
 
 impl Decode for IbltOfIbltsDigest {
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
+        let outer = <Iblt as Decode>::decode(buf)?;
+        // An outer key holds a child table of at least `2d` cells.
+        let child_diff_bound = Claimed::decode(buf)?.at_most(outer.key_bytes(), "child bound")?;
         Ok(IbltOfIbltsDigest {
-            outer: <Iblt as Decode>::decode(buf)?,
-            child_diff_bound: read_uvarint(buf)? as usize,
+            outer,
+            child_diff_bound,
             parent_hash: u64::decode(buf)?,
             num_children: u64::decode(buf)?,
         })
@@ -64,11 +67,14 @@ impl IbltOfIbltsProtocol {
     /// smaller minimum size than stand-alone IBLTs: a child decode failure is caught
     /// by the hash check and surfaces as a retryable error rather than silent
     /// corruption, so the communication savings are worth the slightly higher
-    /// failure rate.
+    /// failure rate. A child table is only decoded as a trial against one of
+    /// Bob's candidates, where a failure just means "try the next one", so it
+    /// peels without the rescue.
     fn child_config(&self) -> IbltConfig {
         IbltConfig::for_u64_keys(self.params.role_seed(0xB1))
             .with_cells_per_diff(2.0)
             .with_min_cells(8)
+            .with_rescue(None)
     }
 
     /// Number of cells each child IBLT uses for a per-child difference bound `d`.
@@ -217,10 +223,7 @@ impl IbltOfIbltsProtocol {
             let mut matched = false;
             for (child_b, table_b) in &candidates {
                 let Ok(mut diff_table) = table_a.subtract(table_b) else { continue };
-                // The negative side of a child difference comes from Bob's own
-                // child set — hand it to the rescue solver as candidates.
-                let peeled =
-                    diff_table.decode_in_place_with_candidates_u64(child_b.iter().copied());
+                let peeled = diff_table.decode_in_place();
                 if !peeled.complete {
                     continue;
                 }

@@ -26,8 +26,8 @@ use recon_base::ReconError;
 use recon_estimator::{L0Config, L0Estimator, Side};
 use recon_iblt::{Iblt, IbltConfig};
 use recon_protocol::{
-    estimator_preamble, merged_estimate, Amplification, AmplifiedReceiver, AmplifiedSender,
-    Deferred, Envelope, Exhaust, Party, Step, WithPreamble,
+    doubled_bound, estimator_preamble, merged_estimate, Amplification, AmplifiedReceiver,
+    AmplifiedSender, Deferred, Envelope, Exhaust, Party, Step, WithPreamble,
 };
 use recon_set::{CharPolyProtocol, IbltSetProtocol};
 use std::collections::{BTreeMap, VecDeque};
@@ -56,69 +56,50 @@ pub const TAG_MR_FULL: u16 = 0x5059;
 /// `label`, and Bob decodes it with `reconcile`. A replication chain answers a
 /// failed attempt with an uncharged replica request and, once exhausted,
 /// reports the last error (Section 3.2). A doubling chain sizes attempt `k`
-/// for `d = doubling_from · 2^k` and answers with the metered NACK of
+/// with [`doubled_bound`] and answers with the metered NACK of
 /// Corollaries 3.6/3.8, reporting [`ReconError::RetriesExhausted`].
 #[derive(Clone, Copy)]
 struct Chain {
     role: u64,
     label: &'static str,
-    doubling_from: Option<usize>,
+    doubling: bool,
     reconcile: fn(SosParams, &Envelope, &SetOfSets) -> Result<SetOfSets, ReconError>,
 }
 
 const NAIVE_KNOWN: Chain = Chain {
     role: 0xAA00,
     label: "naive outer IBLT",
-    doubling_from: None,
+    doubling: false,
     reconcile: |p, envelope, sos| NaiveProtocol::new(p).reconcile(&envelope.decode_payload()?, sos),
 };
 const NAIVE_UNKNOWN: Chain = Chain { role: 0xAC00, ..NAIVE_KNOWN };
 const IOI_KNOWN: Chain = Chain {
     role: 0xBB00,
     label: "IBLT of child-IBLT encodings",
-    doubling_from: None,
+    doubling: false,
     reconcile: |p, envelope, sos| {
         IbltOfIbltsProtocol::new(p).reconcile(&envelope.decode_payload()?, sos)
     },
 };
-const IOI_UNKNOWN: Chain = Chain { role: 0xBC00, doubling_from: Some(1), ..IOI_KNOWN };
+const IOI_UNKNOWN: Chain = Chain { role: 0xBC00, doubling: true, ..IOI_KNOWN };
 const CASCADING_KNOWN: Chain = Chain {
     role: 0xCC00,
     label: "cascading IBLTs of IBLTs",
-    doubling_from: None,
+    doubling: false,
     reconcile: |p, envelope, sos| {
         CascadingProtocol::new(p).reconcile(&envelope.decode_payload()?, sos)
     },
 };
-const CASCADING_UNKNOWN: Chain = Chain { role: 0xCD00, doubling_from: Some(2), ..CASCADING_KNOWN };
+const CASCADING_UNKNOWN: Chain = Chain { role: 0xCD00, doubling: true, ..CASCADING_KNOWN };
 
 /// Seed role of the naive family's child-hash estimator (Theorem 3.4).
 const NAIVE_ESTIMATOR: u64 = 0xAB;
 /// Seed role of the multi-round family's child-hash estimator (Theorem 3.10).
 const MULTIROUND_ESTIMATOR: u64 = 0xD0;
 
-/// Bound schedule of Theorem 3.4's naive chain: twice Bob's estimate, at
-/// least 4, doubled on every retry. The estimate is Bob's word, so the
-/// arithmetic saturates: past `usize` it sizes a table `try_digest` refuses.
-fn naive_unknown_bound(estimate: usize, attempt: u64) -> usize {
-    estimate.saturating_mul(2).max(4).saturating_mul(1 << attempt.min(63))
-}
-
 impl Chain {
     fn attempt_params(self, params: &SosParams, attempt: u64) -> SosParams {
         SosParams { seed: params.role_seed(self.role + attempt), ..*params }
-    }
-
-    /// A doubling chain's bound for `attempt`, or
-    /// [`ReconError::ResourceExhausted`] past `usize`: the peer sets `attempt`
-    /// (every envelope it sends asks for the next one), so a bound that does
-    /// not fit is refused, never wrapped.
-    fn doubled_bound(self, attempt: u64) -> Result<usize, ReconError> {
-        u32::try_from(attempt)
-            .ok()
-            .and_then(|shift| 1usize.checked_shl(shift))
-            .and_then(|factor| self.doubling_from?.checked_mul(factor))
-            .ok_or(ReconError::ResourceExhausted { what: "doubled bound", limit: usize::MAX })
     }
 
     /// Alice: attempt `k`'s digest is `digest(k's parameters, k)`.
@@ -145,7 +126,7 @@ impl Chain {
         unpack: impl Fn(SetOfSets) -> Result<T, ReconError> + Send + 'static,
     ) -> AmplifiedReceiver<T> {
         let params = *params;
-        let doubling = self.doubling_from.is_some();
+        let doubling = self.doubling;
         let exhaust = if doubling { Exhaust::RetriesExhausted } else { Exhaust::LastError };
         let nack = move |_| match doubling {
             true => Envelope::round(TAG_SOS_NACK, "NACK (double d)", &1u8),
@@ -227,7 +208,8 @@ pub fn naive_unknown_alice(
     Deferred::new(move |envelope: Envelope| {
         let estimate = child_hash_estimate(&sos, &params, estimator, NAIVE_ESTIMATOR, &envelope)?;
         NAIVE_UNKNOWN.alice(&params, amplification, move |p, attempt| {
-            NaiveProtocol::new(p).try_digest(&sos, naive_unknown_bound(estimate, attempt))
+            // Twice Bob's estimate, at least 4, doubled on every retry.
+            NaiveProtocol::new(p).try_digest(&sos, doubled_bound(estimate.max(2), attempt + 1)?)
         })
     })
 }
@@ -281,7 +263,7 @@ pub fn ioi_unknown_alice(
 ) -> Result<impl Party<Output = ()>, ReconError> {
     let sos = sos.clone();
     IOI_UNKNOWN.alice(params, amplification, move |p, attempt| {
-        let d = IOI_UNKNOWN.doubled_bound(attempt)?;
+        let d = doubled_bound(1, attempt)?;
         IbltOfIbltsProtocol::new(p).try_digest(&sos, d, d.min(children_cap.max(1)))
     })
 }
@@ -329,7 +311,7 @@ pub fn cascading_unknown_alice(
 ) -> Result<impl Party<Output = ()>, ReconError> {
     let sos = sos.clone();
     CASCADING_UNKNOWN.alice(params, amplification, move |p, attempt| {
-        CascadingProtocol::new(p).try_digest(&sos, CASCADING_UNKNOWN.doubled_bound(attempt)?)
+        CascadingProtocol::new(p).try_digest(&sos, doubled_bound(2, attempt)?)
     })
 }
 
@@ -818,21 +800,21 @@ mod tests {
         matches!(result, Err(ReconError::ResourceExhausted { .. }))
     }
 
-    /// The peer sets the attempt number, so the doubling schedules must
-    /// refuse a bound past `usize` instead of wrapping or panicking.
+    /// The peer sets the attempt number, so the one doubling schedule must
+    /// refuse a bound past `usize` instead of wrapping or panicking: from the
+    /// IBLT-of-IBLTs chain's first bound 1 and the cascade's 2.
     #[cfg(target_pointer_width = "64")]
     #[test]
     fn doubling_schedules_refuse_bounds_past_usize() {
-        let (ioi, cascade) = (IOI_UNKNOWN, CASCADING_UNKNOWN);
-        assert_eq!(ioi.doubled_bound(0).unwrap(), 1);
-        assert_eq!(ioi.doubled_bound(62).unwrap(), 1 << 62);
-        assert_eq!(ioi.doubled_bound(63).unwrap(), 1 << 63);
-        assert!(exhausted(ioi.doubled_bound(64)));
-        assert!(exhausted(ioi.doubled_bound(70)));
-        assert_eq!(cascade.doubled_bound(0).unwrap(), 2);
-        assert_eq!(cascade.doubled_bound(62).unwrap(), 1 << 63);
+        assert_eq!(doubled_bound(1, 0).unwrap(), 1);
+        assert_eq!(doubled_bound(1, 62).unwrap(), 1 << 62);
+        assert_eq!(doubled_bound(1, 63).unwrap(), 1 << 63);
+        assert!(exhausted(doubled_bound(1, 64)));
+        assert!(exhausted(doubled_bound(1, 70)));
+        assert_eq!(doubled_bound(2, 0).unwrap(), 2);
+        assert_eq!(doubled_bound(2, 62).unwrap(), 1 << 63);
         for attempt in [63, 64, 70] {
-            assert!(exhausted(cascade.doubled_bound(attempt)), "attempt {attempt}");
+            assert!(exhausted(doubled_bound(2, attempt)), "attempt {attempt}");
         }
     }
 

@@ -8,7 +8,7 @@
 
 use recon_base::hash::{hash_u64_set, SetHasher};
 use recon_base::rng::split_seed;
-use recon_base::wire::{read_uvarint, write_uvarint, Decode, Encode, WireError};
+use recon_base::wire::{write_uvarint, Claimed, Decode, Encode, WireError};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -166,27 +166,16 @@ impl SetOfSets {
 
     /// Inverse of [`SetOfSets::encode_child_fixed`].
     pub fn decode_child_fixed(bytes: &[u8]) -> Option<ChildSet> {
-        if bytes.len() < 2 {
-            return None;
-        }
-        let count = u16::from_le_bytes(bytes[..2].try_into().ok()?) as usize;
-        if bytes.len() < 2 + 8 * count {
-            return None;
-        }
-        let mut child = ChildSet::new();
-        for i in 0..count {
-            let start = 2 + 8 * i;
-            let x = u64::from_le_bytes(bytes[start..start + 8].try_into().ok()?);
-            child.insert(x);
-        }
-        // Padding must be all zeros, otherwise the bytes were not a valid encoding.
-        if bytes[2 + 8 * count..].iter().any(|&b| b != 0) {
-            return None;
-        }
-        if child.len() != count {
-            return None;
-        }
-        Some(child)
+        let (count, slots) = bytes.split_first_chunk::<2>()?;
+        let count = Claimed::new(u16::from_le_bytes(*count).into()).items_in(slots, 8).ok()?;
+        let (elements, padding) = slots.split_at(8 * count);
+        let child: ChildSet = elements
+            .chunks_exact(8)
+            .map(|x| u64::from_le_bytes(x.try_into().expect("8 bytes")))
+            .collect();
+        // Padding must be all zeros and the elements distinct, otherwise the
+        // bytes were not a valid encoding.
+        (padding.iter().all(|&b| b == 0) && child.len() == count).then_some(child)
     }
 }
 
@@ -210,23 +199,15 @@ impl Encode for SetOfSets {
 
 impl Decode for SetOfSets {
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        let s = read_uvarint(buf)? as usize;
-        if s > buf.len() {
-            return Err(WireError::Invalid("set-of-sets child count"));
-        }
-        let mut children = Vec::with_capacity(s);
-        for _ in 0..s {
-            let len = read_uvarint(buf)? as usize;
-            if len.saturating_mul(8) > buf.len() {
-                return Err(WireError::Invalid("child set length"));
-            }
-            let mut child = ChildSet::new();
-            for _ in 0..len {
-                child.insert(u64::decode(buf)?);
-            }
-            children.push(child);
-        }
-        Ok(SetOfSets::from_children(children))
+        // A child takes at least its length byte, an element eight bytes; the
+        // children are collected as they parse, with nothing reserved ahead.
+        let s = Claimed::decode(buf)?.items_in(buf, 1)?;
+        (0..s)
+            .map(|_| {
+                let len = Claimed::decode(buf)?.items_in(buf, 8)?;
+                (0..len).map(|_| u64::decode(buf)).collect()
+            })
+            .collect()
     }
 }
 

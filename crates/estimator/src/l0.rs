@@ -31,7 +31,7 @@
 use crate::Side;
 use recon_base::hash::hash64;
 use recon_base::rng::split_seed;
-use recon_base::wire::{read_uvarint, write_uvarint, Decode, Encode, WireError};
+use recon_base::wire::{write_uvarint, Claimed, Decode, Encode, WireError};
 use recon_base::ReconError;
 
 /// Configuration for [`L0Estimator`].
@@ -229,26 +229,26 @@ impl Encode for L0Estimator {
 
 impl Decode for L0Estimator {
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        let reps = read_uvarint(buf)? as usize;
-        let levels = read_uvarint(buf)? as usize;
-        let buckets = read_uvarint(buf)? as usize;
-        let threshold = read_uvarint(buf)? as usize;
+        const HEADER: &str = "l0 estimator header";
+        let claimed_reps = Claimed::decode(buf)?;
+        let reps = claimed_reps.at_most(1024, HEADER)?;
+        let levels = Claimed::decode(buf)?.at_most(64, HEADER)?;
+        // A repetition's `levels · buckets` counters must be countable.
+        let buckets = Claimed::decode(buf)?.at_most(usize::MAX / levels.max(1), HEADER)?;
+        // The busy-level threshold sizes nothing.
+        let threshold = Claimed::decode(buf)?.at_most(usize::MAX, HEADER)?;
         let seed = u64::decode(buf)?;
         // `new`'s bounds, on a header a peer wrote.
-        if reps == 0 || levels == 0 || buckets < 4 || reps > 1024 || levels > 64 {
-            return Err(WireError::Invalid("l0 estimator header"));
+        if reps == 0 || levels == 0 || buckets < 4 {
+            return Err(WireError::Invalid(HEADER));
         }
         let cfg = L0Config { reps, levels, buckets, threshold, seed };
         // The whole plane, bounded by the bytes present before anything is
         // allocated for it (so `reps * per_rep ≤ 4 · buf.len()` below).
-        let per_rep =
-            levels.checked_mul(buckets).ok_or(WireError::Invalid("l0 estimator header"))?;
+        let per_rep = levels * buckets;
         let packed = per_rep.div_ceil(4);
-        let total = packed.checked_mul(reps).ok_or(WireError::Invalid("l0 estimator header"))?;
-        if buf.len() < total {
-            return Err(WireError::UnexpectedEnd);
-        }
-        let (bytes, rest) = buf.split_at(total);
+        claimed_reps.items_in(buf, packed)?;
+        let (bytes, rest) = buf.split_at(reps * packed);
         *buf = rest;
         let mut counters = Vec::with_capacity(reps * per_rep);
         for rep in bytes.chunks_exact(packed) {

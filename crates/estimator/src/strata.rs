@@ -12,7 +12,7 @@
 use crate::Side;
 use recon_base::hash::hash64;
 use recon_base::rng::split_seed;
-use recon_base::wire::{read_uvarint, write_uvarint, Decode, Encode, WireError};
+use recon_base::wire::{write_uvarint, Claimed, Decode, Encode, WireError};
 use recon_base::ReconError;
 use recon_iblt::{Iblt, IbltConfig};
 
@@ -160,11 +160,13 @@ impl Encode for StrataEstimator {
 
 impl Decode for StrataEstimator {
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        let strata = read_uvarint(buf)? as usize;
-        let cells_per_stratum = read_uvarint(buf)? as usize;
+        const HEADER: &str = "strata estimator header";
+        let strata = Claimed::decode(buf)?.at_most(64, HEADER)?;
+        // Every stratum is a table of this many cells, each at least a byte.
+        let cells_per_stratum = Claimed::decode(buf)?.items_in(buf, 1)?;
         let seed = u64::decode(buf)?;
-        if !(2..=64).contains(&strata) || cells_per_stratum < 8 {
-            return Err(WireError::Invalid("strata estimator header"));
+        if strata < 2 || cells_per_stratum < 8 {
+            return Err(WireError::Invalid(HEADER));
         }
         let cfg = StrataConfig { strata, cells_per_stratum, seed };
         // A header that matches the receiver's public configuration must not

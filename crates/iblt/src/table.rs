@@ -32,7 +32,9 @@ use crate::kernels;
 use crate::rescue::{self, DecodeBudget};
 use recon_base::hash::{hash64, hash_bytes_lanes, rem_fixed};
 use recon_base::rng::split_seed;
-use recon_base::wire::{read_uvarint, uvarint_len, write_uvarint, Decode, Encode, WireError};
+use recon_base::wire::{
+    read_uvarint, uvarint_len, write_uvarint, Claimed, Decode, Encode, WireError,
+};
 use recon_base::ReconError;
 use std::collections::VecDeque;
 
@@ -873,13 +875,7 @@ impl Iblt {
     /// of the difference should prefer
     /// [`Iblt::decode_in_place_with_candidates`].
     pub fn decode_in_place(&mut self) -> DecodeResult {
-        let mut result = DecodeResult::default();
-        self.peel_in_place(&mut result);
-        if let Some(budget) = self.rescue_in_effect() {
-            rescue::rescue_in_place(self, &mut result, &[], budget);
-        }
-        result.complete = self.is_empty();
-        result
+        self.decode_in_place_with_candidates(std::iter::empty::<&[u8]>())
     }
 
     /// Decode in place like [`Iblt::decode_in_place`], but give the rescue
@@ -895,16 +891,15 @@ impl Iblt {
     {
         let mut result = DecodeResult::default();
         self.peel_in_place(&mut result);
-        if !self.is_empty() {
-            if let Some(budget) = self.rescue_in_effect() {
-                let owned: Vec<K> = negative_candidates.into_iter().collect();
-                let refs: Vec<&[u8]> = owned
-                    .iter()
-                    .map(|k| k.as_ref())
-                    .filter(|k| k.len() == self.bank.key_bytes)
-                    .collect();
-                rescue::rescue_in_place(self, &mut result, &refs, budget);
-            }
+        // A stalled peel goes to the rescue, if the table has one.
+        if let Some(budget) = self.rescue.filter(|_| !self.is_empty()) {
+            let owned: Vec<K> = negative_candidates.into_iter().collect();
+            let refs: Vec<&[u8]> = owned
+                .iter()
+                .map(|k| k.as_ref())
+                .filter(|k| k.len() == self.bank.key_bytes)
+                .collect();
+            rescue::rescue_in_place(self, &mut result, &refs, budget);
         }
         result.complete = self.is_empty();
         result
@@ -917,35 +912,12 @@ impl Iblt {
     where
         I: IntoIterator<Item = u64>,
     {
-        let mut result = DecodeResult::default();
-        self.peel_in_place(&mut result);
-        if !self.is_empty() {
-            if let Some(budget) = self.rescue_in_effect() {
-                let kb = self.bank.key_bytes;
-                let keys: Vec<Vec<u8>> = negative_candidates
-                    .into_iter()
-                    .map(|x| {
-                        let mut key = vec![0u8; kb];
-                        key[..8].copy_from_slice(&x.to_le_bytes());
-                        key
-                    })
-                    .collect();
-                let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
-                rescue::rescue_in_place(self, &mut result, &refs, budget);
-            }
-        }
-        result.complete = self.is_empty();
-        result
-    }
-
-    /// The rescue budget in effect for this decode: the table's configured
-    /// budget, or none when the peel already drained the table.
-    fn rescue_in_effect(&self) -> Option<DecodeBudget> {
-        if self.is_empty() {
-            None
-        } else {
-            self.rescue
-        }
+        let kb = self.bank.key_bytes;
+        self.decode_in_place_with_candidates(negative_candidates.into_iter().map(move |x| {
+            let mut key = vec![0u8; kb];
+            key[..8].copy_from_slice(&x.to_le_bytes());
+            key
+        }))
     }
 
     /// Run the peeling loop to exhaustion, appending recovered keys to
@@ -1072,10 +1044,7 @@ impl Iblt {
         }
         let (count_plane, mut sums) = bytes.split_at(cells * width);
         for (count, bytes) in self.bank.counts.iter_mut().zip(count_plane.chunks_exact(width)) {
-            *count = le_word(bytes) as i64;
-            if !(0..=max_count as i64).contains(count) {
-                return Err(WireError::Invalid("IBLT key form count"));
-            }
+            *count = Claimed::new(le_word(bytes)).at_most(max_count, "IBLT key form count")? as i64;
         }
         self.read_sums(&mut sums)
     }
@@ -1151,19 +1120,16 @@ impl Iblt {
         buf: &mut &[u8],
         fixed: impl Fn(usize) -> usize,
     ) -> Result<(usize, usize, usize, u64), WireError> {
-        let key_bytes = read_uvarint(buf)? as usize;
-        let hash_count = read_uvarint(buf)? as usize;
-        let cell_count = read_uvarint(buf)? as usize;
-        if key_bytes == 0 || hash_count == 0 || hash_count > cell_count {
-            return Err(WireError::Invalid("IBLT header"));
-        }
+        const HEADER: &str = "IBLT header";
+        // A cell's key lies in what is left.
+        let key_bytes = Claimed::decode(buf)?.at_most(buf.len(), HEADER)?;
+        let hash_count = Claimed::decode(buf)?;
+        let cell_count = Claimed::decode(buf)?;
         let seed = u64::decode(buf)?;
-        let need = key_bytes
-            .checked_add(fixed(key_bytes))
-            .and_then(|per_cell| cell_count.checked_mul(per_cell))
-            .ok_or(WireError::Invalid("IBLT header"))?;
-        if buf.len() < need {
-            return Err(WireError::UnexpectedEnd);
+        let cell_count = cell_count.items_in(buf, key_bytes + fixed(key_bytes))?;
+        let hash_count = hash_count.at_most(cell_count, HEADER)?;
+        if key_bytes == 0 || hash_count == 0 {
+            return Err(WireError::Invalid(HEADER));
         }
         Ok((key_bytes, hash_count, cell_count, seed))
     }

@@ -32,6 +32,19 @@ pub enum Exhaust {
     RetriesExhausted,
 }
 
+/// The difference bound of doubling attempt `attempt` in a schedule that
+/// starts at `first` (Corollaries 3.6/3.8, Corollary 3.2's retries):
+/// `first · 2^attempt`. The peer sets `attempt` (each retry request asks for
+/// the next one), so a bound past `usize` is refused with
+/// [`ReconError::ResourceExhausted`], never wrapped or saturated.
+pub fn doubled_bound(first: usize, attempt: u64) -> Result<usize, ReconError> {
+    u32::try_from(attempt)
+        .ok()
+        .and_then(|shift| 1usize.checked_shl(shift))
+        .and_then(|factor| first.checked_mul(factor))
+        .ok_or(ReconError::ResourceExhausted { what: "doubled bound", limit: usize::MAX })
+}
+
 /// The sending half of an amplified one-round protocol: emits the attempt-0
 /// digest immediately and a fresh digest for every retry request received.
 pub struct AmplifiedSender {

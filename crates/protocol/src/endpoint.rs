@@ -240,7 +240,11 @@ impl<T: Transport> Endpoint<T> {
         for (&id, slot) in self.sessions.iter_mut() {
             while let Some(envelope) = slot.session.poll_send() {
                 progressed = true;
-                envelope.record_into(&mut slot.transcript, slot.role.outgoing());
+                if let Err(error) = envelope.record_into(&mut slot.transcript, slot.role.outgoing())
+                {
+                    slot.error = Some(error);
+                    break;
+                }
                 self.transport.send(&Frame::envelope(id, envelope))?;
             }
             if slot.finished() && !slot.fin_sent {
@@ -285,8 +289,10 @@ impl<T: Transport> Endpoint<T> {
                     // receiving party returns its output.
                     return Ok(());
                 }
-                envelope.record_into(&mut slot.transcript, slot.role.incoming());
-                if let Err(error) = slot.session.handle(envelope) {
+                // A charge the session's byte total cannot count fails the
+                // session before its party sees the envelope.
+                let recorded = envelope.record_into(&mut slot.transcript, slot.role.incoming());
+                if let Err(error) = recorded.and_then(|()| slot.session.handle(envelope)) {
                     slot.error = Some(error);
                 }
             }

@@ -11,8 +11,8 @@
 
 use recon_base::comm::{Direction, Transcript};
 use recon_base::wire::{
-    read_length_prefixed, read_uvarint, uvarint_len, write_length_prefixed, write_uvarint, Decode,
-    Encode, WireError,
+    read_length_prefixed, read_uvarint, uvarint_len, write_length_prefixed, write_uvarint, Claimed,
+    Decode, Encode, WireError,
 };
 use recon_base::ReconError;
 
@@ -84,18 +84,29 @@ impl Envelope {
         }
     }
 
-    /// The number of bytes this envelope charges to the transcript.
-    pub fn charged_bytes(&self) -> usize {
+    /// What this envelope charges to a transcript, if anything: its payload's
+    /// length or the number its sender wrote, and whether the charge shares
+    /// the previous message's round.
+    fn metered(&self) -> Option<(Claimed, bool)> {
+        let payload = Claimed::new(self.payload.len() as u64);
         match self.meter {
-            Meter::Round | Meter::Parallel => self.payload.len(),
-            Meter::Explicit { bytes, .. } => bytes as usize,
-            Meter::Control => 0,
+            Meter::Round => Some((payload, false)),
+            Meter::Parallel => Some((payload, true)),
+            Meter::Explicit { bytes, parallel } => Some((Claimed::new(bytes), parallel)),
+            Meter::Control => None,
         }
+    }
+
+    /// The number of bytes this envelope charges to the transcript (one past
+    /// `usize` counts as `usize::MAX`).
+    pub fn charged_bytes(&self) -> usize {
+        self.metered()
+            .map_or(0, |(bytes, _)| bytes.at_most(usize::MAX, "charge").unwrap_or(usize::MAX))
     }
 
     /// `true` if the charge shares the previous message's round.
     pub fn is_parallel(&self) -> bool {
-        matches!(self.meter, Meter::Parallel | Meter::Explicit { parallel: true, .. })
+        self.metered().is_some_and(|(_, parallel)| parallel)
     }
 
     /// Decode the full payload as `T` (the payload must be consumed exactly).
@@ -110,23 +121,26 @@ impl Envelope {
     ///
     /// [`SessionBuilder::run`]: crate::SessionBuilder::run
     /// [`Endpoint`]: crate::Endpoint
-    pub fn record_into(&self, transcript: &mut Transcript, direction: Direction) {
-        match self.meter {
-            Meter::Round => {
-                transcript.record_bytes(direction, &self.label, self.payload.len());
-            }
-            Meter::Parallel => {
-                transcript.record_parallel_bytes(direction, &self.label, self.payload.len());
-            }
-            Meter::Explicit { bytes, parallel } => {
-                if parallel {
-                    transcript.record_parallel_bytes(direction, &self.label, bytes as usize);
-                } else {
-                    transcript.record_bytes(direction, &self.label, bytes as usize);
-                }
-            }
-            Meter::Control => {}
+    ///
+    /// A peer's explicit charge can claim any size: one that would carry the
+    /// transcript's byte total past `usize` is refused with
+    /// [`ReconError::ResourceExhausted`], and nothing is recorded.
+    pub fn record_into(
+        &self,
+        transcript: &mut Transcript,
+        direction: Direction,
+    ) -> Result<(), ReconError> {
+        let Some((bytes, parallel)) = self.metered() else { return Ok(()) };
+        let bytes =
+            bytes.at_most(usize::MAX - transcript.total_bytes(), "charge").map_err(|_| {
+                ReconError::ResourceExhausted { what: "session bytes", limit: usize::MAX }
+            })?;
+        if parallel {
+            transcript.record_parallel_bytes(direction, &self.label, bytes);
+        } else {
+            transcript.record_bytes(direction, &self.label, bytes);
         }
+        Ok(())
     }
 }
 
@@ -234,7 +248,7 @@ mod tests {
             (Direction::BobToAlice, Envelope::control(3, "nack", &())),
             (Direction::AliceToBob, Envelope::charge(4, "aggregate", 100, false)),
         ] {
-            envelope.record_into(&mut transcript, direction);
+            envelope.record_into(&mut transcript, direction).unwrap();
         }
         let stats = transcript.stats();
         assert_eq!(stats.rounds, 2, "control envelopes must not advance rounds");

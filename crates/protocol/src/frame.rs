@@ -29,7 +29,9 @@
 
 use crate::envelope::Envelope;
 use recon_base::hash::hash_bytes;
-use recon_base::wire::{read_uvarint, uvarint_len, write_uvarint, Decode, Encode, WireError};
+use recon_base::wire::{
+    read_uvarint, uvarint_len, write_uvarint, Claimed, Decode, Encode, WireError,
+};
 use recon_base::ReconError;
 
 /// Identifier of one multiplexed session on a shared transport. Both endpoints
@@ -275,16 +277,17 @@ impl FrameDecoder {
     /// only a truncated frame and more bytes are needed.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, ReconError> {
         let mut cursor = &self.buf[self.pos..];
-        let body_len = match read_uvarint(&mut cursor) {
-            Ok(len) => len as usize,
+        let claimed = match Claimed::decode(&mut cursor) {
+            Ok(len) => len,
             Err(WireError::UnexpectedEnd) => return Ok(None),
             Err(e) => {
                 return Err(ReconError::Transport(format!("bad frame length prefix: {e}")));
             }
         };
-        if body_len > self.max_frame {
-            return Err(ReconError::FrameTooLarge { len: body_len, max: self.max_frame });
-        }
+        let max = self.max_frame;
+        let body_len = claimed
+            .at_most(max, "frame length")
+            .map_err(|_| ReconError::FrameTooLarge { len: claimed.into(), max })?;
         if cursor.len() < body_len {
             return Ok(None);
         }

@@ -55,8 +55,8 @@ pub mod session;
 pub mod transport;
 
 pub use amplify::{
-    estimator_preamble, merged_estimate, AmplifiedReceiver, AmplifiedSender, Deferred, Exhaust,
-    WithPreamble,
+    doubled_bound, estimator_preamble, merged_estimate, AmplifiedReceiver, AmplifiedSender,
+    Deferred, Exhaust, WithPreamble,
 };
 pub use control::{ControlFrame, CONTROL_SESSION, TAG_CONTROL_REQUEST, TAG_CONTROL_RESPONSE};
 pub use endpoint::{drive_pair, Endpoint, Role};

@@ -135,7 +135,7 @@ impl SessionBuilder {
             while let Some(envelope) = alice.poll_send() {
                 progressed = true;
                 delivered += 1;
-                envelope.record_into(&mut transcript, Direction::AliceToBob);
+                envelope.record_into(&mut transcript, Direction::AliceToBob)?;
                 if bob.handle(envelope)? {
                     let recovered = bob.take_output().expect("completed session has an output");
                     return Ok(Outcome { recovered, stats: transcript.stats() });
@@ -144,7 +144,7 @@ impl SessionBuilder {
             while let Some(envelope) = bob.poll_send() {
                 progressed = true;
                 delivered += 1;
-                envelope.record_into(&mut transcript, Direction::BobToAlice);
+                envelope.record_into(&mut transcript, Direction::BobToAlice)?;
                 alice.handle(envelope)?;
             }
             if !progressed {

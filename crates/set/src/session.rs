@@ -11,8 +11,8 @@ use recon_base::rng::split_seed;
 use recon_base::ReconError;
 use recon_estimator::L0Config;
 use recon_protocol::{
-    estimator_preamble, merged_estimate, AmplifiedReceiver, AmplifiedSender, Deferred, Envelope,
-    Exhaust, Party, SessionConfig,
+    doubled_bound, estimator_preamble, merged_estimate, AmplifiedReceiver, AmplifiedSender,
+    Deferred, Envelope, Exhaust, Party, SessionConfig,
 };
 use std::collections::HashSet;
 
@@ -129,11 +129,9 @@ pub fn unknown_alice(set: &HashSet<u64>, config: &SessionConfig) -> impl Party<O
     Deferred::new(move |envelope: Envelope| {
         let estimate = merged_estimate(&estimator, set.iter().copied(), &envelope)?;
         AmplifiedSender::new(max_attempts, move |attempt| {
-            // Constant-factor headroom over the estimate; retries double the
-            // bound. The estimate is Bob's word, so the arithmetic saturates:
-            // a bound past `usize` sizes a table `try_digest` refuses.
-            let bound = estimate.saturating_mul(2).max(8).saturating_mul(1 << attempt.min(63));
-            let digest = protocol.try_digest(&set, bound)?;
+            // Constant-factor headroom over the estimate (twice it, at least
+            // 8); retries double the bound.
+            let digest = protocol.try_digest(&set, doubled_bound(estimate.max(4), attempt + 1)?)?;
             let label = if attempt == 0 { "set digest (IBLT)" } else { "set digest (retry)" };
             Ok(Envelope::round(TAG_DIGEST, label, &digest))
         })

@@ -13,7 +13,7 @@ use recon_base::wire::{read_length_prefixed, write_length_prefixed, Decode, Enco
 use recon_estimator::StrataEstimator;
 use recon_protocol::SessionId;
 
-use crate::replica::ReplicaParams;
+use crate::replica::{decode_ladder, ReplicaParams};
 use crate::store::{ReplicaInfo, StoreStat};
 
 /// Open (creating if absent) a replica. Body: [`OpenReq`] → [`OpenResp`].
@@ -281,7 +281,7 @@ impl Decode for StatResp {
             stat: StoreStat {
                 cardinality: u64::decode(buf)?,
                 set_hash: u64::decode(buf)?,
-                ladder: Vec::decode(buf)?,
+                ladder: decode_ladder(buf)?,
                 wal_records: u64::decode(buf)?,
             },
         })

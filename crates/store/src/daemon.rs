@@ -25,6 +25,7 @@
 //! [`iblt_known_alice`]: recon_set::session::iblt_known_alice
 //! [`iblt_known_protocol`]: recon_set::session::iblt_known_protocol
 
+use recon_base::wire::Claimed;
 use recon_base::ReconError;
 use recon_protocol::{
     AmplifiedSender, ControlFrame, Envelope, Party, Role, SessionId, Step, CONTROL_SESSION,
@@ -102,11 +103,12 @@ impl<B: StorageBackend> ControlParty<B> {
                 let params = store.params(&req.name)?;
                 let (d, estimated) = match req.d_bound {
                     Some(bound) => {
-                        let rung = params.rung_for(bound as usize).ok_or(
-                            ReconError::DifferenceBoundTooSmall {
-                                bound: *params.ladder.last().expect("non-empty ladder"),
-                            },
-                        )?;
+                        let top = *params.ladder.last().expect("non-empty ladder");
+                        let rung = Claimed::new(bound)
+                            .at_most(top, "difference bound")
+                            .ok()
+                            .and_then(|bound| params.rung_for(bound))
+                            .ok_or(ReconError::DifferenceBoundTooSmall { bound: top })?;
                         (rung, None)
                     }
                     None => {

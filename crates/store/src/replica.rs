@@ -17,7 +17,7 @@
 
 use recon_base::hash::SetHasher;
 use recon_base::rng::split_seed;
-use recon_base::wire::{read_uvarint, write_uvarint, Decode, Encode, WireError};
+use recon_base::wire::{read_uvarint, write_uvarint, Claimed, Decode, Encode, WireError};
 use recon_base::ReconError;
 use recon_estimator::{L0Config, Side, StrataConfig, StrataEstimator};
 use recon_iblt::Iblt;
@@ -92,11 +92,19 @@ impl Decode for ReplicaParams {
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
         let seed = u64::decode(buf)?;
         let max_attempts = read_uvarint(buf)?;
-        let ladder = Vec::<usize>::decode(buf)?;
+        let ladder = decode_ladder(buf)?;
         let params = ReplicaParams { seed, ladder, max_attempts };
         params.validate().map_err(|_| WireError::Invalid("replica params"))?;
         Ok(params)
     }
+}
+
+/// A rung ladder as a peer or the disk wrote it. A rung sizes nothing while
+/// it is decoded, so `usize` is its one limit here; [`ReplicaParams::validate`]
+/// checks the ladder's shape.
+pub(crate) fn decode_ladder(buf: &mut &[u8]) -> Result<Vec<usize>, WireError> {
+    let rungs = Vec::<Claimed>::decode(buf)?;
+    rungs.into_iter().map(|rung| rung.at_most(usize::MAX, "ladder rung")).collect()
 }
 
 /// Snapshot format version.
@@ -289,16 +297,11 @@ impl Replica {
             return Err(ReconError::InvalidInput(format!("unknown snapshot version {version}")));
         }
         let params = ReplicaParams::decode(&mut buf).map_err(ReconError::Wire)?;
-        let n = read_uvarint(&mut buf).map_err(ReconError::Wire)?;
-        // The count comes straight from disk: bound it by what the remaining
-        // bytes can hold before allocating for it.
-        if n > (buf.len() / 8) as u64 {
-            return Err(ReconError::InvalidInput(format!(
-                "snapshot claims {n} keys but only {} bytes follow",
-                buf.len()
-            )));
-        }
-        let n = n as usize;
+        // The count comes straight from disk: eight bytes a key must follow.
+        let n = Claimed::decode(&mut buf).map_err(ReconError::Wire)?;
+        let n = n.items_in(buf, 8).map_err(|_| {
+            ReconError::InvalidInput("snapshot claims more keys than its bytes hold".into())
+        })?;
         let mut keys = HashSet::with_capacity(n);
         for _ in 0..n {
             keys.insert(u64::decode(&mut buf).map_err(ReconError::Wire)?);
