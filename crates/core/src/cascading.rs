@@ -127,8 +127,10 @@ impl CascadingProtocol {
     }
 
     /// Sizing of the child tables: 8/8/16/32/64… cells at levels 1, 2, 3, …
+    /// Peel-only: a child difference that does not peel only means "try the
+    /// next candidate" in the matching walk, so no trial pays for a rescue.
     fn child_sizing() -> IbltConfig {
-        IbltConfig::for_u64_keys(0).with_cells_per_diff(2.0).with_min_cells(8)
+        IbltConfig::for_u64_keys(0).with_cells_per_diff(2.0).with_min_cells(8).with_rescue(None)
     }
 
     fn level_child_cells(level: usize) -> usize {

@@ -89,7 +89,7 @@ pub trait Transport {
 }
 
 /// Extension for transports backed by OS streams that a readiness poller
-/// (epoll / `poll(2)`) can watch.
+/// (`poll(2)`) can watch.
 ///
 /// The interest contract is fixed by the framing layer: a transport always
 /// wants to know when its stream becomes *readable* (a frame may complete at

@@ -5,19 +5,17 @@
 //! principle into served traffic. Built entirely on raw OS readiness APIs —
 //! this workspace compiles with no external crates — it provides, bottom up:
 //!
-//! * [`sys`] — `extern "C"` bindings for `epoll`, `poll(2)` and
-//!   `O_NONBLOCK`; the crate's only `unsafe` module.
-//! * [`Poller`] — one blocking wait over many descriptors, with an
-//!   edge-triggered epoll backend on Linux and a level-triggered `poll(2)`
-//!   backend everywhere else ([`Poller::new`] pins either in code).
+//! * [`sys`] — `extern "C"` bindings for `poll(2)`, `O_NONBLOCK` and raw-fd
+//!   `read`/`write`; the crate's only `unsafe` module.
+//! * [`Poller`] — one blocking wait over many descriptors: level-triggered
+//!   `poll(2)`, the same code on every Unix.
 //! * [`Reactor`] — many multiplexed [`Endpoint`]s over [`Pollable`] stream
 //!   transports, pumped only on readiness ([`Endpoint::poll_ready`]), with
-//!   precise write-interest re-arming ([`Endpoint::is_write_blocked`]),
-//!   per-session deadlines (a FIFO: every deadline is insert time plus one
-//!   constant, so they arrive sorted), and graceful `Fin` draining. The
-//!   transports drain to `WouldBlock` on every event, which is what
-//!   edge-triggered epoll needs. [`drive_endpoint`] is the single-connection
-//!   client-side loop on the same machinery.
+//!   one interest rule (read until the read half hits EOF, write exactly
+//!   while output is buffered, [`Endpoint::is_write_blocked`]), per-session
+//!   deadlines (a FIFO: every deadline is insert time plus one constant, so
+//!   they arrive sorted), and graceful `Fin` draining. [`drive_endpoint`] is
+//!   the single-connection client-side loop on the same machinery.
 //! * [`Server`] — N worker reactors serving TCP from one shared listener,
 //!   each worker accepting inside its own reactor loop and recycling
 //!   connection buffers through a `BufferPool`.
@@ -43,7 +41,7 @@ pub mod reactor;
 pub mod server;
 pub mod sys;
 
-pub use poller::{Backend, Event, Interest, Poller};
+pub use poller::{Event, Interest, Poller};
 pub use reactor::{drive_endpoint, ConnId, Finished, Reactor, ReactorConfig, Waker};
 pub use server::{
     connect_endpoint, Server, ServerConfig, ServerStats, TcpEndpoint, TcpService, TcpTransport,

@@ -1,30 +1,16 @@
-//! The [`Poller`]: one blocking-wait readiness queue over many descriptors.
+//! The [`Poller`]: one blocking-wait readiness queue over many descriptors,
+//! on `poll(2)` on every Unix.
 //!
-//! Two backends implement the same four-call surface (`register`, `modify`,
-//! `deregister`, `wait`):
+//! The interest set lives in user space and is re-submitted on every wait, so
+//! a wait costs O(registered) — cheap at the handful of connections a
+//! worker serves at once — and `register`, `modify` and `deregister` make no
+//! system call.
 //!
-//! * **epoll** (Linux): the kernel keeps the interest set, `epoll_wait` returns
-//!   only ready descriptors — O(ready), the backend a server wants.
-//! * **`poll(2)`** (portable): the interest set lives in user space and is
-//!   re-submitted on every wait — O(registered), but available on any Unix and
-//!   the reference semantics the epoll backend is tested against.
-//!
-//! The backend is chosen once per [`Poller`]: epoll on Linux, `poll(2)`
-//! everywhere else. [`Poller::new`] takes `Some(backend)` to pin one
-//! explicitly, which is how the differential tests run both on one host.
-//!
-//! Delivery differs by backend, behind the same API. **epoll is always
-//! edge-triggered** (`EPOLLET`): each readiness *transition* is reported once,
-//! so the kernel skips re-scanning descriptors whose condition merely
-//! persists — and the consumer must drain to `WouldBlock` on every event or
-//! the descriptor goes silent. **`poll(2)` is level-triggered**: an event
-//! repeats on every wait until the condition is consumed (read to
-//! `WouldBlock`, buffered output flushed). Every consumer in this crate drains
-//! fully (that is the [`Endpoint::poll_ready`] contract, and the server's
-//! accept loop runs to `WouldBlock`), so both serve the same traffic — which
-//! is exactly what the differential tests exercise.
-//!
-//! [`Endpoint::poll_ready`]: recon_protocol::Endpoint::poll_ready
+//! Delivery is **level-triggered**: an event repeats on every wait while its
+//! condition holds (unread bytes, a writable socket with write interest, EOF,
+//! a hang-up). A consumer therefore watches only what it still needs: the
+//! [`Reactor`](crate::Reactor) drops read interest once a read half hits EOF
+//! and arms write interest only while output is buffered.
 
 use crate::sys;
 use std::io;
@@ -43,13 +29,11 @@ pub struct Interest {
 impl Interest {
     /// Read-only interest — the resting state of every transport.
     pub const READ: Interest = Interest { readable: true, writable: false };
-    /// Read and write interest — armed while output is buffered.
-    pub const READ_WRITE: Interest = Interest { readable: true, writable: true };
     /// Write-only interest — a separate write descriptor (pipe) with output
     /// pending.
     pub const WRITE: Interest = Interest { readable: false, writable: true };
-    /// No interest, but hang-ups and errors are still delivered (they cannot
-    /// be masked on either backend).
+    /// No interest, but hang-ups and errors are still delivered (`poll(2)`
+    /// reports them whatever the interest).
     pub const NONE: Interest = Interest { readable: false, writable: false };
 }
 
@@ -65,23 +49,6 @@ pub struct Event {
     pub writable: bool,
 }
 
-/// The readiness backend a [`Poller`] runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// Linux `epoll`.
-    Epoll,
-    /// Portable `poll(2)`.
-    Poll,
-}
-
-fn default_backend() -> Backend {
-    if cfg!(target_os = "linux") {
-        Backend::Epoll
-    } else {
-        Backend::Poll
-    }
-}
-
 fn timeout_ms(timeout: Option<Duration>) -> i32 {
     match timeout {
         // Round up so a 100µs deadline does not busy-spin as "0 ms".
@@ -94,149 +61,8 @@ fn timeout_ms(timeout: Option<Duration>) -> i32 {
 }
 
 /// A readiness queue over raw descriptors; see the module docs.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Poller {
-    imp: Imp,
-}
-
-#[derive(Debug)]
-enum Imp {
-    #[cfg(target_os = "linux")]
-    Epoll(EpollPoller),
-    Poll(PollPoller),
-}
-
-impl Poller {
-    /// A poller on `backend`, or on the default when `None`: epoll on Linux,
-    /// `poll(2)` otherwise. Requesting [`Backend::Epoll`] off Linux is an
-    /// error.
-    pub fn new(backend: Option<Backend>) -> io::Result<Self> {
-        match backend.unwrap_or_else(default_backend) {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll => Ok(Self { imp: Imp::Epoll(EpollPoller::new()?) }),
-            #[cfg(not(target_os = "linux"))]
-            Backend::Epoll => {
-                Err(io::Error::new(io::ErrorKind::Unsupported, "epoll backend requires Linux"))
-            }
-            Backend::Poll => Ok(Self { imp: Imp::Poll(PollPoller::new()) }),
-        }
-    }
-
-    /// Which backend this poller runs on.
-    pub fn backend(&self) -> Backend {
-        match &self.imp {
-            #[cfg(target_os = "linux")]
-            Imp::Epoll(_) => Backend::Epoll,
-            Imp::Poll(_) => Backend::Poll,
-        }
-    }
-
-    /// Start watching `fd` under `token`. One registration per descriptor.
-    pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        match &mut self.imp {
-            #[cfg(target_os = "linux")]
-            Imp::Epoll(ep) => ep.register(fd, token, interest),
-            Imp::Poll(p) => p.register(fd, token, interest),
-        }
-    }
-
-    /// Re-arm `fd` with a new interest set (and token).
-    pub fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        match &mut self.imp {
-            #[cfg(target_os = "linux")]
-            Imp::Epoll(ep) => ep.modify(fd, token, interest),
-            Imp::Poll(p) => p.modify(fd, token, interest),
-        }
-    }
-
-    /// Stop watching `fd`.
-    pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-        match &mut self.imp {
-            #[cfg(target_os = "linux")]
-            Imp::Epoll(ep) => ep.deregister(fd),
-            Imp::Poll(p) => p.deregister(fd),
-        }
-    }
-
-    /// Block until at least one registered descriptor is ready or `timeout`
-    /// elapses (`None` blocks indefinitely), filling `events` with what fired.
-    pub fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
-        events.clear();
-        match &mut self.imp {
-            #[cfg(target_os = "linux")]
-            Imp::Epoll(ep) => ep.wait(events, timeout),
-            Imp::Poll(p) => p.wait(events, timeout),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// epoll backend
-// ---------------------------------------------------------------------------
-
-#[cfg(target_os = "linux")]
-#[derive(Debug)]
-struct EpollPoller {
-    ep: sys::OwnedSysFd,
-    scratch: Vec<sys::EpollEvent>,
-}
-
-#[cfg(target_os = "linux")]
-impl EpollPoller {
-    fn new() -> io::Result<Self> {
-        Ok(Self {
-            ep: sys::epoll_create()?,
-            scratch: vec![sys::EpollEvent { events: 0, data: 0 }; 256],
-        })
-    }
-
-    fn mask(interest: Interest) -> u32 {
-        // EPOLL_CTL_MOD re-arms an edge registration and redelivers if the
-        // condition holds, so interest changes stay race-free under ET.
-        let mut mask = sys::EPOLLRDHUP | sys::EPOLLET;
-        if interest.readable {
-            mask |= sys::EPOLLIN;
-        }
-        if interest.writable {
-            mask |= sys::EPOLLOUT;
-        }
-        mask
-    }
-
-    fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        sys::epoll_add(&self.ep, fd, Self::mask(interest), token)
-    }
-
-    fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        sys::epoll_modify(&self.ep, fd, Self::mask(interest), token)
-    }
-
-    fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-        sys::epoll_remove(&self.ep, fd)
-    }
-
-    fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
-        let n = sys::epoll_wait_events(&self.ep, &mut self.scratch, timeout_ms(timeout))?;
-        for raw in &self.scratch[..n] {
-            // Copy out of the (packed on x86_64) kernel struct before use.
-            let (mask, token) = (raw.events, raw.data);
-            events.push(Event {
-                token,
-                readable: mask & (sys::EPOLLIN | sys::EPOLLRDHUP | sys::EPOLLHUP | sys::EPOLLERR)
-                    != 0,
-                writable: mask & (sys::EPOLLOUT | sys::EPOLLHUP | sys::EPOLLERR) != 0,
-            });
-        }
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// poll(2) backend
-// ---------------------------------------------------------------------------
-
-#[derive(Debug)]
-struct PollPoller {
     entries: Vec<PollEntry>,
     scratch: Vec<sys::PollFd>,
 }
@@ -248,16 +74,24 @@ struct PollEntry {
     interest: Interest,
 }
 
-impl PollPoller {
-    fn new() -> Self {
-        Self { entries: Vec::new(), scratch: Vec::new() }
+impl Poller {
+    /// A poller watching nothing yet.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     fn position(&self, fd: RawFd) -> Option<usize> {
         self.entries.iter().position(|e| e.fd == fd)
     }
 
-    fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+    fn registered(&self, fd: RawFd) -> io::Result<usize> {
+        self.position(fd).ok_or_else(|| {
+            io::Error::new(io::ErrorKind::NotFound, format!("fd {fd} not registered"))
+        })
+    }
+
+    /// Start watching `fd` under `token`. One registration per descriptor.
+    pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
         if self.position(fd).is_some() {
             return Err(io::Error::new(
                 io::ErrorKind::AlreadyExists,
@@ -268,23 +102,24 @@ impl PollPoller {
         Ok(())
     }
 
-    fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        let i = self.position(fd).ok_or_else(|| {
-            io::Error::new(io::ErrorKind::NotFound, format!("fd {fd} not registered"))
-        })?;
+    /// Re-arm `fd` with a new interest set (and token).
+    pub fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        let i = self.registered(fd)?;
         self.entries[i] = PollEntry { fd, token, interest };
         Ok(())
     }
 
-    fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-        let i = self.position(fd).ok_or_else(|| {
-            io::Error::new(io::ErrorKind::NotFound, format!("fd {fd} not registered"))
-        })?;
+    /// Stop watching `fd`.
+    pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
+        let i = self.registered(fd)?;
         self.entries.swap_remove(i);
         Ok(())
     }
 
-    fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
+    /// Block until at least one registered descriptor is ready or `timeout`
+    /// elapses (`None` blocks indefinitely), filling `events` with what fired.
+    pub fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
+        events.clear();
         self.scratch.clear();
         for entry in &self.entries {
             let mut mask = 0;
@@ -321,106 +156,59 @@ mod tests {
     use std::io::Write as _;
     use std::os::fd::AsRawFd;
 
-    fn backends() -> Vec<Backend> {
-        let mut backends = vec![Backend::Poll];
-        if cfg!(target_os = "linux") {
-            backends.push(Backend::Epoll);
-        }
-        backends
-    }
-
     #[test]
-    fn both_backends_report_readability_with_tokens() {
-        for backend in backends() {
-            let mut poller = Poller::new(Some(backend)).unwrap();
-            assert_eq!(poller.backend(), backend);
-            let (reader, mut writer) = std::io::pipe().expect("os pipe");
-            crate::sys::set_nonblocking(reader.as_raw_fd()).unwrap();
-            poller.register(reader.as_raw_fd(), 42, Interest::READ).unwrap();
+    fn readability_is_reported_with_tokens() {
+        let mut poller = Poller::new();
+        let (reader, mut writer) = std::io::pipe().expect("os pipe");
+        crate::sys::set_nonblocking(reader.as_raw_fd()).unwrap();
+        poller.register(reader.as_raw_fd(), 42, Interest::READ).unwrap();
 
-            let mut events = Vec::new();
-            poller.wait(&mut events, Some(Duration::from_millis(0))).unwrap();
-            assert!(events.is_empty(), "{backend:?}: empty pipe must not fire");
+        let mut events = Vec::new();
+        poller.wait(&mut events, Some(Duration::from_millis(0))).unwrap();
+        assert!(events.is_empty(), "empty pipe must not fire");
 
-            writer.write_all(&[9]).unwrap();
-            poller.wait(&mut events, Some(Duration::from_secs(2))).unwrap();
-            assert_eq!(events.len(), 1, "{backend:?}");
-            assert_eq!(events[0].token, 42);
-            assert!(events[0].readable);
+        writer.write_all(&[9]).unwrap();
+        poller.wait(&mut events, Some(Duration::from_secs(2))).unwrap();
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].token, 42);
+        assert!(events[0].readable);
 
-            // Hang-up surfaces as readable (EOF on the next read).
-            drop(writer);
-            poller.wait(&mut events, Some(Duration::from_secs(2))).unwrap();
-            assert!(events.iter().any(|e| e.readable), "{backend:?}: HUP must wake the reader");
+        // Hang-up surfaces as readable (EOF on the next read).
+        drop(writer);
+        poller.wait(&mut events, Some(Duration::from_secs(2))).unwrap();
+        assert!(events.iter().any(|e| e.readable), "HUP must wake the reader");
 
-            poller.deregister(reader.as_raw_fd()).unwrap();
-            poller.wait(&mut events, Some(Duration::from_millis(0))).unwrap();
-            assert!(events.is_empty(), "{backend:?}: deregistered fd must not fire");
-        }
+        poller.deregister(reader.as_raw_fd()).unwrap();
+        poller.wait(&mut events, Some(Duration::from_millis(0))).unwrap();
+        assert!(events.is_empty(), "deregistered fd must not fire");
     }
 
     #[test]
     fn write_interest_follows_modify() {
-        for backend in backends() {
-            let mut poller = Poller::new(Some(backend)).unwrap();
-            let (_reader, writer) = std::io::pipe().expect("os pipe");
-            crate::sys::set_nonblocking(writer.as_raw_fd()).unwrap();
-            // Registered without write interest: an empty pipe is writable,
-            // but nothing may fire.
-            poller.register(writer.as_raw_fd(), 7, Interest::NONE).unwrap();
-            let mut events = Vec::new();
-            poller.wait(&mut events, Some(Duration::from_millis(0))).unwrap();
-            assert!(events.is_empty(), "{backend:?}: unarmed write interest fired");
+        let mut poller = Poller::new();
+        let (_reader, writer) = std::io::pipe().expect("os pipe");
+        crate::sys::set_nonblocking(writer.as_raw_fd()).unwrap();
+        // Registered without write interest: an empty pipe is writable, but
+        // nothing may fire.
+        poller.register(writer.as_raw_fd(), 7, Interest::NONE).unwrap();
+        let mut events = Vec::new();
+        poller.wait(&mut events, Some(Duration::from_millis(0))).unwrap();
+        assert!(events.is_empty(), "unarmed write interest fired");
 
-            poller.modify(writer.as_raw_fd(), 7, Interest::WRITE).unwrap();
-            poller.wait(&mut events, Some(Duration::from_secs(2))).unwrap();
-            assert_eq!(events.len(), 1, "{backend:?}");
-            assert!(events[0].writable);
-        }
+        poller.modify(writer.as_raw_fd(), 7, Interest::WRITE).unwrap();
+        poller.wait(&mut events, Some(Duration::from_secs(2))).unwrap();
+        assert_eq!(events.len(), 1);
+        assert!(events[0].writable);
     }
 
     #[test]
     fn poll_backend_rejects_duplicate_and_unknown_fds() {
-        let mut poller = Poller::new(Some(Backend::Poll)).unwrap();
+        let mut poller = Poller::new();
         let (reader, _writer) = std::io::pipe().expect("os pipe");
         poller.register(reader.as_raw_fd(), 1, Interest::READ).unwrap();
         assert!(poller.register(reader.as_raw_fd(), 2, Interest::READ).is_err());
         assert!(poller.modify(9999, 1, Interest::READ).is_err());
         assert!(poller.deregister(9999).is_err());
-    }
-
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn epoll_reports_each_transition_once() {
-        use std::io::Read as _;
-
-        let mut poller = Poller::new(Some(Backend::Epoll)).unwrap();
-        let (mut reader, mut writer) = std::io::pipe().expect("os pipe");
-        crate::sys::set_nonblocking(reader.as_raw_fd()).unwrap();
-        poller.register(reader.as_raw_fd(), 1, Interest::READ).unwrap();
-
-        writer.write_all(&[1, 2, 3]).unwrap();
-        let mut events = Vec::new();
-        poller.wait(&mut events, Some(Duration::from_secs(2))).unwrap();
-        assert_eq!(events.len(), 1, "first wait sees the data");
-
-        // Without consuming the data, wait again: edge delivery stays silent
-        // until the next transition.
-        poller.wait(&mut events, Some(Duration::from_millis(50))).unwrap();
-        assert!(events.is_empty(), "an unconsumed condition must not repeat");
-
-        // After draining to WouldBlock, new data is a fresh transition.
-        let mut buf = [0u8; 16];
-        assert_eq!(reader.read(&mut buf).unwrap(), 3);
-        writer.write_all(&[4]).unwrap();
-        poller.wait(&mut events, Some(Duration::from_secs(2))).unwrap();
-        assert_eq!(events.len(), 1, "new data is a new edge");
-
-        // EPOLL_CTL_MOD re-arms: data still unread + re-arm => redelivery
-        // (this is what makes interest flips safe).
-        poller.modify(reader.as_raw_fd(), 1, Interest::READ).unwrap();
-        poller.wait(&mut events, Some(Duration::from_secs(2))).unwrap();
-        assert_eq!(events.len(), 1, "MOD redelivers pending readiness");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! own handle to it (`try_clone`). Each worker watches that handle as its
 //! reactor's auxiliary descriptor and accepts inside its own loop, so a
 //! connection never crosses threads, not even at accept. The same shape runs
-//! on every Unix and on both poller backends.
+//! on every Unix.
 //!
 //! ```text
 //!        port P ── one listening socket (a handle per worker)
@@ -24,7 +24,6 @@
 //! allocates nothing per session. Sessions never cross threads after
 //! accepting, which is what lets the endpoint layer stay `!Send`.
 
-use crate::poller::Backend;
 use crate::reactor::{ConnId, Reactor, ReactorConfig, Waker};
 use recon_base::ReconError;
 use recon_protocol::{BufferPool, Endpoint, StreamTransport, Transport as _};
@@ -87,8 +86,6 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Per-session deadline applied by every worker reactor.
     pub session_deadline: Option<Duration>,
-    /// Pin the poller backend for all workers.
-    pub backend: Option<Backend>,
     /// Largest frame a peer may send, enforced on the length prefix before
     /// any body bytes are buffered. Default 16 MiB — far above any frame the
     /// protocol families produce, far below what exhausts a worker.
@@ -108,7 +105,6 @@ impl Default for ServerConfig {
         Self {
             workers: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(4),
             session_deadline: Some(Duration::from_secs(30)),
-            backend: None,
             max_frame_bytes: 16 << 20,
             max_sessions_per_conn: 1024,
             max_buffered_out: 32 << 20,
@@ -131,12 +127,6 @@ impl ServerConfig {
     /// Set the per-session deadline (`None` disables deadlines).
     pub fn session_deadline(mut self, deadline: Option<Duration>) -> Self {
         self.session_deadline = deadline;
-        self
-    }
-
-    /// Pin the poller backend.
-    pub fn backend(mut self, backend: Backend) -> Self {
-        self.backend = Some(backend);
         self
     }
 
@@ -269,7 +259,6 @@ impl Server {
         for (worker, listener) in listeners.into_iter().enumerate() {
             let reactor_config = ReactorConfig {
                 session_deadline: config.session_deadline,
-                backend: config.backend,
                 // Disjoint id ranges so connection ids are process-unique.
                 first_conn_id: (worker as ConnId) << 48,
             };
@@ -341,8 +330,6 @@ fn worker_loop<S: TcpService>(
         // Dropping the sender makes bind() fail loudly.
         return report;
     };
-    // Readiness latches sticky from here, so a backlog predating this
-    // registration is still drained.
     if reactor.watch_aux(listen_fd).is_err() || waker_tx.send((worker, reactor.waker())).is_err() {
         return report;
     }
@@ -353,8 +340,7 @@ fn worker_loop<S: TcpService>(
 
     loop {
         // Stop accepting the moment shutdown starts. Deregister *before*
-        // closing: the other workers' handles keep the socket open, and
-        // closing one duplicate does not remove its epoll registration.
+        // closing, so the poller never waits on a closed (or reused) fd.
         let stopping = stop.load(Ordering::SeqCst);
         if stopping && listener.is_some() {
             reactor.unwatch_aux();
@@ -364,14 +350,12 @@ fn worker_loop<S: TcpService>(
 
         if let Some(shared) = &listener {
             if retry_at.is_some_and(|at| Instant::now() >= at) {
-                // Watching again latches readiness, so the next drain retries.
+                // Watching again: the next turn reports a backlog still queued.
                 retry_at = match reactor.watch_aux(shared.as_raw_fd()) {
                     Ok(()) => None,
                     Err(_) => Some(Instant::now() + ACCEPT_BACKOFF),
                 };
             }
-            // Drain to WouldBlock: under edge-triggered delivery no event
-            // repeats for a backlog left behind.
             if reactor.take_aux_ready() {
                 loop {
                     match shared.accept() {
@@ -386,8 +370,8 @@ fn worker_loop<S: TcpService>(
                         Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                         // Transient failure (aborted handshake, EMFILE): back
                         // off unwatched. The connection not accepted keeps the
-                        // listener readable, so a level-triggered poll(2) would
-                        // end every turn at once and spin this worker.
+                        // listener readable, so watching it would end every
+                        // turn at once and spin this worker.
                         Err(_) => {
                             reactor.unwatch_aux();
                             retry_at = Some(Instant::now() + ACCEPT_BACKOFF);
@@ -516,11 +500,11 @@ mod tests {
         recovered.expect("recovered")
     }
 
-    fn serve_eight_clients(backend: Option<Backend>) {
+    #[test]
+    fn two_worker_server_serves_concurrent_clients() {
         let config = ServerConfig {
             workers: 2,
             session_deadline: Some(Duration::from_secs(15)),
-            backend,
             ..ServerConfig::default()
         };
         let server = Server::bind("127.0.0.1:0", config, |_| EchoNumbers).expect("bind");
@@ -540,20 +524,11 @@ mod tests {
         assert_eq!(stats.accepted_per_worker.iter().sum::<u64>(), 8, "{stats:?}");
     }
 
-    #[test]
-    fn two_worker_server_serves_concurrent_clients() {
-        serve_eight_clients(None);
-    }
-
-    #[test]
-    fn two_worker_server_serves_concurrent_clients_on_poll_fallback() {
-        serve_eight_clients(Some(Backend::Poll));
-    }
-
     /// Fails if the server or any worker leaks a handle to the listener: the
     /// port would then keep accepting into a backlog nobody drains.
-    fn port_refuses_connections_after_shutdown(backend: Option<Backend>) {
-        let config = ServerConfig { workers: 2, backend, ..ServerConfig::default() };
+    #[test]
+    fn shutdown_closes_the_port() {
+        let config = ServerConfig { workers: 2, ..ServerConfig::default() };
         let server = Server::bind("127.0.0.1:0", config, |_| EchoNumbers).expect("bind");
         let addr = server.local_addr();
         assert_eq!(run_client(addr, 0), 1000);
@@ -561,15 +536,5 @@ mod tests {
         assert_eq!(stats.served(), 1, "{stats:?}");
         let refused = TcpStream::connect(addr).expect_err("port still open after shutdown");
         assert_eq!(refused.kind(), std::io::ErrorKind::ConnectionRefused, "{refused}");
-    }
-
-    #[test]
-    fn shutdown_closes_the_port() {
-        port_refuses_connections_after_shutdown(None);
-    }
-
-    #[test]
-    fn shutdown_closes_the_port_on_poll_fallback() {
-        port_refuses_connections_after_shutdown(Some(Backend::Poll));
     }
 }

@@ -1,15 +1,15 @@
-//! Raw OS readiness primitives: `epoll` (Linux), `poll(2)` (any Unix), and the
-//! few descriptor chores around them (`O_NONBLOCK`, raw-fd I/O for stdio).
+//! Raw OS readiness primitives: `poll(2)` and the few descriptor chores around
+//! it (`O_NONBLOCK`, raw-fd I/O for stdio).
 //!
 //! The workspace builds with no external crates, so the bindings are declared
 //! here directly against the C library every Rust std program already links.
 //! This is the one module in its crate where `unsafe` is allowed: every call
-//! either passes buffers whose lengths are taken from live Rust slices or
-//! manipulates descriptors this module owns, and everything above it speaks
-//! safe Rust.
+//! passes buffers whose lengths are taken from live Rust slices or sets a flag
+//! on a descriptor the caller holds open, and everything above it speaks safe
+//! Rust.
 
 // The only unsafe code in this crate: FFI calls into the C library, each
-// operating strictly on caller-provided slices or owned descriptors.
+// operating strictly on caller-provided slices or descriptors.
 #![allow(unsafe_code)]
 
 use std::io;
@@ -41,49 +41,6 @@ pub const POLLERR: c_short = 0x008;
 /// Peer hung up (always reported, never requested).
 pub const POLLHUP: c_short = 0x010;
 
-/// `struct epoll_event` from `<sys/epoll.h>`. The kernel ABI packs it on
-/// x86_64 only; every other architecture uses natural alignment.
-#[cfg(target_os = "linux")]
-#[repr(C)]
-#[cfg_attr(target_arch = "x86_64", repr(packed))]
-#[derive(Debug, Clone, Copy)]
-pub struct EpollEvent {
-    /// Ready/requested event mask ([`EPOLLIN`] / [`EPOLLOUT`] / ...).
-    pub events: u32,
-    /// Caller-chosen token handed back verbatim with each event.
-    pub data: u64,
-}
-
-/// Readable.
-#[cfg(target_os = "linux")]
-pub const EPOLLIN: u32 = 0x001;
-/// Writable.
-#[cfg(target_os = "linux")]
-pub const EPOLLOUT: u32 = 0x004;
-/// Error condition (always reported).
-#[cfg(target_os = "linux")]
-pub const EPOLLERR: u32 = 0x008;
-/// Hang-up (always reported).
-#[cfg(target_os = "linux")]
-pub const EPOLLHUP: u32 = 0x010;
-/// Peer closed its writing half — reading will drain then return EOF.
-#[cfg(target_os = "linux")]
-pub const EPOLLRDHUP: u32 = 0x2000;
-/// Edge-triggered delivery: report each readiness transition once instead of
-/// re-reporting while the condition holds. A consumer must drain the
-/// descriptor to `WouldBlock` on every event or risk never hearing again.
-#[cfg(target_os = "linux")]
-pub const EPOLLET: u32 = 1 << 31;
-
-#[cfg(target_os = "linux")]
-const EPOLL_CTL_ADD: c_int = 1;
-#[cfg(target_os = "linux")]
-const EPOLL_CTL_DEL: c_int = 2;
-#[cfg(target_os = "linux")]
-const EPOLL_CTL_MOD: c_int = 3;
-#[cfg(target_os = "linux")]
-const EPOLL_CLOEXEC: c_int = 0o2000000;
-
 const F_GETFL: c_int = 3;
 const F_SETFL: c_int = 4;
 #[cfg(target_os = "linux")]
@@ -93,17 +50,9 @@ const O_NONBLOCK: c_int = 0x0004;
 
 extern "C" {
     fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
-    fn close(fd: c_int) -> c_int;
     fn fcntl(fd: c_int, cmd: c_int, ...) -> c_int;
     fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
     fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
-
-    #[cfg(target_os = "linux")]
-    fn epoll_create1(flags: c_int) -> c_int;
-    #[cfg(target_os = "linux")]
-    fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
-    #[cfg(target_os = "linux")]
-    fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int) -> c_int;
 }
 
 fn cvt(res: c_int) -> io::Result<c_int> {
@@ -117,75 +66,6 @@ fn cvt(res: c_int) -> io::Result<c_int> {
 // ---------------------------------------------------------------------------
 // Safe wrappers
 // ---------------------------------------------------------------------------
-
-/// A descriptor this module owns and closes on drop (the epoll instance).
-#[derive(Debug)]
-pub struct OwnedSysFd(RawFd);
-
-impl OwnedSysFd {
-    /// The raw descriptor number.
-    pub fn raw(&self) -> RawFd {
-        self.0
-    }
-}
-
-impl Drop for OwnedSysFd {
-    fn drop(&mut self) {
-        // Nothing useful to do with a close error on an fd we own exclusively.
-        unsafe { close(self.0) };
-    }
-}
-
-/// A new epoll instance (close-on-exec).
-#[cfg(target_os = "linux")]
-pub fn epoll_create() -> io::Result<OwnedSysFd> {
-    let fd = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
-    Ok(OwnedSysFd(fd))
-}
-
-#[cfg(target_os = "linux")]
-fn epoll_ctl_op(ep: &OwnedSysFd, op: c_int, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
-    let mut event = EpollEvent { events, data: token };
-    cvt(unsafe { epoll_ctl(ep.raw(), op, fd, &mut event) })?;
-    Ok(())
-}
-
-/// Add `fd` to the epoll set with the given event mask and token.
-#[cfg(target_os = "linux")]
-pub fn epoll_add(ep: &OwnedSysFd, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
-    epoll_ctl_op(ep, EPOLL_CTL_ADD, fd, events, token)
-}
-
-/// Change `fd`'s event mask / token.
-#[cfg(target_os = "linux")]
-pub fn epoll_modify(ep: &OwnedSysFd, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
-    epoll_ctl_op(ep, EPOLL_CTL_MOD, fd, events, token)
-}
-
-/// Remove `fd` from the epoll set.
-#[cfg(target_os = "linux")]
-pub fn epoll_remove(ep: &OwnedSysFd, fd: RawFd) -> io::Result<()> {
-    epoll_ctl_op(ep, EPOLL_CTL_DEL, fd, 0, 0)
-}
-
-/// Wait for events; `timeout_ms < 0` blocks indefinitely. Returns how many
-/// entries of `events` were filled. Retries on `EINTR`.
-#[cfg(target_os = "linux")]
-pub fn epoll_wait_events(
-    ep: &OwnedSysFd,
-    events: &mut [EpollEvent],
-    timeout_ms: c_int,
-) -> io::Result<usize> {
-    loop {
-        let n =
-            unsafe { epoll_wait(ep.raw(), events.as_mut_ptr(), events.len() as c_int, timeout_ms) };
-        match cvt(n) {
-            Ok(n) => return Ok(n as usize),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-    }
-}
 
 /// `poll(2)` over the given descriptors; `timeout_ms < 0` blocks indefinitely.
 /// Returns how many entries have non-zero `revents`. Retries on `EINTR`.
@@ -306,30 +186,5 @@ mod tests {
         let mut drain = [0u8; 8];
         let mut reader = reader;
         assert_eq!(reader.read(&mut drain).unwrap(), 1);
-    }
-
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn epoll_roundtrip_add_wait_remove() {
-        let ep = epoll_create().unwrap();
-        let (reader, mut writer) = std::io::pipe().expect("os pipe");
-        epoll_add(&ep, reader.as_raw_fd(), EPOLLIN, 0xFEED).unwrap();
-
-        let mut events = [EpollEvent { events: 0, data: 0 }; 4];
-        assert_eq!(epoll_wait_events(&ep, &mut events, 0).unwrap(), 0);
-
-        writer.write_all(&[1]).unwrap();
-        assert_eq!(epoll_wait_events(&ep, &mut events, 1000).unwrap(), 1);
-        let (mask, token) = (events[0].events, events[0].data);
-        assert_ne!(mask & EPOLLIN, 0);
-        assert_eq!(token, 0xFEED);
-
-        epoll_modify(&ep, reader.as_raw_fd(), EPOLLIN, 0xBEEF).unwrap();
-        assert_eq!(epoll_wait_events(&ep, &mut events, 1000).unwrap(), 1);
-        let token = events[0].data;
-        assert_eq!(token, 0xBEEF);
-
-        epoll_remove(&ep, reader.as_raw_fd()).unwrap();
-        assert_eq!(epoll_wait_events(&ep, &mut events, 0).unwrap(), 0);
     }
 }

@@ -298,7 +298,7 @@ impl<B: StorageBackend + 'static> StoreDaemon<B> {
     }
 
     /// [`StoreDaemon::bind`] with full control over the [`ServerConfig`] —
-    /// deadlines, poller backend, and the per-connection resource caps
+    /// worker count, deadlines and the per-connection resource caps
     /// (frame size, session count, buffered output).
     pub fn bind_with(
         addr: impl ToSocketAddrs,

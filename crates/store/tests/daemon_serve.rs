@@ -7,7 +7,7 @@ use recon_base::wire::Encode;
 use recon_base::ReconError;
 use recon_estimator::{Side, StrataConfig, StrataEstimator};
 use recon_protocol::{ControlFrame, Envelope, Party, Role, Step, CONTROL_SESSION};
-use recon_runtime::{connect_endpoint, drive_endpoint, Backend, ReactorConfig, ServerConfig};
+use recon_runtime::{connect_endpoint, drive_endpoint, ReactorConfig, ServerConfig};
 use recon_set::full_digest_builds;
 use recon_set::session::{iblt_known_alice, iblt_known_bob};
 use recon_store::control::{ReconcileReq, ReconcileResp, OP_CLOSE, OP_ERROR, OP_RECONCILE};
@@ -96,12 +96,12 @@ fn daemon_survives_bad_requests_and_serves_many_clients() {
     bad_requests_then_many_clients(StoreDaemon::bind("127.0.0.1:0", store, 2).unwrap());
 }
 
-/// The same traffic with every worker reactor on the portable `poll(2)`
-/// backend.
+/// The same traffic through [`StoreDaemon::bind_with`] and an explicit
+/// [`ServerConfig`]; every worker reactor waits on `poll(2)`, the only poller.
 #[test]
 fn daemon_serves_many_clients_on_the_poll_backend() {
     let store = SketchStore::open(MemoryBackend::new(), daemon_config()).unwrap();
-    let config = ServerConfig::new().workers(2).session_deadline(None).backend(Backend::Poll);
+    let config = ServerConfig::new().workers(2).session_deadline(None);
     bad_requests_then_many_clients(StoreDaemon::bind_with("127.0.0.1:0", store, config).unwrap());
 }
 

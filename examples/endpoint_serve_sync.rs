@@ -24,9 +24,8 @@
 //!
 //! The server is a [`Server`]: two worker [`Reactor`]s accepting from one
 //! shared non-blocking listener, each driving its endpoints purely off
-//! epoll/`poll(2)` readiness — idle
-//! connections cost nothing, and the process serves any number of concurrent
-//! clients. Clients run the same machinery single-connection via
+//! `poll(2)` readiness — idle connections cost nothing, and the process
+//! serves any number of concurrent clients. Clients run the same machinery single-connection via
 //! [`drive_endpoint`].
 //!
 //! [`Server`]: recon_runtime::Server

@@ -14,7 +14,7 @@
 //! identical to running the protocols alone.
 //!
 //! Both processes block in [`drive_endpoint`] — the reactor runtime's
-//! epoll/`poll(2)` wait — and are woken only when the pipe actually has bytes
+//! `poll(2)` wait — and are woken only when the pipe actually has bytes
 //! or buffer space: no `std::thread::sleep`, no reader thread.
 //!
 //! [`Endpoint`]: recon_protocol::Endpoint
@@ -227,7 +227,7 @@ fn run_alice() {
     println!(
         "multiplexed two-process reconciliation complete: 3 mixed-family sessions, \
          {} metered protocol bytes inside {framed} framed bytes on one pipe, \
-         zero sleeps (epoll/poll readiness)",
+         zero sleeps (poll(2) readiness)",
         stats.iter().map(|s| s.total_bytes()).sum::<usize>()
     );
 }

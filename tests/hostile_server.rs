@@ -9,8 +9,7 @@ use recon_base::ReconError;
 use recon_protocol::amplify::{AmplifiedReceiver, AmplifiedSender, Exhaust};
 use recon_protocol::{ControlFrame, Envelope, Party, Role, Step, CONTROL_SESSION};
 use recon_runtime::{
-    connect_endpoint, drive_endpoint, Backend, ReactorConfig, Server, ServerConfig, TcpEndpoint,
-    TcpService,
+    connect_endpoint, drive_endpoint, ReactorConfig, Server, ServerConfig, TcpEndpoint, TcpService,
 };
 use recon_set::session::iblt_known_bob;
 use recon_store::control::{ReconcileReq, OP_CLOSE, OP_ERROR, OP_RECONCILE};
@@ -38,7 +37,7 @@ impl TcpService for OneSender {
     }
 }
 
-fn run_clean_client(addr: SocketAddr, backend: Option<Backend>) -> u64 {
+fn run_clean_client(addr: SocketAddr) -> u64 {
     let mut endpoint = connect_endpoint(addr).expect("connect");
     let bob = AmplifiedReceiver::new(
         4,
@@ -49,13 +48,14 @@ fn run_clean_client(addr: SocketAddr, backend: Option<Backend>) -> u64 {
     );
     endpoint.register(0, Role::Bob, bob).expect("register");
     let mut recovered = None;
-    let config = ReactorConfig { backend, ..ReactorConfig::default() };
-    drive_endpoint(&mut endpoint, &config, |endpoint| match endpoint.take_outcome::<u64>(0) {
-        Some(outcome) => {
-            recovered = Some(outcome?.recovered);
-            Ok(true)
+    drive_endpoint(&mut endpoint, &ReactorConfig::default(), |endpoint| {
+        match endpoint.take_outcome::<u64>(0) {
+            Some(outcome) => {
+                recovered = Some(outcome?.recovered);
+                Ok(true)
+            }
+            None => Ok(false),
         }
-        None => Ok(false),
     })
     .expect("clean client drive");
     recovered.expect("recovered")
@@ -66,22 +66,10 @@ fn run_clean_client(addr: SocketAddr, backend: Option<Backend>) -> u64 {
 /// the claim costs the attacker their connection and the server nothing.
 #[test]
 fn oversized_frame_claim_is_rejected_on_its_prefix_alone() {
-    oversized_frame_claim_is_rejected(None);
-}
-
-/// The same attack against a server (and clean client) on the portable
-/// `poll(2)` backend: the caps live above the poller, so nothing changes.
-#[test]
-fn oversized_frame_claim_is_rejected_on_the_poll_backend() {
-    oversized_frame_claim_is_rejected(Some(Backend::Poll));
-}
-
-fn oversized_frame_claim_is_rejected(backend: Option<Backend>) {
-    let mut config = ServerConfig::new()
+    let config = ServerConfig::new()
         .workers(1)
         .session_deadline(Some(Duration::from_secs(10)))
         .max_frame_bytes(4096);
-    config.backend = backend;
     let server = Server::bind("127.0.0.1:0", config, |_| OneSender).expect("bind");
     let addr = server.local_addr();
 
@@ -112,7 +100,7 @@ fn oversized_frame_claim_is_rejected(backend: Option<Backend>) {
     drop(stream);
 
     // The worker that refused the attacker still serves a clean client.
-    assert_eq!(run_clean_client(addr, backend), 1000);
+    assert_eq!(run_clean_client(addr), 1000);
     let stats = server.shutdown();
     assert_eq!(stats.served(), 1, "{stats:?}");
     assert!(stats.failed >= 1, "hostile connection must be counted as failed: {stats:?}");

@@ -3,18 +3,12 @@
 //! protocol families* (unknown-`d` set reconciliation, known-`d` IBLT set
 //! reconciliation, cascading set-of-sets), with every recovery and every
 //! per-session [`CommStats`] asserted byte-identical to the blocking
-//! `SessionBuilder` driver running the very same party pairs.
-//!
-//! The suite runs twice: on the default backend (edge-triggered epoll on
-//! Linux) and pinned to the portable, level-triggered `poll(2)` backend —
-//! every recovery and every counter must be identical across both, because
-//! readiness delivery is an implementation detail the protocol cannot see.
+//! `SessionBuilder` driver running the very same party pairs: readiness
+//! delivery is an implementation detail the protocol cannot see.
 
 use recon_base::ReconError;
 use recon_protocol::{Amplification, Outcome, Party, Role, SessionBuilder, SessionId};
-use recon_runtime::{
-    drive_endpoint, Backend, ReactorConfig, Server, ServerConfig, TcpEndpoint, TcpService,
-};
+use recon_runtime::{drive_endpoint, ReactorConfig, Server, ServerConfig, TcpEndpoint, TcpService};
 use recon_set::session as set_session;
 use recon_sos::workload::{generate_pair, WorkloadParams};
 use recon_sos::{session as sos_session, SetOfSets, SosParams};
@@ -119,7 +113,7 @@ struct ClientRecoveries {
 
 /// One reactor client: dial, run all three sessions readiness-driven, return
 /// the outcomes.
-fn run_client(addr: SocketAddr, client: u64, backend: Option<Backend>) -> ClientRecoveries {
+fn run_client(addr: SocketAddr, client: u64) -> ClientRecoveries {
     let mut endpoint = recon_runtime::connect_endpoint(addr).expect("connect");
     endpoint.register(UNKNOWN_SET, Role::Bob, bob_unknown(client)).expect("register");
     endpoint.register(KNOWN_SET, Role::Bob, bob_known(client)).expect("register");
@@ -127,7 +121,6 @@ fn run_client(addr: SocketAddr, client: u64, backend: Option<Backend>) -> Client
 
     let config = ReactorConfig {
         session_deadline: Some(Duration::from_secs(60)),
-        backend,
         ..ReactorConfig::default()
     };
     let (mut unknown, mut known, mut sos) = (None, None, None);
@@ -149,15 +142,15 @@ fn run_client(addr: SocketAddr, client: u64, backend: Option<Backend>) -> Client
 
 /// Serve `CLIENTS` concurrent mixed-family connections on `WORKERS` worker
 /// reactors and check every outcome against the blocking driver.
-fn serve_and_verify(backend: Option<Backend>) {
-    let mut config =
+#[test]
+fn reactor_serves_eight_mixed_family_connections() {
+    let config =
         ServerConfig::new().workers(WORKERS).session_deadline(Some(Duration::from_secs(60)));
-    config.backend = backend;
     let server = Server::bind("127.0.0.1:0", config, |_| MixedFamilies).expect("bind");
     let addr = server.local_addr();
 
     let handles: Vec<_> = (0..CLIENTS as u64)
-        .map(|client| std::thread::spawn(move || (client, run_client(addr, client, backend))))
+        .map(|client| std::thread::spawn(move || (client, run_client(addr, client))))
         .collect();
     for handle in handles {
         let (client, got) = handle.join().expect("client thread");
@@ -181,15 +174,4 @@ fn serve_and_verify(backend: Option<Backend>) {
     assert_eq!(stats.served(), CLIENTS as u64, "{stats:?}");
     assert_eq!(stats.failed, 0, "{stats:?}");
     assert_eq!(stats.served_per_worker.len(), WORKERS);
-}
-
-#[test]
-fn reactor_serves_eight_mixed_family_connections() {
-    // Default backend: edge-triggered epoll on Linux, poll(2) elsewhere.
-    serve_and_verify(None);
-}
-
-#[test]
-fn reactor_serves_eight_mixed_family_connections_on_poll_fallback() {
-    serve_and_verify(Some(Backend::Poll));
 }
