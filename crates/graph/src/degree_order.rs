@@ -15,7 +15,7 @@
 use crate::graph::Graph;
 use recon_base::ReconError;
 use recon_sos::{ChildSet, SetOfSets};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
 
 /// Parameters of the degree-ordering scheme.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,19 +54,14 @@ pub fn signatures(graph: &Graph, h: usize) -> DegreeOrderSignatures {
     let h = h.min(n);
     let mut order: Vec<u32> = (0..n as u32).collect();
     order.sort_by_key(|&v| (std::cmp::Reverse(graph.degree(v)), v));
-    let anchors: Vec<u32> = order[..h].to_vec();
-    let anchor_rank: HashMap<u32, u64> =
-        anchors.iter().enumerate().map(|(i, &v)| (v, i as u64)).collect();
-    let mut sigs = Vec::with_capacity(n - h);
-    for &v in &order[h..] {
-        let mut sig = BTreeSet::new();
-        for w in graph.neighbors(v) {
-            if let Some(&rank) = anchor_rank.get(&w) {
-                sig.insert(rank);
-            }
-        }
-        sigs.push((v, sig));
+    let mut anchor_rank: Vec<Option<u64>> = vec![None; n];
+    for (rank, &v) in (0u64..).zip(&order[..h]) {
+        anchor_rank[v as usize] = Some(rank);
     }
+    let sigs = order[h..]
+        .iter()
+        .map(|&v| (v, graph.neighbors(v).filter_map(|w| anchor_rank[w as usize]).collect()))
+        .collect();
     DegreeOrderSignatures { order, signatures: sigs }
 }
 
@@ -167,33 +162,32 @@ pub fn match_signatures(
 }
 
 pub(crate) fn signature_set_of_sets(sigs: &DegreeOrderSignatures) -> Result<SetOfSets, ReconError> {
-    let children: Vec<ChildSet> = sigs.signatures.iter().map(|(_, s)| s.clone()).collect();
-    let distinct: HashSet<&ChildSet> = children.iter().collect();
-    if distinct.len() != children.len() {
+    // `from_children` dedupes, so a shared signature leaves fewer children.
+    let sos = SetOfSets::from_children(sigs.signatures.iter().map(|(_, s)| s.clone()));
+    if sos.num_children() != sigs.signatures.len() {
         return Err(ReconError::SeparationFailure(
             "two vertices share a degree-ordering signature".to_string(),
         ));
     }
-    Ok(SetOfSets::from_children(children))
+    Ok(sos)
 }
 
-/// Alice's labeling: anchors get labels `0..h` by degree rank, the remaining
-/// vertices get labels `h..n` by lexicographic order of their signatures.
-pub(crate) fn label_map_from_signatures(
-    sigs: &DegreeOrderSignatures,
-    h: usize,
-) -> (HashMap<u32, u32>, Vec<ChildSet>) {
+/// Alice's labeling, indexed by vertex: anchors get labels `0..h` by degree
+/// rank, the remaining vertices get labels `h..n` by lexicographic order of
+/// their signatures.
+pub(crate) fn label_map_from_signatures(sigs: &DegreeOrderSignatures, h: usize) -> Vec<u32> {
+    // Vertices are distinct, so the unstable sort orders exactly as a stable one.
     let mut sorted_sigs: Vec<(&BTreeSet<u64>, u32)> =
         sigs.signatures.iter().map(|(v, s)| (s, *v)).collect();
-    sorted_sigs.sort();
-    let mut labels = HashMap::new();
-    for (rank, &v) in sigs.order[..h].iter().enumerate() {
-        labels.insert(v, rank as u32);
+    sorted_sigs.sort_unstable();
+    let mut labels = vec![0; sigs.order.len()];
+    for (label, &v) in (0u32..).zip(&sigs.order[..h]) {
+        labels[v as usize] = label;
     }
-    for (i, (_, v)) in sorted_sigs.iter().enumerate() {
-        labels.insert(*v, (h + i) as u32);
+    for (label, (_, v)) in (h as u32..).zip(sorted_sigs) {
+        labels[v as usize] = label;
     }
-    (labels, sorted_sigs.into_iter().map(|(s, _)| s.clone()).collect())
+    labels
 }
 
 #[cfg(test)]
@@ -202,6 +196,7 @@ mod tests {
     use crate::session;
     use recon_base::rng::Xoshiro256;
     use recon_protocol::{Outcome, SessionBuilder};
+    use std::collections::HashSet;
 
     /// Theorem 5.2's party pair, run in memory.
     fn run_session(

@@ -1,6 +1,13 @@
 //! The undirected-graph substrate: adjacency structure, `G(n, p)` sampling, the
 //! perturbation model of Section 5, and brute-force isomorphism for small graphs.
 //!
+//! Adjacency is one sorted `Vec<u32>` row per vertex, indexed by vertex. A
+//! membership test or an insertion binary-searches the row; a graph built in
+//! lexicographic edge order (as [`Graph::gnp`], [`Graph::complement`] and Bob's
+//! recovered graph are) only ever appends. Equality and cloning are slice
+//! compares and copies, and every other vertex-keyed table of the crate is a
+//! vector indexed the same way.
+//!
 //! The paper's random-graph model: a base graph `G ~ G(n, p)`; Alice and Bob obtain
 //! `G_A` and `G_B` by each making at most `d/2` edge changes to `G`, and the goal is
 //! one-way reconciliation (Bob ends with a graph isomorphic to `G_A`).
@@ -12,14 +19,15 @@ use std::collections::BTreeSet;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Graph {
     n: usize,
-    adj: Vec<BTreeSet<u32>>,
+    /// `adj[v]`: the neighbours of `v`, strictly increasing.
+    adj: Vec<Vec<u32>>,
     num_edges: usize,
 }
 
 impl Graph {
     /// Create an empty graph on `n` vertices.
     pub fn new(n: usize) -> Self {
-        Self { n, adj: vec![BTreeSet::new(); n], num_edges: 0 }
+        Self { n, adj: vec![Vec::new(); n], num_edges: 0 }
     }
 
     /// Number of vertices.
@@ -34,7 +42,7 @@ impl Graph {
 
     /// `true` if the edge `{u, v}` is present.
     pub fn has_edge(&self, u: u32, v: u32) -> bool {
-        self.adj.get(u as usize).is_some_and(|s| s.contains(&v))
+        self.adj.get(u as usize).is_some_and(|row| row.binary_search(&v).is_ok())
     }
 
     /// Add the edge `{u, v}`; returns `false` if it was already present. Self-loops
@@ -42,24 +50,28 @@ impl Graph {
     pub fn add_edge(&mut self, u: u32, v: u32) -> bool {
         assert!(u != v, "self-loops are not allowed");
         assert!((u as usize) < self.n && (v as usize) < self.n, "vertex out of range");
-        if self.adj[u as usize].insert(v) {
-            self.adj[v as usize].insert(u);
-            self.num_edges += 1;
-            true
-        } else {
-            false
-        }
+        let Err(at) = self.adj[u as usize].binary_search(&v) else {
+            return false;
+        };
+        self.adj[u as usize].insert(at, v);
+        let row = &mut self.adj[v as usize];
+        let at = row.partition_point(|&w| w < u);
+        row.insert(at, u);
+        self.num_edges += 1;
+        true
     }
 
     /// Remove the edge `{u, v}`; returns `false` if it was absent.
     pub fn remove_edge(&mut self, u: u32, v: u32) -> bool {
-        if self.adj[u as usize].remove(&v) {
-            self.adj[v as usize].remove(&u);
-            self.num_edges -= 1;
-            true
-        } else {
-            false
-        }
+        let Ok(at) = self.adj[u as usize].binary_search(&v) else {
+            return false;
+        };
+        self.adj[u as usize].remove(at);
+        let row = &mut self.adj[v as usize];
+        let at = row.partition_point(|&w| w < u);
+        row.remove(at);
+        self.num_edges -= 1;
+        true
     }
 
     /// Toggle the edge `{u, v}` (the paper's "edge change").
@@ -84,12 +96,9 @@ impl Graph {
     /// All edges `{u, v}` with `u < v`, in lexicographic order.
     pub fn edges(&self) -> Vec<(u32, u32)> {
         let mut out = Vec::with_capacity(self.num_edges);
-        for u in 0..self.n as u32 {
-            for &v in &self.adj[u as usize] {
-                if u < v {
-                    out.push((u, v));
-                }
-            }
+        for (u, row) in (0u32..).zip(&self.adj) {
+            let above = row.partition_point(|&v| v < u);
+            out.extend(row[above..].iter().map(|&v| (u, v)));
         }
         out
     }
@@ -121,6 +130,8 @@ impl Graph {
     /// Section 5), choosing distinct vertex pairs.
     pub fn perturb(&self, changes: usize, rng: &mut Xoshiro256) -> Self {
         assert!(self.n >= 2 || changes == 0, "cannot perturb a graph with fewer than 2 vertices");
+        let pairs = self.n * self.n.saturating_sub(1) / 2;
+        assert!(changes <= pairs, "cannot flip {changes} distinct pairs of a graph with {pairs}");
         let mut out = self.clone();
         let mut flipped: BTreeSet<(u32, u32)> = BTreeSet::new();
         while flipped.len() < changes {
@@ -179,11 +190,20 @@ impl Graph {
     /// permutation of `0..n`.
     pub fn relabel(&self, labels: &[u32]) -> Graph {
         assert_eq!(labels.len(), self.n);
-        let mut g = Graph::new(self.n);
-        for (u, v) in self.edges() {
-            g.add_edge(labels[u as usize], labels[v as usize]);
+        let mut seen = vec![false; self.n];
+        for &label in labels {
+            let fresh = seen.get_mut(label as usize).is_some_and(|s| !std::mem::replace(s, true));
+            assert!(fresh, "labels must be a permutation of 0..{}", self.n);
         }
-        g
+        // A permutation maps distinct edges to distinct edges: each new row is
+        // the old row's labels, sorted.
+        let mut adj = vec![Vec::new(); self.n];
+        for (row, &label) in self.adj.iter().zip(labels) {
+            let mut relabelled: Vec<u32> = row.iter().map(|&v| labels[v as usize]).collect();
+            relabelled.sort_unstable();
+            adj[label as usize] = relabelled;
+        }
+        Graph { n: self.n, adj, num_edges: self.num_edges }
     }
 
     /// Exhaustive isomorphism test for small graphs (`n ≤ 10`): try every
@@ -329,6 +349,18 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "cannot flip 2 distinct pairs")]
+    fn perturb_refuses_more_changes_than_pairs() {
+        Graph::new(2).perturb(2, &mut Xoshiro256::new(1));
+    }
+
+    #[test]
+    fn perturb_can_flip_every_pair() {
+        let g = Graph::from_edges(4, &[(0, 1)]);
+        assert_eq!(g.perturb(6, &mut Xoshiro256::new(2)), g.complement());
+    }
+
+    #[test]
     fn complement_inverts_edges() {
         let g = Graph::from_edges(4, &[(0, 1), (2, 3)]);
         let c = g.complement();
@@ -352,6 +384,18 @@ mod tests {
         let relabeled = g.relabel(&[3, 2, 1, 0]);
         assert!(g.is_isomorphic_bruteforce(&relabeled));
         assert_eq!(relabeled.edges(), vec![(0, 1), (1, 2), (2, 3)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "labels must be a permutation")]
+    fn relabel_refuses_a_non_permutation() {
+        Graph::from_edges(3, &[(0, 2), (1, 2)]).relabel(&[0, 0, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "labels must be a permutation")]
+    fn relabel_refuses_a_label_past_the_graph() {
+        Graph::from_edges(3, &[(0, 2), (1, 2)]).relabel(&[0, 1, 3]);
     }
 
     #[test]

@@ -8,8 +8,10 @@
 //! Alice's, using communication close to `O(d)` words. (For labeled graphs the
 //! problem is just set reconciliation over the edge sets — see `recon-set`.)
 //!
-//! * [`graph`] — the undirected-graph substrate: adjacency structure, `G(n, p)`
-//!   generation, the perturbation model, brute-force isomorphism for small graphs.
+//! * [`graph`] — the undirected-graph substrate: one sorted neighbour row per
+//!   vertex, `G(n, p)` generation, the perturbation model, brute-force
+//!   isomorphism for small graphs. Every per-vertex table of the schemes (anchor
+//!   ranks, labels) is likewise a vector indexed by vertex.
 //! * [`general`] — worst-case protocols (Section 4): the `O(log n)`-bit isomorphism
 //!   fingerprint (Theorem 4.1), exhaustive reconciliation (Theorem 4.3), the
 //!   Figure 1 merge-ambiguity instance, and the Theorem 4.4 lower-bound encoding.

@@ -66,15 +66,19 @@ fn labeled_edges(edges: &[(u32, u32)], label: impl Fn(u32) -> u32) -> HashSet<u6
 }
 
 /// Bob's graph on `n` vertices from the recovered labeled edge keys. A key that
-/// is no edge of a simple graph on `n` vertices — a self-loop, or an endpoint
-/// `≥ n` — only a forged digest holds, and is refused.
+/// [`Graph::edge_key`] never makes on `n` vertices — a self-loop, an endpoint
+/// `≥ n`, or a high half above the low half (a second key for an edge) — only a
+/// forged digest holds, and is refused. The keys are inserted in sorted order,
+/// so every row insert is an append.
 fn graph_from_edge_keys(n: usize, keys: HashSet<u64>) -> Result<Graph, ReconError> {
+    let mut keys: Vec<u64> = keys.into_iter().collect();
+    keys.sort_unstable();
     let mut graph = Graph::new(n);
     for key in keys {
         let (u, v) = Graph::key_edge(key);
-        if u == v || u as usize >= n || v as usize >= n {
+        if u >= v || v as usize >= n {
             return Err(ReconError::InvalidInput(format!(
-                "recovered edge ({u}, {v}) is no edge of a simple graph on {n} vertices"
+                "recovered edge key ({u}, {v}) is no canonical edge on {n} vertices"
             )));
         }
         graph.add_edge(u, v);
@@ -248,8 +252,8 @@ pub fn degree_order_alice(
         embedded_amplification(),
     )?;
 
-    let (alice_labels, _) = degree_order::label_map_from_signatures(&alice_sigs, h);
-    let alice_edges = labeled_edges(&alice.edges(), |v| alice_labels[&v]);
+    let alice_labels = degree_order::label_map_from_signatures(&alice_sigs, h);
+    let alice_edges = labeled_edges(&alice.edges(), |v| alice_labels[v as usize]);
     let edge_digest = degree_order_edges(params).digest(&alice_edges, 2 * d + 4);
 
     Ok(SchemeAlice::new(
@@ -284,16 +288,18 @@ pub fn degree_order_bob(
     let edge_protocol = degree_order_edges(params);
     Ok(SchemeBob::new(inner, settle, TAG_GRAPH_EDGES, move |recovered, envelope| {
         // --- Conforming labeling (Definition 5.1). -----------------------
-        let mut bob_labels: HashMap<u32, u32> = HashMap::new();
-        for (rank, &v) in bob_sigs.order[..h].iter().enumerate() {
-            bob_labels.insert(v, rank as u32);
+        let mut bob_labels = vec![0u32; n];
+        for (rank, &v) in (0u32..).zip(&bob_sigs.order[..h]) {
+            bob_labels[v as usize] = rank;
         }
         let partners =
             degree_order::match_signatures(&bob_sigs.signatures, recovered.children(), h, d)?;
         for ((v, _), partner) in bob_sigs.signatures.iter().zip(partners) {
-            bob_labels.insert(*v, (h + partner) as u32);
+            bob_labels[*v as usize] = (h + partner) as u32;
         }
-        if bob_labels.values().collect::<HashSet<_>>().len() != n {
+        // Every label is below `n`: `settle` saw `n - h` recovered signatures.
+        let mut seen = vec![false; n];
+        if bob_labels.iter().any(|&label| std::mem::replace(&mut seen[label as usize], true)) {
             return Err(ReconError::SeparationFailure(
                 "conforming labeling is not a bijection".to_string(),
             ));
@@ -301,7 +307,7 @@ pub fn degree_order_bob(
 
         // --- Labeled edge reconciliation (Corollary 2.2). ----------------
         let edge_digest = envelope.decode_payload()?;
-        let bob_edges = labeled_edges(&bob_edges_raw, |v| bob_labels[&v]);
+        let bob_edges = labeled_edges(&bob_edges_raw, |v| bob_labels[v as usize]);
         // A labeled-edge difference past 2d means the labelings did not
         // conform.
         let recovered_edges =
@@ -406,12 +412,13 @@ pub fn degree_neighborhood_bob(
                 .map(|m| (alice_rank[&degree_neighborhood::canonical_key(m)], m))
                 .collect();
             let mut bob_labels: Vec<Option<u32>> = vec![None; n];
-            let mut used: HashSet<u32> = HashSet::new();
+            // Ranks are below `n`: there are `n` distinct signatures.
+            let mut used = vec![false; n];
             let mut unmatched: Vec<u32> = Vec::new();
             for (v, sig) in bob_sigs.iter().enumerate() {
                 if let Some(&rank) = alice_rank.get(&degree_neighborhood::canonical_key(sig)) {
                     bob_labels[v] = Some(rank);
-                    used.insert(rank);
+                    used[rank as usize] = true;
                 } else {
                     unmatched.push(v as u32);
                 }
@@ -420,7 +427,7 @@ pub fn degree_neighborhood_bob(
                 let sig = &bob_sigs[v as usize];
                 let mut candidates = ranked
                     .iter()
-                    .filter(|(rank, m)| !used.contains(rank) && m.difference_size(sig) <= 2 * d)
+                    .filter(|&&(rank, m)| !used[rank as usize] && m.difference_size(sig) <= 2 * d)
                     .map(|&(rank, _)| rank);
                 let Some(rank) = candidates.next() else {
                     return Err(ReconError::SeparationFailure(format!(
@@ -435,7 +442,7 @@ pub fn degree_neighborhood_bob(
                     )));
                 }
                 bob_labels[v as usize] = Some(rank);
-                used.insert(rank);
+                used[rank as usize] = true;
             }
             let bob_labels: Vec<u32> =
                 bob_labels.into_iter().map(|l| l.expect("assigned")).collect();
