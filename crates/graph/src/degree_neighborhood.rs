@@ -10,7 +10,8 @@
 //! non-conforming vertices are at distance `≥ 2d+1` ("(pn, 4d+1)-disjoint"). Bob
 //! therefore recovers Alice's signatures with *set-of-multisets* reconciliation
 //! (Section 3.4 + Theorem 3.7), matches each of his vertices to the closest
-//! signature, and finishes with labeled-edge set reconciliation. The two parties
+//! signature, and finishes with labeled-edge set reconciliation, patching his
+//! relabelled graph with the decoded edge difference. The two parties
 //! are [`crate::session::degree_neighborhood_alice`] and
 //! [`crate::session::degree_neighborhood_bob`], both built with [`agreed_params`].
 

@@ -9,7 +9,8 @@
 //! distance `d` of each other while non-conforming vertices are at distance `≥ d+1`,
 //! so recovering Alice's signature *set of sets* (Theorem 3.7) lets Bob build a
 //! conforming labeling, after which the edges are reconciled as an ordinary labeled
-//! set (Corollary 2.2). The two parties are [`crate::session::degree_order_alice`]
+//! set (Corollary 2.2): Bob relabels his graph and patches it with the decoded
+//! edge difference. The two parties are [`crate::session::degree_order_alice`]
 //! and [`crate::session::degree_order_bob`].
 
 use crate::graph::Graph;

@@ -23,7 +23,8 @@
 //!   Theorem 6.1).
 //!
 //! * [`session`] — each scheme's Alice and Bob parties, which
-//!   `recon_protocol::SessionBuilder::run` drives in memory.
+//!   `recon_protocol::SessionBuilder::run` drives in memory. A graph Bob ends
+//!   by patching his relabelled graph with the decoded labelled-edge difference.
 //!
 //! ```
 //! use recon_base::rng::Xoshiro256;

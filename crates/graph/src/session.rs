@@ -20,10 +20,10 @@ use crate::forest::Forest;
 use crate::graph::Graph;
 use recon_base::ReconError;
 use recon_protocol::{Amplification, Envelope, Nested, Party, Step};
-use recon_set::{IbltSetProtocol, Multiset};
+use recon_set::{IbltSetProtocol, Multiset, SetDigest};
 use recon_sos::multiset_of_multisets::{PairPacking, SetOfMultisets};
 use recon_sos::{session as sos_session, SetOfSets, SosParams};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 /// Envelope tag: Bob's uncharged acknowledgement that the embedded signature
 /// reconciliation completed.
@@ -61,27 +61,41 @@ fn separation_failure(why: &'static str) -> impl Fn(ReconError) -> ReconError {
 }
 
 /// The edge keys of `edges` under the vertex labeling `label`.
-fn labeled_edges(edges: &[(u32, u32)], label: impl Fn(u32) -> u32) -> HashSet<u64> {
+fn labeled_edges(edges: &[(u32, u32)], label: impl Fn(u32) -> u32) -> Vec<u64> {
     edges.iter().map(|&(u, v)| Graph::edge_key(label(u), label(v))).collect()
 }
 
-/// Bob's graph on `n` vertices from the recovered labeled edge keys. A key that
+/// Bob's `graph`, relabelled by the conforming labelling, patched by its
+/// labelled-edge difference against Alice's `digest`: an extra edge he lacks, a
+/// missing one he has, or a failed set hash is a checksum failure. A missing key
 /// [`Graph::edge_key`] never makes on `n` vertices — a self-loop, an endpoint
-/// `≥ n`, or a high half above the low half (a second key for an edge) — only a
-/// forged digest holds, and is refused. The keys are inserted in sorted order,
-/// so every row insert is an append.
-fn graph_from_edge_keys(n: usize, keys: HashSet<u64>) -> Result<Graph, ReconError> {
-    let mut keys: Vec<u64> = keys.into_iter().collect();
-    keys.sort_unstable();
-    let mut graph = Graph::new(n);
-    for key in keys {
-        let (u, v) = Graph::key_edge(key);
-        if u >= v || v as usize >= n {
+/// `≥ n`, a high half above the low half — only a forged digest holds.
+fn patch_labeled_edges(
+    protocol: &IbltSetProtocol,
+    digest: &SetDigest,
+    mut graph: Graph,
+) -> Result<Graph, ReconError> {
+    let keys = graph.edge_keys();
+    let diff = protocol.diff(digest, &keys)?;
+    let n = graph.num_vertices();
+    let canonical = |u: u32, v: u32| u < v && (v as usize) < n;
+    for (u, v) in diff.extra.iter().map(|&key| Graph::key_edge(key)) {
+        if !(canonical(u, v) && graph.remove_edge(u, v)) {
+            return Err(ReconError::ChecksumFailure);
+        }
+    }
+    for (u, v) in diff.missing.iter().map(|&key| Graph::key_edge(key)) {
+        if !canonical(u, v) {
             return Err(ReconError::InvalidInput(format!(
                 "recovered edge key ({u}, {v}) is no canonical edge on {n} vertices"
             )));
         }
-        graph.add_edge(u, v);
+        if !graph.add_edge(u, v) {
+            return Err(ReconError::ChecksumFailure);
+        }
+    }
+    if !diff.verify(&keys, protocol.set_hash_seed(), digest.cardinality, digest.set_hash) {
+        return Err(ReconError::ChecksumFailure);
     }
     Ok(graph)
 }
@@ -284,7 +298,7 @@ pub fn degree_order_bob(
         }
         Ok(recovered)
     };
-    let bob_edges_raw = bob.edges();
+    let bob = bob.clone();
     let edge_protocol = degree_order_edges(params);
     Ok(SchemeBob::new(inner, settle, TAG_GRAPH_EDGES, move |recovered, envelope| {
         // --- Conforming labeling (Definition 5.1). -----------------------
@@ -307,15 +321,14 @@ pub fn degree_order_bob(
 
         // --- Labeled edge reconciliation (Corollary 2.2). ----------------
         let edge_digest = envelope.decode_payload()?;
-        let bob_edges = labeled_edges(&bob_edges_raw, |v| bob_labels[v as usize]);
         // A labeled-edge difference past 2d means the labelings did not
         // conform.
-        let recovered_edges =
-            edge_protocol.reconcile(&edge_digest, &bob_edges).map_err(separation_failure(
+        patch_labeled_edges(&edge_protocol, &edge_digest, bob.relabel(&bob_labels)).map_err(
+            separation_failure(
                 "labeled edge difference exceeded the bound; anchor ordering or signature \
                  matching did not conform",
-            ))?;
-        graph_from_edge_keys(n, recovered_edges)
+            ),
+        )
     }))
 }
 
@@ -392,7 +405,7 @@ pub fn degree_neighborhood_bob(
     let packing = PairPacking::default();
     let inner =
         sos_session::mom_known_bob(&bob_collection, resolved, &packing, embedded_amplification())?;
-    let bob_edges_raw = bob.edges();
+    let bob = bob.clone();
     let edge_protocol = degree_neighborhood_edges(params);
     Ok(SchemeBob::new(
         inner,
@@ -417,8 +430,10 @@ pub fn degree_neighborhood_bob(
             let mut unmatched: Vec<u32> = Vec::new();
             for (v, sig) in bob_sigs.iter().enumerate() {
                 if let Some(&rank) = alice_rank.get(&degree_neighborhood::canonical_key(sig)) {
+                    if std::mem::replace(&mut used[rank as usize], true) {
+                        return Err(ReconError::SeparationFailure("twin signatures".into()));
+                    }
                     bob_labels[v] = Some(rank);
-                    used[rank as usize] = true;
                 } else {
                     unmatched.push(v as u32);
                 }
@@ -444,14 +459,13 @@ pub fn degree_neighborhood_bob(
                 bob_labels[v as usize] = Some(rank);
                 used[rank as usize] = true;
             }
+            // Every vertex has a distinct rank below `n`: a bijection.
             let bob_labels: Vec<u32> =
                 bob_labels.into_iter().map(|l| l.expect("assigned")).collect();
 
             // --- Labeled edge reconciliation, same round. -------------------
             let edge_digest = envelope.decode_payload()?;
-            let bob_edges = labeled_edges(&bob_edges_raw, |v| bob_labels[v as usize]);
-            let recovered_edges = edge_protocol.reconcile(&edge_digest, &bob_edges)?;
-            graph_from_edge_keys(n, recovered_edges)
+            patch_labeled_edges(&edge_protocol, &edge_digest, bob.relabel(&bob_labels))
         },
     ))
 }

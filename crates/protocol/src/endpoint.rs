@@ -4,9 +4,9 @@
 //! Where [`SessionBuilder::run`](crate::SessionBuilder::run) drives exactly one
 //! reconciliation in memory, an `Endpoint` owns any number of
 //! [`SessionCore`]s, each identified by a [`SessionId`] both peers agreed on,
-//! and pumps them all through a single byte stream: [`Endpoint::poll`] drains
-//! every session's outgoing envelopes into session-tagged [`Frame`]s, then
-//! dispatches every arrived frame to its session. Per-session [`Transcript`]s
+//! and pumps them all through a single byte stream: [`Endpoint::poll_ready`]
+//! dispatches every arrived frame to its session, then drains every session's
+//! outgoing envelopes into session-tagged [`Frame`]s. Per-session [`Transcript`]s
 //! apply the one metering rule, [`Envelope::record_into`], so a
 //! protocol multiplexed across a shared connection reports the same
 //! [`CommStats`] as the same protocol run alone — amortizing transport setup
@@ -182,32 +182,18 @@ impl<T: Transport> Endpoint<T> {
         Ok(())
     }
 
-    /// Pump the multiplexer once: frame and send every session's pending
-    /// envelopes, then dispatch every frame the transport has fully received.
-    /// Returns whether any work happened — drivers loop until their sessions
-    /// finish and treat a no-progress iteration as "waiting on the peer".
-    pub fn poll(&mut self) -> Result<bool, ReconError> {
-        let mut progressed = self.pump_sends()?;
-        while let Some(frame) = self.transport.recv()? {
-            progressed = true;
-            self.dispatch(frame)?;
-        }
-        // Dispatching may have queued responses; get them onto the wire now so
-        // a peer polling in lockstep sees them on its next iteration.
-        progressed |= self.pump_sends()?;
-        Ok(progressed)
-    }
-
-    /// Pump the multiplexer from a readiness notification instead of
-    /// speculatively: flush buffered output if the stream reported *writable*,
-    /// drain and dispatch arrived frames if it reported *readable*, then frame
-    /// any responses the sessions queued. This is [`Endpoint::poll`] with the
-    /// transport work gated on actual readiness, so an event-loop driver (see
-    /// `recon-runtime`) never spins on a stream that has nothing for it.
+    /// Pump the multiplexer once: flush buffered output if the stream reported
+    /// *writable*, drain and dispatch arrived frames if it reported
+    /// *readable*, then frame and flush every envelope the sessions queued.
+    /// An event-loop driver (see `recon-runtime`) passes the readiness its
+    /// poller saw, so it never spins on a stream that has nothing for it; a
+    /// driver with no poller, like [`drive_pair`], passes `(true, true)`.
     ///
     /// Returns whether any protocol-level work happened (frames dispatched or
-    /// envelopes sent) — byte-level progress such as a partial frame arriving
-    /// is visible through the transport's counters instead.
+    /// envelopes sent) — drivers loop until their sessions finish and treat a
+    /// no-progress iteration as "waiting on the peer". Byte-level progress such
+    /// as a partial frame arriving is visible through the transport's counters
+    /// instead.
     pub fn poll_ready(&mut self, readable: bool, writable: bool) -> Result<bool, ReconError> {
         let mut progressed = false;
         if writable {
@@ -439,11 +425,15 @@ pub fn drive_pair<TA: Transport, TB: Transport>(
             b.open_sessions(),
         )
     };
+    // Both sides put their opening frames on the wire before either reads,
+    // as `recon-runtime`'s drivers do.
+    a.poll_ready(false, false)?;
+    b.poll_ready(false, false)?;
     let mut before = observe(a, b);
     let mut idle_rounds = 0;
     loop {
-        let progressed_a = a.poll()?;
-        let progressed_b = b.poll()?;
+        let progressed_a = a.poll_ready(true, true)?;
+        let progressed_b = b.poll_ready(true, true)?;
         if a.open_sessions() == 0 && b.open_sessions() == 0 {
             return Ok(());
         }
@@ -699,8 +689,8 @@ mod tests {
         let (alice, bob) = counting_pair(9, 1);
         alice_end.register(0, Role::Alice, alice).unwrap();
         bob_end.register(0, Role::Bob, bob).unwrap();
-        // Memory transports are always "ready" both ways; readiness-driven
-        // pumping must converge exactly like Endpoint::poll.
+        // Memory transports are always "ready" both ways; pumping by hand
+        // must converge like drive_pair.
         let mut rounds = 0;
         while bob_end.take_outcome::<u64>(0).is_none() {
             alice_end.poll_ready(true, true).unwrap();
@@ -708,7 +698,7 @@ mod tests {
             rounds += 1;
             assert!(rounds < 64, "poll_ready failed to converge");
         }
-        assert!(!alice_end.is_write_blocked(), "memory transport never buffers");
+        assert!(!alice_end.is_write_blocked(), "a memory pipe accepts every write");
         assert_eq!(alice_end.session_ids(), vec![0]);
         assert_eq!(bob_end.session_ids(), Vec::<SessionId>::new());
     }

@@ -22,8 +22,8 @@
 //!   returning an [`Outcome`] with the recovered data and the [`CommStats`] of a
 //!   [`Transcript`] every envelope was recorded into.
 //! * [`Frame`] / [`Transport`] — the multiplexing layer: session-tagged,
-//!   length-delimited frames carried by a pluggable byte stream (in-memory,
-//!   non-blocking TCP, OS pipes), reassembled by an incremental [`FrameDecoder`].
+//!   length-delimited frames carried by one framing implementation over any
+//!   non-blocking byte stream (in-memory pipes, TCP, OS pipes), reassembled by an incremental [`FrameDecoder`].
 //! * [`Endpoint`] — the non-blocking driver: many concurrent [`SessionCore`]s
 //!   over one framed transport, with per-session transcripts reproducing the
 //!   single-session accounting exactly.

@@ -1,19 +1,17 @@
-//! Framed byte-stream transports an [`Endpoint`](crate::Endpoint) multiplexes
-//! sessions over.
+//! The framed byte-stream transport an [`Endpoint`](crate::Endpoint)
+//! multiplexes sessions over.
 //!
 //! Where [`SessionBuilder::run`](crate::SessionBuilder::run) hands one
 //! session's envelopes across in memory, a [`Transport`] actually *moves* [`Frame`]s — session-tagged,
 //! length-delimited envelopes — between two endpoints, and never blocks the
 //! event loop: `recv` returns `Ok(None)` when no complete frame has arrived
-//! yet. Two implementations cover the deployment spectrum:
-//!
-//! * [`MemoryTransport`] — a connected in-process pair backed by shared byte
-//!   queues. Every frame still round-trips through its full wire encoding, so
-//!   tests over this transport exercise the real framing path.
-//! * [`StreamTransport`] — wraps any non-blocking `Read`/`Write` pair, e.g. a
-//!   `std::net::TcpStream` with `set_nonblocking(true)`. Writes are buffered
-//!   and flushed opportunistically so a full socket buffer never wedges the
-//!   endpoint.
+//! yet. There is one framing implementation, [`StreamTransport`], over any
+//! non-blocking `Read`/`Write` pair: a `std::net::TcpStream` with
+//! `set_nonblocking(true)`, a pipe pair, or the in-process [`MemoryPipe`]s of a
+//! [`MemoryTransport::pair`]. Writes are buffered and flushed opportunistically
+//! so a full socket buffer never wedges the endpoint. The only other
+//! implementation is the fault decorator,
+//! [`FaultyTransport`](crate::fault::FaultyTransport).
 
 use crate::frame::{Frame, FrameDecoder};
 use crate::pool::ConnBuffers;
@@ -38,25 +36,17 @@ pub trait Transport {
     /// arrived yet. Must never block.
     fn recv(&mut self) -> Result<Option<Frame>, ReconError>;
 
-    /// Push any buffered outgoing bytes toward the peer. Implementations with
-    /// unbuffered sends may keep the default no-op.
-    fn flush(&mut self) -> Result<(), ReconError> {
-        Ok(())
-    }
+    /// Push buffered outgoing bytes toward the peer, as far as the stream
+    /// accepts them. A sent frame reaches the peer only through this.
+    fn flush(&mut self) -> Result<(), ReconError>;
 
-    /// `true` once the peer can no longer deliver frames (stream closed). A
-    /// transport that cannot detect closure may always return `false`.
-    fn is_closed(&self) -> bool {
-        false
-    }
+    /// `true` once the peer can no longer deliver frames (stream closed).
+    fn is_closed(&self) -> bool;
 
     /// `true` while previously sent frames sit in an internal buffer waiting
     /// for the underlying stream to accept them. A readiness-driven driver
-    /// uses this to decide whether to watch the stream for writability;
-    /// transports whose `send` delivers immediately keep the default `false`.
-    fn has_pending_out(&self) -> bool {
-        false
-    }
+    /// uses this to decide whether to watch the stream for writability.
+    fn has_pending_out(&self) -> bool;
 
     /// Total framed bytes handed to this transport for sending (wire encoding
     /// included) — the denominator for amortization measurements.
@@ -66,26 +56,22 @@ pub trait Transport {
     fn bytes_framed_in(&self) -> u64;
 
     /// Install (or clear) the key used to *verify* incoming checked frames
-    /// (see [`FrameDecoder::set_integrity_key`]). The default ignores the
-    /// call, matching transports with no decoder of their own.
-    fn set_integrity_key(&mut self, _key: Option<u64>) {}
+    /// (see [`FrameDecoder::set_integrity_key`]).
+    fn set_integrity_key(&mut self, key: Option<u64>);
 
     /// Start (or stop) appending the keyed checksum trailer to *outgoing*
-    /// frames. Enabled by the endpoint once integrity negotiation completes;
-    /// the default ignores the call.
-    fn set_checked_out(&mut self, _key: Option<u64>) {}
+    /// frames. Enabled by the endpoint once integrity negotiation completes.
+    fn set_checked_out(&mut self, key: Option<u64>);
 
     /// Tighten the cap on a single incoming frame's body (see
-    /// [`FrameDecoder::set_max_frame`]). The default ignores the call.
-    fn set_max_frame(&mut self, _max: usize) {}
+    /// [`FrameDecoder::set_max_frame`]).
+    fn set_max_frame(&mut self, max: usize);
 
     /// Queue raw, already-framed wire bytes verbatim — the escape hatch fault
     /// injection uses to deliver deliberately corrupted frames (a corruption
     /// applied *after* any checksum trailer, as a real network would). Honest
-    /// code paths never need this; the default declines.
-    fn send_wire(&mut self, _bytes: &[u8]) -> Result<(), ReconError> {
-        Err(ReconError::Transport("raw wire injection unsupported by this transport".into()))
-    }
+    /// code paths never need this.
+    fn send_wire(&mut self, bytes: &[u8]) -> Result<(), ReconError>;
 }
 
 /// Extension for transports backed by OS streams that a readiness poller
@@ -126,105 +112,47 @@ where
     }
 }
 
-// ---------------------------------------------------------------------------
-// MemoryTransport
-// ---------------------------------------------------------------------------
+/// One direction of an in-process byte stream: a shared queue that accepts
+/// every write and reads as [`ErrorKind::WouldBlock`] while empty, like a
+/// non-blocking socket whose peer never closes. A clone is the same pipe's
+/// other end.
+#[derive(Debug, Default, Clone)]
+pub struct MemoryPipe(Rc<RefCell<VecDeque<u8>>>);
 
-type SharedBytes = Rc<RefCell<VecDeque<u8>>>;
-
-/// One half of an in-process transport pair. Frames are fully wire-encoded into
-/// a shared byte queue and re-decoded by the peer's [`FrameDecoder`], so the
-/// framing layer is exercised end to end without any OS resources.
-#[derive(Debug)]
-pub struct MemoryTransport {
-    outgoing: SharedBytes,
-    incoming: SharedBytes,
-    decoder: FrameDecoder,
-    checked_key: Option<u64>,
-    bytes_out: u64,
-    bytes_in: u64,
+impl Read for MemoryPipe {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let mut queue = self.0.borrow_mut();
+        if queue.is_empty() {
+            return Err(ErrorKind::WouldBlock.into());
+        }
+        queue.read(buf)
+    }
 }
+
+impl Write for MemoryPipe {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.borrow_mut().extend(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// A [`StreamTransport`] over [`MemoryPipe`]s: the in-process transport, with
+/// the daemon's framing path and no OS resources.
+pub type MemoryTransport = StreamTransport<MemoryPipe, MemoryPipe>;
 
 impl MemoryTransport {
-    /// A connected pair: frames sent on one half arrive at the other.
+    /// A connected pair: frames sent on one half reach the other at the
+    /// sender's next [`Transport::flush`].
     pub fn pair() -> (MemoryTransport, MemoryTransport) {
-        let a_to_b: SharedBytes = Rc::default();
-        let b_to_a: SharedBytes = Rc::default();
-        let a = MemoryTransport {
-            outgoing: Rc::clone(&a_to_b),
-            incoming: Rc::clone(&b_to_a),
-            decoder: FrameDecoder::new(),
-            checked_key: None,
-            bytes_out: 0,
-            bytes_in: 0,
-        };
-        let b = MemoryTransport {
-            outgoing: b_to_a,
-            incoming: a_to_b,
-            decoder: FrameDecoder::new(),
-            checked_key: None,
-            bytes_out: 0,
-            bytes_in: 0,
-        };
-        (a, b)
+        let (a_to_b, b_to_a) = (MemoryPipe::default(), MemoryPipe::default());
+        let a = StreamTransport::new(b_to_a.clone(), a_to_b.clone());
+        (a, StreamTransport::new(a_to_b, b_to_a))
     }
 }
-
-impl Transport for MemoryTransport {
-    fn send(&mut self, frame: &Frame) -> Result<(), ReconError> {
-        let wire = match self.checked_key {
-            Some(key) => frame.to_wire_checked(key),
-            None => frame.to_wire(),
-        };
-        self.bytes_out += wire.len() as u64;
-        self.outgoing.borrow_mut().extend(wire);
-        Ok(())
-    }
-
-    fn recv(&mut self) -> Result<Option<Frame>, ReconError> {
-        {
-            let mut incoming = self.incoming.borrow_mut();
-            if !incoming.is_empty() {
-                let (front, back) = incoming.as_slices();
-                self.decoder.extend(front);
-                self.decoder.extend(back);
-                self.bytes_in += incoming.len() as u64;
-                incoming.clear();
-            }
-        }
-        self.decoder.next_frame()
-    }
-
-    fn bytes_framed_out(&self) -> u64 {
-        self.bytes_out
-    }
-
-    fn bytes_framed_in(&self) -> u64 {
-        self.bytes_in
-    }
-
-    fn set_integrity_key(&mut self, key: Option<u64>) {
-        self.decoder.set_integrity_key(key);
-    }
-
-    fn set_checked_out(&mut self, key: Option<u64>) {
-        self.checked_key = key;
-    }
-
-    fn set_max_frame(&mut self, max: usize) {
-        self.decoder.set_max_frame(max);
-    }
-
-    fn send_wire(&mut self, bytes: &[u8]) -> Result<(), ReconError> {
-        self.bytes_out += bytes.len() as u64;
-        self.outgoing.borrow_mut().extend(bytes.iter().copied());
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// StreamTransport
-// ---------------------------------------------------------------------------
 
 /// A transport over a non-blocking byte stream (e.g. `TcpStream` after
 /// `set_nonblocking(true)`, or any `Read`/`Write` pair honoring
@@ -430,6 +358,9 @@ mod tests {
         let f2 = Frame::fin(2);
         a.send(&f1).unwrap();
         b.send(&f2).unwrap();
+        assert_eq!(b.recv().unwrap(), None, "a sent frame waits for its flush");
+        a.flush().unwrap();
+        b.flush().unwrap();
         assert_eq!(b.recv().unwrap(), Some(f1));
         assert_eq!(a.recv().unwrap(), Some(f2));
         assert_eq!(a.recv().unwrap(), None);
@@ -477,6 +408,7 @@ mod tests {
         b.set_integrity_key(Some(key));
         let frame = Frame::envelope(4, Envelope::round(1, "m", &31u64));
         a.send(&frame).unwrap();
+        a.flush().unwrap();
         assert_eq!(b.recv().unwrap(), Some(frame.clone()));
 
         // Corrupt one byte on the wire via raw injection: detected, not decoded.
@@ -484,6 +416,7 @@ mod tests {
         let last = wire.len() - 1;
         wire[last] ^= 0xFF;
         a.send_wire(&wire).unwrap();
+        a.flush().unwrap();
         assert!(matches!(b.recv(), Err(ReconError::ChecksumMismatch { .. })));
     }
 

@@ -4,10 +4,10 @@
 //! then `WouldBlock`, alternately** (and a writer that accepts one byte, then
 //! `WouldBlock`, alternately) — the worst legal behavior of a non-blocking
 //! stream short of erroring. Everything observable must be *identical* to the
-//! same traffic over a [`MemoryTransport`], which delivers each frame's bytes
-//! in one piece: the decoded frame sequence, every session outcome, and every
-//! per-session [`CommStats`]. The accounting is a property of the protocol,
-//! not of how the bytes were chopped.
+//! same traffic over a [`MemoryTransport`] — the same `StreamTransport` over
+//! pipes that take and give every byte at once: the decoded frame sequence,
+//! every session outcome, and every per-session [`CommStats`]. The accounting
+//! is a property of the protocol, not of how the bytes were chopped.
 
 use proptest::prelude::*;
 use recon_base::{CommStats, ReconError};
@@ -133,6 +133,7 @@ proptest! {
             torture_tx.send(&frame).unwrap();
             sent.push(frame);
         }
+        memory_tx.flush().unwrap();
         // The torture writer accepts at most one byte per flush attempt.
         let wire_bytes: usize = sent.iter().map(|f| f.to_wire().len()).sum();
         for _ in 0..2 * wire_bytes + 4 {

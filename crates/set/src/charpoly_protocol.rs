@@ -209,15 +209,11 @@ impl CharPolyProtocol {
         local: &HashSet<u64>,
     ) -> Result<HashSet<u64>, ReconError> {
         let diff = self.diff(digest, local)?;
-        let recovered = diff.apply(local);
-        if recovered.len() as u64 != digest.cardinality
-            || hash_u64_set(recovered.iter().copied(), self.set_hash_seed()) != digest.set_hash
-        {
-            return Err(ReconError::DifferenceBoundTooSmall {
-                bound: digest.evaluations.len().saturating_sub(1),
-            });
-        }
-        Ok(recovered)
+        let bound = digest.evaluations.len().saturating_sub(1);
+        let seed = self.set_hash_seed();
+        diff.apply(local)
+            .filter(|_| diff.verify(local, seed, digest.cardinality, digest.set_hash))
+            .ok_or(ReconError::DifferenceBoundTooSmall { bound })
     }
 }
 

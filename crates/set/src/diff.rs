@@ -1,5 +1,6 @@
 //! The result of a set reconciliation: a directed symmetric difference.
 
+use recon_base::hash::SetHasher;
 use std::collections::HashSet;
 
 /// A decoded set difference, oriented from Bob's perspective.
@@ -26,16 +27,32 @@ impl SetDiff {
         self.missing.is_empty() && self.extra.is_empty()
     }
 
-    /// Apply the difference to Bob's set, producing Alice's set.
-    pub fn apply(&self, local: &HashSet<u64>) -> HashSet<u64> {
+    /// Apply the difference to Bob's set, producing Alice's set — or `None`
+    /// when it does not fit `local`: an `extra` element Bob lacks, or a
+    /// `missing` one he already has.
+    pub fn apply(&self, local: &HashSet<u64>) -> Option<HashSet<u64>> {
         let mut out = local.clone();
-        for &x in &self.extra {
-            out.remove(&x);
-        }
-        for &x in &self.missing {
-            out.insert(x);
-        }
-        out
+        let fits =
+            self.extra.iter().all(|x| out.remove(x)) && self.missing.iter().all(|&x| out.insert(x));
+        fits.then_some(out)
+    }
+
+    /// Whether `local` patched by this difference has `cardinality` elements and
+    /// set hash `set_hash` under `seed` — every Bob's check of a decode. It adds
+    /// the difference to `local`'s hash, so it holds only after [`SetDiff::apply`]
+    /// (or an equally strict patch) accepted the difference.
+    pub fn verify<'a>(
+        &self,
+        local: impl IntoIterator<Item = &'a u64>,
+        seed: u64,
+        cardinality: u64,
+        set_hash: u64,
+    ) -> bool {
+        let mut hasher = SetHasher::new(seed);
+        local.into_iter().for_each(|&x| hasher.insert(x));
+        self.extra.iter().for_each(|&x| hasher.remove(x));
+        self.missing.iter().for_each(|&x| hasher.insert(x));
+        hasher.count() == cardinality && hasher.finish() == set_hash
     }
 
     /// Normalize for comparisons in tests: sort both components.
@@ -54,7 +71,7 @@ mod tests {
     fn apply_reconstructs_alice() {
         let bob: HashSet<u64> = [1, 2, 3, 4].into_iter().collect();
         let diff = SetDiff { missing: vec![10, 11], extra: vec![2, 4] };
-        let alice = diff.apply(&bob);
+        let alice = diff.apply(&bob).unwrap();
         assert_eq!(alice, [1, 3, 10, 11].into_iter().collect());
     }
 
@@ -64,7 +81,7 @@ mod tests {
         let diff = SetDiff::default();
         assert!(diff.is_empty());
         assert_eq!(diff.len(), 0);
-        assert_eq!(diff.apply(&bob), bob);
+        assert_eq!(diff.apply(&bob).unwrap(), bob);
     }
 
     #[test]

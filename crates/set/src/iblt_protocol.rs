@@ -6,7 +6,7 @@
 //! lets Bob detect the rare undetectable checksum failures (Section 2 of the paper).
 
 use crate::diff::SetDiff;
-use recon_base::hash::{hash_u64_set, SetHasher};
+use recon_base::hash::SetHasher;
 use recon_base::rng::split_seed;
 use recon_base::wire::{Decode, Encode, WireError};
 use recon_base::ReconError;
@@ -101,7 +101,7 @@ impl IbltSetProtocol {
         &self.iblt_cfg
     }
 
-    /// The seed of the whole-set verification hash ([`hash_u64_set`]) derived from
+    /// The seed of the whole-set verification hash ([`SetHasher`]) derived from
     /// the protocol seed. Public so incremental stores can maintain the same hash
     /// with [`recon_base::hash::SetHasher`] and serve digests without rebuilding.
     pub fn set_hash_seed(&self) -> u64 {
@@ -136,22 +136,26 @@ impl IbltSetProtocol {
         Ok(SetDigest { iblt, set_hash: hasher.finish(), cardinality: hasher.count() })
     }
 
-    /// Bob's side: compute the set difference between Alice's digest and `local`.
+    /// Bob's side: compute the set difference between Alice's digest and
+    /// `local`, Bob's distinct elements in any collection walked twice.
     ///
     /// Fails with [`ReconError::PeelingFailure`] when the difference exceeded what
     /// the digest's table can decode.
-    pub fn diff(&self, digest: &SetDigest, local: &HashSet<u64>) -> Result<SetDiff, ReconError> {
+    pub fn diff<'a, L>(&self, digest: &SetDigest, local: L) -> Result<SetDiff, ReconError>
+    where
+        L: IntoIterator<Item = &'a u64> + Copy,
+    {
         let mut table = digest.iblt.clone();
         // A digest parsed off the wire carries no decode-side metadata;
         // re-bless it with this protocol's stash split and rescue budget.
         table.adopt_layout(&self.iblt_cfg)?;
-        table.delete_u64s(local.iter().copied());
+        table.delete_u64s(local.into_iter().copied());
         // Decode in place: the clone above is the only copy on this path, and
         // on failure the table holds exactly the residual neither the peel nor
         // the rescue could clear. Every negative key in the difference is one
         // of Bob's own elements, so `local` is exactly the candidate set the
         // rescue solver wants (consumed only if the peel stalls).
-        let decoded = table.decode_in_place_with_candidates_u64(local.iter().copied());
+        let decoded = table.decode_in_place_with_candidates_u64(local.into_iter().copied());
         if !decoded.complete {
             return Err(ReconError::PeelingFailure { remaining_cells: table.nonempty_cells() });
         }
@@ -166,15 +170,10 @@ impl IbltSetProtocol {
         local: &HashSet<u64>,
     ) -> Result<HashSet<u64>, ReconError> {
         let diff = self.diff(digest, local)?;
-        let recovered = diff.apply(local);
-        if recovered.len() as u64 != digest.cardinality {
-            return Err(ReconError::ChecksumFailure);
-        }
-        let hash = hash_u64_set(recovered.iter().copied(), self.set_hash_seed());
-        if hash != digest.set_hash {
-            return Err(ReconError::ChecksumFailure);
-        }
-        Ok(recovered)
+        let seed = self.set_hash_seed();
+        diff.apply(local)
+            .filter(|_| diff.verify(local, seed, digest.cardinality, digest.set_hash))
+            .ok_or(ReconError::ChecksumFailure)
     }
 }
 

@@ -23,12 +23,12 @@ use std::net::ToSocketAddrs;
 use std::sync::{Arc, Mutex};
 
 use crate::control::{
-    ErrorResp, ListResp, MutateReq, MutateResp, OpenReq, OpenResp, ReconcileReq, ReconcileResp,
-    SnapshotReq, SnapshotResp, StatReq, StatResp, OP_CLOSE, OP_DELETE, OP_ERROR, OP_INSERT,
-    OP_LIST, OP_OPEN, OP_RECONCILE, OP_SNAPSHOT, OP_STAT,
+    ErrorResp, MutateReq, MutateResp, OpenReq, OpenResp, ReconcileReq, ReconcileResp, SnapshotReq,
+    SnapshotResp, StatReq, StatResp, OP_CLOSE, OP_DELETE, OP_ERROR, OP_INSERT, OP_OPEN,
+    OP_RECONCILE, OP_SNAPSHOT, OP_STAT,
 };
 use crate::replica::ReplicaParams;
-use crate::store::{ReplicaInfo, StoreStat};
+use crate::store::StoreStat;
 
 /// What one daemon-served reconciliation produced.
 #[derive(Debug, Clone)]
@@ -178,13 +178,6 @@ impl StoreClient {
         let resp: SnapshotResp =
             self.request(OP_SNAPSHOT, &SnapshotReq { name: name.to_string() })?.decode_payload()?;
         Ok(resp.bytes)
-    }
-
-    /// Enumerate the daemon's replicas (name, key count, set hash), sorted by
-    /// name — discovery for hubs and operators instead of guessing names.
-    pub fn list(&mut self) -> Result<Vec<ReplicaInfo>, ReconError> {
-        let resp: ListResp = self.request(OP_LIST, &())?.decode_payload()?;
-        Ok(resp.replicas)
     }
 
     /// Statistics for replica `name`.

@@ -14,7 +14,7 @@ use recon_estimator::StrataEstimator;
 use recon_protocol::SessionId;
 
 use crate::replica::{decode_ladder, ReplicaParams};
-use crate::store::{ReplicaInfo, StoreStat};
+use crate::store::StoreStat;
 
 /// Open (creating if absent) a replica. Body: [`OpenReq`] → [`OpenResp`].
 pub const OP_OPEN: u16 = 1;
@@ -31,8 +31,6 @@ pub const OP_SNAPSHOT: u16 = 5;
 pub const OP_STAT: u16 = 6;
 /// Close the control session gracefully. Body: `()` → `()`.
 pub const OP_CLOSE: u16 = 7;
-/// Enumerate replicas (name, key count, set hash). Body: `()` → [`ListResp`].
-pub const OP_LIST: u16 = 8;
 /// Response opcode for a failed request. Body: [`ErrorResp`].
 pub const OP_ERROR: u16 = 0xFFFF;
 
@@ -288,45 +286,6 @@ impl Decode for StatResp {
     }
 }
 
-/// Response to [`OP_LIST`]: every replica the store holds, sorted by name —
-/// how a hub or operator discovers replicas instead of guessing names, and
-/// compares convergence state via the incremental set hashes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ListResp {
-    /// One row per replica, sorted by name.
-    pub replicas: Vec<ReplicaInfo>,
-}
-
-impl Encode for ListResp {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.replicas.encode(buf);
-    }
-}
-
-impl Decode for ListResp {
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(Self { replicas: Vec::decode(buf)? })
-    }
-}
-
-impl Encode for ReplicaInfo {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        encode_name(buf, &self.name);
-        self.cardinality.encode(buf);
-        self.set_hash.encode(buf);
-    }
-}
-
-impl Decode for ReplicaInfo {
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(Self {
-            name: decode_name(buf)?,
-            cardinality: u64::decode(buf)?,
-            set_hash: u64::decode(buf)?,
-        })
-    }
-}
-
 /// Body of an [`OP_ERROR`] response.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ErrorResp {
@@ -384,13 +343,6 @@ mod tests {
         roundtrip(SnapshotReq { name: "a".into() });
         roundtrip(SnapshotResp { bytes: 4096 });
         roundtrip(StatReq { name: "a".into() });
-        roundtrip(ListResp { replicas: vec![] });
-        roundtrip(ListResp {
-            replicas: vec![
-                ReplicaInfo { name: "alpha".into(), cardinality: 3, set_hash: 0xFEED },
-                ReplicaInfo { name: "beta".into(), cardinality: 0, set_hash: u64::MAX },
-            ],
-        });
         roundtrip(StatResp {
             stat: StoreStat { cardinality: 5, set_hash: 0xABCD, ladder: vec![16], wal_records: 2 },
         });

@@ -38,9 +38,9 @@ use std::sync::{Arc, Mutex};
 
 use crate::backend::StorageBackend;
 use crate::control::{
-    ErrorResp, ListResp, MutateReq, MutateResp, OpenReq, OpenResp, ReconcileReq, ReconcileResp,
-    SnapshotReq, SnapshotResp, StatReq, StatResp, OP_CLOSE, OP_DELETE, OP_ERROR, OP_INSERT,
-    OP_LIST, OP_OPEN, OP_RECONCILE, OP_SNAPSHOT, OP_STAT,
+    ErrorResp, MutateReq, MutateResp, OpenReq, OpenResp, ReconcileReq, ReconcileResp, SnapshotReq,
+    SnapshotResp, StatReq, StatResp, OP_CLOSE, OP_DELETE, OP_ERROR, OP_INSERT, OP_OPEN,
+    OP_RECONCILE, OP_SNAPSHOT, OP_STAT,
 };
 use crate::store::SketchStore;
 
@@ -140,10 +140,6 @@ impl<B: StorageBackend> ControlParty<B> {
                 let req: StatReq = frame.decode_payload()?;
                 let stat = store.stat(&req.name)?;
                 ControlFrame::new(frame.request_id, OP_STAT, &StatResp { stat })
-            }
-            OP_LIST => {
-                frame.decode_payload::<()>()?;
-                ControlFrame::new(frame.request_id, OP_LIST, &ListResp { replicas: store.list() })
             }
             OP_CLOSE => ControlFrame::new(frame.request_id, OP_CLOSE, &()),
             op => {

@@ -47,5 +47,5 @@ pub use backend::{DirBackend, MemoryBackend, StorageBackend};
 pub use client::{ReconcileReport, StoreClient};
 pub use daemon::{StoreDaemon, StoreService};
 pub use replica::{Replica, ReplicaParams};
-pub use store::{ReplicaInfo, SketchStore, StoreConfig, StoreStat};
+pub use store::{SketchStore, StoreConfig, StoreStat};
 pub use wal::WalOp;

@@ -35,22 +35,11 @@ pub struct StoreConfig {
     pub ladder: Vec<usize>,
     /// Replication budget for new replicas' sessions.
     pub max_attempts: u64,
-    /// Auto-snapshot threshold: once a replica's WAL reaches this many logged
-    /// records, the store snapshots it and truncates the log — a long-lived
-    /// daemon checkpoints itself instead of growing the WAL unboundedly.
-    /// `None` disables auto-snapshotting (records are 17 bytes each, see
-    /// [`crate::wal::RECORD_BYTES`], so a byte budget divides down to this).
-    pub wal_snapshot_records: Option<u64>,
 }
 
 impl Default for StoreConfig {
     fn default() -> Self {
-        Self {
-            seed: 0x5709E,
-            ladder: vec![16, 64, 256, 1024],
-            max_attempts: 4,
-            wal_snapshot_records: None,
-        }
+        Self { seed: 0x5709E, ladder: vec![16, 64, 256, 1024], max_attempts: 4 }
     }
 }
 
@@ -64,13 +53,6 @@ impl StoreConfig {
     /// Replace the rung ladder.
     pub fn with_ladder(mut self, ladder: Vec<usize>) -> Self {
         self.ladder = ladder;
-        self
-    }
-
-    /// Auto-snapshot every replica whose WAL reaches `records` logged
-    /// mutations (clamped to at least 1).
-    pub fn with_wal_snapshot_records(mut self, records: u64) -> Self {
-        self.wal_snapshot_records = Some(records.max(1));
         self
     }
 
@@ -95,19 +77,6 @@ pub struct StoreStat {
     pub ladder: Vec<usize>,
     /// Mutations logged since the last snapshot.
     pub wal_records: u64,
-}
-
-/// One row of the daemon's `ListReplicas` response: enough for a client to
-/// enumerate replicas instead of guessing names, and to compare convergence
-/// state (the incremental set hash) without pulling key sets.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReplicaInfo {
-    /// Replica name.
-    pub name: String,
-    /// Number of keys.
-    pub cardinality: u64,
-    /// Current whole-set hash (equal hashes ⇒ equal sets, w.h.p.).
-    pub set_hash: u64,
 }
 
 struct Slot {
@@ -175,24 +144,6 @@ impl<B: StorageBackend> SketchStore<B> {
         &self.config
     }
 
-    /// Names of all replicas, sorted.
-    pub fn replica_names(&self) -> Vec<String> {
-        self.replicas.keys().cloned().collect()
-    }
-
-    /// Enumerate every replica with its cardinality and current set hash,
-    /// sorted by name — the store side of the daemon's `ListReplicas` op.
-    pub fn list(&self) -> Vec<ReplicaInfo> {
-        self.replicas
-            .iter()
-            .map(|(name, slot)| ReplicaInfo {
-                name: name.clone(),
-                cardinality: slot.replica.len() as u64,
-                set_hash: slot.replica.set_hash(),
-            })
-            .collect()
-    }
-
     fn slot(&self, name: &str) -> Result<&Slot, ReconError> {
         self.replicas
             .get(name)
@@ -244,14 +195,6 @@ impl<B: StorageBackend> SketchStore<B> {
         let changed = slot.replica.apply_all(changing.iter().copied(), insert);
         debug_assert_eq!(changed, changing.len(), "WAL-logged mutations must change the replica");
         slot.wal_records += changing.len() as u64;
-        // Self-checkpointing: once the WAL crosses the configured budget,
-        // fold it into a fresh snapshot so a long-lived daemon's log never
-        // grows unboundedly. The mutations above are already durable either
-        // way — the snapshot just moves them out of the replay path.
-        let wal_records = slot.wal_records;
-        if self.config.wal_snapshot_records.is_some_and(|threshold| wal_records >= threshold) {
-            self.snapshot(name)?;
-        }
         Ok(changing.len() as u64)
     }
 
@@ -352,7 +295,6 @@ mod tests {
         let mut store = SketchStore::open(MemoryBackend::new(), small_config()).unwrap();
         let params = store.open_replica("alpha").unwrap();
         assert_eq!(store.open_replica("alpha").unwrap(), params);
-        assert_eq!(store.replica_names(), vec!["alpha".to_string()]);
 
         // A different name gets a different seed from the same master seed.
         let beta = store.open_replica("beta").unwrap();
@@ -402,49 +344,6 @@ mod tests {
             store.digest("r", 10_000),
             Err(ReconError::DifferenceBoundTooSmall { .. })
         ));
-    }
-
-    #[test]
-    fn wal_autosnapshot_truncates_past_the_threshold() {
-        let config = small_config().with_wal_snapshot_records(10);
-        let mut store = SketchStore::open(MemoryBackend::new(), config.clone()).unwrap();
-        store.open_replica("r").unwrap();
-
-        // Below the budget the WAL just grows.
-        store.insert("r", &(0..9).collect::<Vec<_>>()).unwrap();
-        assert_eq!(store.stat("r").unwrap().wal_records, 9);
-
-        // The batch that crosses the threshold trips a snapshot: the WAL
-        // resets and the backing log blob is gone.
-        store.insert("r", &(9..14).collect::<Vec<_>>()).unwrap();
-        assert_eq!(store.stat("r").unwrap().wal_records, 0);
-        let digest = store.digest("r", 4).unwrap().1.to_bytes();
-        let backend = store.into_backend();
-        assert!(backend.read("r.wal").unwrap().is_none(), "auto-snapshot must drop the WAL");
-
-        // Restart parity: recovery comes purely from the snapshot.
-        let store2 = SketchStore::open(backend, config).unwrap();
-        assert_eq!(store2.keys("r").unwrap(), &(0u64..14).collect());
-        assert_eq!(store2.stat("r").unwrap().wal_records, 0);
-        assert_eq!(store2.digest("r", 4).unwrap().1.to_bytes(), digest);
-    }
-
-    #[test]
-    fn list_enumerates_replicas_with_hashes() {
-        let mut store = SketchStore::open(MemoryBackend::new(), small_config()).unwrap();
-        assert!(store.list().is_empty());
-        store.open_replica("beta").unwrap();
-        store.open_replica("alpha").unwrap();
-        store.insert("alpha", &[1, 2, 3]).unwrap();
-        let infos = store.list();
-        assert_eq!(
-            infos.iter().map(|info| info.name.as_str()).collect::<Vec<_>>(),
-            vec!["alpha", "beta"],
-            "sorted by name"
-        );
-        assert_eq!(infos[0].cardinality, 3);
-        assert_eq!(infos[0].set_hash, store.stat("alpha").unwrap().set_hash);
-        assert_eq!(infos[1].cardinality, 0);
     }
 
     #[test]

@@ -12,13 +12,11 @@ use recon_estimator::{Side, StrataEstimator};
 use recon_protocol::{ControlFrame, Envelope, Party, Role, Step, CONTROL_SESSION};
 use recon_runtime::{connect_endpoint, drive_endpoint, ReactorConfig};
 use recon_store::control::{
-    ErrorResp, ListResp, MutateReq, MutateResp, OpenReq, OpenResp, ReconcileReq, ReconcileResp,
-    SnapshotReq, SnapshotResp, StatReq, StatResp, OP_ERROR, OP_LIST, OP_OPEN, OP_RECONCILE,
-    OP_STAT,
+    ErrorResp, MutateReq, MutateResp, OpenReq, OpenResp, ReconcileReq, ReconcileResp, SnapshotReq,
+    SnapshotResp, StatReq, StatResp, OP_ERROR, OP_OPEN, OP_RECONCILE, OP_STAT,
 };
 use recon_store::{
-    MemoryBackend, ReplicaInfo, ReplicaParams, SketchStore, StoreClient, StoreConfig, StoreDaemon,
-    StoreStat,
+    MemoryBackend, ReplicaParams, SketchStore, StoreClient, StoreConfig, StoreDaemon, StoreStat,
 };
 use std::collections::{HashMap, VecDeque};
 use std::net::SocketAddr;
@@ -42,7 +40,7 @@ fn roundtrip<T: Encode + Decode + PartialEq + std::fmt::Debug>(value: &T, op: u1
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Every control body — including the new `OP_LIST` rows — survives
+    /// Every control body survives
     /// encode → decode unchanged, bare and wrapped in a [`ControlFrame`].
     #[test]
     fn store_control_bodies_roundtrip(
@@ -56,7 +54,6 @@ proptest! {
         with_bound in any::<bool>(),
         snapshot_bytes in any::<u64>(),
         ladder_steps in pvec(1usize..50, 1..5),
-        rows in pvec((pvec(0u8..26, 0..8), any::<u64>(), any::<u64>()), 0..6),
         message_bytes in pvec(0u8..26, 0..40),
         estimated in any::<u64>(),
     ) {
@@ -112,15 +109,6 @@ proptest! {
             OP_STAT,
         );
 
-        let replicas: Vec<ReplicaInfo> = rows
-            .into_iter()
-            .map(|(bytes, cardinality, set_hash)| ReplicaInfo {
-                name: lowercase(bytes),
-                cardinality,
-                set_hash,
-            })
-            .collect();
-        roundtrip(&ListResp { replicas }, OP_LIST);
         roundtrip(&ErrorResp { message: lowercase(message_bytes) }, OP_ERROR);
     }
 

@@ -25,7 +25,8 @@ fn charges_past_the_session_byte_total_fail_the_session() {
         let charge = Envelope::charge(TAG_GRAPH_CHARGE, "aggregate", usize::MAX, true);
         peer.send(&Frame::envelope(0, charge)).unwrap();
     }
-    endpoint.poll().expect("one session's charge does not fail the endpoint");
+    peer.flush().unwrap();
+    endpoint.poll_ready(true, true).expect("one session's charge does not fail the endpoint");
 
     assert_eq!(endpoint.is_finished(1), Some(false), "the other session is untouched");
     assert_eq!(endpoint.is_finished(0), Some(true));
