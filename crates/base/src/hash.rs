@@ -135,16 +135,6 @@ impl SetHasher {
         Self { seed, sum: 0, xor: 0, count: 0 }
     }
 
-    /// Rebuild a hasher from previously captured [`SetHasher::state`] parts.
-    pub fn from_state(seed: u64, state: (u64, u64, u64)) -> Self {
-        Self { seed, sum: state.0, xor: state.1, count: state.2 }
-    }
-
-    /// The raw `(sum, xor, count)` folding state, for durable snapshots.
-    pub fn state(&self) -> (u64, u64, u64) {
-        (self.sum, self.xor, self.count)
-    }
-
     /// Number of elements folded in so far.
     pub fn count(&self) -> u64 {
         self.count
@@ -280,17 +270,6 @@ mod tests {
             }
             assert_eq!(hasher.count(), live.len() as u64);
         }
-    }
-
-    #[test]
-    fn set_hasher_state_roundtrips() {
-        let mut h = SetHasher::new(9);
-        for x in [3u64, 99, 12345] {
-            h.insert(x);
-        }
-        let restored = SetHasher::from_state(9, h.state());
-        assert_eq!(restored, h);
-        assert_eq!(restored.finish(), hash_u64_set([3u64, 99, 12345], 9));
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! and at 8 otherwise — a peeled key must also hash back to the cell it came
 //! from, which is what lets a narrow key carry the narrow check-sum. A child
 //! table that is the *key* of an outer table travels in its headerless
-//! [key form](Iblt::write_key_form); stores keep [`Iblt::encode_bank`]'s planes.
+//! [key form](Iblt::write_key_form); [`Iblt::encode_bank`]'s planes serve a benchmark probe.
 //!
 //! # Key path
 //!
@@ -223,7 +223,7 @@ impl IbltConfig {
     }
 }
 
-/// Size of the wire and snapshot header: three varints, then the 8-byte seed.
+/// Size of the wire and bank-dump header: three varints, then the 8-byte seed.
 fn header_len(key_bytes: usize, hash_count: usize, cells: usize) -> usize {
     uvarint_len(key_bytes as u64) + uvarint_len(hash_count as u64) + uvarint_len(cells as u64) + 8
 }
@@ -1083,9 +1083,9 @@ impl Iblt {
     }
 
     /// Serialize the cell bank as three contiguous fixed-width planes (8-byte
-    /// counts, key sums, 8-byte checksums) after the header — the snapshot
-    /// format used by durable stores: it loads back into the bank with three
-    /// bulk copies and no per-cell parsing, at 16 bytes a cell plus the key.
+    /// counts, key sums, 8-byte checksums) after the header: it loads back
+    /// into the bank with three bulk copies and no per-cell parsing, at 16
+    /// bytes a cell plus the key.
     pub fn encode_bank(&self, buf: &mut Vec<u8>) {
         self.write_header(buf);
         buf.reserve(self.bank.counts.len() * (16 + self.bank.key_bytes));
@@ -1111,10 +1111,10 @@ impl Iblt {
         Ok(Self::from_parsed(hash_count, seed, Bank { key_bytes, counts, key_sums, check_sums }))
     }
 
-    /// Read the header the wire and snapshot formats share — key width, hash
+    /// Read the header the wire and bank-dump formats share — key width, hash
     /// count, cell count, seed — and check it against what is left of `buf`
     /// before anything is allocated: every cell needs its key and
-    /// `fixed(key_bytes)` bytes beside it (16 in a snapshot; a count byte and
+    /// `fixed(key_bytes)` bytes beside it (16 in a bank dump; a count byte and
     /// the check-sum on the wire), and a table has a cell per hash function.
     fn decode_header(
         buf: &mut &[u8],
@@ -1134,7 +1134,7 @@ impl Iblt {
         Ok((key_bytes, hash_count, cell_count, seed))
     }
 
-    /// A table parsed off the wire or out of a snapshot. Neither format carries
+    /// A table parsed off the wire or out of a bank dump. Neither format carries
     /// decode-side metadata: parsed tables start with no stash and the default
     /// rescue budget, and callers that use a stash or a custom budget re-bless
     /// the table with [`Iblt::adopt_layout`] before decoding.

@@ -30,7 +30,6 @@
 use crate::frame::{Frame, SessionId};
 use crate::transport::Transport;
 use recon_base::rng::Xoshiro256;
-use recon_base::wire::{uvarint_len, write_uvarint, Encode};
 use recon_base::ReconError;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -216,15 +215,13 @@ impl<T: Transport> Transport for FaultyTransport<T> {
         self.stats.frames_sent += 1;
         // Encode the wire packet ourselves so faults land *after* any
         // checksum trailer, like real in-flight corruption.
-        let mut body = Vec::new();
-        match self.checked_key {
-            Some(key) => frame.encode_checked(&mut body, key),
-            None => frame.encode(&mut body),
-        }
-        let mut wire = Vec::with_capacity(uvarint_len(body.len() as u64) + body.len());
-        write_uvarint(&mut wire, body.len() as u64);
-        let prefix_len = wire.len();
-        wire.extend_from_slice(&body);
+        let mut wire = match self.checked_key {
+            Some(key) => frame.to_wire_checked(key),
+            None => frame.to_wire(),
+        };
+        // Every byte of the uvarint length prefix but its last has the
+        // continuation bit set.
+        let prefix_len = 1 + wire.iter().take_while(|&&b| b & 0x80 != 0).count();
 
         if self.rng.next_bool(self.profile.drop) {
             self.stats.dropped += 1;
@@ -233,7 +230,7 @@ impl<T: Transport> Transport for FaultyTransport<T> {
         if self.rng.next_bool(self.profile.bit_flip) {
             // Flip inside the body so framing survives and the corruption is
             // the checksum's problem, not the length prefix's.
-            let at = prefix_len + self.rng.next_index(body.len());
+            let at = prefix_len + self.rng.next_index(wire.len() - prefix_len);
             wire[at] ^= 1 << self.rng.next_index(8);
             self.stats.bit_flipped += 1;
         }

@@ -87,11 +87,7 @@ impl Frame {
 
     /// Serialize with the outer length prefix, ready for a byte stream.
     pub fn to_wire(&self) -> Vec<u8> {
-        let body = self.to_bytes();
-        let mut out = Vec::with_capacity(uvarint_len(body.len() as u64) + body.len());
-        write_uvarint(&mut out, body.len() as u64);
-        out.extend_from_slice(&body);
-        out
+        length_prefixed(&self.to_bytes())
     }
 
     /// Append the *checked* body encoding to `buf`: the normal encoding with
@@ -111,11 +107,16 @@ impl Frame {
     pub fn to_wire_checked(&self, key: u64) -> Vec<u8> {
         let mut body = Vec::new();
         self.encode_checked(&mut body, key);
-        let mut out = Vec::with_capacity(uvarint_len(body.len() as u64) + body.len());
-        write_uvarint(&mut out, body.len() as u64);
-        out.extend_from_slice(&body);
-        out
+        length_prefixed(&body)
     }
+}
+
+/// `body` behind its uvarint length prefix.
+fn length_prefixed(body: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(uvarint_len(body.len() as u64) + body.len());
+    write_uvarint(&mut out, body.len() as u64);
+    out.extend_from_slice(body);
+    out
 }
 
 const FRAME_KIND_ENVELOPE: u8 = 0;

@@ -17,13 +17,14 @@
 //!   from-scratch build at every point (pinned by tests).
 //! * [`SketchStore`] — a collection of named replicas over a pluggable
 //!   [`StorageBackend`] ([`MemoryBackend`] or [`DirBackend`]): durable
-//!   snapshots of the flat SoA cell banks plus a write-ahead mutation log,
-//!   with torn-tail-tolerant replay so a crashed store recovers to the exact
-//!   sketch a fresh rebuild of the surviving prefix would produce.
+//!   snapshots of each replica's parameters and key set plus a write-ahead
+//!   mutation log, with torn-tail-tolerant replay so a crashed store recovers
+//!   to the exact sketch a fresh rebuild of the surviving prefix would
+//!   produce. No sketch is written to disk: opening a store rebuilds them.
 //! * [`StoreDaemon`] / [`StoreClient`] — the store wired into the reactor
 //!   [`Server`](recon_runtime::Server) as a long-lived TCP daemon speaking a
 //!   small framed control protocol (`Open`/`Insert`/`Delete`/`Reconcile`/
-//!   `Snapshot`/`Stat`/`List`/`Close`), serving reconciliation sessions straight from
+//!   `Snapshot`/`Stat`/`Close`), serving reconciliation sessions straight from
 //!   the cached sketches: `O(d)` per session, never `O(n)`.
 //!
 //! Daemon-served sessions reproduce the byte-exact envelopes, outcomes and

@@ -8,12 +8,13 @@
 //! * a [`StrataEstimator`] (A-side) for sizing unknown-`d` sessions, and
 //! * an incremental whole-set hash ([`SetHasher`]).
 //!
-//! Every sketch is a commutative sum of per-element updates, so `insert` /
-//! `remove` cost `O(k)` per bank and the maintained state is **bit-identical**
-//! to a from-scratch build over the current keys — which is what lets the
-//! daemon serve [`SetDigest`]s indistinguishable from
+//! Every sketch is a commutative sum of per-element updates, so a mutation
+//! ([`Replica::apply_all`]) costs `O(k)` per bank and key, and the maintained
+//! state is **bit-identical** to a from-scratch build over the current keys —
+//! which is what lets the daemon serve [`SetDigest`]s indistinguishable from
 //! [`IbltSetProtocol::digest`](recon_set::IbltSetProtocol::digest) under
-//! [`iblt_known_protocol`] without ever paying its `O(n)`.
+//! [`iblt_known_protocol`] without ever paying its `O(n)`. For the same reason
+//! a snapshot holds the keys alone: loading one rebuilds every sketch.
 
 use recon_base::hash::SetHasher;
 use recon_base::rng::split_seed;
@@ -25,8 +26,6 @@ use recon_protocol::{Amplification, SessionConfig};
 use recon_set::session::iblt_known_protocol;
 use recon_set::SetDigest;
 use std::collections::HashSet;
-
-use crate::wal::WalOp;
 
 /// The public-coin parameters of a replica, fixed when it is first opened and
 /// shared with every client that reconciles against it.
@@ -107,8 +106,8 @@ pub(crate) fn decode_ladder(buf: &mut &[u8]) -> Result<Vec<usize>, WireError> {
     rungs.into_iter().map(|rung| rung.at_most(usize::MAX, "ladder rung")).collect()
 }
 
-/// Snapshot format version.
-const SNAPSHOT_VERSION: u8 = 1;
+/// Snapshot format version: 2 is the key set alone.
+const SNAPSHOT_VERSION: u8 = 2;
 
 /// A key set with incrementally maintained sketches. See the module docs.
 #[derive(Debug, Clone, PartialEq)]
@@ -128,11 +127,12 @@ impl Replica {
     pub fn new(params: ReplicaParams) -> Result<Self, ReconError> {
         params.validate()?;
         let protocol = iblt_known_protocol(params.seed, 0);
+        // A ladder can come from disk: a rung no table fits is an error.
         let banks = params
             .ladder
             .iter()
-            .map(|&rung| Iblt::with_expected_diff(rung, protocol.iblt_config()))
-            .collect();
+            .map(|&rung| Iblt::try_with_expected_diff(rung, protocol.iblt_config()))
+            .collect::<Result<_, _>>()?;
         let strata = StrataEstimator::new(&params.strata_config());
         let set_hash = SetHasher::new(protocol.set_hash_seed());
         Ok(Self { params, keys: HashSet::new(), banks, strata, set_hash })
@@ -168,49 +168,25 @@ impl Replica {
         self.set_hash.finish()
     }
 
-    /// Insert `key`, updating every sketch in `O(k)` per bank. Returns `false`
-    /// (and touches nothing) if the key was already present — set semantics,
-    /// so the incremental state always equals a fresh build.
-    pub fn insert(&mut self, key: u64) -> bool {
-        let fresh = self.keys.insert(key);
-        if fresh {
-            self.sketch(&[key], true);
-        }
-        fresh
-    }
-
-    /// Remove `key`; `false` (no-op) if it was absent.
-    pub fn remove(&mut self, key: u64) -> bool {
-        let present = self.keys.remove(&key);
-        if present {
-            self.sketch(&[key], false);
-        }
-        present
-    }
-
-    /// [`Replica::insert`] (`insert`) or [`Replica::remove`] for every key of
-    /// `keys` — bulk load, batched mutations: each sketch takes the keys that
-    /// change the set in one pass. Returns how many did.
+    /// Insert (`insert`) or remove every key of `keys`, updating every sketch
+    /// in `O(k)` per bank and key — the one mutation path: bulk load, batched
+    /// mutations, WAL replay and snapshot load all come through here. Keys
+    /// that do not change the set (a present insert, an absent remove) touch
+    /// nothing, so the maintained state always equals a fresh build. Returns
+    /// how many keys changed the set.
     pub fn apply_all(&mut self, keys: impl IntoIterator<Item = u64>, insert: bool) -> usize {
         let changed: Vec<u64> = keys
             .into_iter()
             .filter(|&key| if insert { self.keys.insert(key) } else { self.keys.remove(&key) })
             .collect();
-        self.sketch(&changed, insert);
-        changed.len()
-    }
-
-    /// Fold `keys` — each one just added to (`insert`) or just taken out of the
-    /// key set — into every maintained sketch.
-    fn sketch(&mut self, keys: &[u64], insert: bool) {
         for bank in &mut self.banks {
             if insert {
-                bank.insert_u64s(keys.iter().copied());
+                bank.insert_u64s(changed.iter().copied());
             } else {
-                bank.delete_u64s(keys.iter().copied());
+                bank.delete_u64s(changed.iter().copied());
             }
         }
-        for &key in keys {
+        for &key in &changed {
             if insert {
                 self.strata.update(key, Side::A);
                 self.set_hash.insert(key);
@@ -219,16 +195,7 @@ impl Replica {
                 self.set_hash.remove(key);
             }
         }
-    }
-
-    /// Apply a logged mutation (replay path). Returns whether it changed the
-    /// set — always `true` for a log produced by this store, since no-op
-    /// mutations are never logged.
-    pub fn apply(&mut self, op: WalOp) -> bool {
-        match op {
-            WalOp::Insert(key) => self.insert(key),
-            WalOp::Delete(key) => self.remove(key),
-        }
+        changed.len()
     }
 
     /// Serve the digest for difference bound `d` from the maintained banks:
@@ -264,9 +231,9 @@ impl Replica {
         Ok((estimate, rung))
     }
 
-    /// Serialize the full replica state: parameters, sorted keys, the
-    /// incremental hash state, the strata estimator and every bank as a
-    /// contiguous SoA dump ([`Iblt::encode_bank`]).
+    /// Serialize the replica's durable state: the version byte, the
+    /// parameters and the keys in strictly ascending order. Every sketch is a
+    /// sum of per-key updates, so none is written; loading rebuilds them.
     pub fn encode_snapshot(&self) -> Vec<u8> {
         let mut buf = Vec::new();
         buf.push(SNAPSHOT_VERSION);
@@ -277,19 +244,15 @@ impl Replica {
         for key in keys {
             buf.extend_from_slice(&key.to_le_bytes());
         }
-        let (sum, xor, count) = self.set_hash.state();
-        sum.encode(&mut buf);
-        xor.encode(&mut buf);
-        count.encode(&mut buf);
-        self.strata.encode(&mut buf);
-        for bank in &self.banks {
-            bank.encode_bank(&mut buf);
-        }
         buf
     }
 
-    /// Load a snapshot produced by [`Replica::encode_snapshot`]. The banks are
-    /// loaded straight from their SoA dumps — no per-cell parsing, no rebuild.
+    /// Load a snapshot produced by [`Replica::encode_snapshot`]: parse the
+    /// parameters and the key list, then rebuild every sketch through
+    /// [`Replica::apply_all`] in `O(n)`. Keys out of strictly ascending order
+    /// (a duplicate included), an unknown version and trailing bytes are
+    /// [`ReconError::InvalidInput`]; a rung no table can be allocated for is
+    /// [`ReconError::ResourceExhausted`].
     pub fn decode_snapshot(bytes: &[u8]) -> Result<Self, ReconError> {
         let mut buf = bytes;
         let version = u8::decode(&mut buf).map_err(ReconError::Wire)?;
@@ -302,32 +265,19 @@ impl Replica {
         let n = n.items_in(buf, 8).map_err(|_| {
             ReconError::InvalidInput("snapshot claims more keys than its bytes hold".into())
         })?;
-        let mut keys = HashSet::with_capacity(n);
+        let mut keys = Vec::with_capacity(n);
         for _ in 0..n {
-            keys.insert(u64::decode(&mut buf).map_err(ReconError::Wire)?);
-        }
-        if keys.len() != n {
-            return Err(ReconError::InvalidInput("snapshot key list has duplicates".into()));
-        }
-        let sum = u64::decode(&mut buf).map_err(ReconError::Wire)?;
-        let xor = u64::decode(&mut buf).map_err(ReconError::Wire)?;
-        let count = u64::decode(&mut buf).map_err(ReconError::Wire)?;
-        let protocol = iblt_known_protocol(params.seed, 0);
-        let set_hash = SetHasher::from_state(protocol.set_hash_seed(), (sum, xor, count));
-        let strata = StrataEstimator::decode(&mut buf).map_err(ReconError::Wire)?;
-        let mut banks = Vec::with_capacity(params.ladder.len());
-        for _ in &params.ladder {
-            let mut bank = Iblt::decode_bank(&mut buf).map_err(ReconError::Wire)?;
-            // SoA dumps carry no decode-side metadata; restore the protocol's
-            // stash split so replayed mutations land in the same cells a fresh
-            // build would use.
-            bank.adopt_layout(protocol.iblt_config())?;
-            banks.push(bank);
+            keys.push(u64::decode(&mut buf).map_err(ReconError::Wire)?);
         }
         if !buf.is_empty() {
             return Err(ReconError::InvalidInput("trailing bytes in snapshot".into()));
         }
-        Ok(Self { params, keys, banks, strata, set_hash })
+        if !keys.windows(2).all(|w| w[0] < w[1]) {
+            return Err(ReconError::InvalidInput("snapshot keys not strictly ascending".into()));
+        }
+        let mut replica = Self::new(params)?;
+        replica.apply_all(keys, true);
+        Ok(replica)
     }
 }
 
@@ -346,12 +296,12 @@ mod tests {
         let mut live: Vec<u64> = Vec::new();
         for i in 0..n {
             let key = rng.next_below(1 << 48);
-            if replica.insert(key) {
+            if replica.apply_all([key], true) == 1 {
                 live.push(key);
             }
             if i % 4 == 3 && !live.is_empty() {
                 let victim = live.remove((rng.next_u64() as usize) % live.len());
-                assert!(replica.remove(victim));
+                assert_eq!(replica.apply_all([victim], false), 1);
             }
         }
         replica
@@ -413,12 +363,12 @@ mod tests {
     #[test]
     fn duplicate_insert_and_missing_remove_are_no_ops() {
         let mut replica = Replica::new(params()).unwrap();
-        assert!(replica.insert(5));
+        assert_eq!(replica.apply_all([5], true), 1);
         let before = replica.clone();
-        assert!(!replica.insert(5));
-        assert!(!replica.remove(99));
+        assert_eq!(replica.apply_all([5], true), 0);
+        assert_eq!(replica.apply_all([99], false), 0);
         assert_eq!(replica, before);
-        assert!(replica.remove(5));
+        assert_eq!(replica.apply_all([5], false), 1);
         assert_eq!(replica, Replica::new(params()).unwrap());
     }
 
@@ -471,14 +421,12 @@ mod tests {
     fn estimate_bound_picks_a_covering_rung() {
         let mut replica = Replica::new(params()).unwrap();
         let mut client = StrataEstimator::new(&replica.params().strata_config());
+        replica.apply_all(0..2000u64, true);
         for x in 0..2000u64 {
-            replica.insert(x);
             client.update(x, Side::B);
         }
         // 10 extra keys on the replica side only.
-        for x in 5000..5010u64 {
-            replica.insert(x);
-        }
+        replica.apply_all(5000..5010u64, true);
         let (estimate, rung) = replica.estimate_bound(&client).unwrap();
         assert!((3..=30).contains(&estimate), "estimate {estimate}");
         assert!(replica.params().ladder.contains(&rung));

@@ -3,7 +3,9 @@
 //!
 //! On-backend layout, per replica `name`:
 //!
-//! * `name.snap` — a full [`Replica::encode_snapshot`] (written atomically),
+//! * `name.snap` — the replica's parameters and key set
+//!   ([`Replica::encode_snapshot`], written atomically; its sketches are
+//!   rebuilt on load),
 //! * `name.wal` — fixed-width checksummed mutation records appended since the
 //!   last snapshot (see [`crate::wal`]).
 //!
@@ -111,8 +113,8 @@ fn validate_replica_name(name: &str) -> Result<(), ReconError> {
 
 impl<B: StorageBackend> SketchStore<B> {
     /// Open a store, recovering every replica the backend holds: load each
-    /// snapshot, replay its WAL on top (dropping any torn tail), and truncate
-    /// the log to the surviving prefix.
+    /// snapshot (rebuilding its sketches from the keys), replay its WAL on top
+    /// (dropping any torn tail), and truncate the log to the surviving prefix.
     pub fn open(backend: B, config: StoreConfig) -> Result<Self, ReconError> {
         let mut store = Self { backend, config, replicas: BTreeMap::new() };
         for blob in store.backend.list()? {
@@ -126,7 +128,10 @@ impl<B: StorageBackend> SketchStore<B> {
             if let Some(log) = store.backend.read(&wal_name(&name))? {
                 let scanned = wal::scan(&log, replica.params().wal_seed());
                 for &op in &scanned.ops {
-                    replica.apply(op);
+                    match op {
+                        WalOp::Insert(key) => replica.apply_all([key], true),
+                        WalOp::Delete(key) => replica.apply_all([key], false),
+                    };
                 }
                 wal_records = scanned.ops.len() as u64;
                 if scanned.dropped_bytes > 0 {
